@@ -11,16 +11,24 @@ Multi-page allocations (F&S chunks) are expanded into their page
 IOVAs, so an F&S trace shows distance-0 runs within each chunk with
 occasional spikes at descriptor boundaries — exactly Fig 7e's shape.
 
-The stack-distance computation uses the standard last-position table
-plus a Fenwick tree over positions, O(n log n) overall.
+The stack distance is read straight off an LRU recency list kept in
+move-to-front order: a key's index in the list is the number of
+distinct keys used since its last use.  A repeat of the previous key
+(a run of pages inside one chunk or one 2 MB region, the common case)
+is distance 0 with no search; any other key is found with one
+``list.index``, a search done in C, and moved to the front.  A key not
+in the list is cold.  That is O(n·d) for n accesses over d distinct
+keys; the figures' traces touch at most a few dozen to a hundred 2 MB
+regions, so d stays small.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..iommu.addr import PAGE_SIZE, ptcache_key
+from ..iommu.addr import LEVEL_SHIFTS, PAGE_SIZE
 
 __all__ = [
     "l3_key_stream",
@@ -31,69 +39,60 @@ __all__ = [
 
 INFINITE = -1  # first use of a key (cold): no reuse distance
 
-
-class _Fenwick:
-    """Binary indexed tree for prefix sums over positions."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, index: int, value: int) -> None:
-        index += 1
-        while index <= self.size:
-            self.tree[index] += value
-            index += index & -index
-
-    def prefix(self, index: int) -> int:
-        """Sum of [0, index]."""
-        index += 1
-        total = 0
-        while index > 0:
-            total += self.tree[index]
-            index -= index & -index
-        return total
-
-    def range_sum(self, low: int, high: int) -> int:
-        if low > high:
-            return 0
-        return self.prefix(high) - (self.prefix(low - 1) if low else 0)
+_L3_SHIFT = LEVEL_SHIFTS[3]
+_NO_KEY = object()  # matches no key: the first access always searches
 
 
 def l3_key_stream(trace: Sequence[tuple[int, int]]) -> list[int]:
     """Expand an allocation trace into per-page PTcache-L3 keys.
 
     ``trace`` entries are ``(iova, pages)`` as recorded by the IOVA
-    allocators; each page contributes the key of its 2 MB region.
+    allocators; each page contributes the key of its 2 MB region
+    (``ptcache_key(page_iova, 3)``).
     """
     keys: list[int] = []
+    append = keys.append
+    extend = keys.extend
     for iova, pages in trace:
-        for index in range(pages):
-            keys.append(ptcache_key(iova + index * PAGE_SIZE, 3))
+        first = iova >> _L3_SHIFT
+        if pages == 1:
+            append(first)
+        elif (iova + (pages - 1) * PAGE_SIZE) >> _L3_SHIFT == first:
+            extend([first] * pages)
+        else:
+            extend(
+                (iova + index * PAGE_SIZE) >> _L3_SHIFT
+                for index in range(pages)
+            )
     return keys
 
 
-def reuse_distances(keys: Sequence[int]) -> list[int]:
+def reuse_distances(keys: Sequence[object]) -> list[int]:
     """LRU stack distance of each access; ``INFINITE`` (-1) when cold.
 
     distance = number of *distinct other* keys accessed since this
-    key's previous access.
+    key's previous access.  Computed on a move-to-front recency list
+    (see the module docstring): a repeat of the previous key is 0
+    without a search, any other key costs one ``list.index`` over the
+    d distinct keys seen so far, O(n·d) in all.
     """
-    last_position: dict[int, int] = {}
-    fenwick = _Fenwick(len(keys))
+    recency: list = []  # most recently used first
     distances: list[int] = []
-    for position, key in enumerate(keys):
-        previous = last_position.get(key)
-        if previous is None:
-            distances.append(INFINITE)
+    append = distances.append
+    previous: object = _NO_KEY
+    for key in keys:
+        if key == previous:
+            append(0)
+            continue
+        previous = key
+        try:
+            depth = recency.index(key)
+        except ValueError:
+            append(INFINITE)
         else:
-            distinct = fenwick.range_sum(previous + 1, position - 1)
-            distances.append(distinct)
-            fenwick.add(previous, -1)
-        fenwick.add(position, 1)
-        last_position[key] = position
+            append(depth)
+            del recency[depth]
+        recency.insert(0, key)
     return distances
 
 
@@ -112,13 +111,12 @@ class LocalitySummary:
 
 def summarize_locality(trace: Sequence[tuple[int, int]]) -> LocalitySummary:
     """Compute the Fig 2e-style summary for an allocation trace."""
-    keys = l3_key_stream(trace)
-    distances = reuse_distances(keys)
-    warm = sorted(d for d in distances if d != INFINITE)
-    cold = len(distances) - len(warm)
-    if not warm:
+    histogram = Counter(reuse_distances(l3_key_stream(trace)))
+    cold = histogram.pop(INFINITE, 0)
+    count = sum(histogram.values())  # warm accesses
+    if not count:
         return LocalitySummary(
-            accesses=len(distances),
+            accesses=cold,
             cold_accesses=cold,
             mean_distance=0.0,
             p95_distance=0.0,
@@ -126,12 +124,26 @@ def summarize_locality(trace: Sequence[tuple[int, int]]) -> LocalitySummary:
             fraction_above_64=0.0,
             fraction_above_128=0.0,
         )
+    # Walk the distinct distances in order: the p95 is the warm
+    # access at 0-based rank ``min(count - 1, int(0.95 * count))``.
+    rank = min(count - 1, int(0.95 * count))
+    total = above_64 = above_128 = 0
+    p95 = -1
+    for distance, times in sorted(histogram.items()):
+        total += distance * times
+        if p95 < 0 and rank < times:
+            p95 = distance
+        rank -= times
+        if distance > 64:
+            above_64 += times
+            if distance > 128:
+                above_128 += times
     return LocalitySummary(
-        accesses=len(distances),
+        accesses=cold + count,
         cold_accesses=cold,
-        mean_distance=sum(warm) / len(warm),
-        p95_distance=float(warm[min(len(warm) - 1, int(0.95 * len(warm)))]),
-        max_distance=warm[-1],
-        fraction_above_64=sum(1 for d in warm if d > 64) / len(warm),
-        fraction_above_128=sum(1 for d in warm if d > 128) / len(warm),
+        mean_distance=total / count,
+        p95_distance=float(p95),
+        max_distance=max(histogram),
+        fraction_above_64=above_64 / count,
+        fraction_above_128=above_128 / count,
     )

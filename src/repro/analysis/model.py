@@ -16,8 +16,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "throughput_gbps",
     "memory_reads_per_packet",
@@ -78,6 +76,10 @@ def fit_l0_lm(
     """
     if len(points) < 2:
         raise ValueError("need at least two points to fit two constants")
+    # numpy/scipy load here, not at module import: only the §2.2 model
+    # figure fits, and every other reproduce process skips their import.
+    import numpy as np
+
     coefficients = np.array([[1.0, pt.memory_reads] for pt in points])
     # p/T with T in Gbps == bits/ns: latency in ns.
     latencies = np.array(

@@ -77,8 +77,6 @@ from .faults import FaultPlan, faulted
 from .obs import MetricsRegistry, SpanTracer, observed
 from .parallel import RemotePointError
 from .verify import InvariantMonitor, InvariantViolation, monitored
-from .verify.lint import main as lint_main
-from .verify.analyze import main as analyze_main
 
 __all__ = ["main", "FIGURES"]
 
@@ -966,8 +964,12 @@ def _run_cache(raw: list[str]) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     if raw and raw[0] == "lint":
+        from .verify.lint import main as lint_main
+
         return lint_main(raw[1:])
     if raw and raw[0] == "analyze":
+        from .verify.analyze import main as analyze_main
+
         return analyze_main(raw[1:])
     if raw and raw[0] == "report":
         return _run_report(raw[1:])

@@ -1,7 +1,13 @@
 """Unit tests for the §2.2 throughput model utilities."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis import (
     ModelPoint,
     deltas_steady,
@@ -137,3 +143,22 @@ class TestSnapshotAlgebra:
         # delta() against a live stats object then reports base-delta
         # + extrapolated growth — the adjusted-snapshot trick.
         assert base.delta(adjusted).translations == 20
+
+
+def test_cli_and_experiments_import_without_numpy_or_scipy():
+    """Only ``fit_l0_lm`` (the ``model`` figure) needs numpy/scipy, so
+    importing the CLI and the figure registry must not load either."""
+    code = (
+        "import sys, repro.cli, repro.experiments;"
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'numpy', 'scipy'}))"
+    )
+    src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
