@@ -10,12 +10,9 @@ from .locality import (
 from .metrics import PERCENTILES_FIG9, LatencyRecorder, percentile
 from .model import (
     ModelPoint,
-    deltas_steady,
-    extrapolate_snapshot,
     fit_l0_lm,
     memory_reads_per_packet,
     model_error,
-    snapshot_delta,
     throughput_gbps,
 )
 from .report import format_figure, format_table
@@ -26,9 +23,6 @@ __all__ = [
     "fit_l0_lm",
     "model_error",
     "ModelPoint",
-    "snapshot_delta",
-    "deltas_steady",
-    "extrapolate_snapshot",
     "l3_key_stream",
     "reuse_distances",
     "summarize_locality",

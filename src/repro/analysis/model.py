@@ -12,7 +12,6 @@ simulator's own measurements.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,9 +21,6 @@ __all__ = [
     "fit_l0_lm",
     "ModelPoint",
     "model_error",
-    "snapshot_delta",
-    "deltas_steady",
-    "extrapolate_snapshot",
 ]
 
 
@@ -106,116 +102,3 @@ def model_error(
         point.packet_bytes, point.memory_reads, l0_ns, lm_ns, link_gbps
     )
     return abs(predicted - point.measured_gbps) / point.measured_gbps
-
-
-# ---------------------------------------------------------------------------
-# Steady-state snapshot algebra (the epoch fast-forward's math half)
-#
-# The model above says steady-state throughput is a *rate*: between
-# invalidation/workload transitions every measured counter grows
-# linearly in time.  The fast-forward in ``Testbed.run`` exploits this
-# by stepping short calibration epochs, checking that per-epoch counter
-# deltas have converged, and then extrapolating the remaining window
-# analytically.  These three helpers are the structure-generic algebra
-# over the testbed's nested snapshot dicts (dicts of counters, lists of
-# per-core floats, counter dataclasses, plain ints/floats).
-# ---------------------------------------------------------------------------
-def _is_counter_dataclass(value) -> bool:
-    return dataclasses.is_dataclass(value) and not isinstance(value, type)
-
-
-def snapshot_delta(old, new):
-    """Element-wise ``new - old`` over a nested snapshot structure.
-
-    Keys present only in ``new`` (a flow appearing mid-run) diff
-    against zero.  Lists are fixed-shape (per-core arrays) and diff
-    element-wise.  Counter dataclasses (e.g. ``IommuStats``) diff
-    field-wise into a plain dict.
-    """
-    if _is_counter_dataclass(new):
-        return {
-            field.name: snapshot_delta(
-                getattr(old, field.name, 0), getattr(new, field.name)
-            )
-            for field in dataclasses.fields(new)
-        }
-    if isinstance(new, dict):
-        old_map = old if isinstance(old, dict) else {}
-        return {
-            key: snapshot_delta(old_map.get(key, 0), value)
-            for key, value in new.items()
-        }
-    if isinstance(new, list):
-        return [snapshot_delta(o, n) for o, n in zip(old, new)]
-    return new - old
-
-
-def deltas_steady(first, second, rtol: float, atol: float) -> bool:
-    """Whether two consecutive epoch deltas agree within tolerance.
-
-    Every numeric leaf must satisfy ``|b - a| <= atol + rtol *
-    max(|a|, |b|)`` — the symmetric mixed-tolerance test.  Structures
-    are compared over the union of keys (a key missing on one side is
-    an implicit zero).
-    """
-    if isinstance(first, dict) or isinstance(second, dict):
-        first_map = first if isinstance(first, dict) else {}
-        second_map = second if isinstance(second, dict) else {}
-        return all(
-            deltas_steady(
-                first_map.get(key, 0), second_map.get(key, 0), rtol, atol
-            )
-            for key in first_map.keys() | second_map.keys()
-        )
-    if isinstance(first, list):
-        return len(first) == len(second) and all(
-            deltas_steady(a, b, rtol, atol)
-            for a, b in zip(first, second)
-        )
-    return abs(second - first) <= atol + rtol * max(abs(first), abs(second))
-
-
-def extrapolate_snapshot(base, delta, scale: float):
-    """``base - scale * delta``, element-wise, preserving leaf types.
-
-    This produces the *adjusted* snapshot the fast-forward hands to the
-    testbed's delta-based result computation: subtracting the scaled
-    steady-state epoch delta from the warmup snapshot makes
-    ``live - adjusted`` equal the stepped delta plus the extrapolated
-    remainder, without mutating any live counter.  Integer leaves stay
-    integers (rounded); keys of ``base`` absent from ``delta`` are
-    carried through unchanged.  A counter-dataclass base is rebuilt as
-    the same type from its field-wise adjustment.
-    """
-    if _is_counter_dataclass(base):
-        delta_map = delta if isinstance(delta, dict) else {}
-        return type(base)(
-            **{
-                field.name: (
-                    extrapolate_snapshot(
-                        getattr(base, field.name),
-                        delta_map[field.name],
-                        scale,
-                    )
-                    if field.name in delta_map
-                    else getattr(base, field.name)
-                )
-                for field in dataclasses.fields(base)
-            }
-        )
-    if isinstance(delta, dict):
-        base_map = base if isinstance(base, dict) else {}
-        out = dict(base_map)
-        for key, value in delta.items():
-            out[key] = extrapolate_snapshot(
-                base_map.get(key, 0), value, scale
-            )
-        return out
-    if isinstance(delta, list):
-        return [
-            extrapolate_snapshot(b, d, scale)
-            for b, d in zip(base, delta)
-        ]
-    if isinstance(base, float) or isinstance(delta, float):
-        return base - scale * delta
-    return base - round(scale * delta)

@@ -15,13 +15,11 @@ Usage::
     python -m repro chaos --seeds 50     # random schedules + shrinking
     python -m repro run fig7 --faults plan.json --verify
     python -m repro report fig2          # metrics JSON + summary table
-    python -m repro bench                # wall-clock speed -> BENCH_sim.json
-    python -m repro bench --check BENCH_sim.json
     python -m repro publish out/         # publication figures + index.html
     python -m repro publish out/ --figures fig2,fig9 --format svg
     python -m repro reproduce            # claims gate -> REPORT.md + report.json
     python -m repro reproduce --figures fig2,fig7 --jobs 4
-    python -m repro diff old.json new.json   # regression gate (report or bench)
+    python -m repro diff old.json new.json   # report.json regression gate
     python -m repro profile fig2         # cProfile hotspots for one figure
     python -m repro serve --port 8080    # long-running reproduce daemon
     python -m repro cache stats          # result-cache operability
@@ -39,7 +37,8 @@ document plus (optionally) a Chrome-trace file loadable in Perfetto.
 ``reproduce`` runs figures against their paper-claims expectation specs
 (:mod:`repro.obs.expect`) and regenerates ``REPORT.md``/``report.json``,
 exiting nonzero on any violated claim; ``diff`` compares two generated
-``report.json``/``BENCH_sim.json`` documents and fails on regressions.
+``report.json`` documents and fails on regressions.  Simulator speed is
+measured by the separate benchmark of ``reproduce`` (``bench/run.py``).
 ``reproduce`` consults the content-addressed result cache
 (:mod:`repro.cache`; default ``.repro-cache/``, see ``--cache-dir`` /
 ``--no-cache``), so unchanged cells are served from the store; ``serve``
@@ -229,66 +228,6 @@ def _build_report_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description=(
-            "Measure simulator wall-clock speed and write BENCH_sim.json"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default="BENCH_sim.json",
-        help="output path (default: BENCH_sim.json)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="longer benchmark runs",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        default=None,
-        help="validate an existing BENCH_sim.json instead of running",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "additionally time the sweep suite serially and through an "
-            "N-worker pool, recording the multi-job speed-up"
-        ),
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        metavar="K",
-        help="points per worker task for the sweep_jobsN row "
-        "(default: auto)",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="PATH",
-        default="bench_history.jsonl",
-        help=(
-            "append a provenance-stamped trend row (git sha, UTC time, "
-            "events/wall-s per benchmark) to this JSONL file "
-            "(default: bench_history.jsonl)"
-        ),
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append to the bench history file",
-    )
-    return parser
-
-
 def _build_reproduce_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro reproduce",
@@ -426,20 +365,12 @@ def _build_diff_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro diff",
         description=(
-            "Compare two report.json or BENCH_sim.json documents and "
-            "exit 1 on regressions (newly failing claims, or wall-clock "
-            "slowdowns beyond the threshold)."
+            "Compare two report.json documents and exit 1 on "
+            "regressions (claims that newly fail or disappeared)."
         ),
     )
-    parser.add_argument("old", help="baseline document")
-    parser.add_argument("new", help="candidate document")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="relative wall-clock regression threshold (default: 0.25)",
-    )
+    parser.add_argument("old", help="baseline report.json")
+    parser.add_argument("new", help="candidate report.json")
     return parser
 
 
@@ -610,7 +541,7 @@ def _run_diff(raw: list[str]) -> int:
             print(f"cannot read {path!r}: {exc}", file=sys.stderr)
             return 2
     try:
-        result = diff_documents(docs[0], docs[1], threshold=args.threshold)
+        result = diff_documents(docs[0], docs[1])
     except ValueError as exc:
         print(f"cannot diff: {exc}", file=sys.stderr)
         return 2
@@ -737,53 +668,6 @@ def _run_report(raw: list[str]) -> int:
         )
     else:
         print("trace:   skipped (--jobs > 1; spans are per-process)")
-    return 0
-
-
-def _run_bench(raw: list[str]) -> int:
-    from .obs import bench
-
-    args = _build_bench_parser().parse_args(raw)
-    if args.check is not None:
-        try:
-            with open(args.check) as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read {args.check!r}: {exc}", file=sys.stderr)
-            return 2
-        problems = bench.check_schema(doc)
-        if problems:
-            for problem in problems:
-                print(f"schema problem: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.check}: schema OK "
-              f"({len(doc['benchmarks'])} benchmarks)")
-        return 0
-    history = None if args.no_history else args.history
-    doc = bench.write_bench(
-        args.out, full=args.full, jobs=args.jobs, chunk=args.chunk,
-        history_path=None,
-    )
-    for point in doc["benchmarks"]:
-        print(
-            f"{point['name']:14s} {point['wall_s']:7.2f}s wall  "
-            f"{point['events']:>8d} events  "
-            f"{point['sim_ns_per_wall_s'] / 1e6:8.1f} sim-ms/s"
-        )
-    print(f"total: {doc['total_wall_s']:.2f}s wall -> {args.out}")
-    provenance = doc.get("provenance", {})
-    print(
-        f"stamp: sha {provenance.get('git_sha', 'unknown')[:12]} "
-        f"at {provenance.get('utc', '?')} "
-        f"({provenance.get('scale', '?')} scale)"
-    )
-    if history is not None:
-        row = bench.append_history(doc, history)
-        if row is None:
-            print(f"history: unchanged ({history} already ends with "
-                  "this sha + numbers)")
-        else:
-            print(f"history: appended to {history}")
     return 0
 
 
@@ -973,8 +857,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return analyze_main(raw[1:])
     if raw and raw[0] == "report":
         return _run_report(raw[1:])
-    if raw and raw[0] == "bench":
-        return _run_bench(raw[1:])
     if raw and raw[0] == "reproduce":
         return _run_reproduce(raw[1:])
     if raw and raw[0] == "chaos":

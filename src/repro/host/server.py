@@ -54,12 +54,13 @@ __all__ = ["Host"]
 # hundreds of thousands of alloc/free pairs to reproduce a long-uptime
 # allocator, and its outcome is a pure function of (driver type,
 # allocator type, aging parameters, host config) — so every testbed
-# after the first in a process (sweep points, bench rows, pool workers
-# inheriting this dict through fork) restores a deep copy instead of
-# replaying.  Only consulted when no registry/monitor/fault hooks are
-# armed: hooked runs must execute the real alloc/free stream (monitors
-# observe it, registry scopes hold references into live allocator
-# internals that a restore would break).
+# after the first in a process (sweep points of a plain figure run, pool
+# workers inheriting this dict through fork) restores a deep copy
+# instead of replaying.  Only consulted when no registry/monitor/fault
+# hooks are armed: hooked runs must execute the real alloc/free stream
+# (monitors observe it, registry scopes hold references into live
+# allocator internals that a restore would break).  `repro reproduce`
+# always installs a registry, so it never takes this path.
 _AGED_STATE_FIELDS = (
     "rbtree",
     "_cpu_rcaches",

@@ -15,21 +15,11 @@ from ..faults.hooks import current_faults
 from ..net.switch import SwitchPort
 from ..obs.hooks import current_registry
 from ..sim import Simulator, Watchdog
-from ..verify.hooks import current_monitor
 from .config import HostConfig
 from .remote import RemotePeer
 from .server import Host
 
 __all__ = ["Testbed", "TestbedResult"]
-
-# Epoch fast-forward calibration (see Testbed.run(fast_forward=True)).
-# The measure window is divided into FF_EPOCHS epochs; once two
-# consecutive epochs' counter deltas agree within (FF_RTOL, FF_ATOL)
-# and no hardening counter moved at all, the remainder of the window is
-# extrapolated analytically instead of stepped.
-FF_EPOCHS = 16
-FF_RTOL = 0.10
-FF_ATOL = 4.0
 
 # Flow-id ranges by role (documentation of convention, not enforcement).
 RX_FLOW_BASE = 0
@@ -180,7 +170,6 @@ class Testbed:
         warmup_ns: float = 5_000_000.0,
         measure_ns: float = 20_000_000.0,
         strict_until: bool = False,
-        fast_forward: bool = False,
     ) -> TestbedResult:
         """Warm up, measure, and return the interval's deltas.
 
@@ -188,131 +177,18 @@ class Testbed:
         :class:`~repro.sim.EarlyQuiescenceError` if the calendar drains
         before the run's horizon — experiments use it so a dead
         workload cannot masquerade as a zero-throughput measurement.
-
-        ``fast_forward=True`` opts in to the epoch fast-forward: after
-        warmup, short calibration epochs are stepped until two
-        consecutive epochs show converged counter deltas (and zero
-        hardening activity), then the rest of the window is advanced
-        analytically — the paper's steady-state model applied to the
-        simulator itself.  It is honored only when nothing needs to
-        observe every event: no metrics registry, invariant monitor,
-        fault runtime or watchdog.  A workload that never goes steady
-        is simply stepped to the end.  After a fast-forwarded run the
-        simulator must not be stepped again (the skipped calendar is
-        stale); the allocation trace covers only the stepped prefix.
         """
         self.remote.start_all()
         for flow_id in self.tx_flow_ids:
             self.host.pump_tx_flow(flow_id)
         if self.watchdog is not None:
             self.watchdog.arm()
-        use_ff = (
-            fast_forward
-            and current_registry() is None
-            and current_monitor() is None
-            and current_faults() is None
-            and self.watchdog is None
-        )
-        if use_ff:
-            return self._run_fast_forward(
-                warmup_ns, measure_ns, strict_until
-            )
         self.sim.run(until=warmup_ns, strict_until=strict_until)
         snapshot = self._snapshot()
         self.sim.run(
             until=warmup_ns + measure_ns, strict_until=strict_until
         )
         return self._result(snapshot, measure_ns)
-
-    def _run_fast_forward(
-        self, warmup_ns: float, measure_ns: float, strict_until: bool
-    ) -> TestbedResult:
-        """Calibrate epochs, then extrapolate the steady remainder.
-
-        The adjusted-snapshot trick: rather than touching dozens of
-        live counters, the extrapolated growth ``scale * epoch_delta``
-        is *subtracted from the warmup snapshot*, so the ordinary
-        ``live - snapshot`` delta in :meth:`_result` yields stepped +
-        extrapolated work.  Cumulative extras (retries, aborts,
-        recoveries...) are read live and are correct because the
-        hardening probe required them to be exactly unchanged across
-        the calibration epochs — the fast-forward only ever skips a
-        phase *between* invalidation/hardening transitions.
-        """
-        from ..analysis.model import (
-            deltas_steady,
-            extrapolate_snapshot,
-            snapshot_delta,
-        )
-
-        sim = self.sim
-        sim.run(until=warmup_ns, strict_until=strict_until)
-        base = self._snapshot()
-        end = warmup_ns + measure_ns
-        epoch_ns = measure_ns / FF_EPOCHS
-        prev_snap = base
-        prev_events = sim.executed_events
-        prev_delta = None
-        prev_probe = self._hardening_probe()
-        for epoch in range(1, FF_EPOCHS):
-            sim.run(
-                until=warmup_ns + epoch * epoch_ns,
-                strict_until=strict_until,
-            )
-            snap = self._snapshot()
-            events = sim.executed_events
-            probe = self._hardening_probe()
-            delta = snapshot_delta(prev_snap, snap)
-            # The allocation trace is a log, not a rate; the result's
-            # trace slice stays the stepped prefix.
-            delta.pop("trace_len", None)
-            if (
-                prev_delta is not None
-                and probe == prev_probe
-                and deltas_steady(prev_delta, delta, FF_RTOL, FF_ATOL)
-            ):
-                scale = (end - sim.now) / epoch_ns
-                adjusted = extrapolate_snapshot(base, delta, scale)
-                sim.fast_forward_to(
-                    end, round((events - prev_events) * scale)
-                )
-                return self._result(adjusted, measure_ns)
-            prev_snap = snap
-            prev_events = events
-            prev_delta = delta
-            prev_probe = probe
-        # Never converged: finish the window the ordinary way.
-        sim.run(until=end, strict_until=strict_until)
-        return self._result(base, measure_ns)
-
-    def _hardening_probe(self) -> tuple:
-        """Cumulative hardening/fault counters that must stay frozen.
-
-        :meth:`_result` reads these live (not as interval deltas), so
-        the fast-forward may only skip windows in which they provably
-        do not move; any change during calibration vetoes convergence.
-        """
-        host = self.host
-        probe = [
-            host.driver.invalidation_retries,
-            host.driver.degraded_flushes,
-            host.rx_dma_aborts,
-            host.tx_dma_aborts,
-            getattr(host.driver, "stale_translations", 0),
-        ]
-        if host.iommu is not None:
-            queue = host.iommu.invalidation_queue
-            probe += [
-                queue.dropped_completions,
-                queue.partial_completions,
-                queue.rearms,
-            ]
-            fault_queue = host.iommu.fault_queue
-            if fault_queue is not None:
-                probe += [fault_queue.reported, fault_queue.overflowed]
-        if host.recovery is not None:
-            probe.append(host.recovery.recoveries)
-        return tuple(probe)
 
     def _progress(self) -> tuple:
         """Watchdog progress sample: anything moving counts as alive."""
@@ -425,10 +301,4 @@ class Testbed:
             result.extras["unrecovered_wedges"] = (
                 faults.unrecovered_wedges()
             )
-        # Engine-level work done so far, for wall-clock benchmarks that
-        # aggregate over many testbeds (events are load-independent,
-        # unlike the wall clock).
-        result.extras["executed_events"] = (
-            self.sim.executed_events + self.sim.fast_forwarded_events
-        )
         return result

@@ -16,9 +16,8 @@ registry around an experiment with::
     registry.tracer.write("trace.json")   # Perfetto-loadable
 
 The CLI surfaces the same machinery as ``repro report`` and the global
-``--trace`` flag.  The wall-clock benchmark emitter lives in
-:mod:`repro.obs.bench` and is *not* imported here — it pulls in the
-full host stack and would cycle with instrumented modules.
+``--trace`` flag.  Wall-clock speed is measured outside the package,
+by the benchmark of ``repro reproduce`` in ``bench/run.py``.
 """
 
 from .hooks import current_registry, observed, set_registry

@@ -16,7 +16,7 @@ each such claim into a first-class, machine-readable object:
   runs figures, evaluates their specs, emits ``REPORT.md`` and a
   provenance-stamped ``report.json``;
 * :mod:`repro.obs.expect.diffing` — the ``repro diff`` driver:
-  differential regression gating between two report/bench documents.
+  differential regression gating between two report documents.
 
 The benchmark suite asserts through the same engine, so the tests,
 the generated report and CI cannot disagree about what the paper

@@ -1,27 +1,19 @@
-"""The ``repro diff`` driver: differential regression gating.
+"""The ``repro diff`` driver: claim-level regression gating.
 
-Compares two machine-readable run documents — either two
-``report.json`` files (``repro.report/1``) or two ``BENCH_sim.json``
-files (``repro.bench/1``) — and reports regressions:
+Compares two ``report.json`` files (``repro.report/1``) and reports
+claims that passed before and fail now, or disappeared, as regressions;
+claims that newly pass are improvements, and new claims, changed
+config hashes, git shas and cache temperature are notes.  A document
+of any other schema, or one whose provenance, figures or claims have
+the wrong shape, raises :class:`ValueError` (``repro diff`` exits 2).
 
-* report vs report: claims that passed before and fail now (and, as
-  notes, claims that newly pass or changed config hashes);
-* bench vs bench: per-benchmark comparisons split into *exact* work
-  counters and *noisy* wall-clock ratios.  ``events`` and ``sim_ns``
-  are deterministic — any mismatch means the simulation itself changed
-  and is a regression.  Wall-clock ratios beyond the threshold
-  (default 25%) are regressions only when the work counters are absent
-  or disagree; when both sides demonstrably did identical work, a slow
-  wall clock is indistinguishable from a loaded machine and is
-  reported as a note instead — so a busy CI runner cannot fail the
-  gate on noise alone.
-
-This is the perf/claims gate CI runs against the committed baselines.
+This is the claims gate CI runs against the committed ``report.json``.
+Simulator speed is measured by the benchmark of ``repro reproduce``
+itself (``bench/run.py``), not here.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 __all__ = ["DiffResult", "diff_documents"]
@@ -31,7 +23,6 @@ __all__ = ["DiffResult", "diff_documents"]
 class DiffResult:
     """Regressions fail the gate; improvements and notes are FYI."""
 
-    kind: str  # "report" or "bench"
     regressions: list[str] = field(default_factory=list)
     improvements: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -41,7 +32,7 @@ class DiffResult:
         return not self.regressions
 
     def format(self) -> str:
-        lines = [f"diff ({self.kind}):"]
+        lines = ["diff:"]
         for text in self.regressions:
             lines.append(f"  REGRESSION  {text}")
         for text in self.improvements:
@@ -57,10 +48,8 @@ class DiffResult:
         return "\n".join(lines)
 
 
-def diff_documents(
-    old: dict, new: dict, threshold: float = 0.25
-) -> DiffResult:
-    """Compare two report/bench documents; raises ValueError on junk."""
+def diff_documents(old: dict, new: dict) -> DiffResult:
+    """Compare two report documents; raises ValueError on junk."""
     old_schema = old.get("schema") if isinstance(old, dict) else None
     new_schema = new.get("schema") if isinstance(new, dict) else None
     if old_schema != new_schema:
@@ -69,20 +58,13 @@ def diff_documents(
         )
     if old_schema == "repro.report/1":
         return _diff_reports(old, new)
-    if old_schema == "repro.bench/1":
-        return _diff_bench(old, new, threshold)
     raise ValueError(f"unsupported schema {old_schema!r}")
 
 
 def _sha_note(result: DiffResult, old: dict, new: dict) -> None:
-    """Name the git shas being compared (when either side is stamped).
-
-    Both report and (since the provenance stamping) bench documents
-    carry ``provenance.git_sha``; legacy bench documents without one
-    stay silent so a diff of two unstamped files reads unchanged.
-    """
-    old_prov = old.get("provenance") or {}
-    new_prov = new.get("provenance") or {}
+    """Name the git shas being compared (when either side is stamped)."""
+    old_prov = old.get("provenance", {})
+    new_prov = new.get("provenance", {})
     old_sha = old_prov.get("git_sha")
     new_sha = new_prov.get("git_sha")
     if old_sha is None and new_sha is None:
@@ -110,7 +92,7 @@ def _cache_note(result: DiffResult, old: dict, new: dict) -> None:
     """
 
     def temperature(doc: dict) -> str:
-        stamp = (doc.get("provenance") or {}).get("cache")
+        stamp = doc.get("provenance", {}).get("cache")
         if not isinstance(stamp, dict):
             return "uncached"
         cached = stamp.get("cells_cached") or 0
@@ -142,8 +124,30 @@ def _claims(doc: dict) -> dict[tuple[str, str], str]:
     return out
 
 
+def _check_shape(doc: dict, side: str) -> None:
+    """Reject a report the comparison below would crash on."""
+    if not isinstance(doc.get("provenance", {}), dict):
+        raise ValueError(f"{side} report: provenance is not an object")
+    figures = doc.get("figures", [])
+    if not isinstance(figures, list) or not all(
+        isinstance(figure, dict) for figure in figures
+    ):
+        raise ValueError(f"{side} report: figures is not a list of objects")
+    for figure in figures:
+        claims = figure.get("claims", [])
+        if not isinstance(claims, list) or not all(
+            isinstance(claim, dict) for claim in claims
+        ):
+            raise ValueError(
+                f"{side} report: claims of figure "
+                f"{figure.get('figure', '?')!r} are not a list of objects"
+            )
+
+
 def _diff_reports(old: dict, new: dict) -> DiffResult:
-    result = DiffResult(kind="report")
+    _check_shape(old, "old")
+    _check_shape(new, "new")
+    result = DiffResult()
     _sha_note(result, old, new)
     _cache_note(result, old, new)
     old_claims = _claims(old)
@@ -175,220 +179,3 @@ def _diff_reports(old: dict, new: dict) -> DiffResult:
         )
     return result
 
-
-# ----------------------------------------------------------------------
-# BENCH_sim.json vs BENCH_sim.json — wall-clock gating
-# ----------------------------------------------------------------------
-def _diff_bench(old: dict, new: dict, threshold: float) -> DiffResult:
-    result = DiffResult(kind="bench")
-    _sha_note(result, old, new)
-    old_points = {
-        b.get("name", "?"): b for b in old.get("benchmarks", [])
-    }
-    new_points = {
-        b.get("name", "?"): b for b in new.get("benchmarks", [])
-    }
-    shared_work_matches = []
-    for name, new_point in new_points.items():
-        old_point = old_points.get(name)
-        if old_point is None:
-            result.notes.append(f"new benchmark {name}")
-            continue
-        same_work = _compare_exact(result, name, old_point, new_point)
-        shared_work_matches.append(same_work)
-        _compare_wall(
-            result, name, old_point.get("wall_s"),
-            new_point.get("wall_s"), threshold,
-            demote_to_note=same_work,
-        )
-    for name in old_points:
-        if name not in new_points:
-            result.regressions.append(f"benchmark {name} disappeared")
-    # The total has no work counters of its own; it is provably
-    # noise-only when the two documents cover the same benchmarks and
-    # every one did identical work.
-    same_names = old_points.keys() == new_points.keys()
-    all_same_work = (
-        bool(shared_work_matches)
-        and all(shared_work_matches)
-        and same_names
-    )
-    old_total = old.get("total_wall_s")
-    new_total = new.get("total_wall_s")
-    if not same_names:
-        # Raw totals cover different work once a row appears or
-        # disappears; gate the sum over the shared rows instead so a
-        # grown suite does not read as a slowdown.
-        shared = old_points.keys() & new_points.keys()
-        old_total = _wall_sum(old_points, shared)
-        new_total = _wall_sum(new_points, shared)
-        result.notes.append(
-            f"benchmark sets differ; total gated over {len(shared)} "
-            "shared row(s)"
-        )
-    _compare_wall(
-        result,
-        "total",
-        old_total,
-        new_total,
-        threshold,
-        demote_to_note=all_same_work,
-    )
-    _check_parallel_wins(result, new_points)
-    _check_cache_wins(result, new_points)
-    return result
-
-
-# The warm sweep must beat the cold one by at least this factor; the
-# acceptance bar for the result cache (a warm run executes nothing).
-_CACHE_MIN_SPEEDUP = 4.0
-
-
-def _check_cache_wins(
-    result: DiffResult, new_points: dict[str, dict]
-) -> None:
-    """Fail when the warm sweep is not >= 4x faster than the cold one.
-
-    Gated on the new document alone, like :func:`_check_parallel_wins`:
-    a ``reproduce_warm`` row within 4x of ``reproduce_cold`` means the
-    cache is loading, unpickling or keying slower than simply
-    re-simulating — the regression the store exists to prevent.
-    """
-    cold = new_points.get("reproduce_cold")
-    warm = new_points.get("reproduce_warm")
-    if cold is None or warm is None:
-        return
-    cold_wall = cold.get("wall_s")
-    warm_wall = warm.get("wall_s")
-    if not isinstance(cold_wall, (int, float)) or not isinstance(
-        warm_wall, (int, float)
-    ):
-        return
-    if warm_wall <= 0:
-        return
-    speedup = cold_wall / warm_wall
-    if speedup < _CACHE_MIN_SPEEDUP:
-        result.regressions.append(
-            f"reproduce_warm only {speedup:.2f}x faster than "
-            f"reproduce_cold (need >= {_CACHE_MIN_SPEEDUP:.0f}x)"
-        )
-    if warm.get("events") != cold.get("events"):
-        result.regressions.append(
-            "reproduce_warm events differ from reproduce_cold "
-            f"({warm.get('events')} != {cold.get('events')}): "
-            "cached values do not match computed ones"
-        )
-
-
-def _wall_sum(
-    points: dict[str, dict], names: set[str]
-) -> float | None:
-    """Sum ``wall_s`` over *names*; None when any row lacks a number."""
-    total = 0.0
-    for name in names:
-        wall = points[name].get("wall_s")
-        if not isinstance(wall, (int, float)):
-            return None
-        total += wall
-    return total
-
-
-def _check_parallel_wins(
-    result: DiffResult, new_points: dict[str, dict]
-) -> None:
-    """Fail when the pool loses to the serial sweep in the new doc.
-
-    This is the guard the warm-worker/chunking work exists to hold: a
-    ``sweep_jobsN`` row throughput-slower than ``sweep_serial`` means
-    dispatch overhead ate the parallelism again, regardless of how the
-    numbers moved relative to the old document.
-    """
-    serial = new_points.get("sweep_serial")
-    if serial is None:
-        return
-    serial_rate = serial.get("events_per_wall_s")
-    if not isinstance(serial_rate, (int, float)):
-        return
-    for name, point in new_points.items():
-        # Only the auto-chunked pool rows are gated; the explicit
-        # small-chunk diagnostic row (sweep_jobsN_chunked) documents a
-        # tuning point and may legitimately lose on some machines.
-        if not re.fullmatch(r"sweep_jobs\d+", name):
-            continue
-        rate = point.get("events_per_wall_s")
-        if not isinstance(rate, (int, float)):
-            continue
-        if rate < serial_rate:
-            result.regressions.append(
-                f"{name} slower than sweep_serial "
-                f"({rate:,.0f} < {serial_rate:,.0f} events/wall-s)"
-            )
-
-
-# The load-independent per-benchmark fields: equal inputs must produce
-# exactly equal values, however busy the machine is.
-_EXACT_KEYS = ("events", "sim_ns")
-
-
-def _compare_exact(
-    result: DiffResult, name: str, old_point: dict, new_point: dict
-) -> bool:
-    """Diff the deterministic work counters; True when all match.
-
-    A mismatch is always a regression-class signal: the simulator did
-    different *work*, which no amount of machine load explains.
-    Returns False (work not proven identical) when any counter is
-    absent on either side, so legacy documents keep the strict
-    wall-clock gate.
-    """
-    matched = True
-    for key in _EXACT_KEYS:
-        old_value = old_point.get(key)
-        new_value = new_point.get(key)
-        if not isinstance(old_value, (int, float)) or not isinstance(
-            new_value, (int, float)
-        ):
-            matched = False
-            continue
-        if old_value != new_value:
-            matched = False
-            result.regressions.append(
-                f"{name}: {key} {old_value} -> {new_value} "
-                "(deterministic work changed)"
-            )
-    return matched
-
-
-def _compare_wall(
-    result: DiffResult,
-    name: str,
-    old_wall: object,
-    new_wall: object,
-    threshold: float,
-    demote_to_note: bool = False,
-) -> None:
-    if not isinstance(old_wall, (int, float)) or not isinstance(
-        new_wall, (int, float)
-    ):
-        result.notes.append(f"{name}: wall_s missing on one side")
-        return
-    if old_wall <= 0:
-        result.notes.append(f"{name}: non-positive baseline wall_s")
-        return
-    ratio = new_wall / old_wall
-    detail = (
-        f"{name}: wall {old_wall:.3f}s -> {new_wall:.3f}s "
-        f"({ratio:.2f}x)"
-    )
-    if ratio > 1.0 + threshold:
-        if demote_to_note:
-            # Both sides did byte-identical work (events/sim_ns match),
-            # so the slowdown cannot be separated from machine load;
-            # surface it without failing the gate.
-            result.notes.append(
-                f"{detail} — identical work; likely machine load"
-            )
-        else:
-            result.regressions.append(detail)
-    elif ratio < 1.0 - threshold:
-        result.improvements.append(detail)

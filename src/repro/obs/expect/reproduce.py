@@ -79,9 +79,9 @@ def _git_dirty() -> Optional[bool]:
     """Whether the worktree differs from HEAD; ``None`` when unknowable.
 
     A dirty worktree used to stamp a clean-looking sha into
-    ``report.json`` and ``bench_history.jsonl`` — indistinguishable
-    from a run of the committed code.  The flag travels next to the
-    sha so trend rows and report diffs can discount uncommitted runs.
+    ``report.json`` — indistinguishable from a run of the committed
+    code.  The flag travels next to the sha so report diffs (which
+    print ``+dirty``) can discount uncommitted runs.
     """
     try:
         out = subprocess.run(

@@ -1,9 +1,9 @@
-"""Publication pipeline: figures, trend dashboard, HTML gallery.
+"""Publication pipeline: figures, trace digest, HTML gallery.
 
 ``repro publish out/`` renders every reproduced figure as a
 publication chart (paper reference curves overlaid, claim-verdict
-badges attached), the bench-history trend, and a span-trace digest,
-tied together by a browsable ``index.html``::
+badges attached) and a span-trace digest, tied together by a
+browsable ``index.html``::
 
     from repro.obs.publish import build_figure_artifact, PUBLISH_SPECS
 
@@ -13,8 +13,7 @@ Module map — data flows top to bottom:
   the shared ``collect_sections`` loop) and trace recording;
 * :mod:`.figspecs` / :mod:`.figdata` — per-figure panel layouts and
   the backend-independent artifact model;
-* :mod:`.bench_trend` / :mod:`.tracedigest` — the two derived
-  dashboards (bench history, span digest);
+* :mod:`.tracedigest` — the span-trace digest dashboard;
 * :mod:`.style` — palette and publication style presets;
 * :mod:`.svgbackend` / :mod:`.mplbackend` — the two renderers
   (builtin SVG always available; matplotlib via the ``publish``

@@ -5,7 +5,7 @@ Usage::
     repro publish out/ [--figures fig2,fig9] [--style paper|arxiv]
                        [--format svg|png|pdf] [--from-report PATH]
                        [--full] [--seed N] [--jobs N] [--chunk N]
-                       [--history PATH] [--trace PATH]
+                       [--trace PATH]
 
 Output layout (all under the positional ``outdir``)::
 
@@ -13,7 +13,6 @@ Output layout (all under the positional ``outdir``)::
     report.json         the underlying report document, byte-identical
                         to `repro reproduce` output at any --jobs
     fig*.svg|png|pdf    one publication figure per reproduced figure
-    bench_trend.*       bench-history trend chart (when history exists)
     trace_digest.*      span-trace digest figure
     trace_digest.json   the digest's stats + critical-path table
 
@@ -31,8 +30,6 @@ import os
 import sys
 from typing import Callable, Optional
 
-from ..bench import DEFAULT_HISTORY_PATH
-from .bench_trend import trend_from_history_file
 from .datasource import (
     generate_report,
     load_report,
@@ -66,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro publish",
         description=(
-            "Render publication figures, the bench-history trend and "
-            "a trace digest into a browsable HTML gallery."
+            "Render publication figures and a trace digest into a "
+            "browsable HTML gallery."
         ),
     )
     parser.add_argument(
@@ -116,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chunk", type=int, default=None, metavar="N",
         help="points per worker dispatch (with --jobs)",
-    )
-    parser.add_argument(
-        "--history", default=DEFAULT_HISTORY_PATH, metavar="PATH",
-        help=(
-            "bench history JSONL for the trend chart "
-            f"(default: {DEFAULT_HISTORY_PATH})"
-        ),
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -234,26 +224,7 @@ def main(raw: Optional[list[str]] = None) -> int:
         )
         cards.append((sections[name], artifact, filename))
 
-    # 3. Bench-history trend.
-    bench_image: Optional[str] = None
-    bench_rows = 0
-    trend = trend_from_history_file(args.history)
-    if trend is not None:
-        bench_rows = len(trend.panels[0].xticklabels or [])
-        bench_image = f"bench_trend.{fmt}"
-        renderer(
-            trend, args.style, os.path.join(args.outdir, bench_image)
-        )
-        print(
-            f"bench:  {bench_image} ({bench_rows} runs from "
-            f"{args.history})"
-        )
-    else:
-        print(
-            f"bench:  skipped (no usable history at {args.history})"
-        )
-
-    # 4. Trace digest.
+    # 3. Trace digest.
     if args.trace is not None:
         try:
             trace_doc = load_trace(args.trace)
@@ -293,12 +264,10 @@ def main(raw: Optional[list[str]] = None) -> int:
         f"{len(digest.kinds)} kinds)"
     )
 
-    # 5. The index that ties it together.
+    # 4. The index that ties it together.
     page = render_index(
         report=report,
         cards=cards,
-        bench_image=bench_image,
-        bench_rows=bench_rows,
         trace_image=trace_image,
         trace_digest=digest,
         style_name=args.style,

@@ -66,8 +66,6 @@ class PanelData:
     kind: str = "lines"  # "lines" | "bars"
     series: list[Series] = field(default_factory=list)
     bars: list[Bar] = field(default_factory=list)
-    # Optional x tick labels (bench trend: short git shas).
-    xticklabels: Optional[list[str]] = None
 
 
 @dataclass
@@ -89,7 +87,7 @@ class Badge:
 class FigureArtifact:
     """Everything a backend needs to draw one output file."""
 
-    name: str  # output file stem ("fig2", "bench_trend", ...)
+    name: str  # output file stem ("fig2", "trace_digest", ...)
     figure_id: str
     title: str
     panels: list[PanelData]

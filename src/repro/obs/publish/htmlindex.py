@@ -2,10 +2,10 @@
 
 One self-contained page tying the published artifacts together:
 provenance header, claim-summary stat tiles, one card per figure
-(image + per-claim verdict table), the bench-history trend section,
-and the trace-digest critical-path table.  No web framework, no
-JavaScript dependency — ``html.escape`` plus f-strings, so the page
-works from ``file://`` and as a CI artifact.
+(image + per-claim verdict table) and the trace-digest critical-path
+table.  No web framework, no JavaScript dependency — ``html.escape``
+plus f-strings, so the page works from ``file://`` and as a CI
+artifact.
 
 The claim tables double as the accessibility relief for the charts:
 every figure's numbers are readable as text, and every verdict pairs
@@ -154,8 +154,6 @@ def render_index(
     *,
     report: dict,
     cards: list[tuple[dict, FigureArtifact, str]],
-    bench_image: Optional[str],
-    bench_rows: int,
     trace_image: Optional[str],
     trace_digest: Optional[TraceDigest],
     style_name: str,
@@ -206,20 +204,6 @@ def render_index(
     ]
     for section, artifact, image in cards:
         parts.append(_figure_card(section, artifact, image))
-    parts.append("<h2>Bench history</h2>")
-    if bench_image:
-        parts.append(
-            f'<p class="meta">{bench_rows} committed bench runs '
-            "(<code>bench_history.jsonl</code>; appended by "
-            "<code>repro bench</code>).</p>"
-            f'<div class="card"><img src="{_esc(bench_image)}" '
-            'alt="bench trend"></div>'
-        )
-    else:
-        parts.append(
-            '<p class="meta">no bench history found — run '
-            "<code>repro bench</code> to start one.</p>"
-        )
     parts.append("<h2>Trace digest</h2>")
     if trace_image and trace_digest is not None:
         parts.append(

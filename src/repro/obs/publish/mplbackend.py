@@ -110,14 +110,6 @@ def _draw_panel(ax, panel: PanelData, font_size: int) -> None:
         ax.set_yscale("log")
     else:
         ax.set_ylim(bottom=0)
-    if panel.xticklabels is not None:
-        data_xs = sorted(
-            {x for series in panel.series for x, _ in series.points}
-        )
-        ax.set_xticks(data_xs[: len(panel.xticklabels)])
-        ax.set_xticklabels(
-            panel.xticklabels, rotation=30, ha="right",
-        )
 
 
 def _si(value: float) -> str:

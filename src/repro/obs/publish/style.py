@@ -77,7 +77,7 @@ MODE_COLORS: dict[str, str] = {
 }
 
 # Remaining validated slots for series outside the mode vocabulary
-# (bench trend lines, model columns); assigned by stable sorted order.
+# (trace-digest kinds, model columns); assigned by stable sorted order.
 EXTRA_COLORS: tuple[str, ...] = (
     "#2a78d6",
     "#eb6834",

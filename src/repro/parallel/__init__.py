@@ -18,7 +18,7 @@ results *byte-identical* to a serial run:
   ``report()`` and the generated reports match a serial run row for row.
 
 ``run_points`` is the single entry point; ``--jobs N`` on the CLI
-routes every sweep (figures, reproduce, bench, faults) through it.
+routes every sweep (figures, reproduce, faults) through it.
 """
 
 from .seeds import derive_seed
@@ -28,7 +28,6 @@ from .pool import (
     pool_forks,
     run_points,
     shutdown_pool,
-    warm_pool,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "pool_forks",
     "run_points",
     "shutdown_pool",
-    "warm_pool",
 ]

@@ -9,7 +9,7 @@ Execution model:
 * Points are dispatched to the pool in **chunks** (``chunk`` on the CLI;
   auto-sized to two chunks per worker by default), not one submit per
   point: per-point dispatch made ``--jobs 2`` sweeps *slower* than
-  serial (the committed BENCH_sim.json regression this fixes) because
+  serial (the regression this design fixes) because
   every point paid a round of future bookkeeping and payload pickling.
   A chunk task runs its points exactly like a serial sweep runs them:
   reset the inherited global hooks, open one fresh registry when the
@@ -41,6 +41,7 @@ live inside the point runner.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -61,7 +62,6 @@ __all__ = [
     "run_points",
     "RemotePointError",
     "shutdown_pool",
-    "warm_pool",
     "pool_forks",
 ]
 
@@ -80,6 +80,20 @@ def _runner_for(key: str):
         ) from None
 
 
+def _run_point(spec: PointSpec, scale: RunScale):
+    """Run one cell, then free what it left behind.
+
+    A finished testbed is a large cyclic object graph that only the
+    cycle collector can free.  Collecting here bounds a sweep's peak
+    memory by one cell, instead of by however many dead testbeds pile
+    up before the collector's own schedule (which shifts with any
+    change to allocation counts) next runs a full pass.
+    """
+    value = _runner_for(spec.runner)(spec, scale)
+    gc.collect()
+    return value
+
+
 def _run_serial(specs: Sequence[PointSpec], scale: RunScale) -> list:
     """Today's behavior, exactly: label the phase, run the point."""
     registry = current_registry()
@@ -87,7 +101,7 @@ def _run_serial(specs: Sequence[PointSpec], scale: RunScale) -> list:
     for spec in specs:
         if registry is not None:
             registry.begin_phase(spec.label)
-        values.append(_runner_for(spec.runner)(spec, scale))
+        values.append(_run_point(spec, scale))
     return values
 
 
@@ -168,16 +182,6 @@ def shutdown_pool() -> None:
         _POOL = None
 
 
-def warm_pool(jobs: Optional[int]) -> None:
-    """Pre-fork the pool for ``jobs`` before any sweep is timed.
-
-    Benchmarks call this so pool startup — a per-invocation cost, paid
-    once — is not billed to whichever sweep happens to run first.
-    """
-    if jobs is not None and jobs > 1:
-        _ensure_pool(max(1, min(jobs, _usable_cpus())))
-
-
 def pool_forks() -> int:
     """How many times a pool has been forked in this process.
 
@@ -230,9 +234,9 @@ def _execute_chunk(
         try:
             if registry is not None:
                 with observed(registry):
-                    value = _runner_for(spec.runner)(spec, scale)
+                    value = _run_point(spec, scale)
             else:
-                value = _runner_for(spec.runner)(spec, scale)
+                value = _run_point(spec, scale)
         except InvariantViolation as violation:
             error = remote_error_payload(spec.label, violation)
             break
@@ -295,10 +299,10 @@ def _run_cold_serial(
                 )
                 capture.begin_phase(spec.label)
                 with observed(capture):
-                    value = _runner_for(spec.runner)(spec, scale)
+                    value = _run_point(spec, scale)
                 payload = capture.report()["phases"][0]
             else:
-                value = _runner_for(spec.runner)(spec, scale)
+                value = _run_point(spec, scale)
                 payload = None
         except InvariantViolation as violation:
             return (outputs, remote_error_payload(spec.label, violation))

@@ -151,10 +151,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.executed_events = 0
-        # Events credited (not executed) by fast_forward_to(): work the
-        # analytic steady-state extrapolation accounts for without
-        # stepping the calendar.  Zero unless a caller opts in.
-        self.fast_forwarded_events = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -309,34 +305,6 @@ class Simulator:
     def stop(self) -> None:
         """Stop a running :meth:`run` after the current event completes."""
         self._stopped = True
-
-    def fast_forward_to(self, time: float, events: int) -> None:
-        """Advance the clock analytically, crediting ``events`` of work.
-
-        This is the engine half of the steady-state fast-forward
-        (:meth:`repro.host.testbed.Testbed.run` with
-        ``fast_forward=True``): the caller has established that the
-        workload is in a steady phase, computed what the remaining
-        window *would* execute, and jumps the clock there without
-        stepping the calendar.
-
-        The jump is **terminal** for the calendar's pending events —
-        they are left unfired and would raise scheduling errors if the
-        calendar were stepped afterwards, so a fast-forwarded simulator
-        must not be :meth:`run` again.  Raises
-        :class:`SimulationError` on a backwards jump or if called from
-        inside :meth:`run`.
-        """
-        if self._running:
-            raise SimulationError("fast_forward_to() during run()")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot fast-forward to t={time} (now is {self._now})"
-            )
-        if events < 0:
-            raise SimulationError(f"negative event credit {events}")
-        self._now = time
-        self.fast_forwarded_events += events
 
     @property
     def pending_events(self) -> int:

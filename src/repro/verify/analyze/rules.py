@@ -1095,7 +1095,7 @@ class SpecPhaseRule(AnalyzerRule):
 class ChunkedDispatchRule(AnalyzerRule):
     """REPRO106: per-item ``pool.submit`` in a loop needs chunking.
 
-    The committed-bench regression this repo fixed: submitting each
+    The parallel-sweep regression this repo fixed: submitting each
     sweep point as its own executor future pays a round of pickling and
     future bookkeeping per point, which on small points costs more than
     the parallelism recovers (``--jobs 2`` measured *slower* than

@@ -327,11 +327,12 @@ control-flow paths.
             "chunking; per-item dispatch loses to a serial sweep."
         ),
         explanation="""
-The parallel-sweep regression recorded in BENCH_sim.json: submitting
-every sweep point as its own executor future pays a round of payload
+The parallel-sweep regression the warm pool fixed: submitting every
+sweep point as its own executor future pays a round of payload
 pickling and future bookkeeping per point, and on simulator-sized
-points that overhead exceeds what the parallelism recovers — the
-committed benchmark measured ``--jobs 2`` slower than the serial sweep.
+points that overhead exceeds what the parallelism recovers — a
+per-point dispatcher once measured ``--jobs 2`` slower than the serial
+sweep.
 The warm-pool dispatcher (repro.parallel.pool) fixes this by shipping
 fixed-size chunks of consecutive points per worker task.  The rule
 flags ``<pool>.submit(fn, <loop-var>, ...)`` inside a ``for`` loop

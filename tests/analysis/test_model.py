@@ -10,12 +10,9 @@ import pytest
 import repro
 from repro.analysis import (
     ModelPoint,
-    deltas_steady,
-    extrapolate_snapshot,
     fit_l0_lm,
     memory_reads_per_packet,
     model_error,
-    snapshot_delta,
     throughput_gbps,
 )
 
@@ -92,57 +89,6 @@ def test_model_error_perfect_prediction_is_zero():
 def test_model_error_relative():
     point = ModelPoint(4096, 2.0, 2 * throughput_gbps(4096, 2.0))
     assert model_error(point, 65.0, 197.0) == pytest.approx(0.5)
-
-
-class TestSnapshotAlgebra:
-    """The epoch fast-forward's structure-generic counter math."""
-
-    def test_delta_over_nested_structure(self):
-        old = {"a": 1, "by": {"x": 2}, "cores": [1.0, 2.0]}
-        new = {"a": 5, "by": {"x": 3, "y": 4}, "cores": [2.5, 2.0]}
-        assert snapshot_delta(old, new) == {
-            "a": 4,
-            "by": {"x": 1, "y": 4},
-            "cores": [1.5, 0.0],
-        }
-
-    def test_delta_over_dataclass_counters(self):
-        from repro.iommu.stats import IommuStats
-
-        old = IommuStats(translations=10, iotlb_hits=8)
-        new = IommuStats(
-            translations=25, iotlb_hits=20, translations_by_source={"rx": 3}
-        )
-        delta = snapshot_delta(old, new)
-        assert delta["translations"] == 15
-        assert delta["translations_by_source"] == {"rx": 3}
-
-    def test_steady_within_tolerance(self):
-        assert deltas_steady({"a": 100, "b": [1.0]}, {"a": 104, "b": [1.2]},
-                             rtol=0.05, atol=1.0)
-        assert not deltas_steady({"a": 100}, {"a": 120}, rtol=0.05, atol=1.0)
-        # A key present on only one side diffs against zero.
-        assert not deltas_steady({}, {"a": 50}, rtol=0.05, atol=1.0)
-
-    def test_extrapolate_preserves_types_and_identity(self):
-        base = {"a": 100, "f": 10.0, "keep": 7}
-        adjusted = extrapolate_snapshot(base, {"a": 4, "f": 0.5}, 3.0)
-        assert adjusted == {"a": 88, "f": 8.5, "keep": 7}
-        assert isinstance(adjusted["a"], int)
-
-    def test_extrapolate_rebuilds_dataclass(self):
-        from repro.iommu.stats import IommuStats
-
-        base = IommuStats(translations=100, iotlb_hits=90)
-        adjusted = extrapolate_snapshot(
-            base, {"translations": 10, "iotlb_hits": 9}, 2.0
-        )
-        assert isinstance(adjusted, IommuStats)
-        assert adjusted.translations == 80
-        assert adjusted.iotlb_hits == 72
-        # delta() against a live stats object then reports base-delta
-        # + extrapolated growth — the adjusted-snapshot trick.
-        assert base.delta(adjusted).translations == 20
 
 
 def test_cli_and_experiments_import_without_numpy_or_scipy():

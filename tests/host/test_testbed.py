@@ -1,7 +1,5 @@
 """Unit tests for testbed wiring and measurement mechanics."""
 
-import pytest
-
 from repro.host import HostConfig, Testbed
 
 
@@ -80,88 +78,3 @@ class TestWireLevel:
     def test_switch_rate_matches_link(self):
         testbed = make_testbed(link_gbps=25.0)
         assert testbed.port_to_host.pacer.rate_bits_per_ns == 25.0
-
-
-class TestFastForward:
-    """The epoch fast-forward vs ordinary event stepping."""
-
-    def run_pair(self, mode, warmup_ns=2e6, measure_ns=15e6):
-        results = []
-        for fast_forward in (False, True):
-            testbed = Testbed(HostConfig.cascade_lake(mode=mode))
-            testbed.add_rx_flows(2)
-            result = testbed.run(
-                warmup_ns=warmup_ns,
-                measure_ns=measure_ns,
-                strict_until=True,
-                fast_forward=fast_forward,
-            )
-            results.append((result, testbed))
-        return results
-
-    @pytest.mark.parametrize("mode", ["off", "strict", "fns"])
-    def test_within_tolerance_of_stepped_run(self, mode):
-        (stepped, _), (forwarded, testbed) = self.run_pair(mode)
-        # The fast path must actually have engaged for the comparison
-        # to mean anything.
-        assert testbed.sim.fast_forwarded_events > 0
-        assert forwarded.rx_goodput_gbps == pytest.approx(
-            stepped.rx_goodput_gbps, rel=0.05
-        )
-        assert forwarded.extras["executed_events"] == pytest.approx(
-            stepped.extras["executed_events"], rel=0.05
-        )
-        assert forwarded.memory_reads_per_page == pytest.approx(
-            stepped.memory_reads_per_page, rel=0.05, abs=0.05
-        )
-
-    def test_fast_forward_is_deterministic(self):
-        first = self.run_pair("strict")[1][0]
-        second = self.run_pair("strict")[1][0]
-        assert first.rx_goodput_gbps == second.rx_goodput_gbps
-        assert (
-            first.extras["executed_events"]
-            == second.extras["executed_events"]
-        )
-
-    def test_watchdog_disables_fast_forward(self):
-        testbed = Testbed(
-            HostConfig.cascade_lake(mode="off"),
-            watchdog_interval_ns=1e6,
-        )
-        testbed.add_rx_flows(2)
-        testbed.run(
-            warmup_ns=1e6, measure_ns=4e6, fast_forward=True
-        )
-        assert testbed.sim.fast_forwarded_events == 0
-
-    def test_credited_events_reported_separately(self):
-        (_, _), (forwarded, testbed) = self.run_pair("off")
-        credited = testbed.sim.fast_forwarded_events
-        assert forwarded.extras["executed_events"] == (
-            testbed.sim.executed_events + credited
-        )
-
-
-class TestFastForwardEngine:
-    def test_fast_forward_advances_clock_and_credit(self):
-        testbed = make_testbed()
-        sim = testbed.sim
-        sim.fast_forward_to(123.0, 456)
-        assert sim.now == 123.0
-        assert sim.fast_forwarded_events == 456
-
-    def test_fast_forward_rejects_backwards_time(self):
-        from repro.sim import SimulationError
-
-        testbed = make_testbed()
-        testbed.sim.fast_forward_to(100.0, 0)
-        with pytest.raises(SimulationError):
-            testbed.sim.fast_forward_to(50.0, 0)
-
-    def test_fast_forward_rejects_negative_credit(self):
-        from repro.sim import SimulationError
-
-        testbed = make_testbed()
-        with pytest.raises(SimulationError):
-            testbed.sim.fast_forward_to(10.0, -1)

@@ -113,36 +113,3 @@ def make_report(tmp_path):
         return path
 
     return _make
-
-
-@pytest.fixture
-def make_history(tmp_path):
-    """Factory writing a synthetic bench_history.jsonl; returns path."""
-
-    def _make(n_rows=3, filename="bench_history.jsonl"):
-        path = tmp_path / filename
-        with open(path, "w") as handle:
-            for i in range(n_rows):
-                row = {
-                    "schema": "repro.bench-history/1",
-                    "git_sha": f"{i:040x}",
-                    "utc": f"2026-08-0{i + 1}T00:00:00Z",
-                    "scale": "quick",
-                    "benchmarks": {
-                        "iperf_off": {
-                            "events_per_wall_s": 900_000.0 + i * 1000,
-                            "events": 169_418,
-                            "wall_s": 0.18,
-                        },
-                        "sweep_serial": {
-                            "events_per_wall_s": 66_000.0 + i * 500,
-                            "events": 369_393,
-                            "wall_s": 5.5,
-                        },
-                    },
-                    "total_wall_s": 6.0,
-                }
-                handle.write(json.dumps(row) + "\n")
-        return path
-
-    return _make

@@ -53,32 +53,6 @@ def test_publish_produces_gallery(tmp_path, make_report, trace_file):
     assert digest["span_count"] == 5
 
 
-def test_publish_bench_trend_section(
-    tmp_path, make_report, trace_file, make_history
-):
-    history = make_history(n_rows=3)
-    code, outdir = publish(
-        tmp_path, make_report, trace_file, "--history", str(history)
-    )
-    assert code == 0
-    assert (outdir / "bench_trend.svg").stat().st_size > 0
-    assert "3 committed bench runs" in (
-        outdir / "index.html"
-    ).read_text()
-
-
-def test_publish_without_history_skips_trend(
-    tmp_path, make_report, trace_file
-):
-    code, outdir = publish(
-        tmp_path, make_report, trace_file,
-        "--history", str(tmp_path / "missing.jsonl"),
-    )
-    assert code == 0
-    assert not (outdir / "bench_trend.svg").exists()
-    assert "no bench history" in (outdir / "index.html").read_text()
-
-
 def test_unknown_figure_exits_2(tmp_path, make_report, capsys):
     code = publish_cli.main(
         [str(tmp_path / "out"), "--figures", "fig99",

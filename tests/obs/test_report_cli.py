@@ -1,11 +1,10 @@
-"""CLI surface: ``repro report``, ``repro bench`` and the global --trace."""
+"""CLI surface: ``repro report`` and the global --trace."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.obs import bench
 
 
 @pytest.fixture()
@@ -59,63 +58,3 @@ def test_global_trace_flag(chdir_tmp):
     assert main(["fig12", "--trace", str(trace)]) == 0
     doc = json.loads(trace.read_text())
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
-
-
-def test_bench_writes_and_checks(chdir_tmp, capsys):
-    out = chdir_tmp / "BENCH_sim.json"
-    assert main(["bench", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert bench.check_schema(doc) == []
-    assert doc["schema"] == "repro.bench/1"
-    assert {b["mode"] for b in doc["benchmarks"]} == {
-        "off", "strict", "fns", "sweep",
-    }
-    for point in doc["benchmarks"]:
-        assert point["wall_s"] > 0
-        assert point["events"] > 0
-    # The result-cache pair: identical deterministic work, warm served
-    # entirely from the store.
-    by_name = {b["name"]: b for b in doc["benchmarks"]}
-    cold = by_name["reproduce_cold"]
-    warm = by_name["reproduce_warm"]
-    assert warm["events"] == cold["events"]
-    assert warm["wall_s"] < cold["wall_s"]
-    assert main(["bench", "--check", str(out)]) == 0
-    assert "schema OK" in capsys.readouterr().out
-
-
-def test_bench_check_rejects_malformed(chdir_tmp, capsys):
-    bad = chdir_tmp / "bad.json"
-    bad.write_text(json.dumps({"schema": "repro.bench/1", "benchmarks": []}))
-    assert main(["bench", "--check", str(bad)]) == 1
-    assert "schema problem" in capsys.readouterr().err
-
-
-def test_check_schema_catches_field_problems():
-    good = {
-        "schema": "repro.bench/1",
-        "benchmarks": [
-            {
-                "name": "x",
-                "mode": "off",
-                "flows": 1,
-                "wall_s": 0.5,
-                "sim_ns": 1000.0,
-                "events": 10,
-                "events_per_wall_s": 20.0,
-                "sim_ns_per_wall_s": 2000.0,
-            }
-        ],
-        "total_wall_s": 0.5,
-    }
-    assert bench.check_schema(good) == []
-    missing = json.loads(json.dumps(good))
-    del missing["benchmarks"][0]["events"]
-    assert any("events" in p for p in bench.check_schema(missing))
-    negative = json.loads(json.dumps(good))
-    negative["benchmarks"][0]["wall_s"] = 0
-    assert any("wall_s" in p for p in bench.check_schema(negative))
-    assert bench.check_schema([]) != []
-    assert any(
-        "schema" in p for p in bench.check_schema({"schema": "other"})
-    )

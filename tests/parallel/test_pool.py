@@ -5,10 +5,15 @@ These tests register throwaway point runners directly in
 multiprocessing forks (the real runners are importable either way).
 """
 
+import contextlib
+import gc
 import os
+import weakref
 
 import pytest
 
+from repro.cache.hooks import result_cached
+from repro.cache.store import ResultCache
 from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
 from repro.faults import FaultPlan, faulted
@@ -142,6 +147,42 @@ class TestRunPoints:
         with observed(parallel):
             run_points(specs_for(runner), QUICK, jobs=2)
         assert parallel.report() == serial.report()
+
+
+class _Cycle:
+    """Garbage only the cycle collector can free, like a dead testbed."""
+
+    def __init__(self):
+        self.me = self
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_each_point_frees_its_cyclic_garbage(
+    scratch_runners, tmp_path, monkeypatch, cached
+):
+    # Peak memory is bounded by one cell, not by how many dead cells
+    # pile up before the collector's own schedule runs a full pass.
+    refs = []
+    alive_at_start = []
+
+    def point(spec, scale):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(_Cycle()))
+        return spec.x
+
+    runner = scratch_runners("t-cycle", point)
+    monkeypatch.setattr(
+        ResultCache, "fingerprint_for", lambda self, key: "pinned"
+    )
+    store = ResultCache(str(tmp_path / "store"))
+    gc.disable()
+    try:
+        with result_cached(store) if cached else contextlib.nullcontext():
+            run_points(specs_for(runner), QUICK)
+    finally:
+        gc.enable()
+    assert alive_at_start == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
 
 
 class TestChunking:
