@@ -22,11 +22,9 @@ are all *outcomes* of this machinery, not inputs.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from typing import Callable, Optional
 
-from ..faults.hooks import current_faults
 from ..iommu import Iommu
 from ..iommu.addr import PAGE_SIZE
 from ..mem.physmem import PhysicalMemory
@@ -35,7 +33,6 @@ from ..net.packet import Packet, PacketKind
 from ..nic import Nic, RecoveryManager
 from ..nic.descriptor import RxDescriptor
 from ..obs.hooks import current_registry
-from ..verify.hooks import current_monitor
 from ..pcie import DmaPipeline
 from ..protection import (
     DeferredDriver,
@@ -45,33 +42,11 @@ from ..protection import (
     TxMapping,
 )
 from ..sim import Simulator
+from ..sim.rng import SeededRng
 from .config import HostConfig
 from .cpu import CoreSet
 
 __all__ = ["Host"]
-
-# Process-level cache of post-aging allocator states.  Aging replays
-# hundreds of thousands of alloc/free pairs to reproduce a long-uptime
-# allocator, and its outcome is a pure function of (driver type,
-# allocator type, aging parameters, host config) — so every testbed
-# after the first in a process (sweep points of a plain figure run, pool
-# workers inheriting this dict through fork) restores a deep copy
-# instead of replaying.  Only consulted when no registry/monitor/fault
-# hooks are armed: hooked runs must execute the real alloc/free stream
-# (monitors observe it, registry scopes hold references into live
-# allocator internals that a restore would break).  `repro reproduce`
-# always installs a registry, so it never takes this path.
-_AGED_STATE_FIELDS = (
-    "rbtree",
-    "_cpu_rcaches",
-    "_depot",
-    "cpu_ns_by_core",
-    "cache_hits",
-    "cache_misses",
-    "alloc_count",
-    "free_count",
-)
-_AGED_ALLOCATOR_STATES: dict[tuple, dict] = {}
 
 
 class _FlowBinding:
@@ -221,55 +196,16 @@ class Host:
         and depot end up holding addresses spanning a wide extent in a
         scrambled order, so subsequent ring replenishment draws
         scattered IOVAs — the poor-locality regime §2.2 measures.
-        Allocation-trace entries from aging are discarded.
+        The end state is computed in closed form
+        (:meth:`CachingIovaAllocator.age`) and leaves no entries in the
+        allocation trace.
         """
         count = self.config.effective_aging_iovas
         allocator = getattr(self.driver, "allocator", None)
         if count <= 0 or allocator is None:
             return
-        cacheable = (
-            current_registry() is None
-            and current_monitor() is None
-            and current_faults() is None
-        )
-        # The aged state is determined by the allocator's construction
-        # (driver type, core count, chunk size) plus the aging stream
-        # (count, seed, cores); mode is included as a belt-and-braces
-        # separator between driver families.
-        key = (
-            type(self.driver).__name__,
-            type(allocator).__name__,
-            count,
-            self.config.aging_seed,
-            self.config.num_cores,
-            self.config.descriptor_pages,
-            self.config.mode,
-        )
-        if cacheable:
-            state = _AGED_ALLOCATOR_STATES.get(key)
-            if state is not None:
-                for name, value in copy.deepcopy(state).items():
-                    setattr(allocator, name, value)
-                self.allocation_trace.clear()
-                return
-        from ..sim.rng import SeededRng
-
         rng = SeededRng(self.config.aging_seed, "allocator-aging")
-        cores = self.config.num_cores
-        iovas = [
-            allocator.alloc(1, cpu=index % cores) for index in range(count)
-        ]
-        rng.shuffle(iovas)
-        for index, iova in enumerate(iovas):
-            allocator.free(iova, 1, cpu=rng.randint(0, cores - 1))
-        self.allocation_trace.clear()
-        if cacheable:
-            _AGED_ALLOCATOR_STATES[key] = copy.deepcopy(
-                {
-                    name: getattr(allocator, name)
-                    for name in _AGED_STATE_FIELDS
-                }
-            )
+        allocator.age(count, rng)
 
     def _fill_rings(self) -> None:
         for core in range(self.config.num_cores):

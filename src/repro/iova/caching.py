@@ -24,13 +24,19 @@ the CPU-efficiency/locality trade-off quantitatively.
 
 from __future__ import annotations
 
-from typing import Optional
+from array import array
+from collections import deque
+from typing import TYPE_CHECKING, Optional
 
 from ..iommu.addr import PAGE_SHIFT
 from ..obs.hooks import current_registry
 from ..verify.events import IovaAllocEvent, IovaFreeEvent
 from ..verify.hooks import current_monitor
 from .allocator import DEFAULT_LIMIT_PFN, RbTreeIovaAllocator
+from .rbtree import IovaRange
+
+if TYPE_CHECKING:
+    from ..sim.rng import SeededRng
 
 __all__ = ["Magazine", "CachingIovaAllocator", "MAG_SIZE", "MAX_CACHED_ORDER"]
 
@@ -73,6 +79,14 @@ class _CpuRcache:
     def __init__(self) -> None:
         self.loaded = Magazine()
         self.prev = Magazine()
+
+
+def _find_above(above: array, index: int) -> int:
+    """Root of ``index`` in the union-find, halving the path on the way."""
+    while above[index] != index:
+        above[index] = above[above[index]]
+        index = above[index]
+    return index
 
 
 def _order_of(pages: int) -> Optional[int]:
@@ -223,6 +237,133 @@ class CachingIovaAllocator:
                 self._charge(cpu, self.depot_cost_ns)
         rcache.loaded.push(iova >> PAGE_SHIFT)
         self._charge(cpu, self.cache_hit_cost_ns)
+
+    # ------------------------------------------------------------------
+    # Long-uptime state
+    # ------------------------------------------------------------------
+    def age(self, count: int, rng: "SeededRng") -> None:
+        """Put a fresh allocator in the state this replay leaves it in::
+
+            cores = self.num_cpus
+            iovas = [self.alloc(1, cpu=i % cores) for i in range(count)]
+            rng.shuffle(iovas)
+            for iova in iovas:
+                self.free(iova, 1, cpu=rng.randint(0, cores - 1))
+
+        without running ``count`` operations through the rbtree.  The
+        burst is a run of cold misses, so it lands at pfns ``limit,
+        limit - 1, ...``.  The frees go through the magazine and depot
+        logic on plain lists, drawing the same ``rng`` values; only the
+        ranges still parked in a cache at the end enter the tree.  Tree
+        ranges, the rbtree's cached scan node, magazines, depot, every
+        counter and per-core cost tally (same float sums, same key
+        order) and, with a monitor attached, the event sequence all
+        equal the replay's.  Unlike the replay, the burst is not
+        appended to ``trace``: aging is setup, not measured traffic.
+        """
+        rbtree = self.rbtree
+        if self.alloc_count or self.free_count or len(rbtree.tree):
+            raise ValueError("only a fresh allocator can be aged")
+        if count <= 0:
+            return
+        top = rbtree.limit_pfn
+        low = top - count + 1
+        if low < 0:
+            raise ValueError(f"cannot age {count} IOVAs below pfn {top:#x}")
+        cores = self.num_cpus
+        monitor, tree_monitor = self.monitor, rbtree.monitor
+        # Charged one op at a time, as ``_charge`` does, so the float
+        # sums and the dicts' key order match the replay's exactly.
+        hit_ns, tree_ns = self.cpu_ns_by_core, rbtree.cpu_ns_by_core
+        tree_op_ns = rbtree.tree_op_cost_ns
+        for index in range(count):
+            cpu = index % cores
+            tree_ns[cpu] = tree_ns.get(cpu, 0.0) + tree_op_ns
+            if tree_monitor is not None or monitor is not None:
+                iova = (top - index) << PAGE_SHIFT
+                if tree_monitor is not None:
+                    tree_monitor.record(
+                        IovaAllocEvent(iova, 1, cpu, "rbtree"),
+                        owner=id(rbtree),
+                    )
+                if monitor is not None:
+                    monitor.record(
+                        IovaAllocEvent(iova, 1, cpu, "rcache"),
+                        owner=id(self),
+                    )
+        self.alloc_count = self.cache_misses = count
+        rbtree.alloc_count = count
+
+        # The free stream, on plain lists.  ``order`` is the shuffled
+        # burst.  Pfn ``low + i`` is index ``i``, and index ``count``
+        # stands for "none".  ``above[i]`` is a union-find link toward
+        # the lowest still-allocated index at or above ``i``: the
+        # rbtree successor that a free at or above the cached scan
+        # node (index ``cached``) moves it to.
+        order = array("q", range(top, low - 1, -1))
+        rng.shuffle(order)
+        above = array("q", range(count + 1))
+        cached = 0
+        loaded: list[list[int]] = [[] for _ in range(cores)]
+        prev: list[list[int]] = [[] for _ in range(cores)]
+        depot: deque[list[int]] = deque()
+        flushed = 0
+        randint = rng.randint
+        for pfn in order:
+            cpu = randint(0, cores - 1)
+            if monitor is not None:
+                monitor.record(
+                    IovaFreeEvent(pfn << PAGE_SHIFT, 1, cpu, "rcache"),
+                    owner=id(self),
+                )
+            magazine = loaded[cpu]
+            if len(magazine) >= MAG_SIZE:
+                if len(prev[cpu]) < MAG_SIZE:
+                    loaded[cpu], prev[cpu] = prev[cpu], magazine
+                else:
+                    depot.append(magazine)
+                    loaded[cpu] = []
+                    if len(depot) > DEPOT_MAX_MAGS:
+                        for old in depot.popleft():
+                            if tree_monitor is not None:
+                                tree_monitor.record(
+                                    IovaFreeEvent(
+                                        old << PAGE_SHIFT, 1, cpu, "rbtree"
+                                    ),
+                                    owner=id(rbtree),
+                                )
+                            index = old - low
+                            above[index] = index + 1
+                            if index >= cached:
+                                cached = _find_above(above, index)
+                            tree_ns[cpu] = tree_ns.get(cpu, 0.0) + tree_op_ns
+                            flushed += 1
+                    hit_ns[cpu] = hit_ns.get(cpu, 0.0) + self.depot_cost_ns
+                magazine = loaded[cpu]
+            magazine.append(pfn)
+            hit_ns[cpu] = hit_ns.get(cpu, 0.0) + self.cache_hit_cost_ns
+        self.free_count = count
+        rbtree.free_count = flushed
+        rbtree.allocated_pages = count - flushed
+
+        for cpu, rcache in enumerate(self._cpu_rcaches):
+            rcache[0].loaded.pfns = loaded[cpu]
+            rcache[0].prev.pfns = prev[cpu]
+        for pfns in depot:
+            magazine = Magazine()
+            magazine.pfns = pfns
+            self._depot[0].append(magazine)
+        survivors = sorted(
+            pfn
+            for magazines in (loaded, prev, depot)
+            for pfns in magazines
+            for pfn in pfns
+        )
+        for pfn in survivors:
+            node = IovaRange(pfn, pfn)
+            rbtree.tree.insert(node)
+            if pfn - low == cached:
+                rbtree._cached = node
 
     # ------------------------------------------------------------------
     # Introspection

@@ -86,7 +86,11 @@ class ChunkIovaAllocator:
         # Hugepage-backed chunks must start on their own size boundary.
         self.align_chunks = align_chunks
         self._current: list[Optional[IovaChunk]] = [None] * num_cpus
-        # Chunks with outstanding pages, keyed by base iova.
+        # Chunks with outstanding pages, keyed by their stride
+        # ``base_iova // span``.  Live chunks never overlap, so no two
+        # bases share a stride, and the chunk holding an iova starts in
+        # the iova's stride or the one below it.
+        self._span = chunk_pages * PAGE_SIZE
         self._live_chunks: dict[int, IovaChunk] = {}
         self.chunks_allocated = 0
         self.chunks_freed = 0
@@ -101,7 +105,7 @@ class ChunkIovaAllocator:
         else:
             base_iova = self.base.alloc(self.chunk_pages, cpu=cpu)
         chunk = IovaChunk(base_iova, self.chunk_pages)
-        self._live_chunks[base_iova] = chunk
+        self._live_chunks[base_iova // self._span] = chunk
         self.chunks_allocated += 1
         return chunk
 
@@ -143,7 +147,7 @@ class ChunkIovaAllocator:
         if chunk.released > chunk.pages:
             raise ValueError(f"chunk {chunk.base_iova:#x} over-released")
         if chunk.fully_released:
-            del self._live_chunks[chunk.base_iova]
+            del self._live_chunks[chunk.base_iova // self._span]
             if self._current[cpu] is chunk:
                 self._current[cpu] = None
             self.base.free(chunk.base_iova, chunk.pages, cpu=cpu)
@@ -151,9 +155,10 @@ class ChunkIovaAllocator:
 
     def release_chunk(self, chunk: IovaChunk, cpu: int = 0) -> None:
         """Release a whole chunk at once (the Rx per-descriptor path)."""
-        if chunk.base_iova not in self._live_chunks:
+        stride = chunk.base_iova // self._span
+        if self._live_chunks.get(stride) is not chunk:
             raise ValueError(f"chunk {chunk.base_iova:#x} is not live")
-        del self._live_chunks[chunk.base_iova]
+        del self._live_chunks[stride]
         self.base.free(chunk.base_iova, chunk.pages, cpu=cpu)
         self.chunks_freed += 1
 
@@ -164,15 +169,11 @@ class ChunkIovaAllocator:
 
     # ------------------------------------------------------------------
     def _find_chunk(self, iova: int) -> Optional[IovaChunk]:
-        base = iova - (iova % (self.chunk_pages * PAGE_SIZE))
-        # Chunks are chunk-size-strided only if the base allocator
-        # aligned them; fall back to a scan of live chunks otherwise.
-        chunk = self._live_chunks.get(base)
-        if chunk is not None and chunk.contains(iova):
-            return chunk
-        for candidate in self._live_chunks.values():
-            if candidate.contains(iova):
-                return candidate
+        stride = iova // self._span
+        for key in (stride, stride - 1):
+            chunk = self._live_chunks.get(key)
+            if chunk is not None and chunk.contains(iova):
+                return chunk
         return None
 
     @property

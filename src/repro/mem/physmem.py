@@ -27,7 +27,12 @@ class PhysicalMemory:
     """A fixed pool of 4 KB physical frames.
 
     Frames are handed out LIFO (hot frames are reused first, like a real
-    per-CPU page allocator), which also makes allocation O(1).
+    per-CPU page allocator), which also makes allocation O(1).  The pool
+    is lazy: a stack holds only the frames freed so far, and frames never
+    handed out are the range ``[_fresh, total_frames)``, drawn in
+    ascending order once the stack is empty.  That is the order an eager
+    free list of every frame would give, at a cost that grows with the
+    frames a run touches rather than with ``total_frames``.
     """
 
     HUGE_FRAMES = 512  # 2 MB of 4 KB frames
@@ -36,7 +41,8 @@ class PhysicalMemory:
         if total_frames <= 0:
             raise ValueError("need at least one frame")
         self.total_frames = total_frames
-        self._free: list[int] = list(range(total_frames - 1, -1, -1))
+        self._free: list[int] = []
+        self._fresh = 0
         self._allocated: set[int] = set()
         self.alloc_count = 0
         self.free_count = 0
@@ -50,9 +56,13 @@ class PhysicalMemory:
 
     def alloc_frame(self) -> int:
         """Allocate one frame; raises :class:`OutOfMemoryError` if empty."""
-        if not self._free:
+        if self._free:
+            frame = self._free.pop()
+        elif self._fresh < self.total_frames:
+            frame = self._fresh
+            self._fresh += 1
+        else:
             raise OutOfMemoryError("physical memory exhausted")
-        frame = self._free.pop()
         self._allocated.add(frame)
         self.alloc_count += 1
         return frame

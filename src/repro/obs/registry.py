@@ -58,6 +58,7 @@ class Phase:
         self.sample_times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.final: Optional[dict[str, float]] = None
+        self._kinds: dict[str, str] = {}
         self.sim_attached = False
         # Set by the sampler when the time series hit max_samples while
         # the workload was still running (no-silent-caps rule): the
@@ -66,19 +67,30 @@ class Phase:
         self._scope_counts: dict[str, int] = {}
 
     def read_all(self) -> dict[str, float]:
-        """Current value of every registered metric."""
+        """Current value of every registered metric (frozen once final)."""
+        if self.final is not None:
+            return dict(self.final)
         return {name: m.read() for name, m in self.metrics.items()}
 
     def record_sample(self, t_ns: float) -> None:
         """Append one time-series point for every registered metric."""
         self.sample_times.append(t_ns)
-        for name, metric in self.metrics.items():
-            self.series.setdefault(name, []).append(metric.read())
+        for name, value in self.read_all().items():
+            self.series.setdefault(name, []).append(value)
 
     def finalize(self) -> None:
-        """Capture final values (idempotent; later reads are frozen)."""
+        """Capture final values (idempotent; later reads are frozen).
+
+        The read callables close over the run's live components, so
+        they are dropped here: a finished run's object graph must not
+        stay reachable from the registry that outlives it.
+        """
         if self.final is None:
             self.final = self.read_all()
+            self._kinds.update(
+                (name, m.kind) for name, m in self.metrics.items()
+            )
+            self.metrics = {}
 
     def to_dict(self) -> dict:
         self.finalize()
@@ -93,7 +105,7 @@ class Phase:
             "index": self.index,
             "label": self.label,
             "final": self.final,
-            "kinds": {n: m.kind for n, m in self.metrics.items()},
+            "kinds": dict(self._kinds),
             "truncated": self.truncated,
             "samples": {"t_ns": self.sample_times, "series": series},
         }
@@ -109,13 +121,13 @@ class RecordedPhase(Phase):
     identical to what a serial run of the same points produces.
 
     A recorded phase is frozen data: it has no live metrics to read, so
-    ``finalize`` and ``read_all`` serve the captured finals.
+    ``read_all`` serves the captured finals.
     """
 
     def __init__(self, index: int, payload: dict) -> None:
         super().__init__(index, payload["label"])
         self.final = payload.get("final")
-        self._kinds: dict[str, str] = dict(payload.get("kinds") or {})
+        self._kinds = dict(payload.get("kinds") or {})
         self.truncated = bool(payload.get("truncated", False))
         samples = payload.get("samples") or {}
         self.sample_times = list(samples.get("t_ns") or [])
@@ -126,9 +138,6 @@ class RecordedPhase(Phase):
         # Frozen: a stray attach_simulator must open a new phase, never
         # re-enter this one.
         self.sim_attached = True
-
-    def read_all(self) -> dict[str, float]:
-        return dict(self.final or {})
 
     def to_dict(self) -> dict:
         return {
@@ -200,7 +209,8 @@ class MetricsRegistry:
         return phase
 
     def current_phase(self) -> Phase:
-        if not self.phases:
+        """The open phase; a finalized phase is never re-entered."""
+        if not self.phases or self.phases[-1].final is not None:
             return self.begin_phase()
         return self.phases[-1]
 

@@ -21,8 +21,7 @@ Execution model:
   the runner registry and clears the inherited hooks.  Forking *after*
   the parent has run serial work means workers inherit every
   process-level cache the parent has paid for (imports, specialized
-  bytecode, the aged-allocator snapshots of ``repro.host.server``) via
-  copy-on-write — which is how a warm pool beats a serial sweep even on
+  bytecode) via copy-on-write — which is how a warm pool beats a serial sweep even on
   a single usable CPU.  The pool is re-forked only if a later sweep
   needs more workers or the runner registry changed (tests register
   scratch runners; forked workers must see them).
@@ -84,12 +83,17 @@ def _run_point(spec: PointSpec, scale: RunScale):
     """Run one cell, then free what it left behind.
 
     A finished testbed is a large cyclic object graph that only the
-    cycle collector can free.  Collecting here bounds a sweep's peak
-    memory by one cell, instead of by however many dead testbeds pile
-    up before the collector's own schedule (which shifts with any
-    change to allocation counts) next runs a full pass.
+    cycle collector can free.  Finalizing the cell's metrics phase
+    drops the read callables that would keep it reachable, and
+    collecting then bounds a sweep's peak memory by one cell, instead
+    of by however many dead testbeds pile up before the collector's
+    own schedule (which shifts with any change to allocation counts)
+    next runs a full pass.
     """
     value = _runner_for(spec.runner)(spec, scale)
+    registry = current_registry()
+    if registry is not None and registry.phases:
+        registry.phases[-1].finalize()
     gc.collect()
     return value
 

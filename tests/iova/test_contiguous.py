@@ -1,6 +1,8 @@
 """Unit tests for F&S contiguous chunk allocation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.iommu.addr import PAGE_SIZE, PTL4_PAGE_SIZE, ptcache_key
 from repro.iova import (
@@ -139,3 +141,51 @@ class TestWithCachingBase:
         assert caching.cache_misses == 1
         chunks.release_pages(chunk.base_iova, 64, cpu=0)
         assert caching.cached_iova_count() == 0
+
+
+def linear_find(chunks, iova):
+    """The reference lookup: scan every live chunk."""
+    for chunk in chunks._live_chunks.values():
+        if chunk.contains(iova):
+            return chunk
+    return None
+
+
+@given(
+    chunk_pages=st.sampled_from([1, 4, 64]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["chunk", "page", "pad", "unpad", "release"]),
+            st.integers(min_value=0, max_value=1 << 20),
+        ),
+        max_size=60,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_find_chunk_matches_linear_scan(chunk_pages, ops):
+    base = RbTreeIovaAllocator()
+    chunks = ChunkIovaAllocator(base, num_cpus=2, chunk_pages=chunk_pages)
+    whole, pads = [], []
+    for op, arg in ops:
+        if op == "chunk":
+            whole.append(chunks.alloc_chunk(cpu=arg % 2))
+        elif op == "page":
+            chunks.alloc_page(cpu=arg % 2)
+        elif op == "pad":
+            # Odd-sized ranges knock later chunk bases off the stride.
+            pages = 1 + arg % 7
+            pads.append((base.alloc(pages), pages))
+        elif op == "unpad" and pads:
+            base.free(*pads.pop(arg % len(pads)))
+        elif op == "release" and whole:
+            chunks.release_chunk(whole.pop(arg % len(whole)))
+        for chunk in list(chunks._live_chunks.values()):
+            span = chunk.pages * PAGE_SIZE
+            for iova in (
+                chunk.base_iova - 1,
+                chunk.base_iova,
+                chunk.base_iova + arg % span,
+                chunk.base_iova + span - 1,
+                chunk.base_iova + span,
+            ):
+                assert chunks.chunk_of(iova) is linear_find(chunks, iova)

@@ -17,7 +17,7 @@ from repro.cache.store import ResultCache
 from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
 from repro.faults import FaultPlan, faulted
-from repro.obs import MetricsRegistry, SpanTracer, observed
+from repro.obs import MetricsRegistry, SpanTracer, current_registry, observed
 from repro.parallel import PointSpec, RemotePointError, run_points
 from repro.verify import InvariantMonitor, monitored
 from repro.verify.events import Event
@@ -183,6 +183,40 @@ def test_each_point_frees_its_cyclic_garbage(
         gc.enable()
     assert alive_at_start == [0, 0, 0, 0]
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_each_point_frees_its_cyclic_garbage_under_a_registry(
+    scratch_runners, tmp_path, monkeypatch, cached
+):
+    # A metric's read callable closes over the cell's objects; once the
+    # cell's finals are captured it must not keep them alive.
+    refs = []
+    alive_at_start = []
+
+    def point(spec, scale):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        cycle = _Cycle()
+        refs.append(weakref.ref(cycle))
+        current_registry().scope("cell").counter("me", lambda: id(cycle.me))
+        return spec.x
+
+    runner = scratch_runners("t-cycle-obs", point)
+    monkeypatch.setattr(
+        ResultCache, "fingerprint_for", lambda self, key: "pinned"
+    )
+    store = ResultCache(str(tmp_path / "store"))
+    registry = MetricsRegistry()
+    gc.disable()
+    try:
+        with observed(registry):
+            with result_cached(store) if cached else contextlib.nullcontext():
+                run_points(specs_for(runner), QUICK)
+    finally:
+        gc.enable()
+    assert alive_at_start == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
+    assert [set(phase.final) for phase in registry.phases] == [{"cell.me"}] * 4
 
 
 class TestChunking:
