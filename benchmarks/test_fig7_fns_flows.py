@@ -14,15 +14,16 @@ misses) evaluate here exactly as they do under ``repro reproduce``.
 
 from conftest import assert_expectations, run_once
 
+from repro.context import using
 from repro.experiments import QUICK, fig7_fns_flows
-from repro.obs import MetricsRegistry, observed
+from repro.obs import MetricsRegistry
 
 
 def test_fig7(benchmark, record_figure):
     registry = MetricsRegistry()
 
     def run(scale):
-        with observed(registry):
+        with using(registry=registry):
             return fig7_fns_flows(scale=scale)
 
     result = run_once(benchmark, run, scale=QUICK)

@@ -9,29 +9,20 @@ an on-disk store instead of re-simulated — the same
 redundant-work-on-unchanged-input structure the paper's IOTLB/PTcache
 attacks, applied to the reproduction pipeline itself.
 
-The cache is ambient, like the metrics registry and invariant monitor
-(:mod:`repro.cache.hooks`): ``with result_cached(cache): ...`` makes
-:func:`repro.parallel.run_points` consult the store before dispatching
-any cell, on the serial, ``--jobs N`` and chunked paths alike.
+The cache rides the run context, like the metrics registry and
+invariant monitor (:mod:`repro.context`): ``with using(cache=cache):
+...`` makes :func:`repro.parallel.run_points` consult the store before
+dispatching any cell, on the serial, ``--jobs N`` and chunked paths
+alike.
 """
 
 from .fingerprint import runner_fingerprint, tree_fingerprint
-from .hooks import (
-    cache_keyed,
-    current_result_cache,
-    result_cached,
-    set_result_cache,
-)
 from .store import CacheStats, ResultCache, default_cache_dir
 
 __all__ = [
     "CacheStats",
     "ResultCache",
-    "cache_keyed",
-    "current_result_cache",
     "default_cache_dir",
-    "result_cached",
     "runner_fingerprint",
-    "set_result_cache",
     "tree_fingerprint",
 ]

@@ -8,9 +8,9 @@ output:
 * the :class:`~repro.experiments.settings.RunScale` durations;
 * the observation shape (whether metrics are collected, the sampling
   interval and cap — these change the recorded phase payload);
-* the key context installed by :func:`repro.cache.hooks.cache_keyed`
-  (``repro reproduce`` supplies the figure's expectation-spec digest
-  parts here);
+* the ``cache_parts`` of the run context (:mod:`repro.context`;
+  ``repro reproduce`` supplies the figure's expectation-spec digest
+  parts there);
 * the code fingerprint of the cell's registered point runner
   (:mod:`repro.cache.fingerprint` — file-content hashing, so dirty
   worktrees invalidate exactly as edits land on disk).
@@ -20,9 +20,9 @@ recorded metrics phase payload, which a warm sweep adopts into the
 parent registry exactly like a worker-process payload — the mechanism
 PR 5 proved byte-identical to inline execution.
 
-Writes are atomic (temp file + rename) so concurrent ``repro serve``
-jobs can share one store; a hit refreshes the entry's mtime, which is
-the recency signal ``gc`` evicts by.
+Writes are atomic (temp file + rename) so concurrent ``repro reproduce``
+processes can share one store; a hit refreshes the entry's mtime, which
+is the recency signal ``gc`` evicts by.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fingerprint import runner_fingerprint
 
@@ -95,9 +95,6 @@ class ResultCache:
     def __init__(self, directory: Optional[str] = None) -> None:
         self.directory = Path(directory or default_cache_dir())
         self.stats = CacheStats()
-        # Extra key material installed by ``cache_keyed`` (the figure's
-        # expectation-spec digest parts during ``repro reproduce``).
-        self.key_context: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # Keys
@@ -114,8 +111,9 @@ class ResultCache:
         collect: bool,
         sample_interval_ns: Optional[float],
         max_samples: int,
+        parts: Sequence[str] = (),
     ) -> str:
-        """The content address of one cell under the current context."""
+        """The content address of one cell, with extra key ``parts``."""
         material = {
             "schema": SCHEMA,
             "cell": [
@@ -133,7 +131,7 @@ class ResultCache:
                 scale.latency_measure_ns,
             ],
             "observe": [collect, sample_interval_ns, max_samples],
-            "context": list(self.key_context),
+            "context": list(parts),
             "code": self.fingerprint_for(spec.runner),
         }
         return hashlib.sha256(

@@ -21,7 +21,6 @@ Usage::
     python -m repro reproduce --figures fig2,fig7 --jobs 4
     python -m repro diff old.json new.json   # report.json regression gate
     python -m repro profile fig2         # cProfile hotspots for one figure
-    python -m repro serve --port 8080    # long-running reproduce daemon
     python -m repro cache stats          # result-cache operability
     python -m repro cache gc --max-bytes 268435456
 
@@ -41,15 +40,13 @@ exiting nonzero on any violated claim; ``diff`` compares two generated
 measured by the separate benchmark of ``reproduce`` (``bench/run.py``).
 ``reproduce`` consults the content-addressed result cache
 (:mod:`repro.cache`; default ``.repro-cache/``, see ``--cache-dir`` /
-``--no-cache``), so unchanged cells are served from the store; ``serve``
-runs the long-lived reproduce daemon (:mod:`repro.serve`) and ``cache``
-exposes store operability (``stats``/``gc``/``clear``).
+``--no-cache``), so unchanged cells are served from the store, and
+``cache`` exposes store operability (``stats``/``gc``/``clear``).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from typing import Callable, Optional
@@ -71,11 +68,11 @@ from .experiments import (
     fig12_ablation,
     model_fit,
 )
-from .cache.hooks import result_cached
-from .faults import FaultPlan, faulted
-from .obs import MetricsRegistry, SpanTracer, observed
+from .context import using
+from .faults import FaultPlan, FaultRuntime
+from .obs import MetricsRegistry, SpanTracer
 from .parallel import RemotePointError
-from .verify import InvariantMonitor, InvariantViolation, monitored
+from .verify import InvariantMonitor, InvariantViolation
 
 __all__ = ["main", "FIGURES"]
 
@@ -594,17 +591,17 @@ def _run_figure(
                 f"{len(result.rows)} rows"
             )
         return 0
-    inject = faulted(plan) if plan is not None else contextlib.nullcontext()
+    faults = FaultRuntime(plan) if plan is not None else None
     if not verify:
         # run_points falls back to serial by itself when a fault plan
         # or tracer is installed; jobs only fans out the clean path.
-        with inject:
+        with using(faults=faults):
             result = runner(scale=scale, seed=seed, jobs=jobs, chunk=chunk)
         _emit(result.format(), out_path)
         return 0
     monitor = InvariantMonitor()
     try:
-        with monitored(monitor), inject:
+        with using(monitor=monitor, faults=faults):
             result = runner(scale=scale, seed=seed, jobs=jobs, chunk=chunk)
     except InvariantViolation as violation:
         print(f"{name}: INVARIANT VIOLATION", file=sys.stderr)
@@ -640,7 +637,7 @@ def _run_report(raw: list[str]) -> int:
     )
     runner, _description = FIGURES[args.figure]
     try:
-        with result_cached(cache), observed(registry):
+        with using(cache=cache, registry=registry):
             result = runner(
                 scale=scale, seed=args.seed, jobs=args.jobs,
                 chunk=args.chunk,
@@ -703,75 +700,6 @@ def _run_profile(raw: list[str]) -> int:
     if args.out:
         stats.dump_stats(args.out)
         print(f"\nraw stats: {args.out}")
-    return 0
-
-
-def _build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description=(
-            "Run the long-lived reproduce daemon: POST /api/reproduce "
-            "enqueues a run, identical in-flight configs are deduplicated "
-            "(a second request attaches to the first), and the shared "
-            "content-addressed result cache serves repeated configs from "
-            "the store."
-        ),
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        metavar="N",
-        help="listen port; 0 picks a free one (default: 8321)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "result cache directory shared by all jobs (default: "
-            "$REPRO_CACHE_DIR or .repro-cache)"
-        ),
-    )
-    parser.add_argument(
-        "--workdir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "where job outputs (REPORT.md/report.json/log.txt) land "
-            "(default: a temporary directory removed on exit)"
-        ),
-    )
-    _add_jobs_argument(parser)
-    return parser
-
-
-def _run_serve(raw: list[str]) -> int:
-    from .serve.server import ReproServer
-
-    args = _build_serve_parser().parse_args(raw)
-    server = ReproServer(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        workdir=args.workdir,
-        jobs=args.jobs,
-    )
-    host, port = server.address
-    print(f"repro serve: listening on http://{host}:{port}")
-    print(f"cache: {server.cache.directory}")
-    print(f"workdir: {server.queue.workdir}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.stop()
     return 0
 
 
@@ -865,8 +793,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run_diff(raw[1:])
     if raw and raw[0] == "profile":
         return _run_profile(raw[1:])
-    if raw and raw[0] == "serve":
-        return _run_serve(raw[1:])
     if raw and raw[0] == "cache":
         return _run_cache(raw[1:])
     if raw and raw[0] == "publish":
@@ -898,18 +824,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     # A global --trace wraps the whole run in a tracer-only registry
     # (spans without periodic metric sampling).
-    trace_ctx: contextlib.AbstractContextManager
     registry: Optional[MetricsRegistry] = None
     if args.trace is not None:
         registry = MetricsRegistry(tracer=SpanTracer())
-        trace_ctx = observed(registry)
-    else:
-        trace_ctx = contextlib.nullcontext()
     # --cache serves unchanged sweep cells from the store.  run_points
     # bypasses it by itself under a tracer/monitor/fault plan, so the
     # combination with --trace or --verify degrades to a plain run.
     cache = _cache_from_args(args, default_on=False)
-    with result_cached(cache), trace_ctx:
+    with using(cache=cache, registry=registry):
         for name in names:
             status = _run_figure(
                 name, scale, args.verify, args.out, seed=args.seed,

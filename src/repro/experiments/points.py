@@ -10,8 +10,8 @@ object; row formatting stays in the figure assemblers
 
 The fault row is special: its invariant monitor and fault plan are
 *part of the point* (each row gets a fresh monitor; the plan ships in
-``spec.payload``), so fault sweeps parallelize without any global
-hook state.
+``spec.payload``), installed on the run context inside the runner, so
+fault sweeps parallelize with nothing inherited from the caller.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from ..apps.netperf import run_netperf_rpc
 from ..apps.nginx import run_nginx
 from ..apps.redis import run_redis
 from ..apps.spdk import run_spdk
-from ..faults import faulted
+from ..context import using
+from ..faults import FaultRuntime
 from ..iommu import IommuConfig
 from ..parallel.spec import PointSpec
 from ..sim import EarlyQuiescenceError, WatchdogError
-from ..verify import InvariantMonitor, InvariantViolation, monitored
+from ..verify import InvariantMonitor, InvariantViolation
 from .settings import RunScale
 
 __all__ = ["POINT_RUNNERS", "point_runner"]
@@ -138,35 +139,21 @@ def _fault_row(spec: PointSpec, scale: RunScale):
     """
     plan, flows = spec.payload
     monitor = InvariantMonitor()
-    timeline = None
-    injected = 0
-    with monitored(monitor):
-        if plan is None:
-            point = run_iperf(
-                spec.mode,
-                flows=flows,
-                warmup_ns=scale.warmup_ns,
-                measure_ns=scale.measure_ns,
-                strict_until=True,
-                watchdog_interval_ns=_FAULT_WATCHDOG_INTERVAL_NS,
-            )
-        else:
-            with faulted(plan) as runtime:
-                point = run_iperf(
-                    spec.mode,
-                    flows=flows,
-                    warmup_ns=scale.warmup_ns,
-                    measure_ns=scale.measure_ns,
-                    strict_until=True,
-                    watchdog_interval_ns=_FAULT_WATCHDOG_INTERVAL_NS,
-                )
-            injected = runtime.injected_faults
-            timeline = runtime.timeline_text()
+    runtime = FaultRuntime(plan) if plan is not None else None
+    with using(monitor=monitor, faults=runtime):
+        point = run_iperf(
+            spec.mode,
+            flows=flows,
+            warmup_ns=scale.warmup_ns,
+            measure_ns=scale.measure_ns,
+            strict_until=True,
+            watchdog_interval_ns=_FAULT_WATCHDOG_INTERVAL_NS,
+        )
     return {
         "point": point,
-        "injected": injected,
+        "injected": runtime.injected_faults if runtime is not None else 0,
         "violations": len(monitor.violations),
-        "timeline": timeline,
+        "timeline": runtime.timeline_text() if runtime is not None else None,
     }
 
 
@@ -182,27 +169,27 @@ def _chaos_row(spec: PointSpec, scale: RunScale):
     """
     plan, flows, recovery = spec.payload
     monitor = InvariantMonitor()
+    runtime = FaultRuntime(plan)
     outcome = "ok"
     point = None
-    with monitored(monitor):
-        with faulted(plan) as runtime:
-            try:
-                point = run_iperf(
-                    spec.mode,
-                    flows=flows,
-                    warmup_ns=scale.warmup_ns,
-                    measure_ns=scale.measure_ns,
-                    strict_until=True,
-                    watchdog_interval_ns=_CHAOS_WATCHDOG_INTERVAL_NS,
-                    recovery=recovery,
-                    iommu=IommuConfig(fault_queue=True),
-                )
-            except WatchdogError:
-                outcome = "watchdog"
-            except EarlyQuiescenceError:
-                outcome = "quiesced"
-            except InvariantViolation:
-                outcome = "violation"
+    with using(monitor=monitor, faults=runtime):
+        try:
+            point = run_iperf(
+                spec.mode,
+                flows=flows,
+                warmup_ns=scale.warmup_ns,
+                measure_ns=scale.measure_ns,
+                strict_until=True,
+                watchdog_interval_ns=_CHAOS_WATCHDOG_INTERVAL_NS,
+                recovery=recovery,
+                iommu=IommuConfig(fault_queue=True),
+            )
+        except WatchdogError:
+            outcome = "watchdog"
+        except EarlyQuiescenceError:
+            outcome = "quiesced"
+        except InvariantViolation:
+            outcome = "violation"
     extras = point.extras if point is not None else {}
     return {
         "outcome": outcome,

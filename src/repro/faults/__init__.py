@@ -5,19 +5,18 @@ The package splits into a declarative layer and a live layer:
 * :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultSpec`,
   JSON round-trippable descriptions of what breaks, when, how often;
 * :mod:`repro.faults.runtime` / :mod:`repro.faults.injectors` — the
-  :class:`FaultRuntime` installed via :func:`faulted`, handing each
-  injection site (invalidation queue, PCIe pipeline, NIC, switch port)
-  a seeded injector and collecting the ordered fault timeline;
-* :mod:`repro.faults.hooks` — the global registration pattern shared
-  with :mod:`repro.verify`: sites look up their injector once at
-  construction, so an uninstalled runtime costs nothing.
+  :class:`FaultRuntime` installed on the run context
+  (``with using(faults=FaultRuntime(plan)):``, :mod:`repro.context`),
+  handing each injection site (invalidation queue, PCIe pipeline, NIC,
+  switch port) a seeded injector and collecting the ordered fault
+  timeline.  Sites look up their injector once at construction, so an
+  uninstalled runtime costs nothing.
 
 The safety contract, enforced by the ``tests/faults`` suite under the
 :class:`~repro.verify.InvariantMonitor`: injected faults may cost
 throughput, never DMA safety.
 """
 
-from .hooks import current_faults, faulted, injector_for, set_faults
 from .injectors import (
     ComponentInjector,
     InvalidationInjector,
@@ -42,8 +41,4 @@ __all__ = [
     "NicInjector",
     "NetInjector",
     "IommuInjector",
-    "current_faults",
-    "set_faults",
-    "faulted",
-    "injector_for",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
+from ..context import current_context
 from ..iommu import Iommu
 from ..iommu.addr import PAGE_SIZE
 from ..mem.physmem import PhysicalMemory
@@ -32,7 +33,6 @@ from ..net.dctcp import DctcpReceiver, DctcpSender
 from ..net.packet import Packet, PacketKind
 from ..nic import Nic, RecoveryManager
 from ..nic.descriptor import RxDescriptor
-from ..obs.hooks import current_registry
 from ..pcie import DmaPipeline
 from ..protection import (
     DeferredDriver,
@@ -123,7 +123,7 @@ class Host:
         self.delivered_segments_by_flow: dict[int, int] = {}
         # App hook: called with (flow_id, segments) on in-order delivery.
         self.on_delivery: Optional[Callable[[int, int], None]] = None
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("host")
             scope.counter(

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..faults.hooks import current_faults
+from ..context import current_context
 from ..net.switch import SwitchPort
-from ..obs.hooks import current_registry
 from ..sim import Simulator, Watchdog
 from .config import HostConfig
 from .remote import RemotePeer
@@ -82,12 +81,16 @@ class Testbed:
         # marks.  Toward the remote, the switch egress itself is the
         # bottleneck for host-Tx traffic and gets a standard DCTCP K.
         self.sim = Simulator()
-        faults = current_faults()
-        if faults is not None:
+        context = current_context()
+        # Fault runtime (repro.faults); None in normal runs.  Kept so
+        # the result reports the faults this testbed's injectors fired
+        # wherever it runs.
+        self.faults = context.faults
+        if self.faults is not None:
             # Fault windows are expressed on the simulated clock; bind
             # it before any injection site is constructed.
-            faults.bind_clock(self.sim)
-        obs = current_registry()
+            self.faults.bind_clock(self.sim)
+        obs = context.registry
         if obs is not None:
             # Bind the tracer clock and start the phase sampler before
             # the subsystems below register their metrics.
@@ -295,10 +298,9 @@ class Testbed:
             result.extras["recoveries"] = host.recovery.recoveries
             result.extras["mttr_max_ns"] = host.recovery.mttr_max_ns
             result.extras["mttr_last_ns"] = host.recovery.mttr_last_ns
-        faults = current_faults()
-        if faults is not None:
-            result.extras["injected_faults"] = faults.injected_faults
+        if self.faults is not None:
+            result.extras["injected_faults"] = self.faults.injected_faults
             result.extras["unrecovered_wedges"] = (
-                faults.unrecovered_wedges()
+                self.faults.unrecovered_wedges()
             )
         return result

@@ -12,17 +12,20 @@ work suggested by MMU-aware DMA prefetch designs (Kurth et al. 2018).
 
 Byte-exactness argument: under :func:`burst_ready` the scalar loop's
 calls 2..N each take the fast-replay branch of
-:meth:`~repro.iommu.iommu.Iommu.translate` (storm injection needs an
-armed fault runtime, aborts need a fault queue — both excluded), whose
-complete effect is ``translations += 1``, ``translations_by_source[s]
-+= 1``, ``iotlb_hits += 1``, ``iotlb.hits += 1`` with a zero-read
-result.  :func:`replay_hits` performs those exact increments ``count``
-times.  Only the first TLP of a page can miss, walk or fault, so walk
-timing and ``DmaFault`` propagation are untouched.
+:meth:`~repro.iommu.iommu.Iommu.translate` (storm injection needs a
+fault runtime, which turns ``_fast_enabled`` off; aborts need a fault
+queue, excluded here), whose complete effect is ``translations += 1``,
+``translations_by_source[s] += 1``, ``iotlb_hits += 1``, ``iotlb.hits
++= 1`` with a zero-read result.  :func:`replay_hits` performs those
+exact increments ``count`` times.  Only the first TLP of a page can
+miss, walk or fault, so walk timing and ``DmaFault`` propagation are
+untouched.
 
 The scalar loop remains the only path whenever any per-call work could
-differ — invariant monitor armed, stale-hit checking on (both disable
-``_fast_enabled``), fault injection or a fault-reporting queue present.
+differ — invariant monitor or fault runtime installed, stale-hit
+checking on (all three disable ``_fast_enabled``; see
+:attr:`repro.context.RunContext.per_call`), or a fault-reporting queue
+present.
 """
 
 from __future__ import annotations
@@ -38,16 +41,12 @@ __all__ = ["burst_ready", "replay_hits"]
 def burst_ready(iommu: Iommu) -> bool:
     """True iff a same-page burst may be replayed arithmetically.
 
-    ``_fast_enabled`` already excludes the invariant monitor and
-    stale-hit checking; fault injection (per-translation storm rolls)
-    and the fault-reporting queue (per-translation abort outcomes) are
-    the two remaining sources of per-call variation.
+    ``_fast_enabled`` already excludes the invariant monitor, the
+    fault runtime and stale-hit checking; the fault-reporting queue
+    (per-translation abort outcomes) is the one remaining source of
+    per-call variation.
     """
-    return (
-        iommu._fast_enabled
-        and iommu.faults is None
-        and iommu.fault_queue is None
-    )
+    return iommu._fast_enabled and iommu.fault_queue is None
 
 
 def replay_hits(iommu: Iommu, count: int, source: str) -> None:

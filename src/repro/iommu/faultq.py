@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..obs.hooks import current_registry
+from ..context import current_context
 
 __all__ = ["FaultReportingQueue", "IommuFaultRecord"]
 
@@ -74,7 +74,7 @@ class FaultReportingQueue:
         # Bound late (the Iommu is built before the simulator in some
         # tests); unbound records are stamped 0.0.
         self._clock: Optional[Callable[[], float]] = None
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("faultq")
             scope.counter("reported", lambda: self.reported)

@@ -35,14 +35,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..faults.hooks import injector_for
-from ..obs.hooks import current_registry
+from ..context import current_context
 from ..verify.events import (
     FlushEvent,
     InvalidationEvent,
     PtCacheInvalidationEvent,
 )
-from ..verify.hooks import current_monitor
 from .iotlb import Iotlb
 from .ptcache import PtCacheHierarchy
 from .stats import IommuStats
@@ -114,15 +112,15 @@ class InvalidationQueue:
         self.requests: list[InvalidationRequest] = []
         self.total_cpu_ns = 0.0
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
+        self.monitor = current_context().monitor
         # Fault injector (repro.faults); None in normal runs.
-        self.faults = injector_for("invalidation")
+        self.faults = current_context().injector("invalidation")
         # Completion-fault accounting.
         self.dropped_completions = 0
         self.partial_completions = 0
         self.delayed_completions = 0
         self.rearms = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("invq")
             scope.counter("dropped", lambda: self.dropped_completions)

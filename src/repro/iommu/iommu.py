@@ -24,16 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..faults.hooks import injector_for
+from ..context import current_context
 from ..mem.latency import DEFAULT_LM_NS, MemoryLatencyModel
-from ..obs.hooks import current_registry
 from ..verify.events import (
     DmaFaultEvent,
     MapEvent,
     TranslateEvent,
     UnmapEvent,
 )
-from ..verify.hooks import current_monitor
 from .faultq import (
     DEFAULT_FAULT_ABORT_LATENCY_NS,
     DEFAULT_FAULT_QUEUE_CAPACITY,
@@ -120,8 +118,9 @@ class Iommu:
 
     def __init__(self, config: IommuConfig | None = None) -> None:
         self.config = config or IommuConfig()
+        context = current_context()
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
+        self.monitor = context.monitor
         self.page_table = IOPageTable()
         self.iotlb = Iotlb(self.config.iotlb_entries, self.config.iotlb_ways)
         self.ptcaches = PtCacheHierarchy(
@@ -146,7 +145,7 @@ class Iommu:
                 capacity=self.config.fault_queue_capacity,
                 abort_latency_ns=self.config.fault_abort_latency_ns,
             )
-        self.faults = injector_for("iommu")
+        self.faults = context.injector("iommu")
         # Set by an aborting translate(), consumed by the driver's
         # translate_for_dma() wrapper; a flag rather than a field on
         # every TranslationResult keeps driver translate() signatures
@@ -162,16 +161,18 @@ class Iommu:
         # IOTLB mutation — insert, eviction, invalidation, flush —
         # bumps the generation and kills the entry, so the cache can
         # never outlive the IOTLB entry it mirrors.  Disabled when a
-        # hit needs per-call work the cache would skip (stale-hit
-        # checking in deferred mode, the invariant monitor).
+        # hit needs per-call work the cache would skip: stale-hit
+        # checking in deferred mode, or an observer that sees every
+        # call (the run context's ``per_call``: monitor, fault runtime).
+        self.per_call = context.per_call
         self._fast_enabled = (
-            self.monitor is None and not self.config.check_stale_hits
+            not self.per_call and not self.config.check_stale_hits
         )
         self._fast_page = -1
         self._fast_source = ""
         self._fast_gen = -1
         self._fast_result: Optional[TranslationResult] = None
-        self.obs = current_registry()
+        self.obs = context.registry
         # Hoisted once: reserve_walk runs per page walk and must not
         # re-dereference obs.tracer each time.
         self._tracer = self.obs.tracer if self.obs is not None else None
@@ -353,6 +354,19 @@ class Iommu:
         disabled and any armed entry is dropped.
         """
         self.config.check_stale_hits = True
+        self._disable_fast_path()
+
+    def observe_every_call(self) -> None:
+        """Run every later translation in full, with no replay.
+
+        For an observer attached after construction
+        (:meth:`~repro.verify.InvariantMonitor.attach_iommu`), which the
+        run context could not show the constructor.
+        """
+        self.per_call = True
+        self._disable_fast_path()
+
+    def _disable_fast_path(self) -> None:
         self._fast_enabled = False
         self._fast_page = -1
         self._fast_result = None

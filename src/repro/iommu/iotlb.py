@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.hooks import current_registry
+from ..context import current_context
 from ..verify.events import InvalidationEvent, IotlbEvictEvent
-from ..verify.hooks import current_monitor
 from .addr import PAGE_SHIFT, PAGE_SIZE
 
 __all__ = ["Iotlb"]
@@ -56,8 +55,8 @@ class Iotlb:
         # longer holds.
         self.generation = 0
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
-        self.obs = current_registry()
+        self.monitor = current_context().monitor
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("iotlb")
             scope.counter("hits", lambda: self.hits)

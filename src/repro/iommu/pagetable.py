@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..context import current_context
 from ..verify.events import PtPageReclaimedEvent
-from ..verify.hooks import current_monitor
 from .addr import (
     ENTRIES_PER_PAGE,
     LEVEL_SHIFTS,
@@ -143,7 +143,7 @@ class IOPageTable:
         self.stats = PageTableStats()
         self._mapped_pages = 0
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
+        self.monitor = current_context().monitor
 
     # ------------------------------------------------------------------
     # Mapping

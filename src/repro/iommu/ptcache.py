@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.hooks import current_registry
+from ..context import current_context
 from ..verify.events import PtCacheHitEvent
-from ..verify.hooks import current_monitor
 from .addr import LEVEL_SHIFTS, ptcache_key
 
 __all__ = ["PtCache", "PtCacheHierarchy", "ProbeOutcome"]
@@ -50,8 +49,8 @@ class PtCache:
         self.invalidations = 0
         self.evictions = 0
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
-        self.obs = current_registry()
+        self.monitor = current_context().monitor
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope(f"ptcache.l{level}")
             scope.counter("hits", lambda: self.hits)

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
+from ..context import current_context
 from ..iommu.addr import IOVA_BITS, PAGE_SHIFT
-from ..obs.hooks import current_registry
 from ..verify.events import IovaAllocEvent, IovaFreeEvent
-from ..verify.hooks import current_monitor
 from .rbtree import IovaRange, IovaRbTree
 
 __all__ = [
@@ -87,12 +86,12 @@ class RbTreeIovaAllocator:
         self.scan_step_cost_ns = scan_step_cost_ns
         self.trace = trace
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
+        self.monitor = current_context().monitor
         self.cpu_ns_by_core: dict[int, float] = {}
         self.alloc_count = 0
         self.free_count = 0
         self.allocated_pages = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("iova.rbtree")
             scope.counter("allocs", lambda: self.alloc_count)

@@ -28,10 +28,9 @@ from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from ..context import current_context
 from ..iommu.addr import PAGE_SHIFT
-from ..obs.hooks import current_registry
 from ..verify.events import IovaAllocEvent, IovaFreeEvent
-from ..verify.hooks import current_monitor
 from .allocator import DEFAULT_LIMIT_PFN, RbTreeIovaAllocator
 from .rbtree import IovaRange
 
@@ -121,7 +120,7 @@ class CachingIovaAllocator:
         self.cache_hit_cost_ns = cache_hit_cost_ns
         self.depot_cost_ns = depot_cost_ns
         # Safety-invariant monitor (repro.verify); None in normal runs.
-        self.monitor = current_monitor()
+        self.monitor = current_context().monitor
         self._cpu_rcaches: list[list[_CpuRcache]] = [
             [_CpuRcache() for _ in range(MAX_CACHED_ORDER + 1)]
             for _ in range(num_cpus)
@@ -134,7 +133,7 @@ class CachingIovaAllocator:
         self.cache_misses = 0
         self.alloc_count = 0
         self.free_count = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("iova.rcache")
             scope.counter("cache_hits", lambda: self.cache_hits)

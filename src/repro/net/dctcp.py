@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.hooks import current_registry
+from ..context import current_context
 from .packet import ACK_SIZE_BYTES, Packet, PacketKind
 
 __all__ = ["DctcpSender", "DctcpReceiver", "DctcpParams"]
@@ -120,7 +120,7 @@ class DctcpSender:
         self.retransmissions = 0
         self.timeouts = 0
         self.fast_retransmits = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope(f"dctcp.flow{self.flow_id}")
             scope.counter("segments_sent", lambda: self.segments_sent)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..faults.hooks import injector_for
-from ..obs.hooks import current_registry
+from ..context import current_context
 from ..sim import FifoQueue, Simulator, TokenBucketPacer
 from .packet import Packet
 
@@ -41,10 +40,10 @@ class SwitchPort:
         self.deliver = deliver
         self._draining = False
         # Fault injector (repro.faults); None in normal runs.
-        self.faults = injector_for("net")
+        self.faults = current_context().injector("net")
         self.injected_losses = 0
         self.reordered_packets = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("switch.port")
             scope.counter("delivered_bytes", lambda: self.delivered_bytes)

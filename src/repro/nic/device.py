@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from ..faults.hooks import injector_for
-from ..obs.hooks import current_registry
+from ..context import current_context
 from ..sim import FifoQueue, Simulator
 from .ring import RxRing
 
@@ -68,7 +67,7 @@ class Nic:
         # simulator reference exists only for fault scheduling
         # (stall-end wakeups, doorbell redelivery).
         self.sim = sim
-        self.faults = injector_for("nic")
+        self.faults = current_context().injector("nic")
         self.rings = [
             RxRing(core, sim=sim, faults=self.faults)
             for core in range(num_cores)
@@ -85,7 +84,7 @@ class Nic:
         # rebuilds the rings.
         self.quiesced = False
         self.resets = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("nic")
             stats = self.stats

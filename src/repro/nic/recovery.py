@@ -43,8 +43,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..faults.hooks import current_faults
-from ..obs.hooks import current_registry
+from ..context import current_context
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..host.server import Host
@@ -91,8 +90,8 @@ class RecoveryManager:
         self._last_degraded = host.driver.degraded_flushes
         # Timeline hook: recovery milestones interleave with injected
         # faults so a chaos timeline reads as one causal story.
-        self.faults = current_faults()
-        self.obs = current_registry()
+        self.faults = current_context().faults
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("recovery")
             scope.counter("recoveries", lambda: self.recoveries)

@@ -1,16 +1,17 @@
 """repro.obs: unified observability — metrics registry, sampler, tracer.
 
 The layer is opt-in and zero-cost when uninstalled: instrumented
-subsystems read :func:`current_registry` once at construction and skip
-all per-event work when it returns ``None`` (the default).  Install a
-registry around an experiment with::
+subsystems read the run context (:mod:`repro.context`) once at
+construction and skip all per-event work when its ``registry`` is
+``None`` (the default).  Install a registry around an experiment with::
 
-    from repro.obs import MetricsRegistry, SpanTracer, observed
+    from repro.context import using
+    from repro.obs import MetricsRegistry, SpanTracer
 
     registry = MetricsRegistry(
         tracer=SpanTracer(), sample_interval_ns=100_000.0
     )
-    with observed(registry):
+    with using(registry=registry):
         result = run_iperf("strict", flows=2)
     registry.report()          # metrics JSON document
     registry.tracer.write("trace.json")   # Perfetto-loadable
@@ -20,15 +21,11 @@ The CLI surfaces the same machinery as ``repro report`` and the global
 by the benchmark of ``repro reproduce`` in ``bench/run.py``.
 """
 
-from .hooks import current_registry, observed, set_registry
 from .registry import Metric, MetricsRegistry, MetricsScope, Phase
 from .sampler import MetricsSampler
 from .tracer import SpanTracer
 
 __all__ = [
-    "current_registry",
-    "set_registry",
-    "observed",
     "Metric",
     "MetricsScope",
     "Phase",

@@ -25,8 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...cache.store import ResultCache
 
 from ...analysis.report import format_markdown_table
+from ...context import using
 from ...experiments.settings import RunScale
-from ..hooks import observed
 from ..registry import MetricsRegistry
 from .engine import FigureEvaluation, FigureSpec, evaluate_figure
 
@@ -199,7 +199,6 @@ def collect_sections(
     figure is byte-identical to the gated report (and, via
     :mod:`repro.parallel`, identical at any ``--jobs``).
     """
-    from ...cache.hooks import cache_keyed
     from ..expectations import SPECS
 
     runners = runners if runners is not None else default_runners()
@@ -209,12 +208,14 @@ def collect_sections(
         registry = MetricsRegistry()
         # Each figure's cells are keyed under its expectation spec's
         # digest parts: editing one spec invalidates exactly that
-        # figure's cache entries (a no-op when no cache is installed).
-        with cache_keyed(specs[name].digest_parts()):
-            with observed(registry):
-                result = runners[name](
-                    **_runner_kwargs(runners[name], scale, jobs, seed, chunk)
-                )
+        # figure's cache entries (unused when no cache is installed).
+        with using(
+            registry=registry,
+            cache_parts=tuple(specs[name].digest_parts()),
+        ):
+            result = runners[name](
+                **_runner_kwargs(runners[name], scale, jobs, seed, chunk)
+            )
         metrics = registry.report()
         evaluation = evaluate_figure(specs[name], result, metrics=metrics)
         echo(result.format())
@@ -257,7 +258,6 @@ def run_reproduce(
     byte-identical to a cold run apart from the ``provenance.cache``
     stamp) and computed cells are written back.
     """
-    from ...cache.hooks import result_cached
     from ..expectations import SPECS
 
     runners = runners if runners is not None else default_runners()
@@ -274,10 +274,10 @@ def run_reproduce(
         return 2
 
     # Snapshot, not absolute counters: one ResultCache instance may
-    # serve many runs (`repro serve` shares the store across jobs) and
-    # each report must stamp only its own hits and misses.
+    # serve many runs and each report must stamp only its own hits and
+    # misses.
     before = cache.stats.as_dict() if cache is not None else {}
-    with result_cached(cache):
+    with using(cache=cache):
         sections = collect_sections(
             names,
             scale=scale,

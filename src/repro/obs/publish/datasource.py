@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
+from ...context import using
 from ...experiments.settings import FULL, QUICK, RunScale
-from ..hooks import observed
 from ..registry import MetricsRegistry
 from ..tracer import SpanTracer
 from ..expect.reproduce import (
@@ -99,7 +99,7 @@ def record_trace(seed: int = 1) -> dict:
     """
     runner = default_runners()[TRACE_FIGURE]
     registry = MetricsRegistry(tracer=SpanTracer())
-    with observed(registry):
+    with using(registry=registry):
         runner(**_runner_kwargs(runner, QUICK, None, seed))
     assert registry.tracer is not None
     return registry.tracer.to_dict()

@@ -6,8 +6,8 @@ zero-argument ``read`` callable closing over the instance's existing
 counter attribute.  Registration is the only work instrumentation adds:
 the hot paths keep bumping the plain integer attributes they always
 bumped, and the registry reads them on demand (at sampler ticks and at
-phase end).  With no registry installed (:mod:`repro.obs.hooks`), not
-even registration happens.
+phase end).  With no registry on the run context (:mod:`repro.context`),
+not even registration happens.
 
 A *phase* is one experiment point (one testbed / one simulated clock):
 ``begin_phase`` closes the previous phase by capturing every metric's

@@ -12,13 +12,15 @@ Execution model:
   serial (the regression this design fixes) because
   every point paid a round of future bookkeeping and payload pickling.
   A chunk task runs its points exactly like a serial sweep runs them:
-  reset the inherited global hooks, open one fresh registry when the
-  parent is observing, ``begin_phase`` per point, run the registered
-  point runner, and return ``(values, phase_payloads, error)``.
+  open one fresh registry when the parent is observing, ``begin_phase``
+  per point, run the registered point runner, and return
+  ``(values, phase_payloads, error)``.
 * The pool itself is **persistent and warm**: one forked
   ``ProcessPoolExecutor`` per CLI invocation (created on first parallel
   sweep, reused by every later one), with an initializer that pre-imports
-  the runner registry and clears the inherited hooks.  Forking *after*
+  the runner registry and installs the empty run context
+  (:mod:`repro.context`), so no worker sees the registry, monitor,
+  fault runtime or cache the parent had at fork time.  Forking *after*
   the parent has run serial work means workers inherit every
   process-level cache the parent has paid for (imports, specialized
   bytecode) via copy-on-write — which is how a warm pool beats a serial sweep even on
@@ -30,12 +32,14 @@ Execution model:
   phase list, indices and ``#N`` scope names are identical to a serial
   sweep's.
 
-Serial fallbacks (silent, by design — ``--jobs`` is best-effort):
-a single point, an installed tracer (spans cannot be merged across
-processes), a global invariant monitor or fault runtime (both are
-process-local state the sweep's caller expects to interrogate
-afterwards).  Fault *rows* still parallelize: their monitors and plans
-live inside the point runner.
+Serial fallbacks (silent, by design — ``--jobs`` is best-effort): a
+single point, or a run context whose
+:attr:`~repro.context.RunContext.in_process` is set — an installed
+tracer (spans cannot be merged across processes), invariant monitor or
+fault runtime (process-local state the sweep's caller expects to
+interrogate afterwards).  The same property makes the sweep skip the
+result cache.  Fault *rows* still parallelize: their monitors and plans
+are installed inside the point runner, in the worker.
 """
 
 from __future__ import annotations
@@ -46,11 +50,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..cache.hooks import current_result_cache
-from ..faults.hooks import current_faults, set_faults
-from ..obs.hooks import current_registry, observed, set_registry
+from ..context import RunContext, current_context, reset_context, using
 from ..obs.registry import MetricsRegistry
-from ..verify.hooks import current_monitor, set_monitor
 from ..verify.violation import InvariantViolation
 from .spec import PointSpec, RemotePointError, remote_error_payload
 
@@ -91,7 +92,7 @@ def _run_point(spec: PointSpec, scale: RunScale):
     next runs a full pass.
     """
     value = _runner_for(spec.runner)(spec, scale)
-    registry = current_registry()
+    registry = current_context().registry
     if registry is not None and registry.phases:
         registry.phases[-1].finalize()
     gc.collect()
@@ -100,7 +101,7 @@ def _run_point(spec: PointSpec, scale: RunScale):
 
 def _run_serial(specs: Sequence[PointSpec], scale: RunScale) -> list:
     """Today's behavior, exactly: label the phase, run the point."""
-    registry = current_registry()
+    registry = current_context().registry
     values = []
     for spec in specs:
         if registry is not None:
@@ -126,19 +127,18 @@ _POOL_FORKS = 0
 
 
 def _warm_worker() -> None:
-    """Worker initializer: pre-import the runners, drop inherited hooks.
+    """Worker initializer: pre-import the runners, drop the inherited context.
 
     Runs once per forked worker.  The import is effectively free (the
     parent already imported everything; fork shares the pages) but
     guarantees a worker spawned by a spawn-method interpreter would
-    still find the registry.  Hooks are cleared at birth so no chunk
-    ever sees the parent's registry/monitor/fault runtime.
+    still find the registry.  The context is emptied at birth so no
+    chunk ever sees the parent's registry, monitor, fault runtime or
+    cache.
     """
     from ..experiments import points  # noqa: F401  (registry side effect)
 
-    set_registry(None)
-    set_monitor(None)
-    set_faults(None)
+    reset_context()
 
 
 def _runners_token() -> tuple:
@@ -216,14 +216,6 @@ def _execute_chunk(
 
     Module-level so it pickles under any multiprocessing start method.
     """
-    # A forked worker inherits whatever hooks the parent had at fork
-    # time; clear them so every chunk sees exactly the environment a
-    # serial point would (its own registry below, no monitor, no fault
-    # runtime).  Redundant with the pool initializer, kept for workers
-    # forked before a hook was installed.
-    set_registry(None)
-    set_monitor(None)
-    set_faults(None)
     registry: Optional[MetricsRegistry] = None
     if collect:
         registry = MetricsRegistry(
@@ -237,7 +229,7 @@ def _execute_chunk(
             registry.begin_phase(spec.label)
         try:
             if registry is not None:
-                with observed(registry):
+                with using(registry=registry):
                     value = _run_point(spec, scale)
             else:
                 value = _run_point(spec, scale)
@@ -262,19 +254,16 @@ def _chunked(
 # ---------------------------------------------------------------------------
 # Content-addressed result cache (repro.cache) integration
 # ---------------------------------------------------------------------------
-def _cache_bypassed(specs: Sequence[PointSpec], registry) -> bool:
+def _cache_bypassed(specs: Sequence[PointSpec], context: RunContext) -> bool:
     """Sweeps the cache must not intercept.
 
     Payload-carrying cells (fault plans, chaos schedules) are runs whose
-    *side observations* matter; a tracer's spans cannot be replayed from
-    a store; a global monitor or fault runtime means the caller will
-    interrogate process state the cached value does not carry.
+    *side observations* matter; an in-process context (tracer, monitor,
+    fault runtime) holds state the cached value does not carry.
     """
-    if any(spec.payload is not None for spec in specs):
-        return True
-    if registry is not None and registry.tracer is not None:
-        return True
-    return current_monitor() is not None or current_faults() is not None
+    return context.in_process or any(
+        spec.payload is not None for spec in specs
+    )
 
 
 def _run_cold_serial(
@@ -288,7 +277,7 @@ def _run_cold_serial(
 
     Mirrors :func:`_execute_chunk`'s observable behavior (the recorded
     phase payloads are what the parent adopts and the store keeps) but
-    runs in the parent process, restoring the ambient hooks afterwards.
+    runs in the parent process, restoring the ambient context afterwards.
     Returns the same ``(values_with_payloads, error)`` shape the pool
     path produces.
     """
@@ -302,7 +291,7 @@ def _run_cold_serial(
                     max_samples_per_phase=max_samples,
                 )
                 capture.begin_phase(spec.label)
-                with observed(capture):
+                with using(registry=capture):
                     value = _run_point(spec, scale)
                 payload = capture.report()["phases"][0]
             else:
@@ -367,6 +356,7 @@ def _run_points_cached(
     scale: RunScale,
     *,
     registry: Optional[MetricsRegistry],
+    parts: Sequence[str],
     jobs: int,
     chunk: Optional[int],
 ) -> list:
@@ -379,7 +369,7 @@ def _run_points_cached(
     phases adopted from the store, cold phases adopted from the
     executor and written back — so the parent registry's phase list is
     identical to an uncached run's and a fully warm sweep re-creates
-    the exact report bytes of a cold one.
+    the exact report bytes of a cold one.  Keys mix in ``parts``.
     """
     collect = registry is not None
     interval = registry.sample_interval_ns if collect else None
@@ -391,6 +381,7 @@ def _run_points_cached(
             collect=collect,
             sample_interval_ns=interval,
             max_samples=max_samples,
+            parts=parts,
         )
         for spec in specs
     ]
@@ -467,26 +458,21 @@ def run_points(
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     requested = min(jobs or 1, len(specs))
-    registry = current_registry()
-    cache = current_result_cache()
-    if cache is not None and not _cache_bypassed(specs, registry):
+    context = current_context()
+    if context.cache is not None and not _cache_bypassed(specs, context):
         return _run_points_cached(
-            cache, specs, scale,
-            registry=registry, jobs=requested, chunk=chunk,
+            context.cache, specs, scale,
+            registry=context.registry, parts=context.cache_parts,
+            jobs=requested, chunk=chunk,
         )
-    serial = (
-        requested <= 1
-        or (registry is not None and registry.tracer is not None)
-        or current_monitor() is not None
-        or current_faults() is not None
-    )
-    if serial:
+    if requested <= 1 or context.in_process:
         return _run_serial(specs, scale)
 
     workers = max(1, min(requested, _usable_cpus()))
     chunk_size = chunk if chunk is not None else max(
         1, -(-len(specs) // (2 * workers))
     )
+    registry = context.registry
     collect = registry is not None
     interval = registry.sample_interval_ns if collect else None
     max_samples = registry.max_samples_per_phase if collect else 0

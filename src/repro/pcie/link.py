@@ -29,9 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from ..faults.hooks import injector_for
+from ..context import current_context
 from ..mem.latency import DEFAULT_L0_NS
-from ..obs.hooks import current_registry
 from ..sim import Simulator
 
 __all__ = ["DmaPipeline", "PcieConfig"]
@@ -87,10 +86,10 @@ class DmaPipeline:
         self.completed_bytes = 0
         self.busy_ns = 0.0  # lane-occupancy integral for utilization
         # Fault injector (repro.faults); None in normal runs.
-        self.faults = injector_for("pcie")
+        self.faults = current_context().injector("pcie")
         self.held_dmas = 0  # DMAs delayed by a link flap
         self.replayed_dmas = 0  # DMAs that ate a NACK/replay penalty
-        self.obs = current_registry()
+        self.obs = current_context().registry
         # Hoisted once: _begin runs per DMA and must not re-dereference
         # obs.tracer each time.
         self._tracer = self.obs.tracer if self.obs is not None else None

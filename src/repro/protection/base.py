@@ -26,12 +26,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..context import current_context
 from ..iommu.batch import burst_ready, replay_hits
 from ..iommu.invalidation import InvalidationStatus
 from ..nic.descriptor import RxDescriptor
-from ..obs.hooks import current_registry
 from ..verify.events import BufferRegisteredEvent, BufferRetiredEvent
-from ..verify.hooks import current_monitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..iommu.invalidation import InvalidationQueue
@@ -77,12 +76,12 @@ class ProtectionDriver(ABC):
         # Safety-invariant monitor (repro.verify); None in normal runs.
         # Subclasses must call ``super().__init__()`` so the monitor can
         # track which DMA buffers are live (invariant (d)).
-        self.monitor = current_monitor()
+        self.monitor = current_context().monitor
         # Hardening accounting (repro.faults): retried invalidation
         # waits and last-resort global flushes.
         self.invalidation_retries = 0
         self.degraded_flushes = 0
-        self.obs = current_registry()
+        self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("driver")
             scope.counter(

@@ -170,11 +170,7 @@ class DeferredDriver(ProtectionDriver):
         # whole effect is the four hit counters plus the per-call stale
         # tally this driver keeps.
         iommu = self.iommu
-        if (
-            iommu.monitor is not None
-            or iommu.faults is not None
-            or iommu.fault_queue is not None
-        ):
+        if iommu.per_call or iommu.fault_queue is not None:
             return None
         reads = self.translate(iova, source)
         if count > 1:

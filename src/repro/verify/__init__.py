@@ -2,10 +2,12 @@
 
 Two halves:
 
-* the **runtime invariant checker** (:class:`InvariantMonitor`) — hooks
-  the IOMMU, its caches, the invalidation queue, the IOVA allocators
-  and the protection drivers through a zero-cost-when-disabled event
-  API and checks the paper's safety invariants per simulated event;
+* the **runtime invariant checker** (:class:`InvariantMonitor`) —
+  installed on the run context (``with using(monitor=monitor):``,
+  :mod:`repro.context`), it hooks the IOMMU, its caches, the
+  invalidation queue, the IOVA allocators and the protection drivers
+  through a zero-cost-when-disabled event API and checks the paper's
+  safety invariants per simulated event;
 * the **static lint pass** (:mod:`repro.verify.lint`, exposed as
   ``python -m repro lint``) — AST rules that protect simulator
   determinism and driver safety discipline.
@@ -30,16 +32,12 @@ from .events import (
     TranslateEvent,
     UnmapEvent,
 )
-from .hooks import current_monitor, monitored, set_monitor
 from .monitor import InvariantMonitor
 from .violation import InvariantViolation
 
 __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
-    "current_monitor",
-    "monitored",
-    "set_monitor",
     "Event",
     "MapEvent",
     "UnmapEvent",

@@ -61,12 +61,11 @@ _DMA_SINKS = {"translate", "dma_read", "dma_write"}
 
 _SCHED_CALLS = {"call_at", "call_after", "schedule_at", "schedule_after"}
 
-_HOOK_SOURCES = {
-    "current_registry",
-    "current_monitor",
-    "current_faults",
-    "injector_for",
-}
+# Run-context members (repro.context) that hand out a hook object or
+# None: read off ``current_context()`` directly or through a local
+# bound to it -- ``current_context().registry``, ``context.monitor``,
+# ``context.injector("nic")``.
+_HOOK_SOURCES = {"registry", "monitor", "faults", "injector"}
 
 
 class AnalyzerRule:
@@ -725,6 +724,33 @@ class _GuardAnalysis(ForwardAnalysis):
         )
 
 
+def _context_locals(func: ast.AST) -> set[str]:
+    """Locals of ``func`` bound to ``current_context()``."""
+    return {
+        target.id
+        for stmt in ast.walk(func)
+        if isinstance(stmt, ast.Assign)
+        and isinstance(stmt.value, ast.Call)
+        and _call_name(stmt.value) == "current_context"
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _is_hook_read(value: ast.AST, contexts: set[str]) -> bool:
+    """``value`` takes a hook object off the run context."""
+    if isinstance(value, ast.Call):
+        value = value.func
+    if not (
+        isinstance(value, ast.Attribute) and value.attr in _HOOK_SOURCES
+    ):
+        return False
+    base = value.value
+    if isinstance(base, ast.Call):
+        return _call_name(base) == "current_context"
+    return isinstance(base, ast.Name) and base.id in contexts
+
+
 class HookGuardRule(AnalyzerRule):
     """REPRO103: obs/monitor/faults used without their None-guard."""
 
@@ -751,19 +777,18 @@ class HookGuardRule(AnalyzerRule):
 
     @staticmethod
     def _hook_attrs(project: ProjectModel, klass: ClassInfo) -> set[str]:
-        """Attribute names assigned from a hook getter in the class or
-        any resolvable ancestor (``self.obs = current_registry()``)."""
+        """Attribute names assigned from the run context in the class
+        or any resolvable ancestor (``self.obs =
+        current_context().registry``)."""
         attrs: set[str] = set()
         for info in [klass] + project.ancestors(klass):
             for method in info.methods.values():
+                contexts = _context_locals(method.node)
                 for stmt in ast.walk(method.node):
-                    if not isinstance(stmt, ast.Assign):
-                        continue
-                    value = stmt.value
-                    if not isinstance(value, ast.Call):
-                        continue
-                    callee = _call_name(value) or _call_attr(value)
-                    if callee not in _HOOK_SOURCES:
+                    if not (
+                        isinstance(stmt, ast.Assign)
+                        and _is_hook_read(stmt.value, contexts)
+                    ):
                         continue
                     for target in stmt.targets:
                         if (
@@ -777,14 +802,12 @@ class HookGuardRule(AnalyzerRule):
     @staticmethod
     def _local_hook_vars(func: ast.AST) -> set[str]:
         out: set[str] = set()
+        contexts = _context_locals(func)
         for stmt in ast.walk(func):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            value = stmt.value
-            if not isinstance(value, ast.Call):
-                continue
-            callee = _call_name(value) or _call_attr(value)
-            if callee not in _HOOK_SOURCES:
+            if not (
+                isinstance(stmt, ast.Assign)
+                and _is_hook_read(stmt.value, contexts)
+            ):
                 continue
             for target in stmt.targets:
                 if isinstance(target, ast.Name):

@@ -29,9 +29,10 @@ Violations raise :class:`~repro.verify.violation.InvariantViolation`
 carrying the recent event trace; pass ``raise_on_violation=False`` to
 collect violations instead (``monitor.violations``).
 
-The monitor is attached either globally — construct instrumented
-objects inside ``with monitored(InvariantMonitor()): ...`` — or after
-the fact with :meth:`attach_iommu` / :meth:`attach_driver`.
+The monitor is attached either through the run context — construct
+instrumented objects inside ``with using(monitor=InvariantMonitor()):
+...`` (:mod:`repro.context`) — or after the fact with
+:meth:`attach_iommu` / :meth:`attach_driver`.
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ class InvariantMonitor:
     def attach_iommu(self, iommu: Any) -> None:
         """Attach to an already-constructed :class:`~repro.iommu.Iommu`."""
         iommu.monitor = self
+        iommu.observe_every_call()
         iommu.page_table.monitor = self
         iommu.iotlb.monitor = self
         iommu.invalidation_queue.monitor = self

@@ -263,9 +263,11 @@ analyze baseline with a short justification.
         ),
         explanation="""
 The observability, verification and fault layers are zero-cost when
-disabled *by contract*: objects read current_registry() /
-current_monitor() / current_faults() / injector_for() once, keep the
-result in an attribute (obs, monitor, faults), and guard every use
+disabled *by contract*: objects read the run context once at
+construction (current_context().registry / .monitor / .faults /
+.injector(component), directly or through a local bound to
+current_context()), keep the result in an attribute (obs, monitor,
+faults), and guard every use
 with ``if self.obs is not None:`` (or an early return).  A use that is
 not dominated by such a guard either crashes un-instrumented runs
 (AttributeError on None) or silently moves work onto the hot path.

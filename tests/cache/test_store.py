@@ -70,10 +70,9 @@ class TestKeys:
         assert key(cache, spec_for(), sample_interval_ns=1.0) != base
         assert key(cache, spec_for(), max_samples=1) != base
 
-    def test_key_context_changes_the_key(self, cache):
+    def test_key_parts_change_the_key(self, cache):
         base = key(cache, spec_for())
-        cache.key_context = ("spec digest part",)
-        assert key(cache, spec_for()) != base
+        assert key(cache, spec_for(), parts=("spec digest part",)) != base
 
     def test_code_fingerprint_changes_the_key(self, cache, monkeypatch):
         base = key(cache, spec_for())

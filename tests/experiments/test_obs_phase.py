@@ -9,6 +9,7 @@ must stay registry-free (no phases beyond the initial one) otherwise.
 
 import pytest
 
+from repro.context import using
 from repro.experiments import (
     RunScale,
     fig2_flows,
@@ -23,7 +24,7 @@ from repro.experiments import (
     fig12_ablation,
     model_fit,
 )
-from repro.obs import MetricsRegistry, observed
+from repro.obs import MetricsRegistry
 
 MICRO = RunScale(
     name="micro",
@@ -97,7 +98,7 @@ CASES = [
 )
 def test_runner_labels_one_phase_per_sweep_point(runner, kwargs, labels):
     registry = MetricsRegistry()
-    with observed(registry):
+    with using(registry=registry):
         runner(scale=MICRO, **kwargs)
     observed_labels = [p["label"] for p in registry.report()["phases"]]
     assert observed_labels == labels

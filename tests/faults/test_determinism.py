@@ -10,11 +10,13 @@ import sys
 
 import repro
 from repro.apps.iperf import run_iperf
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 
 MIXED_PLAN_CODE = """
 from repro.apps.iperf import run_iperf
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 
 plan = FaultPlan(seed=7, name="mix", specs=(
     FaultSpec("invalidation", "drop-completion", probability=0.5),
@@ -22,7 +24,8 @@ plan = FaultPlan(seed=7, name="mix", specs=(
     FaultSpec("nic", "doorbell-drop", probability=0.2, magnitude=50000.0),
     FaultSpec("net", "loss", probability=0.01),
 ))
-with faulted(plan) as runtime:
+runtime = FaultRuntime(plan)
+with using(faults=runtime):
     run_iperf("fns", flows=2, warmup_ns=200000.0, measure_ns=600000.0)
 print(runtime.timeline_text())
 """
@@ -40,7 +43,8 @@ def mixed_plan(seed):
 
 
 def timeline(seed):
-    with faulted(mixed_plan(seed)) as runtime:
+    runtime = FaultRuntime(mixed_plan(seed))
+    with using(faults=runtime):
         run_iperf("fns", flows=2, warmup_ns=200_000.0, measure_ns=600_000.0)
     return runtime.timeline_text()
 

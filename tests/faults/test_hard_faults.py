@@ -11,7 +11,8 @@ never total).
 
 import math
 
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.context import using
+from repro.faults import FaultPlan, FaultSpec
 from repro.faults.injectors import DEFAULT_PARTIAL_FRACTION
 from repro.faults.runtime import FaultRuntime
 from repro.iommu import Iommu, IommuConfig
@@ -34,7 +35,7 @@ def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
 
 
 def faulted_iommu(plan):
-    with faulted(plan):
+    with using(faults=FaultRuntime(plan)):
         # The queue captures its injector at construction time.
         iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
     return iommu

@@ -9,12 +9,13 @@ live, and the invariant monitor catches the resulting unsafe access.
 
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
 from repro.mem import PhysicalMemory
 from repro.protection import StrictFamilyDriver
-from repro.verify import InvariantMonitor, monitored
+from repro.verify import InvariantMonitor
 
 
 class LeakyStrictDriver(StrictFamilyDriver):
@@ -41,7 +42,7 @@ DROP_EVERYTHING = FaultPlan(
 
 
 def build(driver_cls, monitor):
-    with monitored(monitor), faulted(DROP_EVERYTHING):
+    with using(monitor=monitor, faults=FaultRuntime(DROP_EVERYTHING)):
         iommu = Iommu(IommuConfig())
         physmem = PhysicalMemory(1 << 16)
         driver = driver_cls(
@@ -58,7 +59,7 @@ def build(driver_cls, monitor):
 def test_unhardened_driver_is_caught_by_the_monitor():
     monitor = InvariantMonitor(raise_on_violation=False)
     driver, iommu = build(LeakyStrictDriver, monitor)
-    with monitored(monitor):
+    with using(monitor=monitor):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         stale = descriptor.slots[0].iova
         driver.translate(stale, "rx")  # device warms the IOTLB
@@ -78,7 +79,7 @@ def test_unhardened_driver_is_caught_by_the_monitor():
 def test_hardened_driver_same_fault_stays_safe():
     monitor = InvariantMonitor()  # raising: any violation fails loudly
     driver, iommu = build(StrictFamilyDriver, monitor)
-    with monitored(monitor):
+    with using(monitor=monitor):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         stale = descriptor.slots[0].iova
         driver.translate(stale, "rx")

@@ -1,6 +1,7 @@
 """Invalidation-queue behaviour under injected completion faults."""
 
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
 from repro.iommu.invalidation import InvalidationStatus
@@ -21,7 +22,7 @@ def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
 
 
 def faulted_iommu(plan):
-    with faulted(plan):
+    with using(faults=FaultRuntime(plan)):
         # The queue captures its injector at construction time.
         iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
     return iommu

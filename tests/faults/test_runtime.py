@@ -1,13 +1,7 @@
-"""Tests for the fault runtime: hooks, RNG streams, timeline."""
+"""Tests for the fault runtime: installation, RNG streams, timeline."""
 
-from repro.faults import (
-    FaultPlan,
-    FaultRuntime,
-    FaultSpec,
-    current_faults,
-    faulted,
-    injector_for,
-)
+from repro.context import current_context, using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.sim import Simulator
 
 
@@ -19,30 +13,33 @@ def drop_plan(seed=1):
 
 
 def test_no_runtime_installed_by_default():
-    assert current_faults() is None
-    assert injector_for("invalidation") is None
+    assert current_context().faults is None
+    assert current_context().injector("invalidation") is None
 
 
 def test_faulted_installs_and_restores():
-    with faulted(drop_plan()) as runtime:
-        assert current_faults() is runtime
-        assert injector_for("invalidation") is not None
+    runtime = FaultRuntime(drop_plan())
+    with using(faults=runtime):
+        assert current_context().faults is runtime
+        assert current_context().injector("invalidation") is not None
         # No specs for this component: the site pays nothing.
-        assert injector_for("pcie") is None
-    assert current_faults() is None
+        assert current_context().injector("pcie") is None
+    assert current_context().faults is None
 
 
 def test_faulted_nesting_restores_outer():
-    with faulted(drop_plan(seed=1)) as outer:
-        with faulted(drop_plan(seed=2)) as inner:
-            assert current_faults() is inner
-        assert current_faults() is outer
+    outer = FaultRuntime(drop_plan(seed=1))
+    with using(faults=outer):
+        inner = FaultRuntime(drop_plan(seed=2))
+        with using(faults=inner):
+            assert current_context().faults is inner
+        assert current_context().faults is outer
 
 
 def test_faulted_accepts_prepared_runtime():
     runtime = FaultRuntime(drop_plan())
-    with faulted(runtime) as installed:
-        assert installed is runtime
+    with using(faults=runtime) as context:
+        assert context.faults is runtime
 
 
 def test_site_ordinals_get_distinct_streams():

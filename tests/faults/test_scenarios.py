@@ -8,8 +8,9 @@ to a fault-free baseline while producing **zero** invariant violations.
 import pytest
 
 from repro.apps.iperf import run_iperf
-from repro.faults import FaultPlan, FaultSpec, faulted
-from repro.verify import InvariantMonitor, monitored
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
+from repro.verify import InvariantMonitor
 
 WARMUP_NS = 500_000.0
 MEASURE_NS = 1_500_000.0
@@ -21,7 +22,7 @@ def run_point(plan):
     """One monitored iperf point; returns (result, injected, monitor)."""
     monitor = InvariantMonitor()  # raising: violations fail the test
     injected = 0
-    with monitored(monitor):
+    with using(monitor=monitor):
         if plan is None:
             point = run_iperf(
                 "fns",
@@ -32,7 +33,8 @@ def run_point(plan):
                 watchdog_interval_ns=WATCHDOG_NS,
             )
         else:
-            with faulted(plan) as runtime:
+            runtime = FaultRuntime(plan)
+            with using(faults=runtime):
                 point = run_iperf(
                     "fns",
                     flows=3,

@@ -1,5 +1,7 @@
 """Unit tests for testbed wiring and measurement mechanics."""
 
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.host import HostConfig, Testbed
 
 
@@ -78,3 +80,20 @@ class TestWireLevel:
     def test_switch_rate_matches_link(self):
         testbed = make_testbed(link_gbps=25.0)
         assert testbed.port_to_host.pacer.rate_bits_per_ns == 25.0
+
+
+class TestFaultAccounting:
+    def test_run_reports_the_faults_its_constructor_saw(self):
+        # Built under a plan, run outside it: the injectors the
+        # constructor attached still fire, and the result must say so.
+        plan = FaultPlan(
+            seed=3, specs=(FaultSpec("net", "loss", probability=0.05),)
+        )
+        runtime = FaultRuntime(plan)
+        with using(faults=runtime):
+            testbed = make_testbed(mode="strict")
+        testbed.add_rx_flows(2)
+        result = testbed.run(warmup_ns=2e5, measure_ns=5e5)
+        assert runtime.injected_faults > 0
+        assert result.extras["injected_faults"] == runtime.injected_faults
+        assert result.extras["unrecovered_wedges"] == 0

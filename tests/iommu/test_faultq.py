@@ -8,7 +8,8 @@ the safety tests' violation detector — exactly as before.
 
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
 from repro.iommu.faultq import FaultReportingQueue
@@ -99,7 +100,7 @@ def test_fault_storm_aborts_valid_translation():
         seed=11,
         specs=(FaultSpec("iommu", "fault-storm", probability=1.0),),
     )
-    with faulted(plan):
+    with using(faults=FaultRuntime(plan)):
         iommu = Iommu(IommuConfig(fault_queue=True))
     iommu.map_page(0x5000, 7)
     result = iommu.translate(0x5000)
@@ -117,7 +118,7 @@ def test_fault_storm_needs_fault_queue_to_fire():
         seed=11,
         specs=(FaultSpec("iommu", "fault-storm", probability=1.0),),
     )
-    with faulted(plan):
+    with using(faults=FaultRuntime(plan)):
         iommu = Iommu()
     iommu.map_page(0x5000, 7)
     result = iommu.translate(0x5000)
@@ -142,7 +143,8 @@ def test_rearm_clears_a_latched_wedge():
         seed=5,
         specs=(FaultSpec("invalidation", "wedge-invq"),),
     )
-    with faulted(plan) as runtime:
+    runtime = FaultRuntime(plan)
+    with using(faults=runtime):
         iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
     queue = iommu.invalidation_queue
     iommu.map_page(0x8000, 3)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import using
 from repro.iova import MAG_SIZE, CachingIovaAllocator
 from repro.iova.caching import DEPOT_MAX_MAGS
 from repro.sim.rng import SeededRng
-from repro.verify import InvariantMonitor, monitored
+from repro.verify import InvariantMonitor
 
 # One core fills its two magazines (2 x MAG_SIZE frees), then pushes a
 # magazine to the depot every MAG_SIZE frees; the push that takes the
@@ -160,7 +161,7 @@ def test_flushing_the_cached_node_moves_it_to_its_successor():
 def test_monitor_sees_the_replay_event_trace(cores):
     def events(age):
         monitor = InvariantMonitor(trace_limit=10**6)
-        with monitored(monitor):
+        with using(monitor=monitor):
             allocator = CachingIovaAllocator(num_cpus=cores)
             owners = {id(allocator): "rcache", id(allocator.rbtree): "rbtree"}
             age(allocator)

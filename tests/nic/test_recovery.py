@@ -8,10 +8,11 @@ throughput: zero safety violations, MTTR within the documented bound
 """
 
 from repro.apps.iperf import run_iperf
+from repro.context import using
 from repro.experiments.chaos import DEFAULT_MTTR_BOUND_NS
-from repro.faults import FaultPlan, FaultSpec, faulted
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import IommuConfig
-from repro.verify import InvariantMonitor, monitored
+from repro.verify import InvariantMonitor
 
 WARMUP_NS = 1_000_000.0
 MEASURE_NS = 3_000_000.0
@@ -37,18 +38,18 @@ def wedge_plan(component, kind, seed=7):
 
 def run_recovery_point(plan, recovery=True):
     monitor = InvariantMonitor()
-    with monitored(monitor):
-        with faulted(plan) as runtime:
-            point = run_iperf(
-                "fns",
-                flows=3,
-                warmup_ns=WARMUP_NS,
-                measure_ns=MEASURE_NS,
-                strict_until=True,
-                watchdog_interval_ns=WATCHDOG_NS,
-                recovery=recovery,
-                iommu=IommuConfig(fault_queue=True),
-            )
+    runtime = FaultRuntime(plan)
+    with using(monitor=monitor, faults=runtime):
+        point = run_iperf(
+            "fns",
+            flows=3,
+            warmup_ns=WARMUP_NS,
+            measure_ns=MEASURE_NS,
+            strict_until=True,
+            watchdog_interval_ns=WATCHDOG_NS,
+            recovery=recovery,
+            iommu=IommuConfig(fault_queue=True),
+        )
     return point, runtime, monitor
 
 

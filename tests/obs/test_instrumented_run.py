@@ -1,12 +1,13 @@
 """End-to-end: an observed run produces metrics, samples and spans."""
 
 from repro.apps.iperf import run_iperf
-from repro.obs import MetricsRegistry, SpanTracer, observed
+from repro.context import using
+from repro.obs import MetricsRegistry, SpanTracer
 
 
 def _observed_run(mode="strict", **registry_kwargs):
     registry = MetricsRegistry(**registry_kwargs)
-    with observed(registry):
+    with using(registry=registry):
         run_iperf(
             mode, flows=2, warmup_ns=200_000.0, measure_ns=500_000.0
         )

@@ -1,48 +1,42 @@
 """Unit tests for the metrics registry, phases, scopes and sampler."""
 
-from repro.obs import (
-    MetricsRegistry,
-    MetricsSampler,
-    current_registry,
-    observed,
-    set_registry,
-)
+from repro.context import current_context, reset_context, using
+from repro.obs import MetricsRegistry, MetricsSampler
 from repro.sim import Simulator
 
 
 def test_no_registry_by_default():
-    assert current_registry() is None
+    assert current_context().registry is None
 
 
 def test_observed_installs_and_restores():
     registry = MetricsRegistry()
-    with observed(registry):
-        assert current_registry() is registry
+    with using(registry=registry):
+        assert current_context().registry is registry
         inner = MetricsRegistry()
-        with observed(inner):
-            assert current_registry() is inner
-        assert current_registry() is registry
-    assert current_registry() is None
+        with using(registry=inner):
+            assert current_context().registry is inner
+        assert current_context().registry is registry
+    assert current_context().registry is None
 
 
 def test_observed_restores_on_exception():
     registry = MetricsRegistry()
     try:
-        with observed(registry):
+        with using(registry=registry):
             raise RuntimeError("boom")
     except RuntimeError:
         pass
-    assert current_registry() is None
+    assert current_context().registry is None
 
 
 def test_set_registry_explicit():
-    registry = MetricsRegistry()
-    set_registry(registry)
-    try:
-        assert current_registry() is registry
-    finally:
-        set_registry(None)
-    assert current_registry() is None
+    # reset_context() is the one install without a block: a forked
+    # pool worker empties what it inherited, registry included.
+    with using(registry=MetricsRegistry()):
+        reset_context()
+        assert current_context().registry is None
+    assert current_context().registry is None
 
 
 def test_scope_registers_counters_and_gauges():

@@ -9,10 +9,10 @@ sampled tick, a span emission — fails loudly.
 import pytest
 
 from repro.apps.iperf import run_iperf
+from repro.context import current_context, using
 from repro.iommu import Iommu
 from repro.iova import CachingIovaAllocator
 from repro.obs import MetricsRegistry, MetricsSampler, SpanTracer
-from repro.obs.hooks import current_registry
 from repro.obs.registry import MetricsScope, Phase
 
 
@@ -35,7 +35,7 @@ def _poison(monkeypatch):
 
 
 def test_constructed_objects_have_no_obs_reference():
-    assert current_registry() is None
+    assert current_context().registry is None
     iommu = Iommu()
     assert iommu.obs is None
     assert iommu.iotlb.obs is None
@@ -56,10 +56,8 @@ def test_full_run_does_no_obs_work_when_uninstalled(monkeypatch):
 def test_poison_actually_fires_when_installed(monkeypatch):
     # Sanity-check the poisoning itself: with a registry installed the
     # first registration must trip it.
-    from repro.obs import observed
-
     _poison(monkeypatch)
-    with observed(MetricsRegistry()):
+    with using(registry=MetricsRegistry()):
         with pytest.raises(AssertionError, match="obs work"):
             run_iperf(
                 "fns", flows=1, warmup_ns=100_000.0, measure_ns=200_000.0

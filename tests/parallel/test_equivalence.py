@@ -9,9 +9,10 @@ worker boundaries (more points than workers).
 
 import json
 
+from repro.context import using
 from repro.experiments import RunScale, fault_sweep, fig2_flows
 from repro.experiments.faultsweep import sweep_plans
-from repro.obs import MetricsRegistry, observed
+from repro.obs import MetricsRegistry
 from repro.obs.expectations import SPECS
 from repro.obs.expect.reproduce import run_reproduce
 
@@ -25,7 +26,7 @@ MICRO = RunScale(
 
 def run_fig2(jobs, chunk=None):
     registry = MetricsRegistry(sample_interval_ns=500_000.0)
-    with observed(registry):
+    with using(registry=registry):
         result = fig2_flows(
             modes=("off", "strict"),
             flows=(5, 10),

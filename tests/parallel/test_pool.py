@@ -12,14 +12,14 @@ import weakref
 
 import pytest
 
-from repro.cache.hooks import result_cached
 from repro.cache.store import ResultCache
+from repro.context import current_context, using
 from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
-from repro.faults import FaultPlan, faulted
-from repro.obs import MetricsRegistry, SpanTracer, current_registry, observed
+from repro.faults import FaultPlan, FaultRuntime
+from repro.obs import MetricsRegistry, SpanTracer
 from repro.parallel import PointSpec, RemotePointError, run_points
-from repro.verify import InvariantMonitor, monitored
+from repro.verify import InvariantMonitor
 from repro.verify.events import Event
 from repro.verify.violation import InvariantViolation
 
@@ -99,20 +99,21 @@ class TestRunPoints:
 
     def test_monitor_forces_serial(self, scratch_runners):
         runner = scratch_runners("t-pid", _pid_point)
-        with monitored(InvariantMonitor()):
+        with using(monitor=InvariantMonitor()):
             values = run_points(specs_for(runner), QUICK, jobs=2)
         assert all(v["pid"] == os.getpid() for v in values)
 
     def test_fault_runtime_forces_serial(self, scratch_runners):
         runner = scratch_runners("t-pid", _pid_point)
-        with faulted(FaultPlan(seed=1, name="empty", specs=())):
+        plan = FaultPlan(seed=1, name="empty", specs=())
+        with using(faults=FaultRuntime(plan)):
             values = run_points(specs_for(runner), QUICK, jobs=2)
         assert all(v["pid"] == os.getpid() for v in values)
 
     def test_tracer_forces_serial(self, scratch_runners):
         runner = scratch_runners("t-pid", _pid_point)
         registry = MetricsRegistry(tracer=SpanTracer())
-        with observed(registry):
+        with using(registry=registry):
             values = run_points(specs_for(runner), QUICK, jobs=2)
         assert all(v["pid"] == os.getpid() for v in values)
         # The serial path still labels one phase per point.
@@ -141,10 +142,10 @@ class TestRunPoints:
     def test_parallel_phases_match_serial_phases(self, scratch_runners):
         runner = scratch_runners("t-pid", _pid_point)
         serial = MetricsRegistry()
-        with observed(serial):
+        with using(registry=serial):
             run_points(specs_for(runner), QUICK)
         parallel = MetricsRegistry()
-        with observed(parallel):
+        with using(registry=parallel):
             run_points(specs_for(runner), QUICK, jobs=2)
         assert parallel.report() == serial.report()
 
@@ -177,7 +178,7 @@ def test_each_point_frees_its_cyclic_garbage(
     store = ResultCache(str(tmp_path / "store"))
     gc.disable()
     try:
-        with result_cached(store) if cached else contextlib.nullcontext():
+        with using(cache=store) if cached else contextlib.nullcontext():
             run_points(specs_for(runner), QUICK)
     finally:
         gc.enable()
@@ -198,7 +199,8 @@ def test_each_point_frees_its_cyclic_garbage_under_a_registry(
         alive_at_start.append(sum(ref() is not None for ref in refs))
         cycle = _Cycle()
         refs.append(weakref.ref(cycle))
-        current_registry().scope("cell").counter("me", lambda: id(cycle.me))
+        registry = current_context().registry
+        registry.scope("cell").counter("me", lambda: id(cycle.me))
         return spec.x
 
     runner = scratch_runners("t-cycle-obs", point)
@@ -209,8 +211,8 @@ def test_each_point_frees_its_cyclic_garbage_under_a_registry(
     registry = MetricsRegistry()
     gc.disable()
     try:
-        with observed(registry):
-            with result_cached(store) if cached else contextlib.nullcontext():
+        with using(registry=registry):
+            with using(cache=store) if cached else contextlib.nullcontext():
                 run_points(specs_for(runner), QUICK)
     finally:
         gc.enable()
@@ -252,7 +254,7 @@ class TestChunking:
         boom = scratch_runners("t-boom", _violating_point)
         specs = specs_for(pid, count=2) + specs_for(boom, count=1)
         registry = MetricsRegistry()
-        with observed(registry):
+        with using(registry=registry):
             with pytest.raises(RemotePointError):
                 run_points(specs, QUICK, jobs=2, chunk=3)
         # The two completed points' phases were adopted before the

@@ -10,14 +10,14 @@ import os
 
 import pytest
 
-from repro.cache.hooks import result_cached
 from repro.cache.store import ResultCache
+from repro.context import using
 from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
-from repro.faults import FaultPlan, faulted
-from repro.obs import MetricsRegistry, SpanTracer, observed
+from repro.faults import FaultPlan, FaultRuntime
+from repro.obs import MetricsRegistry, SpanTracer
 from repro.parallel import PointSpec, RemotePointError, run_points
-from repro.verify import InvariantMonitor, monitored
+from repro.verify import InvariantMonitor
 from repro.verify.events import Event
 from repro.verify.violation import InvariantViolation
 
@@ -73,7 +73,7 @@ def cache(tmp_path, monkeypatch):
 class TestWarmPath:
     def test_serial_warm_run_executes_nothing(self, cache):
         specs = specs_for("t-count")
-        with result_cached(cache):
+        with using(cache=cache):
             cold = run_points(specs, QUICK)
             assert len(COUNTED) == 4
             warm = run_points(specs, QUICK)
@@ -82,7 +82,7 @@ class TestWarmPath:
 
     def test_pooled_cold_then_serial_warm(self, cache):
         specs = specs_for("t-count")
-        with result_cached(cache):
+        with using(cache=cache):
             cold = run_points(specs, QUICK, jobs=2)
             warm = run_points(specs, QUICK)  # jobs=None: same store
         assert warm == cold
@@ -92,7 +92,7 @@ class TestWarmPath:
         assert COUNTED == []  # counting happened in the workers
 
     def test_mixed_sweep_executes_only_cold_cells(self, cache):
-        with result_cached(cache):
+        with using(cache=cache):
             run_points(specs_for("t-count", count=2), QUICK)
             assert len(COUNTED) == 2
             values = run_points(specs_for("t-count", count=4), QUICK)
@@ -102,20 +102,20 @@ class TestWarmPath:
 
     def test_phases_identical_cold_and_warm(self, cache):
         specs = specs_for("t-count")
-        with result_cached(cache):
+        with using(cache=cache):
             cold_registry = MetricsRegistry()
-            with observed(cold_registry):
+            with using(registry=cold_registry):
                 run_points(specs, QUICK)
             warm_registry = MetricsRegistry()
-            with observed(warm_registry):
+            with using(registry=warm_registry):
                 run_points(specs, QUICK)
         assert cold_registry.report() == warm_registry.report()
 
     def test_phase_labels_match_serial_run(self, cache):
         specs = specs_for("t-count")
-        with result_cached(cache):
+        with using(cache=cache):
             registry = MetricsRegistry()
-            with observed(registry):
+            with using(registry=registry):
                 run_points(specs, QUICK)
         assert [p.label for p in registry.phases] == [
             s.label for s in specs
@@ -124,7 +124,7 @@ class TestWarmPath:
 
 class TestBypass:
     def run_twice(self, specs, ctx, cache):
-        with result_cached(cache), ctx:
+        with using(cache=cache), ctx:
             run_points(specs, QUICK)
             run_points(specs, QUICK)
 
@@ -138,36 +138,38 @@ class TestBypass:
 
     def test_monitor_bypasses(self, cache):
         self.run_twice(
-            specs_for("t-count"), monitored(InvariantMonitor()), cache
+            specs_for("t-count"), using(monitor=InvariantMonitor()), cache
         )
         assert len(COUNTED) == 8
         assert cache.stats.hits == 0
 
     def test_fault_runtime_bypasses(self, cache):
         plan = FaultPlan(seed=1, name="empty", specs=())
-        self.run_twice(specs_for("t-count"), faulted(plan), cache)
+        self.run_twice(
+            specs_for("t-count"), using(faults=FaultRuntime(plan)), cache
+        )
         assert len(COUNTED) == 8
         assert cache.stats.hits == 0
 
     def test_tracer_bypasses(self, cache):
         registry = MetricsRegistry(tracer=SpanTracer())
-        self.run_twice(specs_for("t-count"), observed(registry), cache)
+        self.run_twice(specs_for("t-count"), using(registry=registry), cache)
         assert len(COUNTED) == 8
         assert cache.stats.hits == 0
 
 
 class TestErrors:
     def test_cold_violation_raises_remote_point_error(self, cache):
-        with result_cached(cache):
+        with using(cache=cache):
             with pytest.raises(RemotePointError, match="boom"):
                 run_points(specs_for("t-violate", count=2), QUICK)
 
     def test_violation_after_warm_cells_adopts_their_phases(self, cache):
         good = specs_for("t-count", count=2)
-        with result_cached(cache):
+        with using(cache=cache):
             # Warm the good cells under the same observation shape the
             # mixed run will use (collect=True is part of the key).
-            with observed(MetricsRegistry()):
+            with using(registry=MetricsRegistry()):
                 run_points(good, QUICK)
             mixed = good + [
                 PointSpec(
@@ -180,7 +182,7 @@ class TestErrors:
                 )
             ]
             registry = MetricsRegistry()
-            with observed(registry), pytest.raises(RemotePointError):
+            with using(registry=registry), pytest.raises(RemotePointError):
                 run_points(mixed, QUICK)
         # The two warm cells' phases landed before the error, exactly
         # like a serial sweep that died on its third point.

@@ -1,16 +1,16 @@
 """Known-bad: metrics work outside the ``if hooks:`` guard.
 
-The hook getters return ``None`` when observability is off; calling
-through the result unguarded both breaks the zero-cost contract and
+The run context's hook fields are ``None`` when observability is off;
+calling through one unguarded both breaks the zero-cost contract and
 crashes un-instrumented runs.
 """
 
 
 def run_phase(spec):
-    registry = current_registry()
+    registry = current_context().registry
     registry.begin_phase(spec.label)
     return spec.run()
 
 
-def current_registry():
+def current_context():
     return None

@@ -8,9 +8,12 @@ asserted here (analyzer flags, lint stays quiet).
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.verify.analyze import analyze_paths, analyze_project
 from repro.verify.analyze.project import ProjectModel
+from repro.verify.analyze.rules import HookGuardRule
 from repro.verify.lint.engine import lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -269,11 +272,30 @@ def test_unguarded_hook_use_flagged():
     assert codes(findings) == ["REPRO103"]
 
 
+def test_unguarded_hook_read_through_context_local_flagged():
+    findings = analyze_fixture("bad_unguarded_context.py")
+    assert codes(findings) == ["REPRO103"]
+    assert "self.faults" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "qualname, attrs",
+    [("Iommu", {"obs", "monitor", "faults"}), ("Testbed", {"faults"})],
+)
+def test_hook_attrs_recognised_on_the_real_tree(qualname, attrs):
+    # Non-vacuity: a rule that recognises no hook read would keep the
+    # analyze baseline clean trivially.
+    src_root = Path(repro.__file__).parent
+    project = ProjectModel.build(sorted(src_root.rglob("*.py")))
+    [klass] = project.classes_by_name[qualname]
+    assert HookGuardRule._hook_attrs(project, klass) == attrs
+
+
 def test_guarded_hook_use_clean():
     findings = analyze_source(
         """
 def run_phase(spec):
-    registry = current_registry()
+    registry = current_context().registry
     if registry is not None:
         registry.begin_phase(spec.label)
     return spec.run()
@@ -286,7 +308,7 @@ def test_hook_guard_through_boolean_alias():
     findings = analyze_source(
         """
 def run_points(specs):
-    registry = current_registry()
+    registry = current_context().registry
     collect = registry is not None
     interval = registry.sample_interval_ns if collect else None
     for spec in specs:
@@ -302,7 +324,7 @@ def test_hook_guard_early_return_pattern_clean():
         """
 class Worker:
     def __init__(self):
-        self.obs = current_registry()
+        self.obs = current_context().registry
 
     def record(self, value):
         if self.obs is None:
@@ -318,7 +340,7 @@ def test_hook_attr_unguarded_in_sibling_method_flagged():
         """
 class Worker:
     def __init__(self):
-        self.obs = current_registry()
+        self.obs = current_context().registry
 
     def record(self, value):
         self.obs.counter("value").add(value)
@@ -333,7 +355,7 @@ def test_hook_guard_short_circuit_expression_clean():
         """
 class Worker:
     def __init__(self):
-        self.obs = current_registry()
+        self.obs = current_context().registry
 
     def snapshot(self):
         return self.obs is not None and self.obs.tracer is not None

@@ -7,18 +7,19 @@ invariant (d) even though the translation itself succeeds.
 
 import pytest
 
+from repro.context import using
 from repro.iommu import Iommu
 from repro.iommu.addr import PAGE_SIZE
 from repro.mem.physmem import PhysicalMemory
 from repro.protection.deferred import DeferredDriver
 from repro.protection.strict import StrictFamilyDriver
-from repro.verify import InvariantMonitor, InvariantViolation, monitored
+from repro.verify import InvariantMonitor, InvariantViolation
 
 NUM_CPUS = 2
 
 
 def build(factory, monitor, **kwargs):
-    with monitored(monitor):
+    with using(monitor=monitor):
         iommu = Iommu()
         physmem = PhysicalMemory()
         return factory(iommu, physmem, NUM_CPUS, **kwargs)
@@ -119,7 +120,7 @@ def test_deferred_mode_stale_window_is_counted_not_fatal():
     translating until the batched flush.  Invariant (a) only fires after
     a *completed* invalidation, so the monitor counts the window."""
     monitor = InvariantMonitor(check_dma_bounds=False)
-    with monitored(monitor):
+    with using(monitor=monitor):
         iommu = Iommu()
         physmem = PhysicalMemory()
         driver = DeferredDriver(iommu, physmem, NUM_CPUS,

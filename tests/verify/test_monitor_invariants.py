@@ -8,6 +8,7 @@ entry, an overlapping allocation) makes the monitor raise
 
 import pytest
 
+from repro.context import using
 from repro.iommu import Iommu
 from repro.iommu.addr import PAGE_SIZE
 from repro.iommu.iommu import DmaFault
@@ -19,14 +20,13 @@ from repro.verify import (
     InvariantViolation,
     TranslateEvent,
     UnmapEvent,
-    monitored,
 )
 
 HUGE = 512 * PAGE_SIZE  # one PT-L4 page's coverage (2 MB)
 
 
 def make_iommu(monitor):
-    with monitored(monitor):
+    with using(monitor=monitor):
         return Iommu()
 
 
@@ -91,7 +91,7 @@ def test_unmapped_but_uninvalidated_counts_stale_window():
     """Deferred mode's hole: unmapped, invalidation pending — counted,
     not a strict violation (the invalidation has not completed)."""
     monitor = InvariantMonitor()
-    with monitored(monitor):
+    with using(monitor=monitor):
         iommu = Iommu()
         iommu.config.check_stale_hits = True
     iova = 0x4000
@@ -173,7 +173,7 @@ def test_descriptor_granularity_unmaps_never_reclaim():
 # ---------------------------------------------------------------------------
 def test_rbtree_alloc_free_cycle_is_clean():
     monitor = InvariantMonitor()
-    with monitored(monitor):
+    with using(monitor=monitor):
         allocator = RbTreeIovaAllocator()
     spans = [allocator.alloc(4) for _ in range(8)]
     for iova in spans:
@@ -183,7 +183,7 @@ def test_rbtree_alloc_free_cycle_is_clean():
 
 def test_overlapping_allocation_violates():
     monitor = InvariantMonitor()
-    with monitored(monitor):
+    with using(monitor=monitor):
         allocator = RbTreeIovaAllocator()
     # Break the gap scan so it hands out the same range twice.
     allocator._scan_down = lambda start, pages, align_pages=1: (0x100, 0)
@@ -198,7 +198,7 @@ def test_double_free_through_rcache_violates():
     — handing the same range to two owners later.  Only the monitor
     catches the bug at the moment of the bad free."""
     monitor = InvariantMonitor()
-    with monitored(monitor):
+    with using(monitor=monitor):
         allocator = CachingIovaAllocator(num_cpus=2)
     iova = allocator.alloc(1, cpu=0)
     allocator.free(iova, 1, cpu=0)
@@ -209,7 +209,7 @@ def test_double_free_through_rcache_violates():
 
 def test_free_with_wrong_size_violates():
     monitor = InvariantMonitor()
-    with monitored(monitor):
+    with using(monitor=monitor):
         allocator = RbTreeIovaAllocator()
     iova = allocator.alloc(4)
     with pytest.raises(InvariantViolation) as excinfo:
@@ -219,7 +219,7 @@ def test_free_with_wrong_size_violates():
 
 def test_stray_free_violates():
     monitor = InvariantMonitor()
-    with monitored(monitor):
+    with using(monitor=monitor):
         allocator = RbTreeIovaAllocator()
     allocator.alloc(4)
     with pytest.raises(InvariantViolation) as excinfo:
@@ -231,7 +231,7 @@ def test_stray_free_violates():
 # Monitor mechanics
 # ---------------------------------------------------------------------------
 def test_no_monitor_means_no_instrumentation():
-    iommu = Iommu()  # constructed outside any monitored() block
+    iommu = Iommu()  # constructed outside any using(monitor=...)
     assert iommu.monitor is None
     assert iommu.page_table.monitor is None
     assert iommu.invalidation_queue.monitor is None

@@ -17,6 +17,7 @@ Three angles:
 
 import pytest
 
+from repro.context import using
 from repro.iommu import Iommu, Iotlb
 from repro.iommu.addr import PAGE_SHIFT, PAGE_SIZE
 from repro.iommu.iommu import DmaFault
@@ -24,7 +25,6 @@ from repro.verify import (
     InvalidationEvent,
     InvariantMonitor,
     InvariantViolation,
-    monitored,
 )
 
 HUGE = 512 * PAGE_SIZE  # 2 MB
@@ -58,7 +58,7 @@ class LegacyIotlb(Iotlb):
 
 def _huge_mapped_iommu(monitor, legacy: bool):
     """An IOMMU with one cached 2 MB translation, then fully unmapped."""
-    with monitored(monitor):
+    with using(monitor=monitor):
         iommu = Iommu()
         if legacy:
             iommu.iotlb = LegacyIotlb(
