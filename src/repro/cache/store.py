@@ -15,6 +15,11 @@ output:
   (:mod:`repro.cache.fingerprint` — file-content hashing, so dirty
   worktrees invalidate exactly as edits land on disk).
 
+Beside the objects, ``<dir>/imports/<aa>/<sha256>.json`` memoizes the
+parsed import list of each source file the fingerprints hash, keyed on
+the SHA-256 of the file's bytes, so a warm process hashes its closure
+without parsing it.
+
 An entry stores the runner's pickled return value plus the cell's
 recorded metrics phase payload, which a warm sweep adopts into the
 parent registry exactly like a worker-process payload — the mechanism
@@ -32,9 +37,10 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -101,7 +107,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     def fingerprint_for(self, runner_key: str) -> str:
         """The code fingerprint half of a key (patchable in tests)."""
-        return runner_fingerprint(runner_key)
+        return runner_fingerprint(runner_key, self.directory / "imports")
 
     def key_for(
         self,
@@ -301,11 +307,15 @@ class ResultCache:
         }
 
     def clear(self) -> dict:
-        """Remove every entry; returns the same shape as :meth:`gc`."""
+        """Remove every entry; returns the same shape as :meth:`gc`.
+
+        The import memo goes too (it only ever saves parse time).
+        """
         entries = self._entries()
         freed = sum(stat.st_size for _, stat in entries)
         for path, _stat in entries:
             self._remove(path)
+        shutil.rmtree(self.directory / "imports", ignore_errors=True)
         return {
             "directory": str(self.directory),
             "evicted": len(entries),

@@ -14,9 +14,9 @@ attribute load and a pointer comparison.  Objects built outside a
 :func:`using` block never see what the block installs.
 
 The two properties below are the only place that decides whether a
-shortcut may run: the IOMMU one-entry replay and burst translation
-need :attr:`RunContext.per_call` off, and the sweep executor's pool
-and result cache need :attr:`RunContext.in_process` off.
+shortcut may run: burst translation (:mod:`repro.iommu.batch`) needs
+:attr:`RunContext.per_call` off, and the sweep executor's pool and
+result cache need :attr:`RunContext.in_process` off.
 
 This module is a leaf: it imports nothing from ``repro`` at run time,
 so every instrumented module can import it without cycles.
@@ -56,7 +56,7 @@ class RunContext:
 
     @property
     def per_call(self) -> bool:
-        """A monitor or fault runtime sees every call: none may be replayed."""
+        """A monitor or fault runtime sees every call: none may be batched."""
         return self.monitor is not None or self.faults is not None
 
     @property

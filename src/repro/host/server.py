@@ -23,6 +23,7 @@ are all *outcomes* of this machinery, not inputs.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from ..context import current_context
@@ -284,11 +285,11 @@ class Host:
             taken = self._pending_slots.pop(packet.packet_id)
             self.rx_pipeline.submit(
                 packet.size_bytes,
-                lambda start, p=packet, t=taken: self._rx_dma_begin(start, p, t),
-                lambda p=packet, t=taken: self._rx_dma_finish(p, t),
+                partial(self._rx_dma_begin, packet, taken),
+                partial(self._rx_dma_finish, packet, taken),
             )
 
-    def _rx_dma_begin(self, start: float, packet: Packet, taken) -> float:
+    def _rx_dma_begin(self, packet: Packet, taken, start: float) -> float:
         """Translate every PCIe transaction, then time the DMA.
 
         Each IOTLB miss is one page walk: reads within a walk are
@@ -506,12 +507,11 @@ class Host:
         mapping, cost = self.driver.map_tx_page(core)
         self.cores.charge(core, cost)
         self.acks_sent += 1
+        mappings = [mapping]
         self.tx_pipeline.submit(
             ack.size_bytes,
-            lambda start, m=mapping, p=ack: self._tx_dma_begin(
-                start, p, [m], "tx_ack"
-            ),
-            lambda p=ack, m=mapping, c=core: self._tx_dma_finish(p, [m], c),
+            partial(self._tx_dma_begin, ack, mappings, "tx_ack"),
+            partial(self._tx_dma_finish, ack, mappings, core),
         )
 
     def pump_tx_flow(self, flow_id: int) -> None:
@@ -537,14 +537,12 @@ class Host:
         self.tx_data_bytes_sent += packet.size_bytes
         self.tx_pipeline.submit(
             packet.size_bytes,
-            lambda start, p=packet, m=mappings: self._tx_dma_begin(
-                start, p, m, "tx_data"
-            ),
-            lambda p=packet, m=mappings, c=core: self._tx_dma_finish(p, m, c),
+            partial(self._tx_dma_begin, packet, mappings, "tx_data"),
+            partial(self._tx_dma_finish, packet, mappings, core),
         )
 
     def _tx_dma_begin(
-        self, start: float, packet: Packet, mappings, source: str
+        self, packet: Packet, mappings, source: str, start: float
     ) -> float:
         config = self.config
         walks_done = start

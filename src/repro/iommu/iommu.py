@@ -58,7 +58,6 @@ class DmaFault(Exception):
         self.iova = iova
 
 
-@dataclass(frozen=True)
 class TranslationResult:
     """Outcome of one translation.
 
@@ -71,11 +70,21 @@ class TranslationResult:
     and ``frame`` is meaningless.
     """
 
-    frame: int
-    iotlb_hit: bool
-    memory_reads: int
-    stale: bool = False
-    aborted: bool = False
+    __slots__ = ("frame", "iotlb_hit", "memory_reads", "stale", "aborted")
+
+    def __init__(
+        self,
+        frame: int,
+        iotlb_hit: bool,
+        memory_reads: int,
+        stale: bool = False,
+        aborted: bool = False,
+    ) -> None:
+        self.frame = frame
+        self.iotlb_hit = iotlb_hit
+        self.memory_reads = memory_reads
+        self.stale = stale
+        self.aborted = aborted
 
 
 @dataclass
@@ -128,7 +137,11 @@ class Iommu:
             self.config.ptcache_l2_entries,
             self.config.ptcache_l3_entries,
         )
-        self.stats = IommuStats()
+        # The hierarchy's m1/m2/m3 totals are the IOMMU's: every probe
+        # comes from a walk here, so both names share one dict.
+        self.stats = IommuStats(
+            ptcache_counted_misses=self.ptcaches.counted_misses
+        )
         self.invalidation_queue = InvalidationQueue(
             self.iotlb,
             self.ptcaches,
@@ -154,24 +167,10 @@ class Iommu:
         if self.config.walkers <= 0:
             raise ValueError("need at least one walker")
         self._walker_free = [0.0] * self.config.walkers
-        # One-entry translation fast path.  The NIC splits every 4 KB
-        # page into max_payload-sized TLPs, so consecutive translate()
-        # calls overwhelmingly repeat the same (source, page).  Cache
-        # the last hit keyed on (source, page, IOTLB generation): any
-        # IOTLB mutation — insert, eviction, invalidation, flush —
-        # bumps the generation and kills the entry, so the cache can
-        # never outlive the IOTLB entry it mirrors.  Disabled when a
-        # hit needs per-call work the cache would skip: stale-hit
-        # checking in deferred mode, or an observer that sees every
-        # call (the run context's ``per_call``: monitor, fault runtime).
+        # An observer that sees every call (the run context's
+        # ``per_call``: monitor, fault runtime) rules out burst
+        # translation (:mod:`repro.iommu.batch`).
         self.per_call = context.per_call
-        self._fast_enabled = (
-            not self.per_call and not self.config.check_stale_hits
-        )
-        self._fast_page = -1
-        self._fast_source = ""
-        self._fast_gen = -1
-        self._fast_result: Optional[TranslationResult] = None
         self.obs = context.registry
         # Hoisted once: reserve_walk runs per page walk and must not
         # re-dereference obs.tracer each time.
@@ -202,10 +201,10 @@ class Iommu:
     def translate(self, iova: int, source: str = "rx") -> TranslationResult:
         """Translate one IOVA as the root complex would.
 
-        Probes the IOTLB; on a miss, probes the PTcaches (in parallel,
-        deepest hit wins), walks the remaining levels, refills every
-        cache, and reports the number of memory reads the walk cost.
-        Raises :class:`DmaFault` if no translation exists anywhere.
+        Probes the IOTLB; on a miss, walks the page table, probes and
+        refills the PTcaches in one pass (deepest hit wins), and reports
+        the number of memory reads the walk cost.  Raises
+        :class:`DmaFault` if no translation exists anywhere.
         """
         stats = self.stats
         stats.translations += 1
@@ -218,25 +217,10 @@ class Iommu:
             and self.faults.spurious_fault(iova, source)
         ):
             # Fault storm: the access is perfectly valid but the
-            # reporting path aborts it anyway.  Rolled per translation,
-            # so this must run before the fast-path replay.
+            # reporting path aborts it anyway.  Rolled per translation.
             return self._abort(iova, source, "storm")
 
-        iotlb = self.iotlb
-        if (
-            self._fast_page == (iova >> 12)
-            and self._fast_gen == iotlb.generation
-            and self._fast_source == source
-        ):
-            # Same page, same IOTLB state: replay the cached hit.  All
-            # counters an IOTLB hit would touch are still bumped, and
-            # re-touching the MRU entry's LRU position is a no-op, so
-            # statistics and cache state match the slow path exactly.
-            stats.iotlb_hits += 1
-            iotlb.hits += 1
-            return self._fast_result  # type: ignore[return-value]
-
-        frame = iotlb.lookup(iova)
+        frame = self.iotlb.lookup(iova)
         if frame is not None:
             stats.iotlb_hits += 1
             # A present IOTLB entry is used without consulting the page
@@ -251,15 +235,7 @@ class Iommu:
                     TranslateEvent(iova, source, True, stale, frame),
                     owner=id(self.iotlb),
                 )
-            result = TranslationResult(
-                frame=frame, iotlb_hit=True, memory_reads=0, stale=stale
-            )
-            if self._fast_enabled:
-                self._fast_page = iova >> 12
-                self._fast_source = source
-                self._fast_gen = iotlb.generation
-                self._fast_result = result
-            return result
+            return TranslationResult(frame, True, 0, stale)
 
         stats.iotlb_misses += 1
         misses_by_source = stats.iotlb_misses_by_source
@@ -276,44 +252,22 @@ class Iommu:
                 )
             raise DmaFault(iova)
         stats.walks += 1
+        frame = walk.frame
         if walk.huge:
             # The walk terminates at the PT-L3 entry: only PTcache-L1
             # and PTcache-L2 can shorten it (1-3 memory reads).
-            outcome = self.ptcaches.probe_upper(iova)
-            memory_reads = outcome.memory_reads - 1
-            self.ptcaches.fill_upper(iova, walk.pages)
-            self.iotlb.insert_huge(
-                iova, walk.frame - ((iova >> 12) & 511)
-            )
+            memory_reads = self.ptcaches.probe_upper(iova, walk.pages).memory_reads
+            self.iotlb.insert_huge(iova, frame - ((iova >> 12) & 511))
         else:
-            outcome = self.ptcaches.probe(iova)
-            memory_reads = outcome.memory_reads
-            self.ptcaches.fill(iova, walk.pages)
-            self.iotlb.insert(iova, walk.frame)
+            memory_reads = self.ptcaches.probe(iova, walk.pages).memory_reads
+            self.iotlb.insert(iova, frame)
         stats.memory_reads += memory_reads
-        for level in (1, 2, 3):
-            if outcome.counted_misses[level]:
-                stats.ptcache_counted_misses[level] += 1
         if self.monitor is not None:
             self.monitor.record(
-                TranslateEvent(iova, source, False, False, walk.frame),
+                TranslateEvent(iova, source, False, False, frame),
                 owner=id(self.iotlb),
             )
-        if self._fast_enabled:
-            # The insert above made this page the IOTLB's MRU entry:
-            # the *next* translate of it would be a plain hit, so cache
-            # a hit-shaped result (generation snapshot is post-insert).
-            self._fast_page = iova >> 12
-            self._fast_source = source
-            self._fast_gen = iotlb.generation
-            self._fast_result = TranslationResult(
-                frame=walk.frame, iotlb_hit=True, memory_reads=0
-            )
-        return TranslationResult(
-            frame=walk.frame,
-            iotlb_hit=False,
-            memory_reads=memory_reads,
-        )
+        return TranslationResult(frame, False, memory_reads)
 
     def _abort(
         self, iova: int, source: str, reason: str
@@ -347,29 +301,20 @@ class Iommu:
     def enable_stale_hit_checks(self) -> None:
         """Turn on the per-hit stale check (deferred-mode diagnostics).
 
-        Must be used instead of flipping ``config.check_stale_hits``
-        directly: a cached fast-path entry replays hits without
-        consulting the page table, which would hide exactly the stale
-        accesses the check exists to surface, so the fast path is
-        disabled and any armed entry is dropped.
+        Burst translation counts calls 2..N of a page as plain hits
+        without consulting the page table, so it stays off while the
+        check is on (:func:`~repro.iommu.batch.burst_ready`).
         """
         self.config.check_stale_hits = True
-        self._disable_fast_path()
 
     def observe_every_call(self) -> None:
-        """Run every later translation in full, with no replay.
+        """Run every later translation in full, with no burst batching.
 
         For an observer attached after construction
         (:meth:`~repro.verify.InvariantMonitor.attach_iommu`), which the
         run context could not show the constructor.
         """
         self.per_call = True
-        self._disable_fast_path()
-
-    def _disable_fast_path(self) -> None:
-        self._fast_enabled = False
-        self._fast_page = -1
-        self._fast_result = None
 
     # ------------------------------------------------------------------
     # Walker timing

@@ -48,12 +48,6 @@ class Iotlb:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        # Bumped on every mutation (insert/invalidate/flush).  The
-        # IOMMU's one-entry translation fast path caches a (page,
-        # generation) pair and treats any generation change as a cache
-        # kill, so it can never return a translation the IOTLB no
-        # longer holds.
-        self.generation = 0
         # Safety-invariant monitor (repro.verify); None in normal runs.
         self.monitor = current_context().monitor
         self.obs = current_context().registry
@@ -106,7 +100,6 @@ class Iotlb:
 
     def insert(self, iova: int, frame: int) -> None:
         """Install a translation, evicting the set's LRU entry if full."""
-        self.generation += 1
         page_number = iova >> PAGE_SHIFT
         entry_set = self._set_for(page_number)
         if page_number in entry_set:
@@ -123,7 +116,6 @@ class Iotlb:
 
     def insert_huge(self, iova: int, base_frame: int) -> None:
         """Install a 2 MB translation, LRU-evicting from the huge array."""
-        self.generation += 1
         key = iova >> 21
         if key in self._huge:
             del self._huge[key]
@@ -142,7 +134,6 @@ class Iotlb:
         the huge entry would leave the device a stale translation for
         the whole 2 MB region after a strict-mode per-page unmap.
         """
-        self.generation += 1
         page_number = iova >> PAGE_SHIFT
         entry_set = self._set_for(page_number)
         dropped = False
@@ -176,7 +167,6 @@ class Iotlb:
         address-range granule — the operation F&S uses for its batched
         per-descriptor invalidations.
         """
-        self.generation += 1
         first = iova >> PAGE_SHIFT
         last = (iova + length - 1) >> PAGE_SHIFT
         dropped = 0
@@ -207,7 +197,6 @@ class Iotlb:
 
     def flush(self) -> int:
         """Global invalidation (the deferred mode's periodic flush)."""
-        self.generation += 1
         dropped = sum(len(s) for s in self._sets) + len(self._huge)
         for entry_set in self._sets:
             entry_set.clear()

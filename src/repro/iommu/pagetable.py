@@ -23,7 +23,7 @@ protection driver can decide whether PTcache invalidation is required
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..context import current_context
 from ..verify.events import PtPageReclaimedEvent
@@ -31,12 +31,9 @@ from .addr import (
     ENTRIES_PER_PAGE,
     LEVEL_SHIFTS,
     PAGE_SIZE,
-    PTL4_PAGE_SHIFT,
+    PTL4_PAGE_SIZE,
     level_index,
 )
-
-# Local alias: a 2 MB huge mapping covers the range a PT-L4 page would.
-PTL4_PAGE_SHIFT_LOCAL = PTL4_PAGE_SHIFT
 
 __all__ = [
     "IOPageTable",
@@ -64,7 +61,7 @@ class PageTablePage:
     def __init__(self, level: int, base_iova: int):
         self.level = level
         self.base_iova = base_iova
-        self.entries: dict[int, object] = {}
+        self.entries: dict[int, Any] = {}
 
     @property
     def coverage_bytes(self) -> int:
@@ -108,7 +105,6 @@ class HugeMapping:
     base_frame: int
 
 
-@dataclass(frozen=True)
 class WalkResult:
     """Outcome of a software walk: the frame plus the visited PT pages.
 
@@ -117,9 +113,14 @@ class WalkResult:
     ``huge`` marks a walk that terminated at a 2 MB leaf.
     """
 
-    frame: int
-    pages: tuple[PageTablePage, ...]
-    huge: bool = False
+    __slots__ = ("frame", "pages", "huge")
+
+    def __init__(
+        self, frame: int, pages: tuple[PageTablePage, ...], huge: bool = False
+    ) -> None:
+        self.frame = frame
+        self.pages = pages
+        self.huge = huge
 
 
 @dataclass
@@ -181,7 +182,7 @@ class IOPageTable:
         otherwise go; the 512 backing frames start at ``base_frame``
         and must be physically contiguous.
         """
-        if iova % (1 << PTL4_PAGE_SHIFT_LOCAL):
+        if iova % PTL4_PAGE_SIZE:
             raise MappingError(f"huge mapping at {iova:#x} not 2 MB aligned")
         page = self.root
         for level in (1, 2):
@@ -206,28 +207,32 @@ class IOPageTable:
     # Lookup
     # ------------------------------------------------------------------
     def walk(self, iova: int) -> Optional[WalkResult]:
-        """Full software walk; ``None`` if the IOVA is unmapped."""
-        page = self.root
-        visited = [page]
-        for level in (1, 2, 3):
-            child = page.entries.get(level_index(iova, level))
-            if child is None:
-                return None
-            if isinstance(child, HugeMapping):
-                # 2 MB leaf in the PT-L3 page: the walk ends one level
-                # early; resolve the 4 KB sub-frame by offset.
-                offset = (iova >> 12) & (ENTRIES_PER_PAGE - 1)
-                return WalkResult(
-                    frame=child.base_frame + offset,
-                    pages=tuple(visited),
-                    huge=True,
-                )
-            page = child  # type: ignore[assignment]
-            visited.append(page)
-        frame = page.entries.get(level_index(iova, 4))
+        """Full software walk; ``None`` if the IOVA is unmapped.
+
+        The four 9-bit indices are computed inline (see
+        :mod:`repro.iommu.addr` for the bit layout).  Huge leaves live
+        only in PT-L3 pages, so only that level is checked for one.
+        """
+        root = self.root
+        ptl2 = root.entries.get((iova >> 39) & 511)
+        if ptl2 is None:
+            return None
+        ptl3 = ptl2.entries.get((iova >> 30) & 511)
+        if ptl3 is None:
+            return None
+        ptl4 = ptl3.entries.get((iova >> 21) & 511)
+        if ptl4 is None:
+            return None
+        if ptl4.__class__ is HugeMapping:
+            # 2 MB leaf in the PT-L3 page: the walk ends one level
+            # early; resolve the 4 KB sub-frame by offset.
+            return WalkResult(
+                ptl4.base_frame + ((iova >> 12) & 511), (root, ptl2, ptl3), True
+            )
+        frame = ptl4.entries.get((iova >> 12) & 511)
         if frame is None:
             return None
-        return WalkResult(frame=frame, pages=tuple(visited))  # type: ignore[arg-type]
+        return WalkResult(frame, (root, ptl2, ptl3, ptl4))
 
     def lookup(self, iova: int) -> Optional[int]:
         """Frame mapped at ``iova``'s page, or ``None``."""
@@ -257,35 +262,49 @@ class IOPageTable:
         if length <= 0:
             raise MappingError("unmap length must be positive")
         end = iova + length
-        # Clear leaf entries (4 KB PTEs or whole 2 MB huge leaves).
+        stats = self.stats
+        root = self.root
         addr = iova
+        # One descent per 2 MB region: to its PT-L3 entry, which holds
+        # either a whole huge leaf or the PT-L4 page whose 4 KB entries
+        # the region's share of the range clears.
         while addr < end:
-            huge_holder, huge_index = self._huge_entry_at(addr)
-            if huge_holder is not None:
-                huge_base = addr & ~((1 << PTL4_PAGE_SHIFT) - 1)
-                if addr != huge_base or end - addr < (1 << PTL4_PAGE_SHIFT):
+            ptl2 = root.entries.get((addr >> 39) & 511)
+            ptl3: Any = (
+                None if ptl2 is None else ptl2.entries.get((addr >> 30) & 511)
+            )
+            index = (addr >> 21) & 511
+            child = None if ptl3 is None else ptl3.entries.get(index)
+            if child is None:
+                raise MappingError(f"iova {addr:#x} not mapped")
+            if child.__class__ is HugeMapping:
+                huge_base = addr & ~(PTL4_PAGE_SIZE - 1)
+                if addr != huge_base or end - addr < PTL4_PAGE_SIZE:
                     raise MappingError(
                         f"partial unmap of huge mapping at {huge_base:#x}"
                     )
-                del huge_holder.entries[huge_index]
+                del ptl3.entries[index]
                 self._mapped_pages -= 512
-                self.stats.unmaps += 1
-                addr += 1 << PTL4_PAGE_SHIFT
+                stats.unmaps += 1
+                addr += PTL4_PAGE_SIZE
                 continue
-            leaf = self._leaf_page(addr)
-            if leaf is None:
-                raise MappingError(f"iova {addr:#x} not mapped")
-            index = level_index(addr, 4)
-            if index not in leaf.entries:
-                raise MappingError(f"iova {addr:#x} not mapped")
-            del leaf.entries[index]
-            self._mapped_pages -= 1
-            self.stats.unmaps += 1
-            addr += PAGE_SIZE
-        # Reclaim fully covered pages, deepest level first.
-        reclaimed: list[ReclaimedPage] = []
-        self._reclaim_covered(self.root, iova, end, reclaimed)
-        return reclaimed
+            region_end = min(end, (addr | (PTL4_PAGE_SIZE - 1)) + 1)
+            entries = child.entries
+            first = (addr >> 12) & 511
+            last = first + ((region_end - addr) >> 12)
+            for leaf in range(first, last):
+                if entries.pop(leaf, None) is None:
+                    # Keep the cleared prefix and its counts, as a
+                    # page-at-a-time loop would have left them.
+                    self._mapped_pages -= leaf - first
+                    stats.unmaps += leaf - first
+                    raise MappingError(
+                        f"iova {addr + ((leaf - first) << 12):#x} not mapped"
+                    )
+            self._mapped_pages -= last - first
+            stats.unmaps += last - first
+            addr = region_end
+        return self._reclaim_covered(iova, end)
 
     def unmap_page(self, iova: int) -> list[ReclaimedPage]:
         """Unmap a single 4 KB page (the Linux per-page unmap path)."""
@@ -294,60 +313,48 @@ class IOPageTable:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _leaf_page(self, iova: int) -> Optional[PageTablePage]:
-        page = self.root
-        for level in (1, 2, 3):
-            child = page.entries.get(level_index(iova, level))
-            if child is None or isinstance(child, HugeMapping):
-                return None
-            page = child  # type: ignore[assignment]
-        return page
+    def _reclaim_covered(self, start: int, end: int) -> list[ReclaimedPage]:
+        """Free the pages whose whole coverage lies inside [start, end).
 
-    def _huge_entry_at(self, iova: int):
-        """(holder PT-L3 page, index) of a huge leaf covering ``iova``,
-        or (None, None)."""
-        page = self.root
-        for level in (1, 2):
-            child = page.entries.get(level_index(iova, level))
-            if child is None or isinstance(child, HugeMapping):
-                return None, None
-            page = child  # type: ignore[assignment]
-        index = level_index(iova, 3)
-        child = page.entries.get(index)
-        if isinstance(child, HugeMapping):
-            return page, index
-        return None, None
-
-    def _reclaim_covered(
-        self,
-        page: PageTablePage,
-        start: int,
-        end: int,
-        reclaimed: list[ReclaimedPage],
-    ) -> None:
-        """Free child pages whose whole coverage lies inside [start, end)."""
-        if page.level >= 4:
-            return
-        shift = LEVEL_SHIFTS[page.level]
-        child_span = 1 << shift
-        # Only children overlapping the range can be affected.
-        first = max(0, (start - page.base_iova) >> shift)
-        last = min(
-            ENTRIES_PER_PAGE - 1, (end - 1 - page.base_iova) >> shift
-        )
-        for index in range(first, last + 1):
-            child = page.entries.get(index)
-            if not isinstance(child, PageTablePage):
-                continue
-            child_start = page.base_iova + index * child_span
-            child_end = child_start + child_span
-            if start <= child_start and child_end <= end:
-                # The single operation covers this child completely:
-                # reclaim it (and implicitly everything below it).
-                self._count_subtree_reclaim(child, reclaimed)
-                del page.entries[index]
+        A depth-first pass from the root in index order, so pages are
+        reported parent before children and left to right.  A range
+        shorter than one PT-L4 page's 2 MB covers no page at all.
+        """
+        reclaimed: list[ReclaimedPage] = []
+        if end - start < PTL4_PAGE_SIZE:
+            return reclaimed
+        # Each frame: a page above PT-L4 and the child indices it still
+        # has to visit.  Only children overlapping the range matter.
+        stack = [(self.root, iter(self._overlapping(self.root, start, end)))]
+        while stack:
+            page, indices = stack[-1]
+            span = 1 << LEVEL_SHIFTS[page.level]
+            for index in indices:
+                child = page.entries.get(index)
+                if not isinstance(child, PageTablePage):
+                    continue
+                child_start = page.base_iova + index * span
+                if start <= child_start and child_start + span <= end:
+                    # The single operation covers this child completely:
+                    # reclaim it (and implicitly everything below it).
+                    self._count_subtree_reclaim(child, reclaimed)
+                    del page.entries[index]
+                elif child.level < 4:
+                    stack.append(
+                        (child, iter(self._overlapping(child, start, end)))
+                    )
+                    break
             else:
-                self._reclaim_covered(child, start, end, reclaimed)
+                stack.pop()
+        return reclaimed
+
+    @staticmethod
+    def _overlapping(page: PageTablePage, start: int, end: int) -> range:
+        """Indices of ``page``'s entries that overlap [start, end)."""
+        shift = LEVEL_SHIFTS[page.level]
+        first = max(0, (start - page.base_iova) >> shift)
+        last = min(ENTRIES_PER_PAGE - 1, (end - 1 - page.base_iova) >> shift)
+        return range(first, last + 1)
 
     def _count_subtree_reclaim(
         self, page: PageTablePage, reclaimed: list[ReclaimedPage]

@@ -42,6 +42,7 @@ class PtCache:
         if entries <= 0:
             raise ValueError("entries must be positive")
         self.level = level
+        self._shift = LEVEL_SHIFTS[level]
         self.capacity = entries
         self._entries: dict[int, object] = {}
         self.hits = 0
@@ -87,6 +88,29 @@ class PtCache:
             self.evictions += 1
         self._entries[key] = page
 
+    def refill(self, iova: int, page: object) -> bool:
+        """Probe for ``iova`` and leave ``page`` as its MRU entry.
+
+        One pass of a walk's :meth:`lookup` then :meth:`insert`: counts
+        the hit or miss, records a hit's cached page with the monitor,
+        evicts the LRU entry on a miss into a full cache, and returns
+        whether the probe hit.
+        """
+        key = iova >> self._shift
+        entries = self._entries
+        cached = entries.pop(key, None)
+        if cached is None:
+            self.misses += 1
+            if len(entries) >= self.capacity:
+                del entries[next(iter(entries))]
+                self.evictions += 1
+        else:
+            self.hits += 1
+            if self.monitor is not None:
+                self.monitor.record(PtCacheHitEvent(self.level, iova, cached))
+        entries[key] = page
+        return cached is not None
+
     def invalidate_range(self, iova: int, length: int) -> int:
         """Drop entries whose coverage intersects ``[iova, iova+length)``."""
         shift = LEVEL_SHIFTS[self.level]
@@ -117,33 +141,35 @@ class PtCache:
 
 
 class ProbeOutcome:
-    """Result of probing all PTcache levels for one walk.
+    """Result of probing the PTcache levels for one walk.
 
     ``deepest_hit_level`` is 3, 2, 1 or 0 (no hit).  ``memory_reads`` is
     the number of IO page table memory accesses the walk then needs:
-    ``4 - deepest_hit_level`` (a PTcache-L3 hit leaves only the PT-L4
-    read; a total miss costs the full 4 reads).
+    ``4 - deepest_hit_level`` for a 4 KB walk (a PTcache-L3 hit leaves
+    only the PT-L4 read; a total miss costs the full 4 reads), one
+    fewer for a huge walk, which ends at PT-L3.
 
-    ``counted_misses`` holds, per level, whether that level's miss
-    *added a memory read* — i.e. missed along with every deeper level.
-    This is exactly the paper's m1/m2/m3 accounting ("misses at level i
-    that also led to misses in all levels below i").
+    ``counted_levels`` lists the levels whose miss *added a memory
+    read* — i.e. missed along with every deeper level probed.  This is
+    exactly the paper's m1/m2/m3 accounting ("misses at level i that
+    also led to misses in all levels below i").
+
+    There are only seven possible outcomes; :data:`FULL_OUTCOMES` and
+    :data:`UPPER_OUTCOMES` hold them, shared by every probe.
     """
 
-    __slots__ = ("deepest_hit_level", "memory_reads", "counted_misses")
+    __slots__ = ("deepest_hit_level", "memory_reads", "counted_levels")
 
-    # Per-walk dict construction shows up in profiles; there are only
-    # four possible counted-miss maps, precomputed here.  Instances
-    # still get a copy: ``probe_upper`` mutates its outcome's map.
-    _COUNTED_MISSES = {
-        deepest: {1: deepest < 1, 2: deepest < 2, 3: deepest < 3}
-        for deepest in (0, 1, 2, 3)
-    }
-
-    def __init__(self, deepest_hit_level: int):
+    def __init__(self, deepest_hit_level: int, levels: int = 3):
         self.deepest_hit_level = deepest_hit_level
-        self.memory_reads = 4 - deepest_hit_level
-        self.counted_misses = self._COUNTED_MISSES[deepest_hit_level].copy()
+        self.memory_reads = levels + 1 - deepest_hit_level
+        self.counted_levels = tuple(range(deepest_hit_level + 1, levels + 1))
+
+
+# Indexed by the deepest hit level: 4 KB walks probe L1-L3, huge walks
+# (which end at PT-L3) only L1-L2.
+FULL_OUTCOMES = tuple(ProbeOutcome(deepest) for deepest in (0, 1, 2, 3))
+UPPER_OUTCOMES = tuple(ProbeOutcome(deepest, levels=2) for deepest in (0, 1, 2))
 
 
 class PtCacheHierarchy:
@@ -165,61 +191,47 @@ class PtCacheHierarchy:
     def levels(self) -> tuple[PtCache, PtCache, PtCache]:
         return (self.l1, self.l2, self.l3)
 
-    def probe(self, iova: int) -> ProbeOutcome:
+    def probe(self, iova: int, walk_pages) -> ProbeOutcome:
         """Probe all levels (conceptually in parallel); deepest hit wins.
 
-        Updates per-level hit/miss statistics and the paper-style
-        counted-miss totals.
-        """
-        hit3 = self.l3.lookup(iova) is not None
-        hit2 = self.l2.lookup(iova) is not None
-        hit1 = self.l1.lookup(iova) is not None
-        if hit3:
-            deepest = 3
-        elif hit2:
-            deepest = 2
-        elif hit1:
-            deepest = 1
-        else:
-            deepest = 0
-        outcome = ProbeOutcome(deepest)
-        for level, counted in outcome.counted_misses.items():
-            if counted:
-                self.counted_misses[level] += 1
-        return outcome
-
-    def probe_upper(self, iova: int) -> ProbeOutcome:
-        """Probe only PTcache-L1/L2 (huge walks end at PT-L3).
-
-        The returned outcome's ``memory_reads`` still follows the
-        4-level convention; callers of huge walks subtract one (the
-        PT-L4 read that does not happen).  Counted misses exclude L3.
-        """
-        hit2 = self.l2.lookup(iova) is not None
-        hit1 = self.l1.lookup(iova) is not None
-        deepest = 2 if hit2 else (1 if hit1 else 0)
-        outcome = ProbeOutcome(deepest)
-        outcome.counted_misses[3] = False
-        for level in (1, 2):
-            if outcome.counted_misses[level]:
-                self.counted_misses[level] += 1
-        return outcome
-
-    def fill_upper(self, iova: int, walk_pages) -> None:
-        """Refill L1/L2 from a huge walk (chain is PT-L1..PT-L3)."""
-        self.l1.insert(iova, walk_pages[1])
-        self.l2.insert(iova, walk_pages[2])
-
-    def fill(self, iova: int, walk_pages) -> None:
-        """Refill all levels from a completed walk.
-
         ``walk_pages`` is the PT-L1..PT-L4 page chain from
-        :meth:`IOPageTable.walk`; the PTcache-L``i`` entry points at the
-        PT-L``i+1`` page.
+        :meth:`IOPageTable.walk`; each level is refilled from it in the
+        same pass (the PTcache-L``i`` entry points at the PT-L``i+1``
+        page).  Updates per-level hit/miss statistics and the
+        paper-style counted-miss totals.
         """
-        self.l1.insert(iova, walk_pages[1])
-        self.l2.insert(iova, walk_pages[2])
-        self.l3.insert(iova, walk_pages[3])
+        if self.l3.refill(iova, walk_pages[3]):
+            deepest = 3
+            self.l2.refill(iova, walk_pages[2])
+            self.l1.refill(iova, walk_pages[1])
+        elif self.l2.refill(iova, walk_pages[2]):
+            deepest = 2
+            self.l1.refill(iova, walk_pages[1])
+        else:
+            deepest = 1 if self.l1.refill(iova, walk_pages[1]) else 0
+        outcome = FULL_OUTCOMES[deepest]
+        counted = self.counted_misses
+        for level in outcome.counted_levels:
+            counted[level] += 1
+        return outcome
+
+    def probe_upper(self, iova: int, walk_pages) -> ProbeOutcome:
+        """Probe and refill only PTcache-L1/L2 (huge walks end at PT-L3).
+
+        ``walk_pages`` is the PT-L1..PT-L3 chain of a huge walk; the
+        outcome's ``memory_reads`` counts the huge walk's 1-3 reads and
+        its counted misses exclude L3.
+        """
+        if self.l2.refill(iova, walk_pages[2]):
+            deepest = 2
+            self.l1.refill(iova, walk_pages[1])
+        else:
+            deepest = 1 if self.l1.refill(iova, walk_pages[1]) else 0
+        outcome = UPPER_OUTCOMES[deepest]
+        counted = self.counted_misses
+        for level in outcome.counted_levels:
+            counted[level] += 1
+        return outcome
 
     def invalidate_range(self, iova: int, length: int) -> int:
         """Linux policy: drop covering entries at every level."""

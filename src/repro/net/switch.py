@@ -12,6 +12,7 @@ recovery — the paper's drop-rate dynamics.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..context import current_context
@@ -77,7 +78,7 @@ class SwitchPort:
             return
         self._draining = True
         packet, size = entry
-        self.pacer.send(size, lambda p=packet: self._on_wire_done(p))
+        self.pacer.send(size, partial(self._on_wire_done, packet))
 
     def _on_wire_done(self, packet: Packet) -> None:
         # Serialization finished; deliver after propagation, then pull
@@ -90,9 +91,7 @@ class SwitchPort:
                 # after packets serialized behind it.
                 self.reordered_packets += 1
                 propagation += extra
-        self.sim.schedule_after(
-            propagation, lambda p=packet: self.deliver(p)
-        )
+        self.sim.schedule_after(propagation, partial(self.deliver, packet))
         self._drain_next()
 
     @property

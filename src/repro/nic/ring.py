@@ -39,6 +39,9 @@ class RxRing:
         # Maintained count of unconsumed slots; every arrival checks
         # free_pages, so summing the deque there is a hot-path cost.
         self._free_pages = 0
+        # Leading descriptors whose slots are all consumed (they wait
+        # for their DMAs to land); take_pages starts past them.
+        self._exhausted = 0
         # Fault plumbing (repro.faults); both None in normal runs.
         self.sim = sim
         self.faults = faults
@@ -84,11 +87,15 @@ class RxRing:
         if count > self._free_pages:
             raise RuntimeError("ring has too few free pages")
         taken: list[tuple[RxDescriptor, PageSlot]] = []
-        for descriptor in self._descriptors:
+        descriptors = self._descriptors
+        skip = self._exhausted
+        while len(taken) < count:
+            descriptor = descriptors[skip]
             while not descriptor.is_exhausted and len(taken) < count:
                 taken.append((descriptor, descriptor.take_page()))
-            if len(taken) == count:
-                break
+            if descriptor.is_exhausted:
+                skip += 1
+        self._exhausted = skip
         self._free_pages -= count
         return taken
 
@@ -98,6 +105,10 @@ class RxRing:
         while self._descriptors and self._descriptors[0].is_complete:
             completed.append(self._descriptors.popleft())
             self.completed_descriptors += 1
+            # The head counts among the skipped ones once a take has
+            # passed it (a take that never reached it counted nothing).
+            if self._exhausted:
+                self._exhausted -= 1
         return completed
 
     def head(self) -> Optional[RxDescriptor]:
@@ -114,4 +125,5 @@ class RxRing:
         drained = list(self._descriptors)
         self._descriptors.clear()
         self._free_pages = 0
+        self._exhausted = 0
         return drained

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..context import current_context
@@ -106,10 +107,14 @@ class DmaPipeline:
     # ------------------------------------------------------------------
     def submit(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
         """Queue one DMA; it starts when a lane frees up."""
-        if self._busy < self.lanes:
-            self._start(size_bytes, begin, finish)
-        else:
+        if self._busy >= self.lanes:
             self._pending.append((size_bytes, begin, finish))
+        elif self.faults is None:
+            # No link flap can hold it: start at once.
+            self._busy += 1
+            self._begin(size_bytes, begin, finish)
+        else:
+            self._start(size_bytes, begin, finish)
 
     def reserve_wire(self, start: float, size_bytes: int) -> float:
         """Serialize ``size_bytes`` on the shared wire from ``start``.
@@ -138,10 +143,7 @@ class DmaPipeline:
                 # begins when the link retrains.
                 self.held_dmas += 1
                 self.sim.schedule_at(
-                    held_until,
-                    lambda s=size_bytes, b=begin, f=finish: self._begin(
-                        s, b, f
-                    ),
+                    held_until, partial(self._begin, size_bytes, begin, finish)
                 )
                 return
         self._begin(size_bytes, begin, finish)
@@ -167,7 +169,7 @@ class DmaPipeline:
                 bytes=size_bytes,
             )
         self.sim.schedule_at(
-            completion, lambda s=size_bytes, f=finish: self._complete(s, f)
+            completion, partial(self._complete, size_bytes, finish)
         )
 
     def _complete(self, size_bytes: int, finish: FinishFn) -> None:

@@ -239,12 +239,13 @@ class ProtectionDriver(ABC):
 
         The datapath's inner loop translates ``count`` consecutive
         ``max_payload``-sized TLPs of one page back to back, with no
-        simulator event in between.  When the IOMMU's one-entry fast
-        path will replay calls 2..N anyway (:func:`~repro.iommu.batch.
-        burst_ready`), this translates the first TLP normally — misses,
-        walks and ``DmaFault`` behave exactly as the scalar loop's
-        first iteration — and applies the remaining N-1 replays as
-        counter arithmetic (:func:`~repro.iommu.batch.replay_hits`).
+        simulator event in between, so calls 2..N are IOTLB hits on the
+        MRU entry the first call leaves.  When no per-call observer or
+        check could tell (:func:`~repro.iommu.batch.burst_ready`), this
+        translates the first TLP normally — misses, walks and
+        ``DmaFault`` behave exactly as the scalar loop's first
+        iteration — and applies the remaining N-1 hits as counter
+        arithmetic (:func:`~repro.iommu.batch.replay_hits`).
 
         Returns the first TLP's page-walk read count (later TLPs are
         hits and read nothing), or ``None`` when the burst cannot be

@@ -65,8 +65,8 @@ class DeferredDriver(ProtectionDriver):
         self._deferred: list[tuple[int, int, int]] = []
         self.flushes = 0
         # Make the IOMMU detect stale-entry use so experiments can
-        # report the safety violations this mode admits (also disables
-        # the translation fast path, which would skip the check).
+        # report the safety violations this mode admits (also turns off
+        # the base burst translation, which would skip the check).
         self.iommu.enable_stale_hit_checks()
         self.stale_translations = 0
 
@@ -162,8 +162,8 @@ class DeferredDriver(ProtectionDriver):
     def translate_for_dma_burst(
         self, iova: int, count: int, source: str
     ) -> Optional[int]:
-        # Stale-hit checking keeps the IOMMU fast path off, so the base
-        # ``burst_ready`` gate never fires here; batch explicitly.
+        # Stale-hit checking turns the base ``burst_ready`` gate off,
+        # so batch explicitly.
         # Within one burst no event runs between TLPs, so the page
         # table cannot change: every TLP of the page shares the first
         # TLP's staleness, and calls 2..N are plain IOTLB hits whose

@@ -52,10 +52,16 @@ class TestPtCache:
         assert cache.resident_entries == 0
 
 
+def fill(caches, iova, pages):
+    """Install a walk's chain at every level without probing."""
+    for level, cache in enumerate(caches.levels, start=1):
+        cache.insert(iova, pages[level])
+
+
 class TestHierarchyProbe:
     def test_all_miss_costs_four_reads(self):
         caches = PtCacheHierarchy()
-        outcome = caches.probe(0x1000)
+        outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.deepest_hit_level == 0
         assert outcome.memory_reads == 4
         assert caches.counted_misses == {1: 1, 2: 1, 3: 1}
@@ -63,26 +69,26 @@ class TestHierarchyProbe:
     def test_l3_hit_costs_one_read(self):
         """The paper's best case: PTcache-L3 hit -> a single PT-L4 read."""
         caches = PtCacheHierarchy()
-        caches.fill(0x1000, fake_walk_pages())
-        outcome = caches.probe(0x1000)
+        fill(caches, 0x1000, fake_walk_pages())
+        outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.deepest_hit_level == 3
         assert outcome.memory_reads == 1
 
     def test_l2_hit_costs_two_reads(self):
         caches = PtCacheHierarchy(l3_entries=1)
-        caches.fill(0x1000, fake_walk_pages())
+        fill(caches, 0x1000, fake_walk_pages())
         # Evict only the L3 entry by filling a different 2 MB region.
         caches.l3.insert(5 << 21, "other")
-        outcome = caches.probe(0x1000)
+        outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.deepest_hit_level == 2
         assert outcome.memory_reads == 2
 
     def test_l1_hit_costs_three_reads(self):
         caches = PtCacheHierarchy(l2_entries=1, l3_entries=1)
-        caches.fill(0x1000, fake_walk_pages())
+        fill(caches, 0x1000, fake_walk_pages())
         caches.l3.insert(5 << 21, "other")
         caches.l2.insert(5 << 30, "other")
-        outcome = caches.probe(0x1000)
+        outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.deepest_hit_level == 1
         assert outcome.memory_reads == 3
 
@@ -90,33 +96,58 @@ class TestHierarchyProbe:
         """m1 <= m2 <= m3: a level-i miss is counted only when every
         deeper level also missed (it then adds a memory read)."""
         caches = PtCacheHierarchy()
-        caches.fill(0x1000, fake_walk_pages())
+        fill(caches, 0x1000, fake_walk_pages())
         caches.l3.flush()
-        caches.probe(0x1000)  # L3 miss, L2 hit: only m3 counted
+        # L3 miss, L2 hit: only m3 counted.
+        caches.probe(0x1000, fake_walk_pages())
         assert caches.counted_misses == {1: 0, 2: 0, 3: 1}
 
     def test_fill_populates_all_levels(self):
+        """A probe refills every level from the walk, hit or miss."""
         caches = PtCacheHierarchy()
-        caches.fill(0x1000, fake_walk_pages())
+        caches.probe(0x1000, fake_walk_pages())
         assert caches.l1.contains(0x1000)
         assert caches.l2.contains(0x1000)
         assert caches.l3.contains(0x1000)
+        assert caches.probe(0x1000, fake_walk_pages()).memory_reads == 1
+        assert [c.hits for c in caches.levels] == [1, 1, 1]
+        assert [c.misses for c in caches.levels] == [1, 1, 1]
+
+    def test_probe_refill_matches_lookup_then_insert(self):
+        """One pass per level leaves each cache as a lookup followed by
+        an insert of the walk's page would: same LRU order, same
+        evictions, same counters."""
+        regions = [0, 3, 1, 3, 5, 0, 7, 1, 9, 3]
+        fused = PtCache(level=3, entries=3)
+        split = PtCache(level=3, entries=3)
+        for step, region in enumerate(regions):
+            iova = region << LEVEL_SHIFTS[3]
+            page = f"p{step}"
+            hit = fused.refill(iova, page)
+            assert hit == (split.lookup(iova) is not None)
+            split.insert(iova, page)
+            assert list(fused._entries.items()) == list(split._entries.items())
+        assert (fused.hits, fused.misses, fused.evictions) == (
+            split.hits,
+            split.misses,
+            split.evictions,
+        )
 
     def test_invalidate_range_hits_all_levels(self):
         """Linux's unmap behaviour: one page's invalidation drops the
         covering entry at every level — the root cause of the paper's
         PTcache-L1/L2 misses."""
         caches = PtCacheHierarchy()
-        caches.fill(0x1000, fake_walk_pages())
+        fill(caches, 0x1000, fake_walk_pages())
         dropped = caches.invalidate_range(0x1000, 4096)
         assert dropped == 3
-        outcome = caches.probe(0x1000)
+        outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.memory_reads == 4
 
     def test_shared_entries_across_nearby_iovas(self):
         """Two IOVAs in the same 2 MB region share all PTcache entries —
         the locality F&S's contiguous allocation creates."""
         caches = PtCacheHierarchy()
-        caches.fill(0x1000, fake_walk_pages())
-        outcome = caches.probe(0x1000 + 64 * 4096)
+        fill(caches, 0x1000, fake_walk_pages())
+        outcome = caches.probe(0x1000 + 64 * 4096, fake_walk_pages())
         assert outcome.deepest_hit_level == 3

@@ -72,6 +72,33 @@ class TestRing:
         assert ring.completed_descriptors == 2
         assert taken
 
+    def test_takes_skip_spent_descriptors_in_order(self):
+        # Takes, completions, an empty descriptor and a drain in one
+        # sequence: every take still hands out the oldest free slots.
+        ring = RxRing(core=0)
+        descriptors = [make_descriptor(2, core=n) for n in range(3)]
+        empty = make_descriptor(0)
+        for descriptor in descriptors[:2] + [empty, descriptors[2]]:
+            ring.post(descriptor)
+
+        def take(count):
+            return [(d.core, slot.iova) for d, slot in ring.take_pages(count)]
+
+        assert take(1) == [(0, 0)]
+        assert take(2) == [(0, 4096), (1, 0)]
+        descriptors[0].dma_done(2)
+        assert ring.pop_completed() == [descriptors[0]]
+        assert take(2) == [(1, 4096), (2, 0)]
+        descriptors[1].dma_done(2)
+        assert ring.pop_completed() == [descriptors[1], empty]
+        fresh = make_descriptor(2, core=3)
+        ring.post(fresh)
+        assert take(2) == [(2, 4096), (3, 0)]
+        assert ring.free_pages == 1
+        assert ring.drain() == [descriptors[2], fresh]
+        ring.post(make_descriptor(1, core=4))
+        assert take(1) == [(4, 0)]
+
     def test_head(self):
         ring = RxRing(core=0)
         assert ring.head() is None

@@ -4,8 +4,7 @@ A matrix over what a run may carry -- nothing, an invariant monitor, a
 fault runtime, a tracer -- checks that each shortcut takes exactly the
 value the two context properties define:
 
-* ``per_call`` off: the IOMMU one-entry replay (``_fast_enabled``) and
-  burst translation (``burst_ready``) may run;
+* ``per_call`` off: burst translation (``burst_ready``) may run;
 * ``in_process`` off: ``run_points`` may fan out to the pool and may
   serve cells from the result cache.
 
@@ -90,10 +89,13 @@ def test_iommu_shortcuts_follow_per_call(case):
     with using(**fields):
         iommu = Iommu()
         hard_fault_iommu = Iommu(IommuConfig(fault_queue=True))
-    assert iommu._fast_enabled is not per_call
+        stale_checked_iommu = Iommu()
     assert burst_ready(iommu) is not per_call
     # A fault-reporting queue rolls an outcome per translation.
     assert not burst_ready(hard_fault_iommu)
+    # A stale-hit check consults the page table on every hit.
+    stale_checked_iommu.enable_stale_hit_checks()
+    assert not burst_ready(stale_checked_iommu)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +117,6 @@ def test_monitor_attached_after_construction_turns_replay_off():
     assert burst_ready(iommu)
     InvariantMonitor().attach_iommu(iommu)
     assert iommu.per_call
-    assert not iommu._fast_enabled
     assert not burst_ready(iommu)
 
 
