@@ -9,8 +9,7 @@ Usage::
     python -m repro all                  # every figure, quick scale
     python -m repro run fig7 --verify    # run with the invariant monitor
     python -m repro fig2 --trace t.json  # also export a Perfetto trace
-    python -m repro lint src/            # determinism/safety lint pass
-    python -m repro analyze src/repro    # whole-program CFG/dataflow analysis
+    python -m repro analyze src/repro    # static determinism/DMA-safety checks
     python -m repro faults --seed 2      # fault sweep (safety under faults)
     python -m repro chaos --seeds 50     # random schedules + shrinking
     python -m repro run fig7 --faults plan.json --verify
@@ -775,10 +774,6 @@ def _run_cache(raw: list[str]) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    if raw and raw[0] == "lint":
-        from .verify.lint import main as lint_main
-
-        return lint_main(raw[1:])
     if raw and raw[0] == "analyze":
         from .verify.analyze import main as analyze_main
 

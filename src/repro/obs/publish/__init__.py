@@ -15,15 +15,9 @@ Module map — data flows top to bottom:
   the backend-independent artifact model;
 * :mod:`.tracedigest` — the span-trace digest dashboard;
 * :mod:`.style` — palette and publication style presets;
-* :mod:`.svgbackend` / :mod:`.mplbackend` — the two renderers
-  (builtin SVG always available; matplotlib via the ``publish``
-  extra for png/pdf);
+* :mod:`.svgbackend` — the renderer (stdlib-only SVG);
 * :mod:`.htmlindex` / :mod:`.cli` — the gallery page and the
   ``repro publish`` entry point.
-
-Importing this package never imports matplotlib; the dependency is
-probed lazily so the bare tier-1 environment stays sufficient for
-``--format svg``.
 """
 
 from .figdata import (
@@ -35,7 +29,6 @@ from .figdata import (
     build_figure_artifact,
 )
 from .figspecs import PUBLISH_SPECS, PanelSpec, PublishSpec
-from .mplbackend import have_matplotlib
 from .style import MODE_COLORS, STYLES, Style, series_color
 from .svgbackend import render_figure_svg
 from .tracedigest import TraceDigest, digest_trace
@@ -50,7 +43,6 @@ __all__ = [
     "PUBLISH_SPECS",
     "PanelSpec",
     "PublishSpec",
-    "have_matplotlib",
     "MODE_COLORS",
     "STYLES",
     "Style",

@@ -3,7 +3,7 @@
 Usage::
 
     repro publish out/ [--figures fig2,fig9] [--style paper|arxiv]
-                       [--format svg|png|pdf] [--from-report PATH]
+                       [--format svg] [--from-report PATH]
                        [--full] [--seed N] [--jobs N] [--chunk N]
                        [--trace PATH]
 
@@ -12,14 +12,12 @@ Output layout (all under the positional ``outdir``)::
     index.html          browsable gallery (stdlib-templated)
     report.json         the underlying report document, byte-identical
                         to `repro reproduce` output at any --jobs
-    fig*.svg|png|pdf    one publication figure per reproduced figure
-    trace_digest.*      span-trace digest figure
+    fig*.svg            one publication figure per reproduced figure
+    trace_digest.svg    span-trace digest figure
     trace_digest.json   the digest's stats + critical-path table
 
-Backend selection is format-driven: ``svg`` (the default) uses the
-dependency-free builtin renderer so publish works in the bare tier-1
-environment; ``png``/``pdf`` require matplotlib (the ``publish``
-extra) and exit 2 with an install hint when it is missing.
+Figures are drawn by the dependency-free builtin SVG renderer, so
+publish needs nothing beyond the stdlib.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .datasource import (
     generate_report,
@@ -39,7 +37,6 @@ from .datasource import (
 from .figdata import FigureArtifact, build_figure_artifact
 from .figspecs import PUBLISH_SPECS
 from .htmlindex import render_index
-from .mplbackend import have_matplotlib
 from .style import STYLES
 from .svgbackend import render_figure_svg
 from .tracedigest import (
@@ -51,12 +48,6 @@ from .tracedigest import (
 )
 
 __all__ = ["main", "build_parser"]
-
-INSTALL_HINT = (
-    "matplotlib is required for --format {fmt}; install the publish "
-    "extra:  pip install 'repro[publish]'  (or use --format svg, "
-    "which needs no dependencies)"
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,12 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="publication style preset (default: paper)",
     )
     parser.add_argument(
-        "--format", dest="fmt", choices=("svg", "png", "pdf"),
-        default="svg",
-        help=(
-            "figure file format; svg uses the builtin renderer, "
-            "png/pdf need matplotlib (default: svg)"
-        ),
+        "--format", dest="fmt", choices=("svg",), default="svg",
+        help="figure file format (builtin SVG renderer; default: svg)",
     )
     parser.add_argument(
         "--from-report", default=None, metavar="PATH",
@@ -124,27 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_renderer(
-    fmt: str,
-) -> Optional[Callable[[FigureArtifact, str, str], dict]]:
-    """The render function for a format, or None when unavailable."""
-    if fmt == "svg":
-        return render_figure_svg
-    if not have_matplotlib():
-        return None
-    from .mplbackend import render_figure_mpl
-
-    return render_figure_mpl
-
-
 def main(raw: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(raw)
     fmt = args.fmt
-    renderer = _resolve_renderer(fmt)
-    if renderer is None:
-        print(INSTALL_HINT.format(fmt=fmt), file=sys.stderr)
-        return 2
-    backend = "builtin-svg" if fmt == "svg" else "matplotlib"
     if args.figures is None:
         requested = list(PUBLISH_SPECS)
     else:
@@ -214,7 +183,7 @@ def main(raw: Optional[list[str]] = None) -> int:
             sections[name], PUBLISH_SPECS[name]
         )
         filename = f"{name}.{fmt}"
-        info = renderer(
+        info = render_figure_svg(
             artifact, args.style, os.path.join(args.outdir, filename)
         )
         counts = artifact.badge_counts()
@@ -254,7 +223,7 @@ def main(raw: Optional[list[str]] = None) -> int:
         )
         handle.write("\n")
     trace_image = f"trace_digest.{fmt}"
-    renderer(
+    render_figure_svg(
         digest_artifact(digest),
         args.style,
         os.path.join(args.outdir, trace_image),
@@ -272,7 +241,6 @@ def main(raw: Optional[list[str]] = None) -> int:
         trace_digest=digest,
         style_name=args.style,
         fmt=fmt,
-        backend=backend,
     )
     index_path = os.path.join(args.outdir, "index.html")
     with open(index_path, "w") as handle:

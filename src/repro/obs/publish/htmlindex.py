@@ -158,7 +158,6 @@ def render_index(
     trace_digest: Optional[TraceDigest],
     style_name: str,
     fmt: str,
-    backend: str,
 ) -> str:
     """Assemble the full index page as a string."""
     manifest = report.get("provenance", {})
@@ -178,8 +177,7 @@ def render_index(
         f"config hash <code>"
         f"{_esc(manifest.get('config_hash', '?'))}</code>, "
         f"style <code>{_esc(style_name)}</code>, "
-        f"format <code>{_esc(fmt)}</code> "
-        f"({_esc(backend)} backend)</p>",
+        f"format <code>{_esc(fmt)}</code></p>",
         '<div class="tiles">',
         f'<div class="tile"><div class="num">'
         f'{_esc(summary.get("claims", 0))}</div>'

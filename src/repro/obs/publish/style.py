@@ -1,12 +1,11 @@
 """Publication styles and the shared chart palette.
 
-One place for everything visual, so the matplotlib backend and the
-dependency-free SVG backend render the *same* design: series colors
-follow the protection mode (the entity), never the draw order; paper
-reference curves reuse the mode's hue dashed, so "ours vs paper" is
-carried by line style while identity stays with color; pass/fail
-badges use the reserved status colors and always pair a glyph with the
-color so state is never color-alone.
+One place for everything visual: series colors follow the protection
+mode (the entity), never the draw order; paper reference curves reuse
+the mode's hue dashed, so "ours vs paper" is carried by line style
+while identity stays with color; pass/fail badges use the reserved
+status colors and always pair a glyph with the color so state is
+never color-alone.
 
 The categorical palette is the validated default order (adjacent-pair
 colorblind separation ΔE >= 8, normal-vision >= 15 on a light
@@ -37,31 +36,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Style:
-    """One publication style: sizing and typography parameters."""
+    """One publication style: typography parameters."""
 
     name: str
-    panel_width: float  # inches per panel (matplotlib)
-    panel_height: float
     font_size: int
-    save_dpi: int
     font_family: str  # "serif" | "sans-serif"
 
 
 STYLES: dict[str, Style] = {
     "paper": Style(
         name="paper",
-        panel_width=3.2,
-        panel_height=2.6,
         font_size=11,
-        save_dpi=300,
         font_family="serif",
     ),
     "arxiv": Style(
         name="arxiv",
-        panel_width=3.0,
-        panel_height=2.4,
         font_size=10,
-        save_dpi=300,
         font_family="serif",
     ),
 }

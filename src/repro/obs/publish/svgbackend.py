@@ -1,13 +1,11 @@
 """Dependency-free SVG renderer for publication artifacts.
 
-Matplotlib is the preferred backend (``pip install 'repro[publish]'``),
-but the repo's tier-1 environment deliberately carries no plotting
-dependency — so ``--format svg`` falls back to this small hand-rolled
-renderer and the publish pipeline (and its CI job shape) works
-anywhere.  It draws the same :class:`~repro.obs.publish.figdata.
-FigureArtifact` model as the matplotlib backend: one row of panels,
-series polylines (ours solid, paper dashed), mode-comparison bars with
-reference levels, a claim-verdict badge strip and truncation markers.
+The repo carries no plotting dependency, so the publish pipeline draws
+every figure with this small hand-rolled renderer and works anywhere.
+It draws a :class:`~repro.obs.publish.figdata.FigureArtifact`: one row
+of panels, series polylines (ours solid, paper dashed),
+mode-comparison bars with reference levels, a claim-verdict badge
+strip and truncation markers.
 
 Every element carries a CSS class (``series-ours``, ``badge-fail``,
 ``bar`` ...) so the tests assert structure by parsing the XML instead

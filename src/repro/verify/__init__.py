@@ -8,9 +8,9 @@ Two halves:
   invalidation queue, the IOVA allocators and the protection drivers
   through a zero-cost-when-disabled event API and checks the paper's
   safety invariants per simulated event;
-* the **static lint pass** (:mod:`repro.verify.lint`, exposed as
-  ``python -m repro lint``) — AST rules that protect simulator
-  determinism and driver safety discipline.
+* the **static checker** (:mod:`repro.verify.analyze`, exposed as
+  ``python -m repro analyze``) — rules over a one-parse project model
+  that protect simulator determinism and driver safety discipline.
 
 See ``README.md`` ("Verification") for the invariant catalogue.
 """

@@ -4,8 +4,9 @@ Pipeline: discover files → build the :class:`ProjectModel` once → run
 every registered rule over it → drop ``# noqa``-suppressed findings →
 partition against the checked-in baseline → render (text/json/sarif).
 
-Exit codes match ``repro lint``: 0 clean (or fully baselined), 1 new
-findings, 2 usage error.
+Exit codes: 0 clean (or fully baselined), 1 new findings, 2 usage
+error (unknown rule code, a missing path, or paths that hold no
+``.py`` file).
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro analyze",
         description=(
-            "Whole-program static analysis of the DMA protection "
-            "protocol: CFG/dataflow rules over the full project model."
+            "Static checks of simulator determinism and the DMA "
+            "protection protocol over the full project model."
         ),
     )
     parser.add_argument(
@@ -122,11 +123,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
+        # A typo'd path must not pass vacuously (CI would go green
+        # while checking nothing).
         for path in missing:
             print(f"repro analyze: no such path: {path}", file=sys.stderr)
         return 2
 
-    project = ProjectModel.build(iter_python_files(args.paths))
+    files = list(iter_python_files(args.paths))
+    if not files:
+        # Same reason as above: checking nothing must not pass.
+        print(
+            "repro analyze: no .py files under: " + " ".join(args.paths),
+            file=sys.stderr,
+        )
+        return 2
+
+    project = ProjectModel.build(files)
     findings = analyze_project(project)
     fingerprinted = _fingerprinted(project, findings)
 

@@ -1,17 +1,16 @@
-"""Finding renderers shared by ``repro analyze``: text, JSON, SARIF.
+"""Finding renderers for ``repro analyze``: text, JSON, SARIF.
 
 The SARIF output targets SARIF 2.1.0 with exactly the subset CI code
 scanners ingest: one run, one ``tool.driver`` with per-rule metadata
-from the shared registry, and one result per finding with a physical
-location.  JSON output mirrors ``repro lint --format json`` so both
-commands can feed the same tooling.
+from the rule catalogue, and one result per finding with a physical
+location.
 """
 
 from __future__ import annotations
 
 import json
 
-from ..registry import Finding, all_rules, rule_info
+from ..registry import Finding, all_rules
 
 __all__ = ["render_text", "render_json", "render_sarif"]
 
@@ -26,11 +25,9 @@ def render_text(findings: list[Finding]) -> str:
     return "\n".join(finding.format() for finding in findings)
 
 
-def render_json(
-    findings: list[Finding], tool: str = "repro-analyze"
-) -> str:
+def render_json(findings: list[Finding]) -> str:
     document = {
-        "tool": tool,
+        "tool": "repro-analyze",
         "count": len(findings),
         "findings": [finding.to_dict() for finding in findings],
     }
@@ -38,57 +35,38 @@ def render_json(
 
 
 def render_sarif(findings: list[Finding]) -> str:
-    used_codes = {finding.code for finding in findings}
-    rules = []
-    rule_index: dict[str, int] = {}
-    for info in all_rules():
-        # Describe every analyzer rule up front; rules belonging only
-        # to other engines appear when they actually fired (e.g. a
-        # REPRO000 parse error).
-        if "analyze" not in info.engines and info.code not in used_codes:
-            continue
-        rule_index[info.code] = len(rules)
-        rules.append(
-            {
-                "id": info.code,
-                "name": info.name,
-                "shortDescription": {"text": info.summary},
-                "fullDescription": {"text": info.explanation},
-            }
-        )
-    results = []
-    for finding in findings:
-        info = rule_info(finding.code)
-        if finding.code not in rule_index:
-            rule_index[finding.code] = len(rules)
-            rules.append(
+    # Every rule is described up front, so a result's ruleIndex is
+    # its code's position in the catalogue.
+    rules = [
+        {
+            "id": info.code,
+            "name": info.name,
+            "shortDescription": {"text": info.summary},
+            "fullDescription": {"text": info.explanation},
+        }
+        for info in all_rules()
+    ]
+    rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
+    results = [
+        {
+            "ruleId": finding.code,
+            "ruleIndex": rule_index[finding.code],
+            "level": "error",
+            "message": {"text": finding.message},
+            "locations": [
                 {
-                    "id": finding.code,
-                    "name": info.name if info else finding.code,
-                    "shortDescription": {
-                        "text": info.summary if info else finding.message
-                    },
-                }
-            )
-        results.append(
-            {
-                "ruleId": finding.code,
-                "ruleIndex": rule_index[finding.code],
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": finding.path},
-                            "region": {
-                                "startLine": finding.line,
-                                "startColumn": finding.col + 1,
-                            },
-                        }
+                    "physicalLocation": {
+                        "artifactLocation": {"uri": finding.path},
+                        "region": {
+                            "startLine": finding.line,
+                            "startColumn": finding.col + 1,
+                        },
                     }
-                ],
-            }
-        )
+                }
+            ],
+        }
+        for finding in findings
+    ]
     document = {
         "$schema": _SARIF_SCHEMA,
         "version": _SARIF_VERSION,

@@ -234,9 +234,8 @@ class ProjectModel:
         return order
 
     def is_driver_class(self, klass: ClassInfo) -> bool:
-        """Protection-driver heuristic shared with the lint: the class
-        (or any resolvable ancestor) declares a base whose name ends
-        with ``Driver``."""
+        """Protection-driver heuristic: the class (or any resolvable
+        ancestor) declares a base whose name ends with ``Driver``."""
         chain = [klass] + self.ancestors(klass)
         for info in chain:
             if any(base.split(".")[-1].endswith("Driver")

@@ -1,11 +1,15 @@
 """The analyzer's rule set, built on the project model + CFG/dataflow.
 
-Seven rules ship with the analyzer:
+Ten rules ship with the analyzer:
 
-* :class:`PathSensitiveUnmapRule` (REPRO004) — the CFG upgrade of the
-  lint's class-closure heuristic: every unmap must be followed by an
-  invalidation on *all* paths before return or buffer reuse, and a
-  ``while`` retry loop must re-arm per iteration;
+* :class:`WallClockRule` (REPRO001), :class:`SetIterationRule`
+  (REPRO002) and :class:`TimestampEqualityRule` (REPRO003) — the
+  per-module determinism rules: no wall-clock or module-level RNG, no
+  iteration over a bare set, no float ``==``/``!=`` on simulated
+  timestamps;
+* :class:`PathSensitiveUnmapRule` (REPRO004) — every unmap must be
+  followed by an invalidation on *all* paths before return or buffer
+  reuse, and a ``while`` retry loop must re-arm per iteration;
 * :class:`UseAfterUnmapRule` (REPRO101) — IOVA-lifetime taint: an
   expression passed to ``unmap_*`` must not later reach a DMA sink;
 * :class:`SimRaceRule` (REPRO102) — two scheduled callbacks assigning
@@ -33,7 +37,6 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from ..lint.engine import _INVALIDATE_CALLS, _UNMAP_CALLS
 from ..registry import Finding
 from .cfg import CFG, CFGEdge, CFGNode, build_cfg, relevant_exprs
 from .dataflow import ForwardAnalysis, solve
@@ -41,6 +44,9 @@ from .project import ClassInfo, FunctionInfo, ProjectModel, dotted_name
 
 __all__ = [
     "AnalyzerRule",
+    "WallClockRule",
+    "SetIterationRule",
+    "TimestampEqualityRule",
     "PathSensitiveUnmapRule",
     "UseAfterUnmapRule",
     "SimRaceRule",
@@ -50,6 +56,20 @@ __all__ = [
     "ChunkedDispatchRule",
     "default_rules",
 ]
+
+# Method names on either side of the unmap/invalidate pact.
+_UNMAP_CALLS = {"unmap_range", "unmap_page"}
+_INVALIDATE_CALLS = {
+    "invalidate_range",
+    "invalidate_ptcache_range",
+    "flush_all",
+    "flush",
+    # Checked/robust interfaces (repro.faults hardening): these arm an
+    # invalidation and confirm its completion.
+    "submit_invalidation",
+    "submit_flush",
+    "_invalidate_robust",
+}
 
 # Buffer-reuse sinks: remapping or handing out IOVA space while an
 # unmap is still pending invalidation.
@@ -79,6 +99,9 @@ class AnalyzerRule:
 
 def default_rules() -> list[AnalyzerRule]:
     return [
+        WallClockRule(),
+        SetIterationRule(),
+        TimestampEqualityRule(),
         PathSensitiveUnmapRule(),
         UseAfterUnmapRule(),
         SimRaceRule(),
@@ -111,6 +134,186 @@ def _call_name(call: ast.Call) -> Optional[str]:
     if isinstance(call.func, ast.Name):
         return call.func.id
     return None
+
+
+# ---------------------------------------------------------------------------
+# REPRO001-003: per-module determinism rules
+# ---------------------------------------------------------------------------
+# ``module attr`` pairs that read the host's clock.  The class
+# ``random.Random`` is deliberately absent from the RNG list below:
+# repro.sim.rng wraps it with a stable seed, which is the sanctioned
+# way in.
+_WALLCLOCK_CALLS = {
+    ("time", "time"),
+    ("time", "time_ns"),
+    ("time", "monotonic"),
+    ("time", "monotonic_ns"),
+    ("time", "perf_counter"),
+    ("time", "perf_counter_ns"),
+    ("datetime", "now"),
+    ("datetime", "utcnow"),
+    ("datetime", "today"),
+    ("date", "today"),
+}
+_RANDOM_MODULE_FUNCS = {
+    "random",
+    "randint",
+    "randrange",
+    "uniform",
+    "choice",
+    "choices",
+    "shuffle",
+    "sample",
+    "seed",
+    "getrandbits",
+    "expovariate",
+    "gauss",
+    "normalvariate",
+    "betavariate",
+    "triangular",
+    "vonmisesvariate",
+}
+
+# Constructs whose iteration order is hash-seed dependent.
+_SET_CONSTRUCTORS = {"set", "frozenset"}
+_SET_METHODS = {"intersection", "union", "difference", "symmetric_difference"}
+
+# Identifier fragments that mark a simulated-clock value.
+_TIMESTAMP_HINTS = ("time", "timestamp", "deadline", "now_ns", "clock")
+
+
+class WallClockRule(AnalyzerRule):
+    """REPRO001: wall-clock reads and module-level RNG calls."""
+
+    code = "REPRO001"
+
+    def check(self, project: ProjectModel) -> list[Finding]:
+        findings: list[Finding] = []
+        for module in project.modules:
+            for call in ast.walk(module.tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                dotted = dotted_name(call.func)
+                if dotted is None or "." not in dotted:
+                    continue
+                mod, attr = dotted.split(".")[-2:]
+                if (mod, attr) in _WALLCLOCK_CALLS:
+                    message = (
+                        f"wall-clock call {dotted}() breaks determinism; "
+                        "use simulated time"
+                    )
+                elif mod == "random" and attr in _RANDOM_MODULE_FUNCS:
+                    message = (
+                        f"module-level RNG {dotted}() breaks determinism; "
+                        "use repro.sim.SeededRng"
+                    )
+                else:
+                    continue
+                findings.append(
+                    Finding(
+                        module.path, call.lineno, call.col_offset,
+                        self.code, message,
+                    )
+                )
+        return findings
+
+
+def _iterated(node: ast.AST) -> list[ast.expr]:
+    """The iterables a ``for`` loop or comprehension walks."""
+    if isinstance(node, ast.For):
+        return [node.iter]
+    if isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    ):
+        return [comp.iter for comp in node.generators]
+    return []
+
+
+def _is_unordered_iterable(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _SET_CONSTRUCTORS:
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            return True
+    return False
+
+
+class SetIterationRule(AnalyzerRule):
+    """REPRO002: iteration over a bare set (hash-seed order).
+
+    ``sorted(set(...))`` pins the order, so only a *bare* unordered
+    iterable is flagged.
+    """
+
+    code = "REPRO002"
+
+    def check(self, project: ProjectModel) -> list[Finding]:
+        findings: list[Finding] = []
+        for module in project.modules:
+            for node in ast.walk(module.tree):
+                for iterable in _iterated(node):
+                    if _is_unordered_iterable(iterable):
+                        findings.append(
+                            Finding(
+                                module.path,
+                                iterable.lineno,
+                                iterable.col_offset,
+                                self.code,
+                                "iteration over a set has "
+                                "PYTHONHASHSEED-dependent order; wrap in "
+                                "sorted() or iterate a list",
+                            )
+                        )
+        return findings
+
+
+def _looks_like_timestamp(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return False
+    lowered = name.lower()
+    return any(hint in lowered for hint in _TIMESTAMP_HINTS)
+
+
+class TimestampEqualityRule(AnalyzerRule):
+    """REPRO003: float ``==``/``!=`` on a simulated timestamp, unless
+    the other side is a literal constant."""
+
+    code = "REPRO003"
+
+    def check(self, project: ProjectModel) -> list[Finding]:
+        findings: list[Finding] = []
+        for module in project.modules:
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                for op, left, right in zip(node.ops, operands, operands[1:]):
+                    if not isinstance(op, (ast.Eq, ast.NotEq)):
+                        continue
+                    if any(
+                        _looks_like_timestamp(side)
+                        and not isinstance(other, ast.Constant)
+                        for side, other in ((left, right), (right, left))
+                    ):
+                        findings.append(
+                            Finding(
+                                module.path,
+                                node.lineno,
+                                node.col_offset,
+                                self.code,
+                                "float equality on a simulated timestamp "
+                                "is brittle; compare with a tolerance or "
+                                "use integer ticks",
+                            )
+                        )
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +390,7 @@ class _PendingUnmapAnalysis(ForwardAnalysis):
 
 
 class PathSensitiveUnmapRule(AnalyzerRule):
-    """REPRO004 upgraded: all-paths unmap→invalidate before return/reuse."""
+    """REPRO004: all-paths unmap→invalidate before return/reuse."""
 
     code = "REPRO004"
 

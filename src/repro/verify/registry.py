@@ -1,20 +1,13 @@
-"""The pluggable rule registry shared by ``repro lint`` and ``repro analyze``.
+"""The ``REPROxxx`` rule catalogue of ``repro analyze``.
 
-Both static checkers — the fast per-file AST lint
-(:mod:`repro.verify.lint`) and the whole-program CFG/dataflow analyzer
-(:mod:`repro.verify.analyze`) — report :class:`Finding` objects tagged
-with a ``REPROxxx`` code.  This module is the single source of truth
-for what those codes *mean*: one :class:`RuleInfo` per code, with a
-short summary (shown in SARIF rule metadata) and a longer explanation
-(shown by ``--explain CODE``).
-
-A code may be implemented by more than one engine: ``REPRO004`` has a
-fast class-closure heuristic in the lint and a path-sensitive
-CFG/dataflow implementation in the analyzer.  The registry entry is
-shared; the ``engines`` field records who runs it.
+The static checker (:mod:`repro.verify.analyze`) reports
+:class:`Finding` objects tagged with a ``REPROxxx`` code.  This module
+is the single source of truth for what those codes *mean*: one
+:class:`RuleInfo` per code, with a short summary (shown in SARIF rule
+metadata) and a longer explanation (shown by ``--explain CODE``).
 
 This module is a leaf — it must not import anything else from
-``repro`` so both engines (and the CLI) can import it freely.
+``repro`` so the analyzer and the CLI can import it freely.
 """
 
 from __future__ import annotations
@@ -25,8 +18,7 @@ from typing import Optional
 __all__ = [
     "Finding",
     "RuleInfo",
-    "register_rule",
-    "rule_info",
+    "RULES",
     "all_rules",
     "explain",
 ]
@@ -46,7 +38,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col} {self.code} {self.message}"
 
     def to_dict(self) -> dict:
-        """JSON-ready record (``repro lint/analyze --format json``)."""
+        """JSON-ready record (``repro analyze --format json``)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -64,63 +56,30 @@ class RuleInfo:
     name: str  # short kebab-case identifier (SARIF rule name)
     summary: str  # one line; SARIF shortDescription
     explanation: str  # multi-line prose; ``--explain CODE``
-    engines: tuple[str, ...]  # which checkers implement it
     category: str  # "determinism" | "dma-safety" | "observability" | "spec"
 
     def explain_text(self) -> str:
-        engines = " + ".join(self.engines)
         return (
-            f"{self.code} [{self.name}] ({self.category}; checked by: "
-            f"{engines})\n\n{self.summary}\n\n{self.explanation.strip()}\n"
+            f"{self.code} [{self.name}] ({self.category})\n\n"
+            f"{self.summary}\n\n{self.explanation.strip()}\n"
         )
 
 
-_REGISTRY: dict[str, RuleInfo] = {}
-
-
-def register_rule(info: RuleInfo) -> RuleInfo:
-    """Add ``info`` to the registry; re-registering a code is an error."""
-    if info.code in _REGISTRY:
-        raise ValueError(f"rule {info.code} registered twice")
-    _REGISTRY[info.code] = info
-    return info
-
-
-def rule_info(code: str) -> Optional[RuleInfo]:
-    _ensure_builtin_rules()
-    return _REGISTRY.get(code)
-
-
 def all_rules() -> list[RuleInfo]:
-    """Every registered rule, sorted by code."""
-    _ensure_builtin_rules()
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
+    """Every rule, sorted by code."""
+    return [RULES[code] for code in sorted(RULES)]
 
 
 def explain(code: str) -> Optional[str]:
     """The ``--explain`` text for ``code``, or ``None`` if unknown."""
-    info = rule_info(code)
+    info = RULES.get(code)
     return info.explain_text() if info is not None else None
 
 
 # ---------------------------------------------------------------------------
-# Built-in rule catalogue
+# Rule catalogue
 # ---------------------------------------------------------------------------
-# Registered lazily on first lookup so importing this module stays free
-# of side effects for callers that only want the Finding dataclass.
-_BUILTIN_DONE = False
-
-
-def _ensure_builtin_rules() -> None:
-    global _BUILTIN_DONE
-    if _BUILTIN_DONE:
-        return
-    _BUILTIN_DONE = True
-    for info in _BUILTIN_RULES:
-        register_rule(info)
-
-
-_BUILTIN_RULES = [
+_CATALOGUE = [
     RuleInfo(
         code="REPRO000",
         name="syntax-error",
@@ -129,7 +88,6 @@ _BUILTIN_RULES = [
 A file that fails to parse is reported once with the parser's message
 and skipped by every other rule.  Fix the syntax error and re-run.
 """,
-        engines=("lint", "analyze"),
         category="determinism",
     ),
     RuleInfo(
@@ -146,7 +104,6 @@ random module makes two runs of the same seed diverge.  Use the
 simulated clock (sim.now) and repro.sim.SeededRng.  random.Random(seed)
 is the sanctioned seam SeededRng wraps and is allowed.
 """,
-        engines=("lint",),
         category="determinism",
     ),
     RuleInfo(
@@ -161,7 +118,6 @@ interpreter's hash seed; feeding it into event scheduling makes runs
 irreproducible across processes.  Wrap the iterable in sorted() or
 iterate a list with a deterministic order.
 """,
-        engines=("lint",),
         category="determinism",
     ),
     RuleInfo(
@@ -177,7 +133,6 @@ events can differ in the last ulp after arithmetic.  Equality tests on
 identifiers that look like timestamps (time, deadline, clock, ...) are
 flagged unless the other side is a literal constant.
 """,
-        engines=("lint",),
         category="determinism",
     ),
     RuleInfo(
@@ -194,19 +149,15 @@ were reclaimed, the PTcaches) must be invalidated before the buffer can
 be reused — otherwise the device keeps a live translation to a page the
 kernel thinks is free.
 
-Two implementations share this code:
-
-* the lint's class-closure heuristic — the union of attribute calls
-  across a Driver class must contain an invalidation whenever it
-  contains an unmap (plus a per-while-loop re-arm check);
-* the analyzer's path-sensitive CFG/dataflow rule — every unmap call
-  site must be followed by an invalidation (direct, or via a method
-  that transitively invalidates) on *all* control-flow paths before the
-  function returns or remaps/reuses buffers.  This catches what the
-  closure provably misses: unmap in one branch with the invalidation
-  only in the other, and early returns that skip the invalidation.
+The rule is path-sensitive: every unmap call site must be followed by
+an invalidation (direct, or via a method that transitively
+invalidates) on *all* control-flow paths before the function returns
+or remaps/reuses buffers, and a while retry loop must re-arm the
+invalidation in every iteration.  A class-wide "does it invalidate
+anywhere" check would miss an unmap in one branch with the
+invalidation only in the other, and early returns that skip the
+invalidation.
 """,
-        engines=("lint", "analyze"),
         category="dma-safety",
     ),
     RuleInfo(
@@ -225,7 +176,6 @@ statically contains a use-after-unmap — the exact class of bug the
 runtime invariant monitor (repro verify) only catches on executed
 paths.
 """,
-        engines=("analyze",),
         category="dma-safety",
     ),
     RuleInfo(
@@ -251,7 +201,6 @@ Soundness trade-off: the rule cannot see dynamic guards that make the
 writes mutually exclusive; accepted pairs belong in the committed
 analyze baseline with a short justification.
 """,
-        engines=("analyze",),
         category="determinism",
     ),
     RuleInfo(
@@ -274,7 +223,6 @@ not dominated by such a guard either crashes un-instrumented runs
 The rule runs a forward must-analysis over the CFG: a hook variable is
 "known non-None" only when every path into the use passed the guard.
 """,
-        engines=("analyze",),
         category="observability",
     ),
     RuleInfo(
@@ -294,7 +242,6 @@ mode-name constant assigned to a ``name`` attribute.  A selector whose
 token appears nowhere (a typo like " fnss ") would make the claim skip
 forever — the spec silently stops checking anything.
 """,
-        engines=("analyze",),
         category="spec",
     ),
     RuleInfo(
@@ -318,7 +265,6 @@ reset*/recover* method of a Driver class: every map-family call
 helper that transitively maps) must be preceded by a re-arm on *all*
 control-flow paths.
 """,
-        engines=("analyze",),
         category="dma-safety",
     ),
     RuleInfo(
@@ -342,7 +288,8 @@ where the loop variable is passed directly as a task argument, unless
 the enclosing function uses chunking vocabulary (any name, attribute or
 call containing "chunk"), which marks the batched idiom.
 """,
-        engines=("analyze",),
         category="observability",
     ),
 ]
+
+RULES: dict[str, RuleInfo] = {info.code: info for info in _CATALOGUE}

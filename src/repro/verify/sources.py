@@ -1,12 +1,9 @@
-"""Source-tree discovery and ``# noqa`` handling shared by both checkers.
-
-``repro lint`` and ``repro analyze`` walk the same files and honour the
-same suppression comments; this module is the single implementation.
+"""Source-tree discovery and ``# noqa`` handling for ``repro analyze``.
 
 File discovery skips what is obviously not project source: byte-code
 caches, hidden directories, packaging/build output, vendored
 dependencies and virtualenvs (detected by ``pyvenv.cfg``).  Without the
-pruning, ``repro lint .`` from a repo checkout happily linted
+pruning, ``repro analyze .`` from a repo checkout would check
 ``__pycache__`` and any local venv.
 
 ``# noqa`` detection is token-based: only a marker inside an actual

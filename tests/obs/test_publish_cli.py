@@ -72,32 +72,6 @@ def test_bad_report_exits_2(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
-def test_png_without_matplotlib_exits_2(
-    tmp_path, make_report, monkeypatch, capsys
-):
-    monkeypatch.setattr(
-        publish_cli, "have_matplotlib", lambda: False
-    )
-    code = publish_cli.main(
-        [str(tmp_path / "out"), "--format", "png",
-         "--from-report", str(make_report())]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "pip install 'repro[publish]'" in err
-    assert not (tmp_path / "out").exists()  # bailed before writing
-
-
-def test_png_with_matplotlib(tmp_path, make_report, trace_file):
-    pytest.importorskip("matplotlib")
-    code, outdir = publish(
-        tmp_path, make_report, trace_file, "--format", "png"
-    )
-    assert code == 0
-    assert (outdir / "fig2.png").stat().st_size > 0
-    assert (outdir / "trace_digest.png").stat().st_size > 0
-
-
 def test_figure_missing_from_report_is_skipped(
     tmp_path, make_report, trace_file, capsys
 ):

@@ -1,8 +1,7 @@
 """Renderer smoke tests: structure assertions, never pixels.
 
 The builtin SVG backend is asserted by parsing its XML (every mark
-carries a CSS class); the matplotlib backend runs only when the
-``publish`` extra is installed and otherwise skips cleanly.
+carries a CSS class).
 """
 
 import xml.etree.ElementTree as ET
@@ -113,24 +112,3 @@ def test_svg_empty_artifact_still_renders(tmp_path):
     info = render_figure_svg(artifact, "arxiv", str(out))
     assert info == {"panels": 0, "series": 0, "bars": 0, "badges": 0}
     ET.parse(out)  # well-formed XML
-
-
-@pytest.mark.parametrize("figure", ["fig2", "fig12", "model"])
-def test_mpl_renders_when_available(figure, make_section, tmp_path):
-    pytest.importorskip("matplotlib")
-    from repro.obs.publish.mplbackend import render_figure_mpl
-
-    artifact = build_figure_artifact(
-        make_section(figure), PUBLISH_SPECS[figure]
-    )
-    out = tmp_path / f"{figure}.png"
-    info = render_figure_mpl(artifact, "paper", str(out))
-    assert out.stat().st_size > 0
-    assert info["panels"] == len(PUBLISH_SPECS[figure].panels)
-
-
-def test_mpl_probe_is_quiet_without_matplotlib():
-    # have_matplotlib never raises; it gates the png/pdf path.
-    from repro.obs.publish.mplbackend import have_matplotlib
-
-    assert have_matplotlib() in (True, False)

@@ -1,9 +1,9 @@
 """Known-bad: unmap on one branch, invalidation only on the other.
 
-The lint's class-closure heuristic sees both an unmap and an
-invalidate somewhere in the method and stays quiet; only the CFG rule
-proves the urgent branch reaches ``return`` with the translation
-still live in the IOTLB.
+A class-wide check sees both an unmap and an invalidate somewhere
+in the method and stays quiet; only the path-sensitive rule proves
+the urgent branch reaches ``return`` with the translation still live
+in the IOTLB.
 """
 
 

@@ -1,6 +1,6 @@
 """Known-bad: an error path returns between unmap and invalidation.
 
-Both calls appear in the method body, so the closure heuristic is
+Both calls appear in the method body, so a class-wide check is
 satisfied; the CFG rule follows the ``return None`` edge and sees the
 pending unmap escape the function uninvalidated.
 """

@@ -1,11 +1,12 @@
-"""Rule tests against the known-bad/known-good fixtures corpus.
+"""Rule tests against inline sources and the known-bad/known-good
+fixtures corpus.
 
 The acceptance bar for the CFG-based REPRO004: it must catch the
-branch-split and early-return stale paths that the lint's
-class-closure heuristic provably misses — both directions are
-asserted here (analyzer flags, lint stays quiet).
+branch-split and early-return stale paths that a class-wide "does it
+invalidate anywhere" check misses.
 """
 
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ import pytest
 import repro
 from repro.verify.analyze import analyze_paths, analyze_project
 from repro.verify.analyze.project import ProjectModel
-from repro.verify.analyze.rules import HookGuardRule
-from repro.verify.lint.engine import lint_source
+from repro.verify.analyze.rules import HookGuardRule, default_rules
+from repro.verify.registry import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,30 +39,228 @@ def codes(findings):
 
 
 # ---------------------------------------------------------------------------
-# REPRO004: the CFG upgrade vs the lint heuristic
+# REPRO001-003: determinism rules
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # REPRO001: wall clock and module-level RNG.
+        pytest.param(
+            """
+            import time
+            def now():
+                return time.time()
+            """,
+            ["REPRO001"],
+            id="wallclock-time",
+        ),
+        pytest.param(
+            """
+            from datetime import datetime
+            stamp = datetime.now()
+            """,
+            ["REPRO001"],
+            id="wallclock-datetime",
+        ),
+        pytest.param(
+            """
+            import random
+            def pick(items):
+                return random.choice(items)
+            """,
+            ["REPRO001"],
+            id="module-rng",
+        ),
+        # random.Random is the sanctioned seam repro.sim.SeededRng wraps.
+        pytest.param(
+            """
+            import random
+            def make(seed):
+                return random.Random(seed)
+            """,
+            [],
+            id="seeded-rng-allowed",
+        ),
+        pytest.param(
+            """
+            def now(sim):
+                return sim.now
+            """,
+            [],
+            id="simulated-time-allowed",
+        ),
+        # REPRO002: hash-ordered iteration.
+        pytest.param(
+            """
+            def schedule(flows):
+                for flow in set(flows):
+                    flow.start()
+            """,
+            ["REPRO002"],
+            id="set-iteration",
+        ),
+        pytest.param(
+            """
+            def drain(pending):
+                return [retire(entry) for entry in {p.key for p in pending}]
+            """,
+            ["REPRO002"],
+            id="set-comprehension-iteration",
+        ),
+        pytest.param(
+            """
+            def schedule(flows):
+                for flow in sorted(set(flows)):
+                    flow.start()
+            """,
+            [],
+            id="sorted-set-allowed",
+        ),
+        pytest.param(
+            """
+            def schedule(flows):
+                for flow in flows:
+                    flow.start()
+            """,
+            [],
+            id="list-iteration-allowed",
+        ),
+        # REPRO003: float equality on simulated timestamps.
+        pytest.param(
+            """
+            def racy(event, other):
+                return event.time == other.deadline
+            """,
+            ["REPRO003"],
+            id="timestamp-equality",
+        ),
+        pytest.param(
+            """
+            def unset(event):
+                return event.time == 0
+            """,
+            [],
+            id="timestamp-vs-constant-allowed",
+        ),
+        pytest.param(
+            """
+            def earlier(event, other):
+                return event.time < other.time
+            """,
+            [],
+            id="timestamp-ordering-allowed",
+        ),
+    ],
+)
+def test_determinism_rules(source, expected):
+    assert codes(analyze_source(textwrap.dedent(source))) == expected
+
+
+# ---------------------------------------------------------------------------
+# REPRO004: path-sensitive unmap-without-invalidate
+# ---------------------------------------------------------------------------
+BAD_DRIVER = """
+class LeakyDriver(ProtectionDriver):
+    def retire(self, descriptor):
+        for slot in descriptor.slots:
+            self.iommu.unmap_range(slot.iova, 4096)
+"""
+
+GOOD_DRIVER = """
+class SafeDriver(ProtectionDriver):
+    def retire(self, descriptor):
+        for slot in descriptor.slots:
+            self.iommu.unmap_range(slot.iova, 4096)
+            self._invalidate(slot.iova)
+    def _invalidate(self, iova):
+        self.iommu.invalidation_queue.invalidate_range(iova, 4096, False)
+"""
+
+RETRY_DRIVER = """
+class RetryDriver(ProtectionDriver):
+    def retire(self, slot):
+        attempts = 0
+        while attempts < 3:
+            self.iommu.unmap_range(slot.iova, 4096)
+            attempts += 1
+        self.queue.invalidate_range(slot.iova, 4096, False)
+"""
+
+REARMING_RETRY_DRIVER = """
+class RearmingDriver(ProtectionDriver):
+    def retire(self, slot):
+        attempts = 0
+        while attempts < 3:
+            self.iommu.unmap_range(slot.iova, 4096)
+            self._rearm(slot.iova)
+            attempts += 1
+
+    def _rearm(self, iova):
+        self._invalidate_robust(self.queue, iova, 4096, False)
+"""
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        pytest.param(BAD_DRIVER, ["REPRO004"], id="unmap-never-invalidates"),
+        # The invalidation lives in a helper method.
+        pytest.param(GOOD_DRIVER, [], id="invalidate-in-helper-allowed"),
+        # _invalidate_robust is the hardened seam the fault-injection
+        # drivers use; it counts as invalidating.
+        pytest.param(
+            """
+class CheckedDriver(ProtectionDriver):
+    def retire(self, slot):
+        self.iommu.unmap_range(slot.iova, 4096)
+        self._invalidate_robust(self.queue, slot.iova, 4096, False)
+""",
+            [],
+            id="checked-interface-allowed",
+        ),
+        pytest.param(
+            """
+class PageTableShim:
+    def drop(self, iova):
+        self.table.unmap_range(iova, 4096)
+""",
+            [],
+            id="non-driver-ignored",
+        ),
+        # The method invalidates after the loop, but each iteration's
+        # unmap leaves a stale IOTLB entry until that final
+        # invalidation.
+        pytest.param(RETRY_DRIVER, ["REPRO004"], id="retry-without-rearm"),
+        # Re-arming through a helper method counts.
+        pytest.param(
+            REARMING_RETRY_DRIVER, [], id="retry-with-rearm-allowed"
+        ),
+        pytest.param(
+            """
+class RingBuffer:
+    def drain(self):
+        while self.entries:
+            self.table.unmap_range(self.entries.pop(), 4096)
+""",
+            [],
+            id="retry-non-driver-ignored",
+        ),
+    ],
+)
+def test_unmap_rule(source, expected):
+    assert codes(analyze_source(source)) == expected
+
+
 def test_branchy_unmap_flagged_by_analyzer():
     findings = analyze_fixture("bad_branchy_driver.py")
     assert codes(findings) == ["REPRO004"]
     assert "return without an IOTLB invalidation" in findings[0].message
 
 
-def test_branchy_unmap_missed_by_lint_heuristic():
-    source = (FIXTURES / "bad_branchy_driver.py").read_text()
-    lint_codes = [f.code for f in lint_source(source, "bad.py")]
-    assert "REPRO004" not in lint_codes
-
-
 def test_early_return_flagged_by_analyzer():
     findings = analyze_fixture("bad_early_return.py")
     assert codes(findings) == ["REPRO004"]
     assert findings[0].line == 18  # the unmap call site
-
-
-def test_early_return_missed_by_lint_heuristic():
-    source = (FIXTURES / "bad_early_return.py").read_text()
-    lint_codes = [f.code for f in lint_source(source, "bad.py")]
-    assert "REPRO004" not in lint_codes
 
 
 def test_retry_loop_without_rearm_flagged():
@@ -455,6 +654,23 @@ def test_submit_of_derived_value_not_flagged():
 # ---------------------------------------------------------------------------
 # The analyzer's own bar: zero findings on the shipped source tree
 # ---------------------------------------------------------------------------
+def test_every_rule_has_a_catalogue_entry():
+    # SARIF and --explain read the catalogue; REPRO000 is the parse
+    # error the engine itself reports.
+    codes_run = {rule.code for rule in default_rules()}
+    assert codes_run | {"REPRO000"} == set(RULES)
+
+
 def test_repo_source_tree_is_clean():
     src_root = Path(repro.__file__).parent
     assert analyze_paths([str(src_root)]) == []
+
+
+def test_repo_source_tree_passes_determinism_and_unmap_rules():
+    # REPRO001-004 are the rules with `# noqa` exemptions in the tree
+    # (store.py's cache timestamp, the event heap's time ties); each
+    # exemption must stay on the exact line it excuses.
+    rules = [rule for rule in default_rules() if rule.code <= "REPRO004"]
+    assert codes(rules) == ["REPRO001", "REPRO002", "REPRO003", "REPRO004"]
+    src_root = Path(repro.__file__).parent
+    assert analyze_paths([str(src_root)], rules) == []

@@ -1,4 +1,4 @@
-"""CLI wiring for ``repro lint`` and ``repro run --verify``."""
+"""CLI wiring for ``repro run --verify``."""
 
 import contextlib
 import io
@@ -62,17 +62,3 @@ def test_verified_table_equals_burst_table(fig12_runs):
     table = [line for line in verified.splitlines() if not line.startswith("[verify]")]
     assert table == plain.splitlines()
     assert "Fig 12" in plain
-
-
-def test_lint_subcommand_clean_tree(capsys):
-    import repro
-
-    src_pkg = repro.__file__.rsplit("/", 1)[0]
-    assert main(["lint", src_pkg]) == 0
-
-
-def test_lint_subcommand_reports_findings(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nstamp = time.time()\n")
-    assert main(["lint", str(bad)]) == 1
-    assert "REPRO001" in capsys.readouterr().out
