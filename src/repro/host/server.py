@@ -97,12 +97,16 @@ class Host:
         ]
         self._poll_timer = [None] * config.num_cores
         self._poll_scheduled = [False] * config.num_cores
+        self._poll_fns = [
+            partial(self._poll, core) for core in range(config.num_cores)
+        ]
         # Per-core completed-but-unretired Tx mappings.
         self._pending_tx: list[list[TxMapping]] = [
             [] for _ in range(config.num_cores)
         ]
-        # DMA bookkeeping: packet_id -> taken (descriptor, slot) pairs.
-        self._pending_slots: dict[int, list] = {}
+        # Buffered packets' Rx DMA jobs by packet_id: ``(packet, core,
+        # taken (descriptor, slot) pairs)``, the core being the flow's.
+        self._rx_jobs: dict[int, tuple] = {}
         # Hard-fault path: packets whose DMA the IOMMU aborted.  The
         # begin callback flags the packet; the finish callback consumes
         # the flag and suppresses delivery (Rx) / wire-out (Tx).
@@ -245,51 +249,60 @@ class Host:
         )
         return binding.sender
 
-    def core_of(self, flow_id: int) -> int:
-        binding = self._flows.get(flow_id)
-        if binding is not None:
-            return binding.core
-        return flow_id % self.config.num_cores
-
     # ------------------------------------------------------------------
     # Wire ingress (step 2-3)
     # ------------------------------------------------------------------
     def packet_from_wire(self, packet: Packet) -> None:
         """Every arriving packet — data or ACK — is DMA'd via a ring."""
-        pages = max(1, -(-packet.size_bytes // PAGE_SIZE))
-        binding = self._flows.get(packet.flow_id)
-        core = binding.core if binding else packet.flow_id % self.config.num_cores
-        ring = self.nic.rings[core]
-        self.nic.stats.arrived_packets += 1
-        self.nic.stats.arrived_bytes += packet.size_bytes
-        if self.nic.quiesced:
+        size = packet.size_bytes
+        pages = -(-size // PAGE_SIZE) if size > PAGE_SIZE else 1
+        flow_id = packet.flow_id
+        binding = self._flows.get(flow_id)
+        core = (
+            binding.core
+            if binding is not None
+            else flow_id % self.config.num_cores
+        )
+        nic = self.nic
+        stats = nic.stats
+        stats.arrived_packets += 1
+        stats.arrived_bytes += size
+        if nic.quiesced:
             # Function-level reset in progress: the device is off the
             # bus and arrivals are lost, like a real reset window.
-            self.nic.stats.buffer_drops += 1
+            stats.buffer_drops += 1
             return
+        ring = nic.rings[core]
         if ring.free_pages < pages:
-            self.nic.stats.ring_drops += 1
+            stats.ring_drops += 1
             return
-        if not self.nic.input_buffer.try_enqueue(packet, packet.size_bytes):
-            self.nic.stats.buffer_drops += 1
+        if not nic.input_buffer.try_enqueue(packet, size):
+            stats.buffer_drops += 1
             return
         # Reserve the page slots now (the NIC owns them on arrival).
-        self._pending_slots[packet.packet_id] = ring.take_pages(pages)
-        self._pump_rx_dma()
+        self._rx_jobs[packet.packet_id] = (
+            packet, core, ring.take_pages(pages)
+        )
+        pipeline = self.rx_pipeline
+        if pipeline.inflight < pipeline.lanes:
+            self._pump_rx_dma()
 
     def _pump_rx_dma(self) -> None:
-        while self.rx_pipeline.inflight < self.rx_pipeline.lanes:
-            packet = self.nic.next_packet()
+        pipeline = self.rx_pipeline
+        next_packet = self.nic.next_packet
+        jobs = self._rx_jobs
+        while pipeline.inflight < pipeline.lanes:
+            packet = next_packet()
             if packet is None:
                 return
-            taken = self._pending_slots.pop(packet.packet_id)
-            self.rx_pipeline.submit(
+            pipeline.submit(
                 packet.size_bytes,
-                partial(self._rx_dma_begin, packet, taken),
-                partial(self._rx_dma_finish, packet, taken),
+                self._rx_dma_begin,
+                self._rx_dma_finish,
+                jobs.pop(packet.packet_id),
             )
 
-    def _rx_dma_begin(self, packet: Packet, taken, start: float) -> float:
+    def _rx_dma_begin(self, job: tuple, start: float) -> float:
         """Translate every PCIe transaction, then time the DMA.
 
         Each IOTLB miss is one page walk: reads within a walk are
@@ -297,18 +310,20 @@ class Host:
         walker channels.  The DMA completes when the wire transfer and
         the slowest walk (plus the per-DMA base latency l0) are done.
         """
-        config = self.config
+        packet, _core, taken = job
+        pcie = self.config.pcie
+        mps = pcie.max_payload_bytes
+        driver = self.driver
         walks_done = start
         remaining = packet.size_bytes
         for _descriptor, slot in taken:
             in_page = min(remaining, PAGE_SIZE)
             remaining -= in_page
-            transactions = config.pcie.transactions(in_page)
-            mps = config.pcie.max_payload_bytes
+            transactions = pcie.transactions(in_page)
             # All of this page's TLPs translate back to back with no
             # event in between; when the driver can batch them (no
             # monitor/faults/fault queue) only the first can walk.
-            reads = self.driver.translate_for_dma_burst(
+            reads = driver.translate_for_dma_burst(
                 slot.iova, transactions, "rx"
             )
             if reads is not None:
@@ -320,7 +335,7 @@ class Host:
                         walks_done = finish
                 continue
             for index in range(transactions):
-                reads, aborted = self.driver.translate_for_dma(
+                reads, aborted = driver.translate_for_dma(
                     slot.iova + index * mps, "rx"
                 )
                 if aborted:
@@ -338,32 +353,35 @@ class Host:
                         walks_done = finish
         self._account_dma_bytes(packet.size_bytes)
         wire_done = self.rx_pipeline.reserve_wire(start, packet.size_bytes)
-        return max(wire_done, walks_done + config.pcie.l0_ns)
+        return max(wire_done, walks_done + pcie.l0_ns)
 
-    def _rx_dma_finish(self, packet: Packet, taken) -> None:
+    def _rx_dma_finish(self, job: tuple) -> None:
+        packet, core, taken = job
         aborted = packet.packet_id in self._aborted_dmas
         if aborted:
             self._aborted_dmas.discard(packet.packet_id)
-        ring = None
+        # The pages' writes have landed.  Only a descriptor that
+        # completes here can make its ring's head complete, so the ring
+        # is asked for completed descriptors only then.
+        completed = False
         for descriptor, _slot in taken:
-            descriptor.dma_done()
-        if taken:
-            core = taken[0][0].core
-            ring = self.nic.rings[core]
+            if descriptor.dma_done():
+                completed = True
         if packet.is_data and not aborted:
-            pages = len(taken)
             self.rx_data_segments += 1
             self.rx_data_bytes += packet.size_bytes
-            self.rx_data_pages += pages
-        if ring is not None:
-            for descriptor in ring.pop_completed():
+            self.rx_data_pages += len(taken)
+        if completed:
+            for descriptor in self.nic.rings[core].pop_completed():
                 self._schedule_descriptor_recycle(descriptor)
         if not aborted:
             # An aborted DMA wrote nothing: the packet is lost exactly
             # like a wire drop, and the transport's loss recovery (dup
             # ACKs / RTO) takes it from here.
-            self._deliver_to_core(packet)
-        self._pump_rx_dma()
+            self._deliver_to_core(packet, core)
+        pipeline = self.rx_pipeline
+        if pipeline.inflight < pipeline.lanes:
+            self._pump_rx_dma()
 
     # ------------------------------------------------------------------
     # Hard-fault recovery surface (driven by RecoveryManager)
@@ -382,7 +400,7 @@ class Host:
             if entry is None:
                 break
             buffered, _size = entry
-            self._pending_slots.pop(buffered.packet_id, None)
+            self._rx_jobs.pop(buffered.packet_id, None)
 
     def outstanding_descriptors(self) -> list[RxDescriptor]:
         """Tear every posted descriptor off every ring (device reset)."""
@@ -417,22 +435,23 @@ class Host:
     # ------------------------------------------------------------------
     # NAPI delivery (step 5)
     # ------------------------------------------------------------------
-    def _deliver_to_core(self, packet: Packet) -> None:
-        core = self.core_of(packet.flow_id)
+    def _deliver_to_core(self, packet: Packet, core: int) -> None:
+        """Queue ``packet`` for NAPI on ``core`` (its flow's core)."""
         queue = self._napi_queues[core]
         queue.append(packet)
         if self._poll_scheduled[core]:
+            timer = self._poll_timer[core]
             if (
-                len(queue) >= self.config.irq_coalesce_frames
-                and self._poll_timer[core] is not None
+                timer is not None
+                and len(queue) >= self.config.irq_coalesce_frames
             ):
-                self._poll_timer[core].cancel()
+                timer.cancel()
                 self._poll_timer[core] = None
-                self.sim.schedule_after(0.0, lambda: self._poll(core))
+                self.sim.schedule_after(0.0, self._poll_fns[core])
             return
         self._poll_scheduled[core] = True
         self._poll_timer[core] = self.sim.call_after(
-            self.config.irq_coalesce_ns, lambda: self._poll(core)
+            self.config.irq_coalesce_ns, self._poll_fns[core]
         )
 
     def _poll(self, core: int) -> None:
@@ -497,7 +516,7 @@ class Host:
         if self._napi_queues[core]:
             self._poll_scheduled[core] = True
             self._poll_timer[core] = self.sim.call_after(
-                self.config.irq_coalesce_ns, lambda: self._poll(core)
+                self.config.irq_coalesce_ns, self._poll_fns[core]
             )
 
     # ------------------------------------------------------------------
@@ -507,11 +526,11 @@ class Host:
         mapping, cost = self.driver.map_tx_page(core)
         self.cores.charge(core, cost)
         self.acks_sent += 1
-        mappings = [mapping]
         self.tx_pipeline.submit(
             ack.size_bytes,
-            partial(self._tx_dma_begin, ack, mappings, "tx_ack"),
-            partial(self._tx_dma_finish, ack, mappings, core),
+            self._tx_dma_begin,
+            self._tx_dma_finish,
+            (ack, [mapping], core, "tx_ack"),
         )
 
     def pump_tx_flow(self, flow_id: int) -> None:
@@ -537,22 +556,23 @@ class Host:
         self.tx_data_bytes_sent += packet.size_bytes
         self.tx_pipeline.submit(
             packet.size_bytes,
-            partial(self._tx_dma_begin, packet, mappings, "tx_data"),
-            partial(self._tx_dma_finish, packet, mappings, core),
+            self._tx_dma_begin,
+            self._tx_dma_finish,
+            (packet, mappings, core, "tx_data"),
         )
 
-    def _tx_dma_begin(
-        self, packet: Packet, mappings, source: str, start: float
-    ) -> float:
-        config = self.config
+    def _tx_dma_begin(self, job: tuple, start: float) -> float:
+        packet, mappings, _core, source = job
+        pcie = self.config.pcie
+        mps = pcie.max_payload_bytes
+        driver = self.driver
         walks_done = start
         remaining = packet.size_bytes
         for mapping in mappings:
             in_page = min(remaining, PAGE_SIZE)
             remaining -= in_page
-            mps = config.pcie.max_payload_bytes
-            transactions = config.pcie.transactions(in_page)
-            reads = self.driver.translate_for_dma_burst(
+            transactions = pcie.transactions(in_page)
+            reads = driver.translate_for_dma_burst(
                 mapping.iova, transactions, source
             )
             if reads is not None:
@@ -564,7 +584,7 @@ class Host:
                         walks_done = finish
                 continue
             for index in range(transactions):
-                reads, aborted = self.driver.translate_for_dma(
+                reads, aborted = driver.translate_for_dma(
                     mapping.iova + index * mps, source
                 )
                 if aborted:
@@ -579,9 +599,10 @@ class Host:
                         walks_done = finish
         self._account_dma_bytes(packet.size_bytes)
         wire_done = self.tx_pipeline.reserve_wire(start, packet.size_bytes)
-        return max(wire_done, walks_done + config.pcie.l0_ns)
+        return max(wire_done, walks_done + pcie.l0_ns)
 
-    def _tx_dma_finish(self, packet: Packet, mappings, core: int) -> None:
+    def _tx_dma_finish(self, job: tuple) -> None:
+        packet, mappings, core, _source = job
         if packet.packet_id in self._aborted_tx:
             # The device never read the payload; nothing reaches the
             # wire, but the mappings still retire through the normal

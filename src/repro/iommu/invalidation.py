@@ -75,7 +75,7 @@ class InvalidationStatus(enum.Enum):
 _STATUS_BY_NAME = {status.value: status for status in InvalidationStatus}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvalidationResult:
     """One descriptor's outcome: CPU cost, status, completed prefix."""
 

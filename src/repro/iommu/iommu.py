@@ -343,7 +343,8 @@ class Iommu:
         read_ns = self.memory.read_latency_ns(utilization)
         channels = self._walker_free
         if channel is None:
-            index = min(range(len(channels)), key=channels.__getitem__)
+            # The first of the least-loaded channels.
+            index = channels.index(min(channels))
         else:
             index = channel % len(channels)
         start = max(now, channels[index])

@@ -154,19 +154,21 @@ class IOPageTable:
         if iova % PAGE_SIZE:
             raise MappingError(f"unaligned iova {iova:#x}")
         page = self.root
-        for level in (1, 2, 3):
-            index = level_index(iova, level)
-            child = page.entries.get(index)
+        # The level indices inline, as in :meth:`walk`.
+        for level, shift in ((1, 39), (2, 30), (3, 21)):
+            entries = page.entries
+            index = (iova >> shift) & 511
+            child = entries.get(index)
             if child is None:
-                child_base = iova & ~((1 << LEVEL_SHIFTS[level]) - 1)
-                child = PageTablePage(level + 1, child_base)
-                page.entries[index] = child
+                child = PageTablePage(level + 1, iova & ~((1 << shift) - 1))
+                entries[index] = child
                 self.stats.pages_created += 1
             page = child  # type: ignore[assignment]
-        leaf_index = level_index(iova, 4)
-        if leaf_index in page.entries:
+        entries = page.entries
+        leaf_index = (iova >> 12) & 511
+        if leaf_index in entries:
             raise MappingError(f"iova {iova:#x} already mapped")
-        page.entries[leaf_index] = frame
+        entries[leaf_index] = frame
         self._mapped_pages += 1
         self.stats.maps += 1
 

@@ -25,7 +25,7 @@ DEFAULT_DESCRIPTOR_PAGES = 64
 _descriptor_ids = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageSlot:
     """One page-sized DMA target inside a descriptor."""
 
@@ -67,17 +67,28 @@ class RxDescriptor:
     def is_complete(self) -> bool:
         return self.is_exhausted and self.dma_pending == 0
 
-    def take_page(self) -> PageSlot:
-        """Consume the next page slot for an arriving packet."""
-        if self.is_exhausted:
-            raise RuntimeError("descriptor exhausted")
-        slot = self.slots[self.consumed]
-        self.consumed += 1
-        self.dma_pending += 1
-        return slot
+    def take_run(self, count: int) -> list[PageSlot]:
+        """Consume the next ``count`` page slots for an arriving packet.
 
-    def dma_done(self, pages: int = 1) -> None:
-        """Record completion of DMA writes into ``pages`` taken slots."""
-        if pages > self.dma_pending:
+        Takes fewer when the descriptor runs out first (the packet
+        continues in the next descriptor) and returns the slots taken.
+        """
+        first = self.consumed
+        slots = self.slots
+        if first >= len(slots):
+            raise RuntimeError("descriptor exhausted")
+        end = min(first + count, len(slots))
+        self.consumed = end
+        self.dma_pending += end - first
+        return slots[first:end]
+
+    def dma_done(self, pages: int = 1) -> bool:
+        """Record completion of DMA writes into ``pages`` taken slots.
+
+        Returns whether the descriptor is now complete.
+        """
+        pending = self.dma_pending
+        if pages > pending:
             raise RuntimeError("more DMA completions than pending pages")
-        self.dma_pending -= pages
+        self.dma_pending = pending = pending - pages
+        return pending == 0 and self.consumed >= len(self.slots)

@@ -36,9 +36,9 @@ class RxRing:
         self._descriptors: deque[RxDescriptor] = deque()
         self.posted_descriptors = 0
         self.completed_descriptors = 0
-        # Maintained count of unconsumed slots; every arrival checks
-        # free_pages, so summing the deque there is a hot-path cost.
-        self._free_pages = 0
+        # Unconsumed page slots across all posted descriptors, kept as
+        # a count: every arrival reads it.
+        self.free_pages = 0
         # Leading descriptors whose slots are all consumed (they wait
         # for their DMAs to land); take_pages starts past them.
         self._exhausted = 0
@@ -66,12 +66,7 @@ class RxRing:
     def _post_now(self, descriptor: RxDescriptor) -> None:
         self._descriptors.append(descriptor)
         self.posted_descriptors += 1
-        self._free_pages += descriptor.free_pages
-
-    @property
-    def free_pages(self) -> int:
-        """Unconsumed page slots across all posted descriptors."""
-        return self._free_pages
+        self.free_pages += descriptor.free_pages
 
     @property
     def descriptor_count(self) -> int:
@@ -84,19 +79,23 @@ class RxRing:
         caller must check :attr:`free_pages` first (and drop the packet
         if the ring is empty — the "ring exhaustion" drop mode).
         """
-        if count > self._free_pages:
+        if count > self.free_pages:
             raise RuntimeError("ring has too few free pages")
         taken: list[tuple[RxDescriptor, PageSlot]] = []
         descriptors = self._descriptors
         skip = self._exhausted
-        while len(taken) < count:
+        need = count
+        while need:
             descriptor = descriptors[skip]
-            while not descriptor.is_exhausted and len(taken) < count:
-                taken.append((descriptor, descriptor.take_page()))
-            if descriptor.is_exhausted:
+            if descriptor.is_exhausted:  # spent, or posted empty
                 skip += 1
+                continue
+            run = descriptor.take_run(need)
+            need -= len(run)
+            for slot in run:
+                taken.append((descriptor, slot))
         self._exhausted = skip
-        self._free_pages -= count
+        self.free_pages -= count
         return taken
 
     def pop_completed(self) -> list[RxDescriptor]:
@@ -124,6 +123,6 @@ class RxRing:
         """
         drained = list(self._descriptors)
         self._descriptors.clear()
-        self._free_pages = 0
+        self.free_pages = 0
         self._exhausted = 0
         return drained

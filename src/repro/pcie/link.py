@@ -21,6 +21,11 @@ the correct simulated instant (so invalidations by other traffic
 interleave faithfully), reserves page-walk time on the shared walker,
 and returns the completion time — typically
 ``max(wire_done, walk_done + l0)`` with the paper's fitted l0 = 65 ns.
+
+Each DMA carries an opaque ``job`` (the host passes its packet and page
+slots): the pipeline calls ``begin(job, start)`` and ``finish(job)``, so
+callers hand over bound methods instead of allocating a closure per
+callback.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 from ..context import current_context
 from ..mem.latency import DEFAULT_L0_NS
@@ -58,10 +63,10 @@ class PcieConfig:
         return -(-size_bytes // self.max_payload_bytes)
 
 
-# ``begin`` receives the DMA's start time and returns its completion
-# time; ``finish`` runs at completion.
-BeginFn = Callable[[float], float]
-FinishFn = Callable[[], None]
+# ``begin`` receives the DMA's job and start time and returns its
+# completion time; ``finish`` receives the job at completion.
+BeginFn = Callable[[Any, float], float]
+FinishFn = Callable[[Any], None]
 
 
 class DmaPipeline:
@@ -80,8 +85,8 @@ class DmaPipeline:
         self.config = config
         self.lanes = lanes
         self.label = label  # direction tag for metrics/trace ("rx"/"tx")
-        self._busy = 0
-        self._pending: deque[tuple[int, BeginFn, FinishFn]] = deque()
+        self.inflight = 0  # lanes occupied
+        self._pending: deque[tuple[int, BeginFn, FinishFn, Any]] = deque()
         self._wire_busy_until = 0.0
         self.completed_dmas = 0
         self.completed_bytes = 0
@@ -105,16 +110,22 @@ class DmaPipeline:
             scope.gauge("queued", lambda: self.queued)
 
     # ------------------------------------------------------------------
-    def submit(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
-        """Queue one DMA; it starts when a lane frees up."""
-        if self._busy >= self.lanes:
-            self._pending.append((size_bytes, begin, finish))
+    def submit(
+        self, size_bytes: int, begin: BeginFn, finish: FinishFn, job: Any
+    ) -> None:
+        """Queue one DMA; it starts when a lane frees up.
+
+        ``begin(job, start)`` runs when it starts and returns its
+        completion time; ``finish(job)`` runs at that time.
+        """
+        if self.inflight >= self.lanes:
+            self._pending.append((size_bytes, begin, finish, job))
         elif self.faults is None:
             # No link flap can hold it: start at once.
-            self._busy += 1
-            self._begin(size_bytes, begin, finish)
+            self.inflight += 1
+            self._begin(size_bytes, begin, finish, job)
         else:
-            self._start(size_bytes, begin, finish)
+            self._start(size_bytes, begin, finish, job)
 
     def reserve_wire(self, start: float, size_bytes: int) -> float:
         """Serialize ``size_bytes`` on the shared wire from ``start``.
@@ -133,8 +144,10 @@ class DmaPipeline:
         return wire_done
 
     # ------------------------------------------------------------------
-    def _start(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
-        self._busy += 1
+    def _start(
+        self, size_bytes: int, begin: BeginFn, finish: FinishFn, job: Any
+    ) -> None:
+        self.inflight += 1
         if self.faults is not None:
             held_until = self.faults.hold_until()
             if held_until is not None and held_until > self.sim.now:
@@ -143,14 +156,17 @@ class DmaPipeline:
                 # begins when the link retrains.
                 self.held_dmas += 1
                 self.sim.schedule_at(
-                    held_until, partial(self._begin, size_bytes, begin, finish)
+                    held_until,
+                    partial(self._begin, size_bytes, begin, finish, job),
                 )
                 return
-        self._begin(size_bytes, begin, finish)
+        self._begin(size_bytes, begin, finish, job)
 
-    def _begin(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
+    def _begin(
+        self, size_bytes: int, begin: BeginFn, finish: FinishFn, job: Any
+    ) -> None:
         start = self.sim.now
-        completion = begin(start)
+        completion = begin(job, start)
         if completion < start:
             raise ValueError("begin() returned a completion in the past")
         if self.faults is not None:
@@ -169,22 +185,18 @@ class DmaPipeline:
                 bytes=size_bytes,
             )
         self.sim.schedule_at(
-            completion, partial(self._complete, size_bytes, finish)
+            completion, partial(self._complete, size_bytes, finish, job)
         )
 
-    def _complete(self, size_bytes: int, finish: FinishFn) -> None:
-        self._busy -= 1
+    def _complete(self, size_bytes: int, finish: FinishFn, job: Any) -> None:
+        self.inflight -= 1
         self.completed_dmas += 1
         self.completed_bytes += size_bytes
-        finish()
-        while self._pending and self._busy < self.lanes:
-            next_size, next_begin, next_finish = self._pending.popleft()
-            self._start(next_size, next_begin, next_finish)
+        finish(job)
+        pending = self._pending
+        while pending and self.inflight < self.lanes:
+            self._start(*pending.popleft())
 
     @property
     def queued(self) -> int:
         return len(self._pending)
-
-    @property
-    def inflight(self) -> int:
-        return self._busy

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ProtectionDriver", "TxMapping", "DriverCosts"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxMapping:
     """One mapped Tx page (a socket buffer handed to the NIC)."""
 

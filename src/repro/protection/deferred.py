@@ -78,7 +78,7 @@ class DeferredDriver(ProtectionDriver):
             frame = self.physmem.alloc_frame()
             iova = self.allocator.alloc(1, cpu=core)
             self.iommu.map_page(iova, frame)
-            slots.append(PageSlot(iova=iova, frame=frame))
+            slots.append(PageSlot(iova, frame))
         cost += pages * self.costs.map_ns
         descriptor = RxDescriptor(slots=slots, core=core)
         self._notify_rx_mapped(descriptor)
@@ -99,7 +99,7 @@ class DeferredDriver(ProtectionDriver):
         frame = self.physmem.alloc_frame()
         iova = self.allocator.alloc(1, cpu=core)
         self.iommu.map_page(iova, frame)
-        mapping = TxMapping(iova=iova, frame=frame)
+        mapping = TxMapping(iova, frame)
         self._notify_tx_mapped(mapping)
         return mapping, self.costs.map_ns
 

@@ -29,7 +29,7 @@ class PassthroughDriver(ProtectionDriver):
         slots = []
         for _ in range(pages):
             frame = self.physmem.alloc_frame()
-            slots.append(PageSlot(iova=frame << PAGE_SHIFT, frame=frame))
+            slots.append(PageSlot(frame << PAGE_SHIFT, frame))
         descriptor = RxDescriptor(slots=slots, core=core)
         self._notify_rx_mapped(descriptor)
         return descriptor, 0.0
@@ -42,7 +42,7 @@ class PassthroughDriver(ProtectionDriver):
 
     def map_tx_page(self, core: int):
         frame = self.physmem.alloc_frame()
-        mapping = TxMapping(iova=frame << PAGE_SHIFT, frame=frame)
+        mapping = TxMapping(frame << PAGE_SHIFT, frame)
         self._notify_tx_mapped(mapping)
         return mapping, 0.0
 

@@ -166,8 +166,7 @@ class StrictFamilyDriver(ProtectionDriver):
             for index in range(pages):
                 slots.append(
                     PageSlot(
-                        iova=chunk.base_iova + index * PAGE_SIZE,
-                        frame=base_frame + index,
+                        chunk.base_iova + index * PAGE_SIZE, base_frame + index
                     )
                 )
             driver_data = (chunk, base_frame)
@@ -178,7 +177,7 @@ class StrictFamilyDriver(ProtectionDriver):
                 frame = self.physmem.alloc_frame()
                 iova = chunk.base_iova + index * PAGE_SIZE
                 self.iommu.map_page(iova, frame)
-                slots.append(PageSlot(iova=iova, frame=frame))
+                slots.append(PageSlot(iova, frame))
             driver_data = chunk
         elif self.contiguous_iova:
             # Sub-chunk descriptors (single-page devices like Intel
@@ -193,17 +192,15 @@ class StrictFamilyDriver(ProtectionDriver):
                 frame = self.physmem.alloc_frame()
                 iova, chunk = self.chunks.alloc_page_with_chunk(cpu=core)
                 self.iommu.map_page(iova, frame)
-                slots.append(PageSlot(iova=iova, frame=frame))
-                mappings.append(
-                    TxMapping(iova=iova, frame=frame, cookie=chunk)
-                )
+                slots.append(PageSlot(iova, frame))
+                mappings.append(TxMapping(iova, frame, chunk))
             driver_data = mappings
         else:
             for _ in range(pages):
                 frame = self.physmem.alloc_frame()
                 iova = self.allocator.alloc(1, cpu=core)
                 self.iommu.map_page(iova, frame)
-                slots.append(PageSlot(iova=iova, frame=frame))
+                slots.append(PageSlot(iova, frame))
         map_calls = 1 if self.hugepages else pages
         cost += probe.delta() + map_calls * self.costs.map_ns
         descriptor = RxDescriptor(
@@ -270,7 +267,7 @@ class StrictFamilyDriver(ProtectionDriver):
             cookie = None
         self.iommu.map_page(iova, frame)
         cost = probe.delta() + self.costs.map_ns
-        mapping = TxMapping(iova=iova, frame=frame, cookie=cookie)
+        mapping = TxMapping(iova, frame, cookie)
         self._notify_tx_mapped(mapping)
         return mapping, cost
 

@@ -33,6 +33,15 @@ which dominated the interpreter profile.  The ``handle`` slot is
 housekeeping marker.  :meth:`Simulator.run` additionally drains bursts
 of same-timestamp events without re-checking the run horizon between
 them.
+
+Cancellation.  A cancelled event stays in the heap and is skipped when
+popped, but the simulator counts its own cancelled entries: once they
+exceed both :data:`COMPACT_FLOOR` and half the heap, it rebuilds the
+heap in place from the live entries.  Re-armed timers (RTOs, NAPI
+polls) would otherwise leave the heap mostly dead weight that every
+push and pop sifts through.  The rebuild cannot change the execution
+order: pops follow the total order of the unique ``(time, seq)`` keys,
+and it removes exactly the entries :meth:`Simulator.run` would skip.
 """
 
 from __future__ import annotations
@@ -47,7 +56,12 @@ __all__ = [
     "EarlyQuiescenceError",
     "Watchdog",
     "WatchdogError",
+    "COMPACT_FLOOR",
 ]
+
+# The calendar is rebuilt once more than this many cancelled entries
+# make up more than half of it (the threshold asyncio's loop uses).
+COMPACT_FLOOR = 100
 
 
 class SimulationError(RuntimeError):
@@ -94,11 +108,13 @@ class Event:
 
     Events are returned by :meth:`Simulator.call_at` and can be cancelled
     (e.g. a retransmission timer that is defused by an ACK).  Cancelled
-    events stay in the heap but are skipped when popped; this "lazy
-    deletion" keeps cancellation O(1).
+    events stay in the heap, skipped when popped, until the simulator
+    compacts its calendar (see the module docstring).
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "housekeeping")
+    __slots__ = (
+        "time", "seq", "callback", "cancelled", "housekeeping", "_sim"
+    )
 
     def __init__(
         self,
@@ -106,6 +122,7 @@ class Event:
         seq: int,
         callback: Callable[[], Any],
         housekeeping: bool = False,
+        sim: Optional["Simulator"] = None,
     ):
         self.time = time
         self.seq = seq
@@ -116,10 +133,20 @@ class Event:
         # excluded from ``alive_events`` so they neither mask early
         # quiescence nor keep each other alive forever.
         self.housekeeping = housekeeping
+        # The simulator whose heap holds this event; cleared when the
+        # event is popped, so only a pending event counts as a
+        # cancelled heap entry.
+        self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent this event's callback from running."""
+        """Prevent this event's callback from running (idempotent)."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._entry_cancelled()
 
     def __lt__(self, other: "Event") -> bool:
         # Exact float compare is intended: only *bitwise-equal* times
@@ -147,18 +174,14 @@ class Simulator:
         # Heap entries: (time, seq, callback, Event-or-None).
         self._heap: list[tuple] = []
         self._seq = 0
-        self._now = 0.0
+        # Current simulated time in nanoseconds.  A plain attribute
+        # (read on every packet); only the event loop assigns it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
+        # Cancelled entries still in the heap.
+        self._cancelled = 0
         self.executed_events = 0
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -179,13 +202,13 @@ class Simulator:
         Callers that never cancel the event should prefer
         :meth:`schedule_at`, which skips the handle allocation.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is {self._now})"
+                f"cannot schedule at t={time} (now is {self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, housekeeping=housekeeping)
+        event = Event(time, seq, callback, housekeeping, self)
         heapq.heappush(self._heap, (time, seq, callback, event))
         return event
 
@@ -199,7 +222,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(
-            self._now + delay, callback, housekeeping=housekeeping
+            self.now + delay, callback, housekeeping=housekeeping
         )
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> None:
@@ -211,9 +234,9 @@ class Simulator:
         to cancel (RTO timers, NAPI poll timers) must use
         :meth:`call_at`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is {self._now})"
+                f"cannot schedule at t={time} (now is {self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -225,7 +248,7 @@ class Simulator:
         """``delay`` ns from now, without a cancellation handle."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self.now + delay, callback)
 
     # ------------------------------------------------------------------
     # Execution
@@ -239,9 +262,12 @@ class Simulator:
         heap = self._heap
         while heap:
             time, _seq, callback, event = heapq.heappop(heap)
-            if event is not None and event.cancelled:
-                continue
-            self._now = time
+            if event is not None:
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event._sim = None
+            self.now = time
             self.executed_events += 1
             callback()
             return True
@@ -286,9 +312,12 @@ class Simulator:
                 while heap and heap[0][0] == burst_time:  # noqa: REPRO003
                     entry = pop(heap)
                     event = entry[3]
-                    if event is not None and event.cancelled:
-                        continue
-                    self._now = burst_time
+                    if event is not None:
+                        if event.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        event._sim = None
+                    self.now = burst_time
                     executed += 1
                     entry[2]()
                     if self._stopped:
@@ -296,19 +325,35 @@ class Simulator:
         finally:
             self.executed_events = executed
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self.now < until and not self._stopped:
             if strict_until and self.alive_events == 0:
-                raise EarlyQuiescenceError(self._now, until)
-            self._now = until
-        return self._now
+                raise EarlyQuiescenceError(self.now, until)
+            self.now = until
+        return self.now
 
     def stop(self) -> None:
         """Stop a running :meth:`run` after the current event completes."""
         self._stopped = True
 
+    def _entry_cancelled(self) -> None:
+        """Count one cancelled heap entry; compact when they dominate."""
+        cancelled = self._cancelled + 1
+        heap = self._heap
+        if cancelled > COMPACT_FLOOR and cancelled + cancelled > len(heap):
+            # In place: a running ``run`` holds this very list.
+            heap[:] = [
+                entry
+                for entry in heap
+                if entry[3] is None or not entry[3].cancelled
+            ]
+            heapq.heapify(heap)
+            cancelled = 0
+        self._cancelled = cancelled
+
     @property
     def pending_events(self) -> int:
-        """Number of events in the calendar (including cancelled ones)."""
+        """Entries in the calendar: live events plus cancelled entries
+        not yet compacted."""
         return len(self._heap)
 
     @property
@@ -338,9 +383,11 @@ class Simulator:
         )
         lines = []
         for time, seq, callback in alive[:limit]:
+            # A ``functools.partial`` is named after the function it binds.
+            target = getattr(callback, "func", callback)
             name = getattr(
-                callback, "__qualname__", None
-            ) or getattr(callback, "__name__", repr(callback))
+                target, "__qualname__", None
+            ) or getattr(target, "__name__", repr(target))
             lines.append(f"t={time:.1f}ns seq={seq} {name}")
         overflow = len(alive) - limit
         if overflow > 0:

@@ -131,6 +131,17 @@ class TestWalkerTiming:
         assert third == 300.0  # queues behind the least-loaded channel
         assert iommu.walker_busy_until == 300.0
 
+    def test_tied_walkers_pick_the_first(self):
+        """Among equally loaded channels the lowest-numbered one wins."""
+        iommu = make_iommu(lm_ns=100.0, walkers=3)
+        iommu.reserve_walk(0.0, 3, channel=0)
+        iommu.reserve_walk(0.0, 1, channel=1)
+        iommu.reserve_walk(0.0, 1, channel=2)
+        # Channels free at 300, 100, 100: the tie goes to channel 1.
+        assert iommu.reserve_walk(0.0, 1) == 200.0
+        assert iommu.reserve_walk(0.0, 1, channel=2) == 200.0
+        assert iommu.reserve_walk(0.0, 1, channel=1) == 300.0
+
     def test_idle_walker_starts_immediately(self):
         iommu = make_iommu(lm_ns=100.0, walkers=1)
         iommu.reserve_walk(now=0.0, memory_reads=1)

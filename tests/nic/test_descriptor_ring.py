@@ -13,30 +13,44 @@ def make_descriptor(pages=4, core=0):
 class TestDescriptor:
     def test_take_page_consumes_in_order(self):
         desc = make_descriptor(3)
-        assert desc.take_page().iova == 0
-        assert desc.take_page().iova == 4096
+        assert desc.take_run(1)[0].iova == 0
+        assert desc.take_run(1)[0].iova == 4096
         assert desc.free_pages == 1
+        assert desc.dma_pending == 2
+
+    def test_take_run_stops_at_descriptor_end(self):
+        desc = make_descriptor(3)
+        desc.take_run(1)
+        run = desc.take_run(5)
+        assert [slot.iova for slot in run] == [4096, 8192]
+        assert desc.is_exhausted
+        assert desc.dma_pending == 3
 
     def test_exhausted_raises(self):
         desc = make_descriptor(1)
-        desc.take_page()
+        desc.take_run(1)
         with pytest.raises(RuntimeError):
-            desc.take_page()
+            desc.take_run(1)
 
     def test_complete_requires_dma_done(self):
         desc = make_descriptor(2)
-        desc.take_page()
-        desc.take_page()
+        desc.take_run(2)
         assert desc.is_exhausted
         assert not desc.is_complete
-        desc.dma_done()
+        assert desc.dma_done() is False
         assert not desc.is_complete
-        desc.dma_done()
+        assert desc.dma_done() is True
         assert desc.is_complete
+
+    def test_dma_done_before_exhaustion_is_not_complete(self):
+        desc = make_descriptor(2)
+        desc.take_run(1)
+        assert desc.dma_done() is False
+        assert not desc.is_complete
 
     def test_dma_done_overflow_raises(self):
         desc = make_descriptor(2)
-        desc.take_page()
+        desc.take_run(1)
         with pytest.raises(RuntimeError):
             desc.dma_done(2)
 

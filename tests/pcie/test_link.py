@@ -20,11 +20,14 @@ def test_single_lane_serializes_dmas():
     pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
     finished = []
 
-    def begin(start):
+    def begin(job, start):
         return start + 100.0
 
+    def finish(job):
+        finished.append((job, sim.now))
+
     for index in range(3):
-        pipe.submit(4096, begin, lambda i=index: finished.append((i, sim.now)))
+        pipe.submit(4096, begin, finish, index)
     sim.run()
     assert finished == [(0, 100.0), (1, 200.0), (2, 300.0)]
     assert pipe.completed_dmas == 3
@@ -36,9 +39,14 @@ def test_multi_lane_overlaps_latency():
     pipe = DmaPipeline(sim, PcieConfig(), lanes=2)
     finished = []
     for index in range(4):
-        pipe.submit(64, lambda s: s + 100.0, lambda: finished.append(sim.now))
+        pipe.submit(
+            64,
+            lambda job, s: s + 100.0,
+            lambda job: finished.append((job, sim.now)),
+            index,
+        )
     sim.run()
-    assert finished == [100.0, 100.0, 200.0, 200.0]
+    assert finished == [(0, 100.0), (1, 100.0), (2, 200.0), (3, 200.0)]
 
 
 def test_begin_runs_at_start_time_not_submit_time():
@@ -48,14 +56,14 @@ def test_begin_runs_at_start_time_not_submit_time():
     pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
     begin_times = []
 
-    def begin(start):
-        begin_times.append(start)
+    def begin(job, start):
+        begin_times.append((job, start))
         return start + 50.0
 
-    pipe.submit(64, begin, lambda: None)
-    pipe.submit(64, begin, lambda: None)
+    pipe.submit(64, begin, lambda job: None, "first")
+    pipe.submit(64, begin, lambda job: None, "second")
     sim.run()
-    assert begin_times == [0.0, 50.0]
+    assert begin_times == [("first", 0.0), ("second", 50.0)]
 
 
 def test_shared_wire_caps_aggregate_rate():
@@ -65,12 +73,11 @@ def test_shared_wire_caps_aggregate_rate():
     pipe = DmaPipeline(sim, config, lanes=4)
     finished = []
 
-    def begin(start, size=4096):
-        wire_done = pipe.reserve_wire(start, size)
-        return wire_done
+    def begin(size, start):
+        return pipe.reserve_wire(start, size)
 
     for _ in range(8):
-        pipe.submit(4096, begin, lambda: finished.append(sim.now))
+        pipe.submit(4096, begin, lambda size: finished.append(sim.now), 4096)
     sim.run()
     # 8 * 4096 B at 128 Gbps = 8 * 256 ns = 2048 ns minimum.
     assert finished[-1] >= 2048.0 - 1e-6
@@ -82,14 +89,14 @@ def test_backwards_completion_rejected():
     with pytest.raises(ValueError):
         # A free lane starts the DMA synchronously; the bogus begin()
         # is caught immediately.
-        pipe.submit(64, lambda start: start - 1.0, lambda: None)
+        pipe.submit(64, lambda job, start: start - 1.0, lambda job: None, None)
 
 
 def test_queue_depth_reporting():
     sim = Simulator()
     pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
-    for _ in range(3):
-        pipe.submit(64, lambda s: s + 10.0, lambda: None)
+    for index in range(3):
+        pipe.submit(64, lambda job, s: s + 10.0, lambda job: None, index)
     assert pipe.inflight == 1
     assert pipe.queued == 2
 

@@ -63,7 +63,7 @@ class TestBurstEquivalence:
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
         iova = descriptor.slots[0].iova
         for _ in range(descriptor.size):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
         with pytest.raises(DmaFault):
@@ -97,7 +97,7 @@ class TestBurstGating:
         iova = descriptor.slots[0].iova
         driver.translate(iova, "rx")
         for _ in range(descriptor.size):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
         # Unmapped but not yet flushed: every burst transaction is a

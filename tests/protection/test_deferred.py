@@ -18,7 +18,7 @@ def make_driver(flush_threshold=8):
 
 def consume(descriptor):
     for _ in range(descriptor.size):
-        descriptor.take_page()
+        descriptor.take_run(1)
         descriptor.dma_done()
 
 

@@ -65,7 +65,7 @@ class TestStrictSafetyProperty:
         # The device translates (and caches) every page.
         for slot in descriptor.slots:
             driver.translate(slot.iova, "rx")
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
         for slot in descriptor.slots:
@@ -95,7 +95,7 @@ class TestStrictSafetyProperty:
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
         for slot in descriptor.slots:
             driver.translate(slot.iova, "rx")
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
         # The stale IOTLB entries still translate.
@@ -128,7 +128,7 @@ class TestFnsMechanisms:
         for _ in range(30):
             descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
             for slot in descriptor.slots:
-                descriptor.take_page()
+                descriptor.take_run(1)
                 descriptor.dma_done()
             for _ in range(4):
                 mapping, _ = driver.map_tx_page(core=0)
@@ -147,7 +147,7 @@ class TestFnsMechanisms:
         driver, iommu, _ = make_strict("fns")
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for _ in range(64):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         before = iommu.stats.invalidation_requests
         driver.retire_rx_descriptor(descriptor, core=0)
@@ -157,7 +157,7 @@ class TestFnsMechanisms:
         driver, iommu, _ = make_strict("linux")
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for _ in range(64):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         before = iommu.stats.invalidation_requests
         driver.retire_rx_descriptor(descriptor, core=0)
@@ -169,7 +169,7 @@ class TestFnsMechanisms:
         second, _ = driver.make_rx_descriptor(core=0, pages=64)
         for slot in first.slots:
             driver.translate(slot.iova, "rx")
-            first.take_page()
+            first.take_run(1)
             first.dma_done()
         driver.retire_rx_descriptor(first, core=0)
         # The next descriptor's translation should walk only PT-L4.
@@ -185,7 +185,7 @@ class TestFnsMechanisms:
             driver, _, _ = make_strict(variant)
             descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
             for _ in range(64):
-                descriptor.take_page()
+                descriptor.take_run(1)
                 descriptor.dma_done()
             return driver.retire_rx_descriptor(descriptor, core=0)
 
@@ -218,7 +218,7 @@ class TestFnsMechanisms:
         assert iovas[1] == iovas[0] + PAGE_SIZE
         assert iovas[2] == iovas[1] + PAGE_SIZE
         for descriptor in descriptors:
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
             driver.retire_rx_descriptor(descriptor, core=0)
             assert not driver.device_can_access(descriptor.slots[0].iova)
@@ -270,7 +270,7 @@ class TestAblationConfigurations:
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for slot in descriptor.slots:
             driver.translate(slot.iova, "rx")
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         l3_invalidations_before = iommu.ptcaches.l3.invalidations
         driver.retire_rx_descriptor(descriptor, core=0)
@@ -282,7 +282,7 @@ class TestAblationConfigurations:
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for slot in descriptor.slots:
             driver.translate(slot.iova, "rx")
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         before_requests = iommu.stats.invalidation_requests
         l3_before = iommu.ptcaches.l3.invalidations

@@ -44,7 +44,7 @@ class TestHugeDescriptors:
         for slot in descriptor.slots[:8]:
             driver.translate(slot.iova, "rx")
         for _ in range(512):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
         for slot in descriptor.slots[:8]:
@@ -57,7 +57,7 @@ class TestHugeDescriptors:
         driver, iommu, _ = make_driver()
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=512)
         for _ in range(512):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         before = iommu.stats.invalidation_requests
         driver.retire_rx_descriptor(descriptor, core=0)
@@ -78,7 +78,7 @@ class TestHugeDescriptors:
         for _ in range(4):
             descriptor, _ = driver.make_rx_descriptor(core=0, pages=512)
             for _ in range(512):
-                descriptor.take_page()
+                descriptor.take_run(1)
                 descriptor.dma_done()
             driver.retire_rx_descriptor(descriptor, core=0)
         assert driver.chunks.live_chunk_count == 0

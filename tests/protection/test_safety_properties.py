@@ -62,7 +62,7 @@ def test_strict_property_holds_at_every_retire(flags, script):
         for index, slot in enumerate(descriptor.slots):
             if touch_mask & (1 << (index % 16)):
                 driver.translate(slot.iova, "rx")
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         tx_mappings = []
         for _ in range(tx_count):
@@ -97,7 +97,7 @@ def test_deferred_mode_violates_the_property(script):
             if touch_mask & (1 << (index % 16)):
                 driver.translate(slot.iova, "rx")
                 touched.append(slot)
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
         any_touched = any_touched or bool(touched)
@@ -125,7 +125,7 @@ def test_no_iova_leaks_across_lifecycles(flags, pages_touched):
         for index in range(pages_touched):
             driver.translate(descriptor.slots[index].iova, "rx")
         for _ in range(64):
-            descriptor.take_page()
+            descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
     assert iommu.page_table.mapped_pages == 0

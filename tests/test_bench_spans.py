@@ -1,0 +1,50 @@
+"""The benchmark's span targets exist in the code they time.
+
+``bench/layers.py`` wraps named methods and module functions to time
+each layer.  A method or function that a refactor renames or inlines
+away would leave its per-layer row empty (a missing method is skipped)
+or crash the traced run (a missing function); this test catches both.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    sys.path.insert(0, str(BENCH))
+    try:
+        module = importlib.import_module("layers")
+        # Load every subclass the spans may land on.
+        importlib.import_module("repro.experiments.points")
+        importlib.import_module("repro.host.testbed")
+        yield module
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_class_span_methods_are_defined(layers):
+    missing = []
+    for span, module_name, class_name, methods in layers.CLASS_SPANS:
+        base = getattr(importlib.import_module(module_name), class_name)
+        classes = layers._with_subclasses(base)
+        for method in methods:
+            if not any(method in cls.__dict__ for cls in classes):
+                missing.append(f"{span}: {class_name}.{method}")
+    assert missing == []
+
+
+def test_function_span_targets_exist(layers):
+    missing = [
+        f"{span}: {module_name}.{function}"
+        for span, module_name, functions in layers.FUNCTION_SPANS
+        for function in functions
+        if not hasattr(importlib.import_module(module_name), function)
+    ]
+    assert missing == []
+
