@@ -47,6 +47,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .fingerprint import runner_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
+    import argparse
+
     from ..experiments.settings import RunScale
     from ..parallel.spec import PointSpec
 
@@ -56,6 +58,7 @@ __all__ = [
     "default_cache_dir",
     "DEFAULT_GC_MAX_BYTES",
     "CACHE_DIR_ENV",
+    "main",
 ]
 
 SCHEMA = "repro.cache/1"
@@ -322,3 +325,31 @@ class ResultCache:
             "freed_bytes": freed,
             "remaining_bytes": 0,
         }
+
+
+def main(args: argparse.Namespace) -> int:
+    """``repro cache``: report on, trim or empty the store."""
+    cache = ResultCache(args.cache_dir)
+    if args.action == "stats":
+        disk = cache.disk_stats()
+        print(f"cache:   {cache.directory}")
+        print(f"entries: {disk['entries']}")
+        print(f"bytes:   {disk['bytes']}")
+        return 0
+    if args.action == "clear":
+        result = cache.clear()
+        print(
+            f"cleared {result['evicted']} entries "
+            f"({result['freed_bytes']} bytes) from {cache.directory}"
+        )
+        return 0
+    budget = (
+        args.max_bytes if args.max_bytes is not None else DEFAULT_GC_MAX_BYTES
+    )
+    result = cache.gc(max_bytes=budget, max_age_days=args.max_age_days)
+    print(
+        f"gc: evicted {result['evicted']} entries "
+        f"({result['freed_bytes']} bytes freed, "
+        f"{result['remaining_bytes']} bytes remain) in {cache.directory}"
+    )
+    return 0

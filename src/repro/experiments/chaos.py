@@ -27,29 +27,29 @@ as a committed plan JSON for ``repro run fig7 --faults plan.json``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..faults import FaultPlan, FaultSpec
 from ..faults.plan import HARD_KINDS, KINDS_BY_COMPONENT
 from ..parallel import PointSpec, derive_seed, run_points
 from ..sim.rng import SeededRng
 from .figures import FigureResult
-from .settings import QUICK, RunScale
+from .settings import DEFAULT_MTTR_BOUND_NS, QUICK, RunScale
+
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
 
 __all__ = [
     "DEFAULT_MTTR_BOUND_NS",
     "ChaosFailure",
     "failure_reasons",
+    "main",
     "run_chaos",
     "sample_plan",
     "shrink_plan",
 ]
-
-# Documented recovery-time bound (DESIGN.md §14): quiesce + reset +
-# descriptor-retire CPU + resume is ~0.5 ms on the modeled host; 2 ms
-# leaves headroom for retire work under large rings.
-DEFAULT_MTTR_BOUND_NS = 2_000_000.0
 
 CHAOS_HEADERS = [
     "plan",
@@ -332,3 +332,55 @@ def replay_fails(
         return bool(failure_reasons(runner(spec, scale), mttr_bound_ns))
 
     return fails
+
+
+def main(args: argparse.Namespace) -> int:
+    """``repro chaos``: sample schedules; shrink the first failure."""
+    result, failures = run_chaos(
+        seeds=args.seeds,
+        root_seed=args.seed,
+        mode=args.mode,
+        flows=args.flows,
+        scale=args.scale,
+        jobs=args.jobs,
+        mttr_bound_ns=args.mttr_bound_ns,
+        recovery=not args.no_recovery,
+        chunk=args.chunk,
+    )
+    print(result.format())
+    if not failures:
+        print(
+            f"chaos: {args.seeds} schedules passed "
+            "(zero violations, all hard faults recovered in bound)"
+        )
+        return 0
+    first = failures[0]
+    print(
+        f"chaos: {len(failures)}/{args.seeds} schedules failed; "
+        f"shrinking plan {first.index} "
+        f"({len(first.plan.specs)} specs; {', '.join(first.reasons)})",
+        file=sys.stderr,
+    )
+    fails = replay_fails(
+        args.mode,
+        args.flows,
+        not args.no_recovery,
+        args.scale,
+        args.mttr_bound_ns,
+    )
+    minimal, evaluations = shrink_plan(first.plan, fails)
+    with open(args.out, "w") as handle:
+        handle.write(minimal.to_json() + "\n")
+    print(
+        f"chaos: minimal repro has {len(minimal.specs)} spec(s) "
+        f"after {evaluations} reruns -> {args.out}",
+        file=sys.stderr,
+    )
+    for spec in minimal.specs:
+        print(
+            f"  {spec.component}/{spec.kind} "
+            f"[{spec.start_ns:.0f}, {spec.end_ns:.0f})ns "
+            f"p={spec.probability:g} mag={spec.magnitude:g}",
+            file=sys.stderr,
+        )
+    return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RunScale", "QUICK", "FULL"]
+__all__ = ["RunScale", "QUICK", "FULL", "DEFAULT_MTTR_BOUND_NS"]
 
 
 @dataclass(frozen=True)
@@ -38,3 +38,8 @@ FULL = RunScale(
     measure_ns=15_000_000.0,
     latency_measure_ns=60_000_000.0,
 )
+
+# Documented recovery-time bound (DESIGN.md §14): quiesce + reset +
+# descriptor-retire CPU + resume is ~0.5 ms on the modeled host; 2 ms
+# leaves headroom for retire work under large rings.
+DEFAULT_MTTR_BOUND_NS = 2_000_000.0

@@ -16,8 +16,8 @@ construction and skip all per-event work when its ``registry`` is
     registry.report()          # metrics JSON document
     registry.tracer.write("trace.json")   # Perfetto-loadable
 
-The CLI surfaces the same machinery as ``repro report`` and the global
-``--trace`` flag.  Wall-clock speed is measured outside the package,
+The CLI surfaces the same machinery as ``repro run <figure> --metrics
+PATH --trace PATH``.  Wall-clock speed is measured outside the package,
 by the benchmark of ``repro reproduce`` in ``bench/run.py``.
 """
 

@@ -14,9 +14,15 @@ itself (``bench/run.py``), not here.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-__all__ = ["DiffResult", "diff_documents"]
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
+
+__all__ = ["DiffResult", "diff_documents", "main"]
 
 
 @dataclass
@@ -46,6 +52,25 @@ class DiffResult:
             f"({len(self.regressions)} regression(s))"
         )
         return "\n".join(lines)
+
+
+def main(args: argparse.Namespace) -> int:
+    """``repro diff``: 0 clean, 1 on regressions, 2 on unusable input."""
+    docs = []
+    for path in (args.old, args.new):
+        try:
+            with open(path) as handle:
+                docs.append(json.load(handle))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {path!r}: {exc}", file=sys.stderr)
+            return 2
+    try:
+        result = diff_documents(docs[0], docs[1])
+    except ValueError as exc:
+        print(f"cannot diff: {exc}", file=sys.stderr)
+        return 2
+    print(result.format())
+    return 0 if result.ok else 1
 
 
 def diff_documents(old: dict, new: dict) -> DiffResult:

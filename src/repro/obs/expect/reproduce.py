@@ -16,12 +16,13 @@ CI gate as well as a document.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import subprocess
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
+    import argparse
+
     from ...cache.store import ResultCache
 
 from ...analysis.report import format_markdown_table
@@ -32,6 +33,7 @@ from .engine import FigureEvaluation, FigureSpec, evaluate_figure
 
 __all__ = [
     "REPORT_SCHEMA",
+    "main",
     "default_runners",
     "provenance",
     "collect_sections",
@@ -44,21 +46,14 @@ REPORT_SCHEMA = "repro.report/1"
 
 
 def default_runners() -> dict[str, Callable]:
-    """CLI figure key -> runner, for every figure that has a spec."""
-    from ... import experiments as exp
+    """Figure key -> runner, for every figure that has a spec."""
+    from ...experiments import FIGURES
+    from ..expectations import SPECS
 
     return {
-        "fig2": exp.fig2_flows,
-        "fig3": exp.fig3_ring,
-        "model": exp.model_fit,
-        "fig7": exp.fig7_fns_flows,
-        "fig8": exp.fig8_fns_ring,
-        "fig9": exp.fig9_rpc_latency,
-        "fig10": exp.fig10_rxtx,
-        "fig11a": exp.fig11_redis,
-        "fig11b": exp.fig11_nginx,
-        "fig11c": exp.fig11_spdk,
-        "fig12": exp.fig12_ablation,
+        key: runner
+        for key, (runner, _description) in FIGURES.items()
+        if key in SPECS
     }
 
 
@@ -155,32 +150,6 @@ def _truncated_phases(metrics: dict) -> list[str]:
     ]
 
 
-def _runner_kwargs(
-    runner: Callable,
-    scale: RunScale,
-    jobs: Optional[int],
-    seed: int,
-    chunk: Optional[int] = None,
-) -> dict:
-    """Only pass ``jobs``/``chunk``/``seed`` to runners that take them.
-
-    Injected test runners (and any future figure without a sweep) may
-    accept just ``scale``; probing the signature keeps them working.
-    """
-    kwargs: dict = {"scale": scale}
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # builtins/partials without a sig
-        return kwargs
-    if "jobs" in parameters:
-        kwargs["jobs"] = jobs
-    if "chunk" in parameters:
-        kwargs["chunk"] = chunk
-    if "seed" in parameters:
-        kwargs["seed"] = seed
-    return kwargs
-
-
 def collect_sections(
     names: Sequence[str],
     *,
@@ -192,12 +161,11 @@ def collect_sections(
     specs: Optional[dict[str, FigureSpec]] = None,
     echo: Callable[[str], None] = print,
 ) -> list[dict]:
-    """Run each named figure and evaluate its spec; the shared core.
+    """Run each named figure and evaluate its spec.
 
-    Both ``repro reproduce`` and ``repro publish`` build their report
-    document through this loop, so the sweep data behind a published
-    figure is byte-identical to the gated report (and, via
-    :mod:`repro.parallel`, identical at any ``--jobs``).
+    Each runner is called as ``runner(scale=, seed=, jobs=, chunk=)``;
+    via :mod:`repro.parallel` the sections are identical at any
+    ``--jobs``.
     """
     from ..expectations import SPECS
 
@@ -214,7 +182,7 @@ def collect_sections(
             cache_parts=tuple(specs[name].digest_parts()),
         ):
             result = runners[name](
-                **_runner_kwargs(runners[name], scale, jobs, seed, chunk)
+                scale=scale, seed=seed, jobs=jobs, chunk=chunk
             )
         metrics = registry.report()
         evaluation = evaluate_figure(specs[name], result, metrics=metrics)
@@ -235,6 +203,22 @@ def collect_sections(
     return sections
 
 
+def main(args: argparse.Namespace) -> int:
+    """``repro reproduce``: the parsed command line to :func:`run_reproduce`."""
+    from ...cache.store import ResultCache
+
+    return run_reproduce(
+        args.figures,
+        scale=args.scale,
+        seed=args.seed,
+        jobs=args.jobs,
+        chunk=args.chunk,
+        report_path=args.out,
+        json_path=args.json,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+    )
+
+
 def run_reproduce(
     figures: Optional[Sequence[str]] = None,
     *,
@@ -251,6 +235,9 @@ def run_reproduce(
 ) -> int:
     """Run figures, evaluate claims, write both reports; 1 on failure.
 
+    ``figures`` of ``None`` runs every figure with a runner and a spec;
+    an empty or unknown selection returns 2 without running anything.
+
     ``jobs > 1`` fans each figure's sweep points across a process pool
     (:mod:`repro.parallel`); reports are identical to a serial run.
     ``cache`` installs a content-addressed result cache for the run:
@@ -262,15 +249,11 @@ def run_reproduce(
 
     runners = runners if runners is not None else default_runners()
     specs = specs if specs is not None else SPECS
-    names = list(figures) if figures else [
-        key for key in runners if key in specs
-    ]
-    unknown = [n for n in names if n not in runners or n not in specs]
-    if unknown:
-        echo(
-            f"no runner/spec for {unknown}; "
-            f"available: {[k for k in runners if k in specs]}"
-        )
+    available = [key for key in runners if key in specs]
+    names = available if figures is None else list(figures)
+    unknown = [n for n in names if n not in available]
+    if unknown or not names:
+        echo(f"no runner/spec for {unknown}; available: {available}")
         return 2
 
     # Snapshot, not absolute counters: one ResultCache instance may

@@ -1,6 +1,7 @@
 """Publication pipeline: figures, trace digest, HTML gallery.
 
-``repro publish out/`` renders every reproduced figure as a
+``repro publish out/`` renders the ``report.json`` that ``repro
+reproduce`` wrote: every reproduced figure as a
 publication chart (paper reference curves overlaid, claim-verdict
 badges attached) and a span-trace digest, tied together by a
 browsable ``index.html``::
@@ -9,15 +10,13 @@ browsable ``index.html``::
 
 Module map — data flows top to bottom:
 
-* :mod:`.datasource` — report documents (load or regenerate through
-  the shared ``collect_sections`` loop) and trace recording;
 * :mod:`.figspecs` / :mod:`.figdata` — per-figure panel layouts and
   the backend-independent artifact model;
 * :mod:`.tracedigest` — the span-trace digest dashboard;
 * :mod:`.style` — palette and publication style presets;
 * :mod:`.svgbackend` — the renderer (stdlib-only SVG);
 * :mod:`.htmlindex` / :mod:`.cli` — the gallery page and the
-  ``repro publish`` entry point.
+  ``repro publish`` command, which loads the report document.
 """
 
 from .figdata import (

@@ -1,17 +1,21 @@
-"""``repro publish`` — render the publication gallery to a directory.
+"""``repro publish`` — render a report document as a gallery.
 
 Usage::
 
     repro publish out/ [--figures fig2,fig9] [--style paper|arxiv]
                        [--format svg] [--from-report PATH]
-                       [--full] [--seed N] [--jobs N] [--chunk N]
                        [--trace PATH]
+
+Publish runs no sweep of its own: it renders the ``report.json`` that
+``repro reproduce`` wrote (``--from-report``, default ``report.json``),
+so "run, then render" is ``repro reproduce && repro publish out/``.
+The trace digest reads ``--trace`` (a ``repro run --trace`` file);
+without one, publish records it with ``repro run fig12 --trace``.
 
 Output layout (all under the positional ``outdir``)::
 
     index.html          browsable gallery (stdlib-templated)
-    report.json         the underlying report document, byte-identical
-                        to `repro reproduce` output at any --jobs
+    report.json         the rendered report document, copied verbatim
     fig*.svg            one publication figure per reproduced figure
     trace_digest.svg    span-trace digest figure
     trace_digest.json   the digest's stats + critical-path table
@@ -22,18 +26,13 @@ publish needs nothing beyond the stdlib.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import Optional
+import tempfile
+from typing import TYPE_CHECKING
 
-from .datasource import (
-    generate_report,
-    load_report,
-    record_trace,
-    resolve_scale,
-)
+from ..expect.reproduce import REPORT_SCHEMA
 from .figdata import FigureArtifact, build_figure_artifact
 from .figspecs import PUBLISH_SPECS
 from .htmlindex import render_index
@@ -47,117 +46,63 @@ from .tracedigest import (
     load_trace,
 )
 
-__all__ = ["main", "build_parser"]
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
+
+__all__ = ["load_report", "main"]
+
+# The figure recorded when no --trace is given: the Fig 12 ablation is
+# the cheapest sweep that still exercises every protection-mode code
+# path.
+TRACE_FIGURE = "fig12"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro publish",
-        description=(
-            "Render publication figures and a trace digest into a "
-            "browsable HTML gallery."
-        ),
-    )
-    parser.add_argument(
-        "outdir", help="output directory (created if missing)"
-    )
-    parser.add_argument(
-        "--figures",
-        default=None,
-        help=(
-            "comma-separated figure keys (default: all of "
-            + ",".join(PUBLISH_SPECS)
-            + ")"
-        ),
-    )
-    parser.add_argument(
-        "--style", choices=sorted(STYLES), default="paper",
-        help="publication style preset (default: paper)",
-    )
-    parser.add_argument(
-        "--format", dest="fmt", choices=("svg",), default="svg",
-        help="figure file format (builtin SVG renderer; default: svg)",
-    )
-    parser.add_argument(
-        "--from-report", default=None, metavar="PATH",
-        help=(
-            "render from an existing report.json instead of running "
-            "the sweeps"
-        ),
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="run sweeps at full scale (default: quick)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1,
-        help="sweep RNG seed (default: 1)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="fan sweep points across N worker processes",
-    )
-    parser.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help="points per worker dispatch (with --jobs)",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help=(
-            "digest an existing Chrome trace (from `repro report "
-            "--trace`); default records a fresh fig12 quick trace"
-        ),
-    )
-    return parser
+def load_report(path: str) -> dict:
+    """Load and validate an existing ``report.json`` document."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    schema = doc.get("schema")
+    if schema != REPORT_SCHEMA:
+        raise ValueError(
+            f"{path}: schema {schema!r} != {REPORT_SCHEMA!r} "
+            "(regenerate with `repro reproduce`)"
+        )
+    for key in ("provenance", "figures", "summary"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing {key!r}")
+    return doc
 
 
-def main(raw: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(raw)
+def main(args: argparse.Namespace) -> int:
+    """Render ``args.from_report`` and a trace digest into ``args.outdir``."""
     fmt = args.fmt
-    if args.figures is None:
-        requested = list(PUBLISH_SPECS)
-    else:
-        requested = [
-            name.strip()
-            for name in args.figures.split(",")
-            if name.strip()
-        ]
-        unknown = [n for n in requested if n not in PUBLISH_SPECS]
-        if unknown:
-            print(
-                f"unknown figure(s) {unknown}; "
-                f"available: {', '.join(PUBLISH_SPECS)}",
-                file=sys.stderr,
-            )
-            return 2
-
+    if args.style not in STYLES:
+        print(
+            f"unknown style {args.style!r}; available: "
+            f"{', '.join(sorted(STYLES))}",
+            file=sys.stderr,
+        )
+        return 2
+    requested = args.figures or list(PUBLISH_SPECS)
+    unknown = [n for n in requested if n not in PUBLISH_SPECS]
+    if unknown:
+        print(
+            f"unknown figure(s) {unknown}; "
+            f"available: {', '.join(PUBLISH_SPECS)}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        report = load_report(args.from_report)
+    except (OSError, ValueError) as exc:
+        print(f"cannot use --from-report: {exc}", file=sys.stderr)
+        return 2
+    print(f"report: loaded {args.from_report}")
     os.makedirs(args.outdir, exist_ok=True)
 
-    # 1. The report document: load or regenerate (the shared
-    # collect_sections loop keeps jobs-N data byte-identical).
-    if args.from_report is not None:
-        try:
-            report = load_report(args.from_report)
-        except (OSError, ValueError) as exc:
-            print(f"cannot use --from-report: {exc}", file=sys.stderr)
-            return 2
-        print(f"report: loaded {args.from_report}")
-    else:
-        scale = resolve_scale(args.full)
-        report = generate_report(
-            requested,
-            scale=scale,
-            seed=args.seed,
-            jobs=args.jobs,
-            chunk=args.chunk,
-            echo=lambda line: None,
-        )
-        summary = report["summary"]
-        print(
-            f"report: ran {len(requested)} figures at {scale.name} "
-            f"scale ({summary['passed']}/{summary['claims']} claims "
-            "pass)"
-        )
+    # 1. The report document, copied beside the figures it backs.
     report_path = os.path.join(args.outdir, "report.json")
     with open(report_path, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -201,7 +146,14 @@ def main(raw: Optional[list[str]] = None) -> int:
             print(f"cannot use --trace: {exc}", file=sys.stderr)
             return 2
     else:
-        trace_doc = record_trace(seed=args.seed)
+        from ...cli import main as repro_main
+
+        with tempfile.TemporaryDirectory() as scratch:
+            trace_path = os.path.join(scratch, "trace.json")
+            status = repro_main(["run", TRACE_FIGURE, "--trace", trace_path])
+            if status:
+                return status
+            trace_doc = load_trace(trace_path)
     digest = digest_trace(trace_doc)
     # The raw trace can run to tens of MB; publish only the digest.
     digest_json = os.path.join(args.outdir, "trace_digest.json")

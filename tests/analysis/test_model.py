@@ -93,11 +93,17 @@ def test_model_error_relative():
 
 def test_cli_and_experiments_import_without_numpy_or_scipy():
     """Only ``fit_l0_lm`` (the ``model`` figure) needs numpy/scipy, so
-    importing the CLI and the figure registry must not load either."""
+    importing the CLI and the figure registry must not load either; and
+    a command's subsystem loads only when that command runs, so
+    ``repro list`` loads no other command's module."""
     code = (
-        "import sys, repro.cli, repro.experiments;"
+        "import contextlib, io, sys, repro.cli, repro.experiments\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    repro.cli.main(['list'])\n"
         "print(sorted({m.split('.')[0] for m in sys.modules}"
-        " & {'numpy', 'scipy'}))"
+        " & {'numpy', 'scipy'}))\n"
+        "print(sorted(set(sys.modules) & {'repro.obs.publish',"
+        " 'repro.verify.analyze', 'repro.experiments.chaos'}))\n"
     )
     src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
     result = subprocess.run(
@@ -107,4 +113,4 @@ def test_cli_and_experiments_import_without_numpy_or_scipy():
         env=dict(os.environ, PYTHONPATH=src_dir),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == ["[]", "[]"]

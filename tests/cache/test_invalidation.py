@@ -34,7 +34,7 @@ def _counting_point(spec, scale):
 
 
 def _figure_runner(name):
-    def runner(scale):
+    def runner(scale, seed=1, jobs=None, chunk=None):
         specs = [
             PointSpec(
                 figure=name,

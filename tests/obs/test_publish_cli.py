@@ -6,7 +6,10 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.obs import SpanTracer
-from repro.obs.publish import cli as publish_cli
+
+
+def publish_main(argv):
+    return repro_main(["publish", *argv])
 
 
 @pytest.fixture
@@ -32,7 +35,7 @@ def publish(tmp_path, make_report, trace_file, *extra):
         "--figures", "fig2,fig12",
         *extra,
     ]
-    return publish_cli.main(argv), outdir
+    return publish_main(argv), outdir
 
 
 def test_publish_produces_gallery(tmp_path, make_report, trace_file):
@@ -54,7 +57,7 @@ def test_publish_produces_gallery(tmp_path, make_report, trace_file):
 
 
 def test_unknown_figure_exits_2(tmp_path, make_report, capsys):
-    code = publish_cli.main(
+    code = publish_main(
         [str(tmp_path / "out"), "--figures", "fig99",
          "--from-report", str(make_report())]
     )
@@ -65,7 +68,7 @@ def test_unknown_figure_exits_2(tmp_path, make_report, capsys):
 def test_bad_report_exits_2(tmp_path, capsys):
     bad = tmp_path / "report.json"
     bad.write_text(json.dumps({"schema": "nope/9"}))
-    code = publish_cli.main(
+    code = publish_main(
         [str(tmp_path / "out"), "--from-report", str(bad)]
     )
     assert code == 2
@@ -77,7 +80,7 @@ def test_figure_missing_from_report_is_skipped(
 ):
     report = make_report(figures=("fig2",))
     outdir = tmp_path / "out"
-    code = publish_cli.main(
+    code = publish_main(
         [str(outdir), "--from-report", str(report),
          "--trace", str(trace_file), "--figures", "fig2,fig9"]
     )
@@ -110,9 +113,34 @@ def test_repro_cli_dispatches_publish(
 
 
 def test_publish_help_mentions_formats(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        publish_cli.main(["--help"])
-    assert excinfo.value.code == 0
+    assert publish_main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "--format" in out
     assert "svg" in out
+
+
+def test_without_trace_records_one_with_repro_run(
+    tmp_path, make_report, monkeypatch
+):
+    # No --trace: publish digests a trace recorded by
+    # ``repro run fig12 --trace`` (shrunk here to a micro scale).
+    from repro.experiments import RunScale
+
+    monkeypatch.setattr(
+        "repro.cli.QUICK",
+        RunScale(
+            name="micro",
+            warmup_ns=800_000.0,
+            measure_ns=1_500_000.0,
+            latency_measure_ns=3_000_000.0,
+        ),
+    )
+    outdir = tmp_path / "out"
+    code = publish_main(
+        [str(outdir), "--from-report", str(make_report()),
+         "--figures", "fig2"]
+    )
+    assert code == 0
+    digest = json.loads((outdir / "trace_digest.json").read_text())
+    assert digest["span_count"] > 0
+    assert (outdir / "trace_digest.svg").stat().st_size > 0

@@ -1,10 +1,18 @@
-"""CLI surface: ``repro report`` and the global --trace."""
+"""CLI surface: ``repro run --metrics`` and ``--trace``."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import RunScale
+
+MICRO = RunScale(
+    name="micro",
+    warmup_ns=800_000.0,
+    measure_ns=1_500_000.0,
+    latency_measure_ns=3_000_000.0,
+)
 
 
 @pytest.fixture()
@@ -14,7 +22,7 @@ def chdir_tmp(tmp_path, monkeypatch):
 
 
 def test_report_unknown_figure():
-    assert main(["report", "nope"]) == 2
+    assert main(["run", "nope", "--metrics", "m.json"]) == 2
 
 
 def test_report_writes_metrics_and_trace(chdir_tmp, capsys):
@@ -22,14 +30,12 @@ def test_report_writes_metrics_and_trace(chdir_tmp, capsys):
     trace = chdir_tmp / "t.json"
     status = main(
         [
-            "report",
+            "run",
             "fig12",
-            "--out",
+            "--metrics",
             str(metrics),
             "--trace",
             str(trace),
-            "--interval-ns",
-            "200000",
         ]
     )
     assert status == 0
@@ -51,6 +57,21 @@ def test_report_writes_metrics_and_trace(chdir_tmp, capsys):
     assert any(e["ph"] == "X" and e["name"] == "dma" for e in events)
     # Phases land in distinct Chrome-trace processes.
     assert len({e["pid"] for e in events}) >= 2
+
+
+def test_metrics_without_trace_records_no_spans(
+    chdir_tmp, capsys, monkeypatch
+):
+    # A tracer exists only under --trace: a pooled metrics run keeps
+    # the registry (worker phases are adopted) and writes no trace.
+    monkeypatch.setattr("repro.cli.QUICK", MICRO)
+    metrics = chdir_tmp / "m.json"
+    assert main(["fig12", "--jobs", "2", "--metrics", str(metrics)]) == 0
+    out = capsys.readouterr().out
+    assert "trace:" not in out
+    doc = json.loads(metrics.read_text())
+    assert doc["phases"][0]["final"]["iommu.translations"] > 0
+    assert sorted(p.name for p in chdir_tmp.iterdir()) == ["m.json"]
 
 
 def test_global_trace_flag(chdir_tmp):

@@ -29,7 +29,7 @@ def chdir_tmp(tmp_path, monkeypatch):
     return tmp_path
 
 
-def stub_runner(scale):
+def stub_runner(scale, seed=1, jobs=None, chunk=None):
     result = FigureResult("Fig S", "stub", ["mode", "x", "gbps", "drop%"])
     result.rows = [
         ["off", 1, 100.0, 0.0],
@@ -112,16 +112,19 @@ class TestRunReproduce:
         assert "✗" in (tmp_path / "REPORT.md").read_text()
 
     def test_unknown_figure_exits_two(self, tmp_path):
-        status = run_reproduce(
-            ["nope"],
-            scale=MICRO,
-            report_path=str(tmp_path / "R.md"),
-            json_path=str(tmp_path / "r.json"),
-            runners={"stub": stub_runner},
-            specs={"stub": GOOD_SPEC},
-            echo=lambda _: None,
-        )
-        assert status == 2
+        # An empty selection is no figure either, not "every figure".
+        for figures in (["nope"], []):
+            status = run_reproduce(
+                figures,
+                scale=MICRO,
+                report_path=str(tmp_path / "R.md"),
+                json_path=str(tmp_path / "r.json"),
+                runners={"stub": stub_runner},
+                specs={"stub": GOOD_SPEC},
+                echo=lambda _: None,
+            )
+            assert status == 2
+            assert list(tmp_path.iterdir()) == []
 
     def test_config_hash_tracks_spec_and_seed(self):
         base = provenance(["stub"], MICRO, 1, {"stub": GOOD_SPEC})

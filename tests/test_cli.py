@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, main
-from repro.experiments import settings
+from repro.cli import main
+from repro.experiments import FIGURES, settings
 
 
 @pytest.fixture(autouse=True)
@@ -49,27 +49,26 @@ def test_jobs_flag_runs_figure(capsys):
     assert "Fig 12" in capsys.readouterr().out
 
 
-def test_profile_prints_hotspots(capsys):
-    assert main(["profile", "fig12", "--lines", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "Fig 12" in out
-    assert "cumulative" in out  # pstats header for the default sort
-
-
-def test_profile_unknown_figure_errors(capsys):
-    assert main(["profile", "fig99"]) == 2
-    assert "unknown figure" in capsys.readouterr().err
-
-
-def test_profile_dumps_raw_stats(tmp_path, capsys):
-    target = tmp_path / "fig12.pstats"
-    assert main(
-        ["profile", "fig12", "--lines", "3", "--out", str(target)]
-    ) == 0
-    capsys.readouterr()
-    assert target.stat().st_size > 0
-
-
-def test_profile_bad_sort_key_errors(capsys):
-    assert main(["profile", "fig12", "--sort", "nope"]) == 2
-    assert "unknown sort key" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig12", "--jobs", "-1"],
+        ["fig12", "--jobs", "2", "--chunk", "0"],
+        ["run", "fig12", "--jobs", "two"],
+        ["reproduce", "--jobs", "-1"],
+        ["reproduce", "--jobs", "2", "--chunk", "0"],
+        ["chaos", "--jobs", "-1"],
+        ["chaos", "--chunk", "0"],
+        ["chaos", "--seeds", "0"],
+        ["reproduce", "--figures", ""],
+        ["reproduce", "--figures", ","],
+        ["publish", "out", "--figures", ""],
+    ],
+)
+def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # Rejected while parsing: nothing runs, nothing is written, and
+    # the exit status is argparse's 2 with a usage line.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "usage: repro" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
