@@ -119,7 +119,6 @@ class ResultCache:
         *,
         collect: bool,
         sample_interval_ns: Optional[float],
-        max_samples: int,
         parts: Sequence[str] = (),
     ) -> str:
         """The content address of one cell, with extra key ``parts``."""
@@ -139,7 +138,7 @@ class ResultCache:
                 scale.measure_ns,
                 scale.latency_measure_ns,
             ],
-            "observe": [collect, sample_interval_ns, max_samples],
+            "observe": [collect, sample_interval_ns],
             "context": list(parts),
             "code": self.fingerprint_for(spec.runner),
         }

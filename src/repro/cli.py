@@ -508,8 +508,9 @@ def run_figures(args: argparse.Namespace) -> int:
     if tracer is not None:
         tracer.write(args.trace)
         print(
-            f"trace:   {args.trace} ({len(tracer.events)} "
-            "events; load at ui.perfetto.dev)"
+            f"trace:   {args.trace} ({len(tracer.events)} events, "
+            f"{tracer.dropped_events} dropped at the cap; "
+            "load at ui.perfetto.dev)"
         )
     return 0
 

@@ -23,16 +23,8 @@ from typing import Optional, Sequence
 from ..analysis.locality import summarize_locality
 from ..analysis.model import ModelPoint, fit_l0_lm, model_error
 from ..analysis.report import format_figure
-from ..context import current_context
 from ..parallel import PointSpec, derive_seed, run_points
 from .settings import FULL, RunScale
-
-
-def _obs_phase(label: str) -> None:
-    """Label the next experiment point's metrics phase (if observing)."""
-    registry = current_context().registry
-    if registry is not None:
-        registry.begin_phase(label)
 
 __all__ = [
     "FigureResult",

@@ -165,6 +165,7 @@ def main(args: argparse.Namespace) -> int:
                 "total_us": round(digest.total_us, 1),
                 "instant_count": digest.instant_count,
                 "tracks": digest.tracks,
+                "dropped_events": digest.dropped_events,
                 "critical_path": {
                     "headers": CRITICAL_PATH_HEADERS,
                     "rows": critical_path_rows(digest),
@@ -183,6 +184,8 @@ def main(args: argparse.Namespace) -> int:
     print(
         f"trace:  {trace_image} ({digest.span_count} spans, "
         f"{len(digest.kinds)} kinds)"
+        + (f"; warning: {digest.dropped_events} events dropped at the "
+           "tracer cap" if digest.dropped_events else "")
     )
 
     # 4. The index that ties it together.

@@ -204,12 +204,19 @@ def render_index(
         parts.append(_figure_card(section, artifact, image))
     parts.append("<h2>Trace digest</h2>")
     if trace_image and trace_digest is not None:
+        capped = ""
+        if trace_digest.dropped_events:
+            capped = (
+                '<div class="warn">⚠ trace capped at the tracer\'s event '
+                f"limit: {trace_digest.dropped_events} events dropped</div>"
+            )
         parts.append(
             f'<p class="meta">{trace_digest.span_count} spans across '
             f"{len(trace_digest.kinds)} kinds "
             f"({trace_digest.total_us:.0f} us total, "
             f"{trace_digest.instant_count} instants); critical path "
             "ranked by total span time.</p>"
+            f"{capped}"
             f'<div class="card"><img src="{_esc(trace_image)}" '
             'alt="trace digest">'
             + _table(

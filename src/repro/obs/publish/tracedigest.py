@@ -55,6 +55,7 @@ class TraceDigest:
     total_us: float
     instant_count: int
     tracks: list[str]
+    dropped_events: int = 0  # events the tracer dropped at its cap
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -140,6 +141,9 @@ def digest_trace(doc: dict) -> TraceDigest:
         total_us=total_us,
         instant_count=instant_count,
         tracks=sorted(tracks),
+        dropped_events=int(
+            (doc.get("otherData") or {}).get("dropped_events", 0)
+        ),
     )
 
 

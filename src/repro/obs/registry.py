@@ -27,7 +27,6 @@ __all__ = [
     "Metric",
     "MetricsScope",
     "Phase",
-    "RecordedPhase",
     "MetricsRegistry",
 ]
 
@@ -111,53 +110,6 @@ class Phase:
         }
 
 
-class RecordedPhase(Phase):
-    """A phase reconstructed from another registry's ``to_dict()`` payload.
-
-    The parallel executor runs each sweep point in a worker process
-    under a fresh single-phase registry, ships the phase's ``to_dict()``
-    payload back, and adopts it here with the index reassigned to the
-    parent registry's slot — so ``report()`` and ``summary_rows()`` are
-    identical to what a serial run of the same points produces.
-
-    A recorded phase is frozen data: it has no live metrics to read, so
-    ``read_all`` serves the captured finals.
-    """
-
-    def __init__(self, index: int, payload: dict) -> None:
-        super().__init__(index, payload["label"])
-        self.final = payload.get("final")
-        self._kinds = dict(payload.get("kinds") or {})
-        self.truncated = bool(payload.get("truncated", False))
-        samples = payload.get("samples") or {}
-        self.sample_times = list(samples.get("t_ns") or [])
-        self.series = {
-            name: list(values)
-            for name, values in (samples.get("series") or {}).items()
-        }
-        # Frozen: a stray attach_simulator must open a new phase, never
-        # re-enter this one.
-        self.sim_attached = True
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "final": self.final,
-            "kinds": dict(self._kinds),
-            "truncated": self.truncated,
-            "samples": {
-                "t_ns": list(self.sample_times),
-                # Worker payloads arrive already front-padded by the
-                # originating Phase.to_dict(); emit them as stored.
-                "series": {
-                    name: list(values)
-                    for name, values in self.series.items()
-                },
-            },
-        }
-
-
 class MetricsScope:
     """A per-instance namespace within one phase (e.g. ``pcie.rx``)."""
 
@@ -187,11 +139,9 @@ class MetricsRegistry:
         self,
         tracer: Optional["SpanTracer"] = None,
         sample_interval_ns: Optional[float] = None,
-        max_samples_per_phase: int = 4096,
     ) -> None:
         self.tracer = tracer
         self.sample_interval_ns = sample_interval_ns
-        self.max_samples_per_phase = max_samples_per_phase
         self.phases: list[Phase] = []
 
     # ------------------------------------------------------------------
@@ -215,16 +165,26 @@ class MetricsRegistry:
         return self.phases[-1]
 
     def adopt_phase(self, payload: dict) -> Phase:
-        """Append a phase recorded in another process.
+        """Append a ``Phase.to_dict()`` payload recorded elsewhere.
 
-        ``payload`` is a ``Phase.to_dict()`` document from a worker's
-        registry; its index is reassigned to this registry's next slot.
-        Adopting in sweep order therefore reproduces the exact phase
-        list a serial run would have built.
+        The index becomes this registry's next slot, so adopting in
+        sweep order rebuilds a serial run's phase list.  The phase is
+        frozen data: finals set, no live metrics, and attached, so a
+        stray ``attach_simulator`` opens a new phase.  Its series are
+        already padded, so ``to_dict()`` re-emits the payload as is.
         """
         if self.phases:
             self.phases[-1].finalize()
-        phase = RecordedPhase(len(self.phases), payload)
+        phase = Phase(len(self.phases), payload["label"])
+        phase.final = payload["final"]
+        phase._kinds = dict(payload["kinds"])
+        phase.truncated = payload["truncated"]
+        samples = payload["samples"]
+        phase.sample_times = list(samples["t_ns"])
+        phase.series = {
+            name: list(values) for name, values in samples["series"].items()
+        }
+        phase.sim_attached = True
         self.phases.append(phase)
         if self.tracer is not None:
             self.tracer.set_process(phase.index, phase.label)
@@ -260,12 +220,7 @@ class MetricsRegistry:
         if self.tracer is not None:
             self.tracer.bind_clock(lambda: sim.now)
         if self.sample_interval_ns is not None:
-            MetricsSampler(
-                sim,
-                phase,
-                self.sample_interval_ns,
-                max_samples=self.max_samples_per_phase,
-            ).start()
+            MetricsSampler(sim, phase, self.sample_interval_ns).start()
         return phase
 
     # ------------------------------------------------------------------

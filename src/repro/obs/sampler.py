@@ -17,7 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
     from .registry import Phase
 
-__all__ = ["MetricsSampler"]
+__all__ = ["MAX_SAMPLES", "MetricsSampler"]
+
+# A phase's series cap; stopping at it with the workload still alive
+# marks the phase truncated.
+MAX_SAMPLES = 4096
 
 
 class MetricsSampler:
@@ -28,7 +32,7 @@ class MetricsSampler:
         sim: "Simulator",
         phase: "Phase",
         interval_ns: float,
-        max_samples: int = 4096,
+        max_samples: int = MAX_SAMPLES,
     ) -> None:
         if interval_ns <= 0:
             raise ValueError(

@@ -19,6 +19,9 @@ Mapping onto the simulation:
 
 Timestamps come from a bound simulated clock (see :meth:`bind_clock`);
 without one, explicit span times still work and instants stamp 0.
+
+The tracer keeps at most ``max_events`` events; the written document's
+``otherData.dropped_events`` counts the ones it dropped past that cap.
 """
 
 from __future__ import annotations
@@ -113,7 +116,11 @@ class SpanTracer:
     # Export
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {"traceEvents": self.events, "displayTimeUnit": "ns"}
+        return {
+            "traceEvents": self.events,
+            "displayTimeUnit": "ns",
+            "otherData": {"dropped_events": self.dropped_events},
+        }
 
     def write(self, path: str) -> None:
         with open(path, "w") as handle:

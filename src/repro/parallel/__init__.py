@@ -12,13 +12,15 @@ results *byte-identical* to a serial run:
   a pure function of (root seed, figure, mode, x), so a point's
   stochastic inputs do not depend on which process runs it or in what
   order;
-* workers record each point's metrics in a fresh single-phase registry
-  and ship the phase back; the parent adopts the phases in sweep order
-  (:meth:`~repro.obs.registry.MetricsRegistry.adopt_phase`), so
-  ``report()`` and the generated reports match a serial run row for row.
+* one loop in ``run_points`` walks the specs in order for every cell,
+  cached or not, in process or pooled: it adopts each warm (stored) or
+  pooled (worker-recorded) metrics phase
+  (:meth:`~repro.obs.registry.MetricsRegistry.adopt_phase`) and stores
+  each cold cell, so ``report()`` and the generated reports match a
+  serial uncached run row for row.
 
 ``run_points`` is the single entry point; ``--jobs N`` on the CLI
-routes every sweep (figures, reproduce, faults) through it.
+routes every sweep (figures, reproduce, faults, chaos) through it.
 """
 
 from .seeds import derive_seed

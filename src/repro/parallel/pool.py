@@ -1,4 +1,4 @@
-"""The warm process pool: run sweep points in parallel, assemble serially.
+"""The sweep executor: one spec-order loop over every cell of a sweep.
 
 Execution model:
 
@@ -6,15 +6,19 @@ Execution model:
   list (including any per-point payloads such as fault plans), so every
   input is fixed before any process runs — scheduling order cannot leak
   into results.
-* Points are dispatched to the pool in **chunks** (``chunk`` on the CLI;
-  auto-sized to two chunks per worker by default), not one submit per
-  point: per-point dispatch made ``--jobs 2`` sweeps *slower* than
-  serial (the regression this design fixes) because
+* With a result cache on the run context, every cell's key is computed
+  up front and the hits (warm cells) are loaded; only the misses (cold
+  cells) run.  They come from one of two generators, each yielding
+  ``(value, phase payload)`` in spec order: in process, each cell runs
+  lazily with its phase opened on the parent registry; pooled, cells
+  ride to workers in **chunks** (``chunk`` on the CLI; auto-sized to
+  two chunks per worker).  Per-point dispatch made ``--jobs 2`` sweeps
+  *slower* than serial (the regression this design fixes) because
   every point paid a round of future bookkeeping and payload pickling.
-  A chunk task runs its points exactly like a serial sweep runs them:
-  open one fresh registry when the parent is observing, ``begin_phase``
-  per point, run the registered point runner, and return
-  ``(values, phase_payloads, error)``.
+* One loop walks the specs, adopting each warm or pooled cell's phase
+  and storing each cold cell, so the phase list, indices and ``#N``
+  scope names are identical whatever the cache temperature, ``jobs``
+  or ``chunk``.
 * The pool itself is **persistent and warm**: one forked
   ``ProcessPoolExecutor`` per CLI invocation (created on first parallel
   sweep, reused by every later one), with an initializer that pre-imports
@@ -27,13 +31,9 @@ Execution model:
   a single usable CPU.  The pool is re-forked only if a later sweep
   needs more workers or the runner registry changed (tests register
   scratch runners; forked workers must see them).
-* The parent consumes chunk futures **in spec order** — not completion
-  order — adopting worker phases into its registry as it goes, so the
-  phase list, indices and ``#N`` scope names are identical to a serial
-  sweep's.
 
-Serial fallbacks (silent, by design — ``--jobs`` is best-effort): a
-single point, or a run context whose
+In-process fallbacks (silent, by design — ``--jobs`` is best-effort):
+at most one cold cell, or a run context whose
 :attr:`~repro.context.RunContext.in_process` is set — an installed
 tracer (spans cannot be merged across processes), invariant monitor or
 fault runtime (process-local state the sweep's caller expects to
@@ -48,7 +48,7 @@ import gc
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from ..context import RunContext, current_context, reset_context, using
 from ..obs.registry import MetricsRegistry
@@ -97,17 +97,6 @@ def _run_point(spec: PointSpec, scale: RunScale):
         registry.phases[-1].finalize()
     gc.collect()
     return value
-
-
-def _run_serial(specs: Sequence[PointSpec], scale: RunScale) -> list:
-    """Today's behavior, exactly: label the phase, run the point."""
-    registry = current_context().registry
-    values = []
-    for spec in specs:
-        if registry is not None:
-            registry.begin_phase(spec.label)
-        values.append(_run_point(spec, scale))
-    return values
 
 
 def _usable_cpus() -> int:
@@ -196,59 +185,92 @@ def pool_forks() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side chunk execution
+# The two sources of cold cells, each yielding (value, phase payload)
 # ---------------------------------------------------------------------------
+def _in_process(
+    specs: Sequence[PointSpec],
+    scale: RunScale,
+    registry: Optional[MetricsRegistry],
+    payloads: bool,
+) -> Iterator[tuple]:
+    """Run each cell here, lazily, with its phase opened on ``registry``.
+
+    Laziness keeps spec order: the caller adopts a warm cell's phase
+    between two cold cells by not asking for the next one yet.  The
+    payload (the finished phase) is taken only if ``payloads`` asks.
+    """
+    for spec in specs:
+        if registry is not None:
+            registry.begin_phase(spec.label)
+        value = _run_point(spec, scale)
+        payload = None
+        if payloads and registry is not None:
+            payload = registry.phases[-1].to_dict()
+        yield value, payload
+
+
 def _execute_chunk(
     specs: Sequence[PointSpec],
     scale: RunScale,
     collect: bool,
     sample_interval_ns: Optional[float],
-    max_samples: int,
 ) -> tuple:
-    """One worker task; returns ``(values, phase_payloads, error)``.
+    """One worker task: ``(outputs, error)`` for a chunk of points.
 
-    Runs its points exactly like a serial sweep: one registry for the
-    whole chunk, ``begin_phase`` per point.  On an invariant violation
-    the chunk stops at the offending point and ships the values and
-    phases of the points it completed plus the error payload, so the
-    parent can adopt the completed phases before re-raising — the same
-    state a serial sweep leaves behind.
-
-    Module-level so it pickles under any multiprocessing start method.
+    The points run like an in-process sweep, under one fresh registry
+    when the parent observes.  A violation stops the chunk; its error
+    payload ships beside the outputs completed before it, whose phases
+    the parent adopts before raising.  Module-level so it pickles under
+    any multiprocessing start method.
     """
-    registry: Optional[MetricsRegistry] = None
-    if collect:
-        registry = MetricsRegistry(
-            sample_interval_ns=sample_interval_ns,
-            max_samples_per_phase=max_samples,
+    registry = (
+        MetricsRegistry(sample_interval_ns=sample_interval_ns)
+        if collect else None
+    )
+    outputs: list = []
+    try:
+        with using(registry=registry):
+            for output in _in_process(specs, scale, registry, True):
+                outputs.append(output)
+    except InvariantViolation as violation:
+        label = specs[len(outputs)].label
+        return (outputs, remote_error_payload(label, violation))
+    return (outputs, None)
+
+
+def _pooled(
+    specs: Sequence[PointSpec],
+    scale: RunScale,
+    registry: Optional[MetricsRegistry],
+    workers: int,
+    chunk: Optional[int],
+) -> Iterator[tuple]:
+    """Fan cells across the warm pool; yield their outputs in spec order.
+
+    Its first step submits every chunk; futures are then consumed in
+    spec order, not completion order.  A chunk that stopped on a
+    violation yields the outputs it completed, then raises
+    :class:`RemotePointError`.
+    """
+    chunk_size = chunk or -(-len(specs) // (2 * workers))
+    collect = registry is not None
+    interval = registry.sample_interval_ns if collect else None
+    pool = _ensure_pool(workers)
+    futures = [
+        pool.submit(
+            _execute_chunk,
+            specs[start:start + chunk_size],
+            scale,
+            collect,
+            interval,
         )
-    values: list = []
-    error = None
-    for spec in specs:
-        if registry is not None:
-            registry.begin_phase(spec.label)
-        try:
-            if registry is not None:
-                with using(registry=registry):
-                    value = _run_point(spec, scale)
-            else:
-                value = _run_point(spec, scale)
-        except InvariantViolation as violation:
-            error = remote_error_payload(spec.label, violation)
-            break
-        values.append(value)
-    payloads: list = []
-    if registry is not None:
-        # Only the phases of *completed* points travel back; a phase
-        # opened by the point that tripped the violation does not.
-        payloads = registry.report()["phases"][: len(values)]
-    return (values, payloads, error)
-
-
-def _chunked(
-    specs: Sequence[PointSpec], size: int
-) -> list[Sequence[PointSpec]]:
-    return [specs[index:index + size] for index in range(0, len(specs), size)]
+        for start in range(0, len(specs), chunk_size)
+    ]
+    for future in futures:
+        outputs, error = future.result()
+        yield from outputs
+        if error is not None:
+            raise RemotePointError(*error)
 
 
 # ---------------------------------------------------------------------------
@@ -266,165 +288,9 @@ def _cache_bypassed(specs: Sequence[PointSpec], context: RunContext) -> bool:
     )
 
 
-def _run_cold_serial(
-    specs: Sequence[PointSpec],
-    scale: RunScale,
-    collect: bool,
-    interval: Optional[float],
-    max_samples: int,
-) -> tuple:
-    """Run cold cells inline, each under its own capture registry.
-
-    Mirrors :func:`_execute_chunk`'s observable behavior (the recorded
-    phase payloads are what the parent adopts and the store keeps) but
-    runs in the parent process, restoring the ambient context afterwards.
-    Returns the same ``(values_with_payloads, error)`` shape the pool
-    path produces.
-    """
-    outputs: list = []
-    for spec in specs:
-        capture: Optional[MetricsRegistry] = None
-        try:
-            if collect:
-                capture = MetricsRegistry(
-                    sample_interval_ns=interval,
-                    max_samples_per_phase=max_samples,
-                )
-                capture.begin_phase(spec.label)
-                with using(registry=capture):
-                    value = _run_point(spec, scale)
-                payload = capture.report()["phases"][0]
-            else:
-                value = _run_point(spec, scale)
-                payload = None
-        except InvariantViolation as violation:
-            return (outputs, remote_error_payload(spec.label, violation))
-        outputs.append((value, payload))
-    return (outputs, None)
-
-
-def _run_cold_pooled(
-    specs: Sequence[PointSpec],
-    scale: RunScale,
-    collect: bool,
-    interval: Optional[float],
-    max_samples: int,
-    jobs: int,
-    chunk: Optional[int],
-) -> tuple:
-    """Fan cold cells across the warm pool; spec-order outputs."""
-    workers = max(1, min(jobs, _usable_cpus()))
-    chunk_size = chunk if chunk is not None else max(
-        1, -(-len(specs) // (2 * workers))
-    )
-    pool = _ensure_pool(workers)
-    futures = [
-        pool.submit(
-            _execute_chunk, chunk_specs, scale, collect, interval, max_samples
-        )
-        for chunk_specs in _chunked(list(specs), chunk_size)
-    ]
-    outputs: list = []
-    for future in futures:
-        values, payloads, error = future.result()
-        if collect:
-            outputs.extend(zip(values, payloads))
-        else:
-            outputs.extend((value, None) for value in values)
-        if error is not None:
-            return (outputs, error)
-    return (outputs, None)
-
-
 def _stored_payload(payload: Optional[dict]) -> Optional[dict]:
-    """Normalize a phase payload for the store (position-independent).
-
-    The recorded index is chunk-relative and reassigned on adoption;
-    zeroing it makes the stored entry identical whichever executor
-    produced it.
-    """
-    if payload is None:
-        return None
-    normalized = dict(payload)
-    normalized["index"] = 0
-    return normalized
-
-
-def _run_points_cached(
-    cache,
-    specs: Sequence[PointSpec],
-    scale: RunScale,
-    *,
-    registry: Optional[MetricsRegistry],
-    parts: Sequence[str],
-    jobs: int,
-    chunk: Optional[int],
-) -> list:
-    """The cache-aware executor: warm cells never reach the pool.
-
-    Every cell's key is computed up front; hits are served straight
-    from the store and only the misses are executed (serially or
-    through the pool, matching the caller's ``jobs``).  Results and
-    recorded metric phases are then merged *in spec order* — warm
-    phases adopted from the store, cold phases adopted from the
-    executor and written back — so the parent registry's phase list is
-    identical to an uncached run's and a fully warm sweep re-creates
-    the exact report bytes of a cold one.  Keys mix in ``parts``.
-    """
-    collect = registry is not None
-    interval = registry.sample_interval_ns if collect else None
-    max_samples = registry.max_samples_per_phase if collect else 0
-    keys = [
-        cache.key_for(
-            spec,
-            scale,
-            collect=collect,
-            sample_interval_ns=interval,
-            max_samples=max_samples,
-            parts=parts,
-        )
-        for spec in specs
-    ]
-    loaded: dict[int, tuple] = {}
-    for index, key in enumerate(keys):
-        entry = cache.load(key)
-        if entry is not None:
-            loaded[index] = entry
-    cold = [index for index in range(len(specs)) if index not in loaded]
-    cold_outputs: list = []
-    error = None
-    if cold:
-        cold_specs = [specs[index] for index in cold]
-        if min(jobs, len(cold_specs)) <= 1:
-            cold_outputs, error = _run_cold_serial(
-                cold_specs, scale, collect, interval, max_samples
-            )
-        else:
-            cold_outputs, error = _run_cold_pooled(
-                cold_specs, scale, collect, interval, max_samples,
-                jobs, chunk,
-            )
-    values: list = []
-    completed = dict(zip(cold, cold_outputs))
-    for index, spec in enumerate(specs):
-        if index in loaded:
-            value, payload = loaded[index]
-        elif index in completed:
-            value, payload = completed[index]
-            cache.store(
-                keys[index], value, _stored_payload(payload), spec=spec
-            )
-        else:
-            # The executor stopped at a violating cold cell; phases of
-            # everything before it are already adopted, like a serial
-            # run that died mid-sweep.
-            raise RemotePointError(*error)
-        if collect and payload is not None:
-            registry.adopt_phase(payload)
-        values.append(value)
-    if error is not None:
-        raise RemotePointError(*error)
-    return values
+    """The payload with its index zeroed: the same whichever slot ran it."""
+    return None if payload is None else dict(payload, index=0)
 
 
 def run_points(
@@ -436,63 +302,67 @@ def run_points(
 ) -> list:
     """Run every spec and return their values in spec order.
 
-    ``jobs`` of ``None``, 0 or 1 runs serially (the default path);
-    higher values fan the points across the shared warm pool, capped at
-    the process's usable CPU count (oversubscribing a cpuset-limited
-    container buys nothing but scheduler thrash).  ``chunk`` sets how
-    many consecutive points ride in one worker task; ``None`` auto-sizes
-    to two chunks per worker (ceiling division, at least 1) — per-chunk
-    dispatch cost (payload pickling both ways) is high enough that on
-    small sweeps finer chunking measurably loses to serial, which is
-    the regression this pool exists to fix.  Results — values,
-    metric phases, labels — are identical for every jobs/chunk
-    combination; see the module docstring for the conditions that
-    silently fall back to serial.
+    Warm cells come from the run context's result cache; cold cells run
+    in process for ``jobs`` of ``None``, 0 or 1, else across the shared
+    warm pool, capped at the process's usable CPU count
+    (oversubscribing a cpuset-limited container buys nothing but
+    scheduler thrash).  ``chunk`` sets how many consecutive cells ride
+    in one worker task; ``None`` auto-sizes to two chunks per worker.
+    Values, metric phases and labels are identical for every
+    combination.
 
-    Raises :class:`RemotePointError` if a worker's point tripped an
-    invariant violation; any other worker exception propagates as-is.
+    An in-process invariant violation propagates as the
+    :class:`~repro.verify.InvariantViolation` itself; a worker's raises
+    :class:`RemotePointError`.  Any other worker exception propagates
+    as-is.
     """
     specs = list(specs)
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    requested = min(jobs or 1, len(specs))
     context = current_context()
-    if context.cache is not None and not _cache_bypassed(specs, context):
-        return _run_points_cached(
-            context.cache, specs, scale,
-            registry=context.registry, parts=context.cache_parts,
-            jobs=requested, chunk=chunk,
-        )
-    if requested <= 1 or context.in_process:
-        return _run_serial(specs, scale)
-
-    workers = max(1, min(requested, _usable_cpus()))
-    chunk_size = chunk if chunk is not None else max(
-        1, -(-len(specs) // (2 * workers))
-    )
     registry = context.registry
-    collect = registry is not None
-    interval = registry.sample_interval_ns if collect else None
-    max_samples = registry.max_samples_per_phase if collect else 0
+    cache = None if _cache_bypassed(specs, context) else context.cache
+    keys: list[str] = []
+    warm: dict[int, tuple] = {}
+    if cache is not None:
+        keys = [
+            cache.key_for(
+                spec,
+                scale,
+                collect=registry is not None,
+                sample_interval_ns=(
+                    None if registry is None else registry.sample_interval_ns
+                ),
+                parts=context.cache_parts,
+            )
+            for spec in specs
+        ]
+        for index, key in enumerate(keys):
+            entry = cache.load(key)
+            if entry is not None:
+                warm[index] = entry
+    cold = [spec for index, spec in enumerate(specs) if index not in warm]
+    pooled = min(jobs or 1, len(cold)) > 1 and not context.in_process
+    if pooled:
+        workers = min(jobs or 1, len(cold), _usable_cpus())
+        outputs = _pooled(cold, scale, registry, workers, chunk)
+    else:
+        outputs = _in_process(cold, scale, registry, cache is not None)
     values: list = []
-    pool = _ensure_pool(workers)
-    chunks = _chunked(specs, chunk_size)
-    futures = [
-        pool.submit(
-            _execute_chunk, chunk_specs, scale, collect, interval, max_samples
-        )
-        for chunk_specs in chunks
-    ]
-    # Spec order, not completion order: phase adoption must mirror the
-    # serial phase sequence exactly.
-    for future in futures:
-        chunk_values, payloads, error = future.result()
-        if collect:
-            for payload in payloads:
-                registry.adopt_phase(payload)
-        if error is not None:
-            raise RemotePointError(*error)
-        values.extend(chunk_values)
+    for index, spec in enumerate(specs):
+        if index in warm:
+            value, payload = warm[index]
+        else:
+            value, payload = next(outputs)
+            if cache is not None:
+                cache.store(
+                    keys[index], value, _stored_payload(payload), spec=spec
+                )
+        # An in-process cell's phase is already on the registry.
+        adopt = pooled or index in warm
+        if adopt and registry is not None and payload is not None:
+            registry.adopt_phase(payload)
+        values.append(value)
     return values

@@ -1292,7 +1292,7 @@ class SpecPhaseRule(AnalyzerRule):
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Call):
                     callee = _call_attr(node) or _call_name(node)
-                    if callee in {"begin_phase", "_obs_phase"} and node.args:
+                    if callee == "begin_phase" and node.args:
                         add_label_expr(node.args[0])
                     for kw in node.keywords:
                         if kw.arg == "label":

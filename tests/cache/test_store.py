@@ -38,7 +38,6 @@ def cache(tmp_path, monkeypatch):
 def key(cache, spec, scale=QUICK, **kw):
     kw.setdefault("collect", True)
     kw.setdefault("sample_interval_ns", 100_000.0)
-    kw.setdefault("max_samples", 512)
     return cache.key_for(spec, scale, **kw)
 
 
@@ -68,7 +67,6 @@ class TestKeys:
         base = key(cache, spec_for())
         assert key(cache, spec_for(), collect=False) != base
         assert key(cache, spec_for(), sample_interval_ns=1.0) != base
-        assert key(cache, spec_for(), max_samples=1) != base
 
     def test_key_parts_change_the_key(self, cache):
         base = key(cache, spec_for())

@@ -2,9 +2,10 @@
 
 The metric-based expectations (and the truncation warnings in
 REPORT.md) select registry phases by label substring, so each runner
-must call ``_obs_phase`` with a distinct ``"<figure> <mode> <x>=..."``
-label before every sweep point whenever a registry is installed — and
-must stay registry-free (no phases beyond the initial one) otherwise.
+must give every sweep point a distinct ``"<figure> <mode> <x>=..."``
+label, which ``run_points`` opens the point's phase with whenever a
+registry is installed — and must stay registry-free (no phases beyond
+the initial one) otherwise.
 """
 
 import pytest

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs import SpanTracer
+from repro.obs.publish.htmlindex import render_index
 from repro.obs.publish.tracedigest import (
     CRITICAL_PATH_HEADERS,
     bin_center_us,
@@ -101,3 +102,23 @@ def test_load_trace_validates(tmp_path):
     bad.write_text(json.dumps({"schema": "something-else"}))
     with pytest.raises(ValueError, match="traceEvents"):
         load_trace(str(bad))
+
+
+def test_capped_trace_warns_in_digest_and_index():
+    tracer = SpanTracer(max_events=3)
+    for i in range(10):
+        tracer.complete("dma_map", "rx", start_ns=i * 1_000, duration_ns=5)
+    capped = digest_trace(tracer.to_dict())
+    assert capped.dropped_events == tracer.dropped_events > 0
+    page = render_index(
+        report={}, cards=[], trace_image="trace_digest.svg",
+        trace_digest=capped, style_name="paper", fmt="svg",
+    )
+    assert f"{capped.dropped_events} events dropped" in page
+    whole = digest_trace(make_trace())
+    assert whole.dropped_events == 0
+    page = render_index(
+        report={}, cards=[], trace_image="trace_digest.svg",
+        trace_digest=whole, style_name="paper", fmt="svg",
+    )
+    assert "events dropped" not in page

@@ -77,12 +77,18 @@ def test_negative_duration_clamped():
     assert [e for e in tracer.events if e["ph"] == "X"][0]["dur"] == 0.0
 
 
-def test_max_events_drops_and_counts():
+def test_max_events_drops_and_counts(tmp_path):
     tracer = SpanTracer(max_events=2)
     for i in range(5):
         tracer.complete("x", "t", float(i), 1.0)
     assert len(tracer.events) == 2
     assert tracer.dropped_events > 0
+    # The written document says how many events the cap dropped.
+    path = tmp_path / "trace.json"
+    tracer.write(str(path))
+    doc = json.loads(path.read_text())
+    assert len(doc["traceEvents"]) == 2
+    assert doc["otherData"] == {"dropped_events": tracer.dropped_events}
 
 
 def test_document_round_trips_through_json(tmp_path):

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.cache.store import ResultCache
-from repro.context import using
+from repro.context import current_context, using
 from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
 from repro.faults import FaultPlan, FaultRuntime
@@ -29,6 +29,13 @@ def _counting_point(spec, scale):
     return {"label": spec.label, "x": spec.x, "pid": os.getpid()}
 
 
+def _metered_point(spec, scale):
+    registry = current_context().registry
+    if registry is not None:
+        registry.scope("cell").counter("x", lambda: spec.x)
+    return {"label": spec.label, "x": spec.x, "pid": os.getpid()}
+
+
 def _violating_point(spec, scale):
     event = Event()
     raise InvariantViolation(
@@ -40,9 +47,11 @@ def _violating_point(spec, scale):
 def scratch_runners():
     COUNTED.clear()
     POINT_RUNNERS["t-count"] = _counting_point
+    POINT_RUNNERS["t-metered"] = _metered_point
     POINT_RUNNERS["t-violate"] = _violating_point
     yield
     POINT_RUNNERS.pop("t-count", None)
+    POINT_RUNNERS.pop("t-metered", None)
     POINT_RUNNERS.pop("t-violate", None)
 
 
@@ -159,9 +168,11 @@ class TestBypass:
 
 
 class TestErrors:
-    def test_cold_violation_raises_remote_point_error(self, cache):
+    def test_cold_in_process_violation_raises_invariant_violation(
+        self, cache
+    ):
         with using(cache=cache):
-            with pytest.raises(RemotePointError, match="boom"):
+            with pytest.raises(InvariantViolation, match="boom"):
                 run_points(specs_for("t-violate", count=2), QUICK)
 
     def test_violation_after_warm_cells_adopts_their_phases(self, cache):
@@ -182,11 +193,69 @@ class TestErrors:
                 )
             ]
             registry = MetricsRegistry()
-            with using(registry=registry), pytest.raises(RemotePointError):
+            with using(registry=registry), pytest.raises(InvariantViolation):
                 run_points(mixed, QUICK)
-        # The two warm cells' phases landed before the error, exactly
-        # like a serial sweep that died on its third point.
+        # The two warm cells' phases landed before the violating cell
+        # opened its own, exactly like an uncached sweep that died on
+        # its third point.
         assert [p.label for p in registry.phases] == [
-            "T off x=0", "T off x=1"
+            "T off x=0", "T off x=1", "T off x=9"
         ]
         assert len(COUNTED) == 2  # the violating cell never re-ran them
+
+    def test_pooled_violation_after_warm_cells_adopts_earlier_phases(
+        self, cache
+    ):
+        good = specs_for("t-metered", count=2)
+        with using(cache=cache):
+            with using(registry=MetricsRegistry()):
+                run_points(good, QUICK)
+            mixed = good + [
+                PointSpec(
+                    figure="T", runner="t-metered", mode="off", x=2,
+                    label="T off x=2", seed=2,
+                ),
+                PointSpec(
+                    figure="T", runner="t-violate", mode="off", x=9,
+                    label="T off x=9", seed=9,
+                ),
+            ]
+            registry = MetricsRegistry()
+            with using(registry=registry):
+                with pytest.raises(RemotePointError) as info:
+                    run_points(mixed, QUICK, jobs=2, chunk=1)
+        assert info.value.label == "T off x=9"
+        # Warm, warm, then the pooled cell that completed before the
+        # violation; the violating cell's phase never comes back.
+        assert [p.label for p in registry.phases] == [
+            "T off x=0", "T off x=1", "T off x=2"
+        ]
+        assert [p.final for p in registry.phases] == [
+            {"cell.x": 0}, {"cell.x": 1}, {"cell.x": 2}
+        ]
+
+
+class TestOneLoop:
+    def test_half_warm_pooled_sweep_runs_only_cold_cells(self, cache):
+        specs = specs_for("t-metered")
+        warm_specs = [specs[1], specs[3]]
+        with using(cache=cache):
+            with using(registry=MetricsRegistry()):
+                run_points(warm_specs, QUICK)
+            hits, misses = cache.stats.hits, cache.stats.misses
+            registry = MetricsRegistry()
+            with using(registry=registry):
+                values = run_points(specs, QUICK, jobs=2, chunk=1)
+        assert cache.stats.hits - hits == 2
+        assert cache.stats.misses - misses == 2
+        assert [v["x"] for v in values] == [0, 1, 2, 3]
+        # Warm cells return their stored (parent) pids; the cold ones
+        # ran in workers.
+        parent = os.getpid()
+        assert [v["pid"] == parent for v in values] == [
+            False, True, False, True
+        ]
+        serial = MetricsRegistry()
+        with using(registry=serial):
+            run_points(specs, QUICK)
+        assert registry.report() == serial.report()
