@@ -165,9 +165,8 @@ def _shared() -> dict[str, argparse.ArgumentParser]:
 
 
 # Command -> ("module:function" that does its work, help line, shared
-# option groups, own options as (flags, keywords) pairs).  Options of
-# ``None`` mean the function parses its own argument list.
-COMMANDS: dict[str, tuple[str, str, tuple[str, ...], Optional[tuple]]] = {
+# option groups, own options as (flags, keywords) pairs).
+COMMANDS: dict[str, tuple[str, str, tuple[str, ...], tuple]] = {
     "run": (
         "repro.cli:run_figures",
         "run one figure, 'all' of them, or 'list' them",
@@ -255,8 +254,8 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], Optional[tuple]]] = {
     ),
     "publish": (
         "repro.obs.publish.cli:main",
-        "render a report.json as publication figures, a trace digest "
-        "and a browsable index.html",
+        "render a report.json as SVG publication figures, a trace "
+        "digest and a browsable index.html",
         (),
         (
             (("outdir",), dict(help="output directory (created if missing)")),
@@ -272,12 +271,6 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], Optional[tuple]]] = {
                 default="paper",
                 help="publication style preset (default: paper)",
             )),
-            (("--format",), dict(
-                dest="fmt",
-                choices=("svg",),
-                default="svg",
-                help="figure file format (builtin SVG renderer)",
-            )),
             (("--from-report",), dict(
                 metavar="PATH",
                 default="report.json",
@@ -290,7 +283,7 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], Optional[tuple]]] = {
                 metavar="PATH",
                 help=(
                     "digest this Chrome trace (from 'repro run --trace'); "
-                    "default: record one with 'repro run fig12 --trace'"
+                    "without it the gallery has no trace digest"
                 ),
             )),
         ),
@@ -373,10 +366,25 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], Optional[tuple]]] = {
     ),
     "analyze": (
         "repro.verify.analyze:main",
-        "static determinism and DMA-protocol checks "
-        "(see 'repro analyze --help')",
+        "static determinism and DMA-protocol checks over the project "
+        "model; exit 1 on findings",
         (),
-        None,
+        (
+            (("paths",), dict(
+                nargs="*",
+                default=["src/repro"],
+                help="files or directories to analyze (default: src/repro)",
+            )),
+            (("--format",), dict(
+                choices=("text", "sarif"),
+                default="text",
+                help="output format (default: text)",
+            )),
+            (("--explain",), dict(
+                metavar="CODE",
+                help="print the rule explanation for CODE and exit",
+            )),
+        ),
     ),
 }
 
@@ -395,14 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared = _shared()
     for name, (_target, text, groups, options) in COMMANDS.items():
-        if options is None:
-            # "\0" starts no option, so every word, --help included,
-            # reaches the command's own parser verbatim.
-            sub = commands.add_parser(
-                name, help=text, add_help=False, prefix_chars="\0"
-            )
-            sub.add_argument("argv", nargs="*")
-            continue
         sub = commands.add_parser(
             name,
             help=text,
@@ -422,11 +422,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _build_parser().parse_args(raw)
     except SystemExit as stop:  # --help, or a usage error already printed
         return int(stop.code or 0)
-    target, _text, _groups, options = COMMANDS[args.command]
+    target = COMMANDS[args.command][0]
     module, _, function = target.partition(":")
     body = getattr(importlib.import_module(module), function)
     try:
-        return body(args.argv if options is None else args)
+        return body(args)
     except (InvariantViolation, RemotePointError) as error:
         # A broken safety invariant, in this process or in a pool
         # worker: the event trace is the report.
@@ -509,8 +509,8 @@ def run_figures(args: argparse.Namespace) -> int:
         tracer.write(args.trace)
         print(
             f"trace:   {args.trace} ({len(tracer.events)} events, "
-            f"{tracer.dropped_events} dropped at the cap; "
-            "load at ui.perfetto.dev)"
+            f"{tracer.dropped_events} dropped past the per-phase "
+            "budget; load at ui.perfetto.dev)"
         )
     return 0
 

@@ -3,21 +3,20 @@
 Usage::
 
     repro publish out/ [--figures fig2,fig9] [--style paper|arxiv]
-                       [--format svg] [--from-report PATH]
-                       [--trace PATH]
+                       [--from-report PATH] [--trace PATH]
 
 Publish runs no sweep of its own: it renders the ``report.json`` that
 ``repro reproduce`` wrote (``--from-report``, default ``report.json``),
 so "run, then render" is ``repro reproduce && repro publish out/``.
 The trace digest reads ``--trace`` (a ``repro run --trace`` file);
-without one, publish records it with ``repro run fig12 --trace``.
+without one, the gallery has no digest and the index says so.
 
 Output layout (all under the positional ``outdir``)::
 
     index.html          browsable gallery (stdlib-templated)
     report.json         the rendered report document, copied verbatim
     fig*.svg            one publication figure per reproduced figure
-    trace_digest.svg    span-trace digest figure
+    trace_digest.svg    span-trace digest figure (with --trace)
     trace_digest.json   the digest's stats + critical-path table
 
 Figures are drawn by the dependency-free builtin SVG renderer, so
@@ -29,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 from typing import TYPE_CHECKING
 
 from ..expect.reproduce import REPORT_SCHEMA
@@ -51,11 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["load_report", "main"]
 
-# The figure recorded when no --trace is given: the Fig 12 ablation is
-# the cheapest sweep that still exercises every protection-mode code
-# path.
-TRACE_FIGURE = "fig12"
-
 
 def load_report(path: str) -> dict:
     """Load and validate an existing ``report.json`` document."""
@@ -76,8 +69,7 @@ def load_report(path: str) -> dict:
 
 
 def main(args: argparse.Namespace) -> int:
-    """Render ``args.from_report`` and a trace digest into ``args.outdir``."""
-    fmt = args.fmt
+    """Render ``args.from_report`` (and any ``--trace``) into ``args.outdir``."""
     if args.style not in STYLES:
         print(
             f"unknown style {args.style!r}; available: "
@@ -127,7 +119,7 @@ def main(args: argparse.Namespace) -> int:
         artifact = build_figure_artifact(
             sections[name], PUBLISH_SPECS[name]
         )
-        filename = f"{name}.{fmt}"
+        filename = f"{name}.svg"
         info = render_figure_svg(
             artifact, args.style, os.path.join(args.outdir, filename)
         )
@@ -138,55 +130,47 @@ def main(args: argparse.Namespace) -> int:
         )
         cards.append((sections[name], artifact, filename))
 
-    # 3. Trace digest.
+    # 3. Trace digest, when a trace was given.
+    trace_image = None
+    digest = None
     if args.trace is not None:
         try:
-            trace_doc = load_trace(args.trace)
+            digest = digest_trace(load_trace(args.trace))
         except (OSError, ValueError) as exc:
             print(f"cannot use --trace: {exc}", file=sys.stderr)
             return 2
-    else:
-        from ...cli import main as repro_main
-
-        with tempfile.TemporaryDirectory() as scratch:
-            trace_path = os.path.join(scratch, "trace.json")
-            status = repro_main(["run", TRACE_FIGURE, "--trace", trace_path])
-            if status:
-                return status
-            trace_doc = load_trace(trace_path)
-    digest = digest_trace(trace_doc)
-    # The raw trace can run to tens of MB; publish only the digest.
-    digest_json = os.path.join(args.outdir, "trace_digest.json")
-    with open(digest_json, "w") as handle:
-        json.dump(
-            {
-                "schema": "repro.trace-digest/1",
-                "span_count": digest.span_count,
-                "total_us": round(digest.total_us, 1),
-                "instant_count": digest.instant_count,
-                "tracks": digest.tracks,
-                "dropped_events": digest.dropped_events,
-                "critical_path": {
-                    "headers": CRITICAL_PATH_HEADERS,
-                    "rows": critical_path_rows(digest),
+        # The raw trace can run to tens of MB; publish only the digest.
+        digest_json = os.path.join(args.outdir, "trace_digest.json")
+        with open(digest_json, "w") as handle:
+            json.dump(
+                {
+                    "schema": "repro.trace-digest/1",
+                    "span_count": digest.span_count,
+                    "total_us": round(digest.total_us, 1),
+                    "instant_count": digest.instant_count,
+                    "tracks": digest.tracks,
+                    "dropped_events": digest.dropped_events,
+                    "critical_path": {
+                        "headers": CRITICAL_PATH_HEADERS,
+                        "rows": critical_path_rows(digest),
+                    },
                 },
-            },
-            handle,
-            indent=2,
+                handle,
+                indent=2,
+            )
+            handle.write("\n")
+        trace_image = "trace_digest.svg"
+        render_figure_svg(
+            digest_artifact(digest),
+            args.style,
+            os.path.join(args.outdir, trace_image),
         )
-        handle.write("\n")
-    trace_image = f"trace_digest.{fmt}"
-    render_figure_svg(
-        digest_artifact(digest),
-        args.style,
-        os.path.join(args.outdir, trace_image),
-    )
-    print(
-        f"trace:  {trace_image} ({digest.span_count} spans, "
-        f"{len(digest.kinds)} kinds)"
-        + (f"; warning: {digest.dropped_events} events dropped at the "
-           "tracer cap" if digest.dropped_events else "")
-    )
+        print(
+            f"trace:  {trace_image} ({digest.span_count} spans, "
+            f"{len(digest.kinds)} kinds)"
+            + (f"; warning: {digest.dropped_events} events dropped past "
+               "the per-phase budget" if digest.dropped_events else "")
+        )
 
     # 4. The index that ties it together.
     page = render_index(
@@ -195,10 +179,10 @@ def main(args: argparse.Namespace) -> int:
         trace_image=trace_image,
         trace_digest=digest,
         style_name=args.style,
-        fmt=fmt,
     )
     index_path = os.path.join(args.outdir, "index.html")
     with open(index_path, "w") as handle:
         handle.write(page)
     print(f"index:  {index_path}")
     return 0
+

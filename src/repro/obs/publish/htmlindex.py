@@ -157,7 +157,6 @@ def render_index(
     trace_image: Optional[str],
     trace_digest: Optional[TraceDigest],
     style_name: str,
-    fmt: str,
 ) -> str:
     """Assemble the full index page as a string."""
     manifest = report.get("provenance", {})
@@ -176,8 +175,7 @@ def render_index(
         f"seed <code>{_esc(manifest.get('seed', '?'))}</code>, "
         f"config hash <code>"
         f"{_esc(manifest.get('config_hash', '?'))}</code>, "
-        f"style <code>{_esc(style_name)}</code>, "
-        f"format <code>{_esc(fmt)}</code></p>",
+        f"style <code>{_esc(style_name)}</code></p>",
         '<div class="tiles">',
         f'<div class="tile"><div class="num">'
         f'{_esc(summary.get("claims", 0))}</div>'
@@ -207,8 +205,9 @@ def render_index(
         capped = ""
         if trace_digest.dropped_events:
             capped = (
-                '<div class="warn">⚠ trace capped at the tracer\'s event '
-                f"limit: {trace_digest.dropped_events} events dropped</div>"
+                '<div class="warn">⚠ trace capped at the tracer\'s '
+                "per-phase event budget: "
+                f"{trace_digest.dropped_events} events dropped</div>"
             )
         parts.append(
             f'<p class="meta">{trace_digest.span_count} spans across '

@@ -55,7 +55,7 @@ class TraceDigest:
     total_us: float
     instant_count: int
     tracks: list[str]
-    dropped_events: int = 0  # events the tracer dropped at its cap
+    dropped_events: int = 0  # events past the tracer's per-phase budget
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

@@ -20,8 +20,10 @@ Mapping onto the simulation:
 Timestamps come from a bound simulated clock (see :meth:`bind_clock`);
 without one, explicit span times still work and instants stamp 0.
 
-The tracer keeps at most ``max_events`` events; the written document's
-``otherData.dropped_events`` counts the ones it dropped past that cap.
+Each phase keeps at most :data:`PHASE_EVENT_BUDGET` spans and instants,
+so a long early phase cannot crowd the later ones out of the file;
+metadata events are always kept.  The written document's
+``otherData.dropped_events`` counts the events dropped past a budget.
 """
 
 from __future__ import annotations
@@ -29,19 +31,23 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-__all__ = ["SpanTracer"]
+__all__ = ["PHASE_EVENT_BUDGET", "SpanTracer"]
+
+# Spans and instants kept per phase (Chrome-trace pid).  The quick
+# Fig 12 sweep has five phases, so its trace stays under 200,000 events.
+PHASE_EVENT_BUDGET = 39_000
 
 
 class SpanTracer:
     """Collects Chrome-trace events from instrumented span sites."""
 
-    def __init__(self, max_events: int = 200_000) -> None:
-        self.max_events = max_events
+    def __init__(self) -> None:
         self.events: list[dict] = []
         self.dropped_events = 0
         self._clock: Optional[Callable[[], float]] = None
         self._pid = 0
         self._tids: dict[tuple[int, str], int] = {}
+        self._kept: dict[int, int] = {}  # pid -> spans + instants kept
 
     # ------------------------------------------------------------------
     # Clock and process (phase) management
@@ -58,7 +64,7 @@ class SpanTracer:
     def set_process(self, pid: int, label: str) -> None:
         """Route subsequent events to Chrome-trace process ``pid``."""
         self._pid = pid
-        self._push(
+        self.events.append(
             {
                 "name": "process_name",
                 "ph": "M",
@@ -80,6 +86,8 @@ class SpanTracer:
         **args: object,
     ) -> None:
         """One finished span: ``[start_ns, start_ns + duration_ns)``."""
+        if not self._admit():
+            return
         event = {
             "name": name,
             "ph": "X",
@@ -90,7 +98,7 @@ class SpanTracer:
         }
         if args:
             event["args"] = args
-        self._push(event)
+        self.events.append(event)
 
     def instant(
         self,
@@ -100,6 +108,8 @@ class SpanTracer:
         **args: object,
     ) -> None:
         """A point event (retry, degraded flush, drop)."""
+        if not self._admit():
+            return
         event = {
             "name": name,
             "ph": "i",
@@ -110,7 +120,7 @@ class SpanTracer:
         }
         if args:
             event["args"] = args
-        self._push(event)
+        self.events.append(event)
 
     # ------------------------------------------------------------------
     # Export
@@ -135,7 +145,7 @@ class SpanTracer:
         if tid is None:
             tid = len([k for k in self._tids if k[0] == self._pid]) + 1
             self._tids[key] = tid
-            self._push(
+            self.events.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
@@ -146,8 +156,11 @@ class SpanTracer:
             )
         return tid
 
-    def _push(self, event: dict) -> None:
-        if len(self.events) >= self.max_events:
+    def _admit(self) -> bool:
+        """Count one span or instant against its phase's budget."""
+        kept = self._kept.get(self._pid, 0)
+        if kept >= PHASE_EVENT_BUDGET:
             self.dropped_events += 1
-            return
-        self.events.append(event)
+            return False
+        self._kept[self._pid] = kept + 1
+        return True

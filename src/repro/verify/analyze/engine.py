@@ -2,26 +2,26 @@
 
 Pipeline: discover files → build the :class:`ProjectModel` once → run
 every registered rule over it → drop ``# noqa``-suppressed findings →
-partition against the checked-in baseline → render (text/json/sarif).
+render (text or SARIF).
 
-Exit codes: 0 clean (or fully baselined), 1 new findings, 2 usage
-error (unknown rule code, a missing path, or paths that hold no
-``.py`` file).
+Exit codes: 0 clean, 1 findings, 2 usage error (unknown rule code, a
+missing path, or paths that hold no ``.py`` file).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..registry import Finding, explain
 from ..sources import is_suppressed, iter_python_files, noqa_lines
-from . import baseline as baseline_mod
-from .output import render_json, render_sarif, render_text
+from .output import render_sarif, render_text
 from .project import ProjectModel
 from .rules import AnalyzerRule, default_rules
+
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
 
 __all__ = ["analyze_paths", "analyze_project", "main"]
 
@@ -56,63 +56,8 @@ def analyze_paths(
     return analyze_project(project, rules)
 
 
-def _fingerprinted(
-    project: ProjectModel, findings: list[Finding]
-) -> list[tuple[Finding, str]]:
-    lines_by_path = {module.path: module for module in project.modules}
-    out: list[tuple[Finding, str]] = []
-    for finding in findings:
-        module = lines_by_path.get(finding.path)
-        text = module.line_text(finding.line) if module is not None else ""
-        out.append((finding, baseline_mod.fingerprint(finding, text)))
-    return out
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description=(
-            "Static checks of simulator determinism and the DMA "
-            "protection protocol over the full project model."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=baseline_mod.DEFAULT_BASELINE,
-        help=(
-            "baseline file of accepted findings "
-            f"(default: {baseline_mod.DEFAULT_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--explain",
-        metavar="CODE",
-        help="print the rule explanation for CODE and exit",
-    )
-    args = parser.parse_args(argv)
-
+def main(args: argparse.Namespace) -> int:
+    """``repro analyze``: check ``args.paths``, or explain one rule."""
     if args.explain:
         text = explain(args.explain)
         if text is None:
@@ -138,36 +83,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    project = ProjectModel.build(files)
-    findings = analyze_project(project)
-    fingerprinted = _fingerprinted(project, findings)
-
-    if args.write_baseline:
-        baseline_mod.write_baseline(args.baseline, fingerprinted)
-        print(
-            f"wrote {len(fingerprinted)} finding(s) to {args.baseline}",
-        )
-        return 0
-
-    accepted: set[str] = set()
-    if not args.no_baseline:
-        accepted = baseline_mod.load_baseline(args.baseline)
-    new, baselined = baseline_mod.split_by_baseline(fingerprinted, accepted)
-    reported = [finding for finding, _ in new]
-
-    if args.format == "json":
-        print(render_json(reported))
-    elif args.format == "sarif":
-        print(render_sarif(reported))
-    elif reported:
-        print(render_text(reported))
-    if args.format == "text" and baselined:
-        print(
-            f"({len(baselined)} baselined finding(s) suppressed)",
-            file=sys.stderr,
-        )
-    return 1 if reported else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    findings = analyze_project(ProjectModel.build(files))
+    if args.format == "sarif":
+        print(render_sarif(findings))
+    elif findings:
+        print(render_text(findings))
+    return 1 if findings else 0

@@ -1,4 +1,4 @@
-"""Finding renderers for ``repro analyze``: text, JSON, SARIF.
+"""Finding renderers for ``repro analyze``: text and SARIF.
 
 The SARIF output targets SARIF 2.1.0 with exactly the subset CI code
 scanners ingest: one run, one ``tool.driver`` with per-rule metadata
@@ -12,7 +12,7 @@ import json
 
 from ..registry import Finding, all_rules
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_sarif"]
 
 _SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = (
@@ -23,15 +23,6 @@ _SARIF_SCHEMA = (
 
 def render_text(findings: list[Finding]) -> str:
     return "\n".join(finding.format() for finding in findings)
-
-
-def render_json(findings: list[Finding]) -> str:
-    document = {
-        "tool": "repro-analyze",
-        "count": len(findings),
-        "findings": [finding.to_dict() for finding in findings],
-    }
-    return json.dumps(document, indent=2)
 
 
 def render_sarif(findings: list[Finding]) -> str:

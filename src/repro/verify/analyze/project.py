@@ -91,10 +91,6 @@ class ModuleInfo:
     tree: ast.Module
     source: str
 
-    def line_text(self, line: int) -> str:
-        lines = self.source.splitlines()
-        return lines[line - 1] if 1 <= line <= len(lines) else ""
-
 
 class ProjectModel:
     """Symbol table + call graph over a set of parsed modules."""

@@ -1,6 +1,6 @@
 """The analyzer's rule set, built on the project model + CFG/dataflow.
 
-Ten rules ship with the analyzer:
+Eight rules ship with the analyzer:
 
 * :class:`WallClockRule` (REPRO001), :class:`SetIterationRule`
   (REPRO002) and :class:`TimestampEqualityRule` (REPRO003) — the
@@ -16,20 +16,12 @@ Ten rules ship with the analyzer:
   the same attribute with no happens-before edge;
 * :class:`HookGuardRule` (REPRO103) — hook objects (obs/monitor/faults)
   used outside their ``is not None`` guard;
-* :class:`SpecPhaseRule` (REPRO104) — ``phase_contains`` selectors in
-  expectation specs cross-checked against the live phase-label
-  vocabulary;
 * :class:`ResetRearmRule` (REPRO105) — a driver reset/recovery method
   must re-arm the invalidation queue on every path before it resumes
-  mapping DMA buffers;
-* :class:`ChunkedDispatchRule` (REPRO106) — per-item ``pool.submit``
-  in a loop over sweep points (the dispatch pattern that made
-  ``--jobs 2`` slower than serial) without any chunking in the
-  enclosing function.
+  mapping DMA buffers.
 
 Every rule reports plain :class:`~repro.verify.registry.Finding`
-objects; ``# noqa`` filtering and baseline suppression happen in the
-engine, not here.
+objects; ``# noqa`` filtering happens in the engine, not here.
 """
 
 from __future__ import annotations
@@ -51,9 +43,7 @@ __all__ = [
     "UseAfterUnmapRule",
     "SimRaceRule",
     "HookGuardRule",
-    "SpecPhaseRule",
     "ResetRearmRule",
-    "ChunkedDispatchRule",
     "default_rules",
 ]
 
@@ -106,9 +96,7 @@ def default_rules() -> list[AnalyzerRule]:
         UseAfterUnmapRule(),
         SimRaceRule(),
         HookGuardRule(),
-        SpecPhaseRule(),
         ResetRearmRule(),
-        ChunkedDispatchRule(),
     ]
 
 
@@ -1211,184 +1199,3 @@ class ResetRearmRule(AnalyzerRule):
                     )
                 )
         return findings
-
-
-# ---------------------------------------------------------------------------
-# REPRO104: expectation-spec phase selectors vs live phase labels
-# ---------------------------------------------------------------------------
-class SpecPhaseRule(AnalyzerRule):
-    """REPRO104: phase_contains selectors must match the live labels."""
-
-    code = "REPRO104"
-
-    def check(self, project: ProjectModel) -> list[Finding]:
-        fragments, names = self._label_vocabulary(project)
-        if not fragments and not names:
-            # Analyzing a subtree with no experiment runners: nothing
-            # to validate against, so stay silent rather than flag
-            # every spec.
-            return []
-        tokens: set[str] = set(names)
-        for fragment in fragments:
-            tokens.update(fragment.split())
-            for piece in fragment.replace("=", " ").split():
-                tokens.add(piece)
-        findings: list[Finding] = []
-        for module in project.modules:
-            for call in ast.walk(module.tree):
-                if not isinstance(call, ast.Call):
-                    continue
-                for kw in call.keywords:
-                    if kw.arg != "phase_contains":
-                        continue
-                    if not (
-                        isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)
-                    ):
-                        continue
-                    selector = kw.value.value
-                    missing = [
-                        token
-                        for token in selector.split()
-                        if token not in tokens
-                        and not any(token in frag for frag in fragments)
-                        and not any(token in name for name in names)
-                    ]
-                    if missing:
-                        findings.append(
-                            Finding(
-                                module.path,
-                                kw.value.lineno,
-                                kw.value.col_offset,
-                                self.code,
-                                f"phase_contains={selector!r} matches no "
-                                "phase label the runners produce "
-                                f"(unknown token(s): "
-                                f"{', '.join(missing)}); the claim "
-                                "would skip forever",
-                            )
-                        )
-        return findings
-
-    @staticmethod
-    def _label_vocabulary(
-        project: ProjectModel,
-    ) -> tuple[set[str], set[str]]:
-        """(constant fragments of label templates, mode-name constants)."""
-        fragments: set[str] = set()
-        names: set[str] = set()
-
-        def add_label_expr(expr: ast.AST) -> None:
-            if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-                fragments.add(expr.value)
-            elif isinstance(expr, ast.JoinedStr):
-                for part in expr.values:
-                    if isinstance(part, ast.Constant) and isinstance(
-                        part.value, str
-                    ):
-                        fragments.add(part.value)
-
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Call):
-                    callee = _call_attr(node) or _call_name(node)
-                    if callee == "begin_phase" and node.args:
-                        add_label_expr(node.args[0])
-                    for kw in node.keywords:
-                        if kw.arg == "label":
-                            add_label_expr(kw.value)
-                elif isinstance(node, ast.Assign):
-                    if not (
-                        isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, str)
-                    ):
-                        continue
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr == "name"
-                        ) or (
-                            isinstance(target, ast.Name)
-                            and target.id == "name"
-                        ):
-                            names.add(node.value.value)
-        return fragments, names
-
-
-# ---------------------------------------------------------------------------
-# REPRO106: per-item pool dispatch in a sweep loop
-# ---------------------------------------------------------------------------
-class ChunkedDispatchRule(AnalyzerRule):
-    """REPRO106: per-item ``pool.submit`` in a loop needs chunking.
-
-    The parallel-sweep regression this repo fixed: submitting each
-    sweep point as its own executor future pays a round of pickling and
-    future bookkeeping per point, which on small points costs more than
-    the parallelism recovers (``--jobs 2`` measured *slower* than
-    serial).  The rule flags ``<pool>.submit(fn, <loop-var>, ...)``
-    where the loop variable is passed through directly — one dispatch
-    per iterated item — unless the enclosing function shows any
-    chunking vocabulary (a name, attribute or call containing
-    ``chunk``), which marks the batched idiom.
-    """
-
-    code = "REPRO106"
-
-    def check(self, project: ProjectModel) -> list[Finding]:
-        findings: list[Finding] = []
-        for function in project.functions:
-            findings.extend(self._check_function(function))
-        return findings
-
-    def _check_function(self, function: FunctionInfo) -> list[Finding]:
-        if self._mentions_chunking(function.node):
-            return []
-        findings: list[Finding] = []
-        for loop in ast.walk(function.node):
-            if not isinstance(loop, (ast.For, ast.AsyncFor)):
-                continue
-            loop_vars = {
-                name.id
-                for name in ast.walk(loop.target)
-                if isinstance(name, ast.Name)
-            }
-            if not loop_vars:
-                continue
-            for call in _calls_in(list(loop.body)):
-                if _call_attr(call) != "submit":
-                    continue
-                # args[0] is the callable; per-item dispatch passes the
-                # loop variable itself as a payload argument.
-                passed = [
-                    arg.id
-                    for arg in call.args[1:]
-                    if isinstance(arg, ast.Name)
-                ]
-                if not any(name in loop_vars for name in passed):
-                    continue
-                findings.append(
-                    Finding(
-                        function.module.path,
-                        call.lineno,
-                        call.col_offset,
-                        self.code,
-                        f"{function.name}() submits one pool task per "
-                        "iterated item; per-item dispatch pays "
-                        "pickling and future bookkeeping per point "
-                        "and measurably loses to a serial sweep — "
-                        "dispatch fixed-size chunks of items instead",
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _mentions_chunking(node: ast.AST) -> bool:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and "chunk" in child.id.lower():
-                return True
-            if (
-                isinstance(child, ast.Attribute)
-                and "chunk" in child.attr.lower()
-            ):
-                return True
-        return False

@@ -37,16 +37,6 @@ class Finding:
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col} {self.code} {self.message}"
 
-    def to_dict(self) -> dict:
-        """JSON-ready record (``repro analyze --format json``)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-        }
-
 
 @dataclass(frozen=True)
 class RuleInfo:
@@ -56,7 +46,7 @@ class RuleInfo:
     name: str  # short kebab-case identifier (SARIF rule name)
     summary: str  # one line; SARIF shortDescription
     explanation: str  # multi-line prose; ``--explain CODE``
-    category: str  # "determinism" | "dma-safety" | "observability" | "spec"
+    category: str  # "determinism" | "dma-safety" | "observability"
 
     def explain_text(self) -> str:
         return (
@@ -198,8 +188,8 @@ assigned attribute and no scheduling path between them in either
 direction is flagged at the class definition.
 
 Soundness trade-off: the rule cannot see dynamic guards that make the
-writes mutually exclusive; accepted pairs belong in the committed
-analyze baseline with a short justification.
+writes mutually exclusive; accept a reviewed pair by marking the
+class line ``noqa: REPRO102`` with a comment saying why.
 """,
         category="determinism",
     ),
@@ -226,25 +216,6 @@ The rule runs a forward must-analysis over the CFG: a hook variable is
         category="observability",
     ),
     RuleInfo(
-        code="REPRO104",
-        name="spec-phase-selector-unmatched",
-        summary=(
-            "An expectation spec's phase_contains selector matches no "
-            "phase label the experiments can produce."
-        ),
-        explanation="""
-Expectation specs select metric phases with substring selectors
-(phase_contains=" fns "); phase labels are minted by the experiment
-runners (PointSpec(label=f"{figure_id} {mode} ..."), begin_phase(...)).
-The rule cross-checks every selector token against the live label
-vocabulary: the constant fragments of every label template plus every
-mode-name constant assigned to a ``name`` attribute.  A selector whose
-token appears nowhere (a typo like " fnss ") would make the claim skip
-forever — the spec silently stops checking anything.
-""",
-        category="spec",
-    ),
-    RuleInfo(
         code="REPRO105",
         name="reset-without-rearm",
         summary=(
@@ -266,29 +237,6 @@ helper that transitively maps) must be preceded by a re-arm on *all*
 control-flow paths.
 """,
         category="dma-safety",
-    ),
-    RuleInfo(
-        code="REPRO106",
-        name="per-item-pool-dispatch",
-        summary=(
-            "A loop submits one pool task per iterated item with no "
-            "chunking; per-item dispatch loses to a serial sweep."
-        ),
-        explanation="""
-The parallel-sweep regression the warm pool fixed: submitting every
-sweep point as its own executor future pays a round of payload
-pickling and future bookkeeping per point, and on simulator-sized
-points that overhead exceeds what the parallelism recovers — a
-per-point dispatcher once measured ``--jobs 2`` slower than the serial
-sweep.
-The warm-pool dispatcher (repro.parallel.pool) fixes this by shipping
-fixed-size chunks of consecutive points per worker task.  The rule
-flags ``<pool>.submit(fn, <loop-var>, ...)`` inside a ``for`` loop
-where the loop variable is passed directly as a task argument, unless
-the enclosing function uses chunking vocabulary (any name, attribute or
-call containing "chunk"), which marks the batched idiom.
-""",
-        category="observability",
     ),
 ]
 

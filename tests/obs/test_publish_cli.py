@@ -113,34 +113,24 @@ def test_repro_cli_dispatches_publish(
 
 
 def test_publish_help_mentions_formats(capsys):
+    # SVG is the one format, so it is named in the help, not an option.
     assert publish_main(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "--format" in out
-    assert "svg" in out
+    assert "SVG" in out
+    assert "--format" not in out
+    assert "--trace" in out
 
 
-def test_without_trace_records_one_with_repro_run(
-    tmp_path, make_report, monkeypatch
-):
-    # No --trace: publish digests a trace recorded by
-    # ``repro run fig12 --trace`` (shrunk here to a micro scale).
-    from repro.experiments import RunScale
-
-    monkeypatch.setattr(
-        "repro.cli.QUICK",
-        RunScale(
-            name="micro",
-            warmup_ns=800_000.0,
-            measure_ns=1_500_000.0,
-            latency_measure_ns=3_000_000.0,
-        ),
-    )
+def test_without_trace_writes_no_digest(tmp_path, make_report, capsys):
+    # Publish records no trace of its own: without --trace it renders
+    # the report, writes no digest files and says so in the index.
     outdir = tmp_path / "out"
     code = publish_main(
         [str(outdir), "--from-report", str(make_report()),
          "--figures", "fig2"]
     )
     assert code == 0
-    digest = json.loads((outdir / "trace_digest.json").read_text())
-    assert digest["span_count"] > 0
-    assert (outdir / "trace_digest.svg").stat().st_size > 0
+    assert (outdir / "fig2.svg").stat().st_size > 0
+    assert not list(outdir.glob("trace_digest.*"))
+    assert "no trace recorded" in (outdir / "index.html").read_text()
+    assert "trace:" not in capsys.readouterr().out

@@ -104,21 +104,25 @@ def test_load_trace_validates(tmp_path):
         load_trace(str(bad))
 
 
-def test_capped_trace_warns_in_digest_and_index():
-    tracer = SpanTracer(max_events=3)
-    for i in range(10):
-        tracer.complete("dma_map", "rx", start_ns=i * 1_000, duration_ns=5)
+def test_capped_trace_warns_in_digest_and_index(monkeypatch):
+    tracer = SpanTracer()
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.obs.tracer.PHASE_EVENT_BUDGET", 3)
+        for i in range(10):
+            tracer.complete(
+                "dma_map", "rx", start_ns=i * 1_000, duration_ns=5
+            )
     capped = digest_trace(tracer.to_dict())
     assert capped.dropped_events == tracer.dropped_events > 0
     page = render_index(
         report={}, cards=[], trace_image="trace_digest.svg",
-        trace_digest=capped, style_name="paper", fmt="svg",
+        trace_digest=capped, style_name="paper",
     )
     assert f"{capped.dropped_events} events dropped" in page
     whole = digest_trace(make_trace())
     assert whole.dropped_events == 0
     page = render_index(
         report={}, cards=[], trace_image="trace_digest.svg",
-        trace_digest=whole, style_name="paper", fmt="svg",
+        trace_digest=whole, style_name="paper",
     )
     assert "events dropped" not in page

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.context import current_context
 from repro.experiments import FigureResult, RunScale
 from repro.obs.expect import FigureSpec, is_zero, wins
 from repro.obs.expect.diffing import DiffResult, diff_documents
@@ -56,13 +57,32 @@ BROKEN_SPEC = FigureSpec(
 )
 
 
-def reproduce(tmp_path, spec, **kwargs):
+def phased_runner(scale, seed=1, jobs=None, chunk=None):
+    """A stub figure whose one cell opens a real metrics phase."""
+    registry = current_context().registry
+    registry.begin_phase("Fig S fns x=1")
+    registry.scope("iommu").counter("stale", lambda: 0)
+    return stub_runner(scale)
+
+
+def selector_spec(phase_contains):
+    return FigureSpec(
+        figure="stub",
+        title="stub figure",
+        expectations=(
+            is_zero(metric="iommu.stale", phase_contains=phase_contains,
+                    claim="fns never reads a stale translation"),
+        ),
+    )
+
+
+def reproduce(tmp_path, spec, runner=stub_runner, **kwargs):
     return run_reproduce(
         ["stub"],
         scale=MICRO,
         report_path=str(tmp_path / "REPORT.md"),
         json_path=str(tmp_path / "report.json"),
-        runners={"stub": stub_runner},
+        runners={"stub": runner},
         specs={"stub": spec},
         echo=lambda _: None,
         **kwargs,
@@ -110,6 +130,28 @@ class TestRunReproduce:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["summary"]["failed"] == 1
         assert "✗" in (tmp_path / "REPORT.md").read_text()
+
+    @pytest.mark.parametrize("selector, status, observed", [
+        pytest.param(
+            " fns ", 0, "sum(iommu.stale) over 1 phase(s) = 0", id="match"
+        ),
+        # A typo'd selector matches no phase the run produced: the
+        # claim fails as a spec error rather than skipping forever.
+        pytest.param(
+            " fnss ", 1, "spec error: no phase label contains ' fnss '",
+            id="typo",
+        ),
+    ])
+    def test_phase_selector_is_checked_against_real_labels(
+        self, tmp_path, selector, status, observed
+    ):
+        assert reproduce(
+            tmp_path, selector_spec(selector), phased_runner
+        ) == status
+        [claim] = json.loads((tmp_path / "report.json").read_text())[
+            "figures"
+        ][0]["claims"]
+        assert claim["observed"] == observed
 
     def test_unknown_figure_exits_two(self, tmp_path):
         # An empty selection is no figure either, not "every figure".

@@ -77,18 +77,45 @@ def test_negative_duration_clamped():
     assert [e for e in tracer.events if e["ph"] == "X"][0]["dur"] == 0.0
 
 
-def test_max_events_drops_and_counts(tmp_path):
-    tracer = SpanTracer(max_events=2)
+def test_phase_budget_drops_and_counts(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.obs.tracer.PHASE_EVENT_BUDGET", 2)
+    tracer = SpanTracer()
     for i in range(5):
         tracer.complete("x", "t", float(i), 1.0)
-    assert len(tracer.events) == 2
-    assert tracer.dropped_events > 0
-    # The written document says how many events the cap dropped.
+    spans = [e for e in tracer.events if e["ph"] == "X"]
+    assert len(spans) == 2
+    assert tracer.dropped_events == 3
+    # The written document says how many events the budget dropped.
     path = tmp_path / "trace.json"
     tracer.write(str(path))
     doc = json.loads(path.read_text())
-    assert len(doc["traceEvents"]) == 2
-    assert doc["otherData"] == {"dropped_events": tracer.dropped_events}
+    assert len(doc["traceEvents"]) == len(tracer.events)
+    assert doc["otherData"] == {"dropped_events": 3}
+
+
+def test_full_phase_leaves_later_phases_their_budget(monkeypatch):
+    # A long first phase must not crowd the later ones out of the file:
+    # every phase keeps its own spans, and its metadata always.
+    monkeypatch.setattr("repro.obs.tracer.PHASE_EVENT_BUDGET", 3)
+    tracer = SpanTracer()
+    for pid, count in enumerate((10, 1, 10)):
+        tracer.set_process(pid, f"phase{pid}")
+        for i in range(count):
+            tracer.complete("x", "t", float(i), 1.0)
+        tracer.instant("late", "late-track")
+    kept = {}
+    for event in tracer.events:
+        if event["ph"] != "M":
+            kept[event["pid"]] = kept.get(event["pid"], 0) + 1
+    assert kept == {0: 3, 1: 2, 2: 3}
+    assert tracer.dropped_events == (10 + 1 - 3) + (10 + 1 - 3)
+    names = [e["args"]["name"] for e in tracer.events
+             if e["name"] == "process_name"]
+    assert names == ["phase0", "phase1", "phase2"]
+    # A track whose every event was dropped gets no thread name.
+    tracks = {(e["pid"], e["args"]["name"]) for e in tracer.events
+              if e["name"] == "thread_name"}
+    assert tracks == {(0, "t"), (1, "t"), (1, "late-track"), (2, "t")}
 
 
 def test_document_round_trips_through_json(tmp_path):

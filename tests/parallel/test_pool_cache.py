@@ -16,7 +16,7 @@ from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
 from repro.faults import FaultPlan, FaultRuntime
 from repro.obs import MetricsRegistry, SpanTracer
-from repro.parallel import PointSpec, RemotePointError, run_points
+from repro.parallel import PointSpec, RemotePointError, pool, run_points
 from repro.verify import InvariantMonitor
 from repro.verify.events import Event
 from repro.verify.violation import InvariantViolation
@@ -235,7 +235,42 @@ class TestErrors:
         ]
 
 
+class _CountingPool:
+    """The shared pool, with every ``submit`` recorded."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.tasks = []
+
+    def submit(self, fn, specs, *args):
+        self.tasks.append([spec.x for spec in specs])
+        return self.inner.submit(fn, specs, *args)
+
+
 class TestOneLoop:
+    @pytest.mark.parametrize("chunk, tasks", [
+        # Default: two tasks per worker, ceil(5 / (2 * 2)) = 2 cells each.
+        pytest.param(None, [[0, 1], [2, 3], [4]], id="default"),
+        pytest.param(1, [[0], [1], [2], [3], [4]], id="chunk1"),
+    ])
+    def test_pooled_sweep_dispatches_chunks(self, monkeypatch, chunk, tasks):
+        # Per-cell dispatch pays pickling and future bookkeeping per
+        # cell, which once made --jobs 2 slower than a serial sweep.
+        ensure = pool._ensure_pool
+        counting = []
+
+        def counted(workers):
+            counting.append(_CountingPool(ensure(workers)))
+            return counting[-1]
+
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_ensure_pool", counted)
+        values = run_points(specs_for("t-count", 5), QUICK, jobs=2,
+                            chunk=chunk)
+        assert [v["x"] for v in values] == [0, 1, 2, 3, 4]
+        [pooled] = counting
+        assert pooled.tasks == tasks
+
     def test_half_warm_pooled_sweep_runs_only_cold_cells(self, cache):
         specs = specs_for("t-metered")
         warm_specs = [specs[1], specs[3]]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, main
 from repro.experiments import FIGURES, settings
 
 
@@ -63,6 +63,8 @@ def test_jobs_flag_runs_figure(capsys):
         ["reproduce", "--figures", ""],
         ["reproduce", "--figures", ","],
         ["publish", "out", "--figures", ""],
+        ["publish", "out", "--format", "svg"],
+        ["analyze", "--format", "json"],
     ],
 )
 def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -72,3 +74,13 @@ def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert "usage: repro" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_is_parsed_by_the_one_tree(command, capsys):
+    # No command parses its own argument list: each row declares its
+    # options, and its --help comes from the shared argparse tree.
+    options = COMMANDS[command][3]
+    assert isinstance(options, tuple) and options
+    assert main([command, "--help"]) == 0
+    assert f"usage: repro {command}" in capsys.readouterr().out

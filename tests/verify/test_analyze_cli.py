@@ -9,7 +9,6 @@ import pytest
 import repro
 from repro.cli import main as repro_main
 from repro.verify.analyze import analyze_project
-from repro.verify.analyze.engine import main as analyze_main
 from repro.verify.analyze.project import ProjectModel
 from repro.verify.sources import iter_python_files
 
@@ -20,7 +19,7 @@ WALLCLOCK = "import time\nt = time.time()\n"
 
 
 def run(args, capsys):
-    code = analyze_main(args)
+    code = repro_main(["analyze", *args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -29,13 +28,13 @@ def run(args, capsys):
 # Exit codes and text output
 # ---------------------------------------------------------------------------
 def test_clean_input_exits_zero(capsys):
-    code, out, _ = run([GOOD, "--no-baseline"], capsys)
+    code, out, _ = run([GOOD], capsys)
     assert code == 0
     assert out == ""
 
 
 def test_findings_exit_one_with_text(capsys):
-    code, out, _ = run([BAD, "--no-baseline"], capsys)
+    code, out, _ = run([BAD], capsys)
     assert code == 1
     assert "REPRO004" in out
     assert "bad_branchy_driver.py" in out
@@ -65,8 +64,8 @@ def test_exit_codes_on_determinism_findings(tmp_path, capsys):
     clean.write_text("x = 1\n")
     dirty = tmp_path / "dirty.py"
     dirty.write_text(WALLCLOCK)
-    assert run([str(clean), "--no-baseline"], capsys)[0] == 0
-    code, out, _ = run([str(tmp_path), "--no-baseline"], capsys)
+    assert run([str(clean)], capsys)[0] == 0
+    code, out, _ = run([str(tmp_path)], capsys)
     assert code == 1
     assert "REPRO001" in out
     assert "dirty.py" in out
@@ -75,7 +74,7 @@ def test_exit_codes_on_determinism_findings(tmp_path, capsys):
 def test_finding_format_is_parseable(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(WALLCLOCK)
-    _, out, _ = run([str(dirty), "--no-baseline"], capsys)
+    _, out, _ = run([str(dirty)], capsys)
     path, line, rest = out.strip().split(":", 2)
     assert path == str(dirty)
     assert int(line) == 2
@@ -85,24 +84,24 @@ def test_finding_format_is_parseable(tmp_path, capsys):
 def test_syntax_error_reported_not_crashed(tmp_path, capsys):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n    pass\n")
-    code, out, _ = run([str(broken), "--no-baseline"], capsys)
+    code, out, _ = run([str(broken)], capsys)
     assert code == 1
     assert "REPRO000" in out
 
 
 def test_dispatch_through_repro_cli(capsys):
-    assert repro_main(["analyze", GOOD, "--no-baseline"]) == 0
+    assert repro_main(["analyze", GOOD]) == 0
 
 
 def test_repro_cli_clean_tree(capsys):
     src_pkg = str(Path(repro.__file__).parent)
-    assert repro_main(["analyze", src_pkg, "--no-baseline"]) == 0
+    assert repro_main(["analyze", src_pkg]) == 0
 
 
 def test_repro_cli_reports_determinism_finding(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nstamp = time.time()\n")
-    assert repro_main(["analyze", str(bad), "--no-baseline"]) == 1
+    assert repro_main(["analyze", str(bad)]) == 1
     assert "REPRO001" in capsys.readouterr().out
 
 
@@ -130,49 +129,43 @@ def test_explain_unknown_code(capsys):
     assert "unknown rule code" in err
 
 
+@pytest.mark.parametrize("code, known", [
+    ("REPRO104", False), ("REPRO106", False), ("REPRO105", True),
+])
+def test_explain_covers_exactly_the_shipped_rules(code, known, capsys):
+    # REPRO104 and REPRO106 were retired; REPRO105 ships.
+    status, out, err = run(["--explain", code], capsys)
+    assert status == (0 if known else 2)
+    assert (code in out) == known
+    assert ("unknown rule code" in err) == (not known)
+
+
+def test_help_lists_only_the_shipped_options(capsys):
+    # analyze is an ordinary row of the one command table.
+    assert repro_main(["analyze", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "usage: repro analyze" in out
+    assert "{text,sarif}" in out
+    assert "--explain" in out
+    assert "baseline" not in out
+
+
 # ---------------------------------------------------------------------------
 # Structured output
 # ---------------------------------------------------------------------------
-def test_json_output_parses(capsys):
-    code, out, _ = run([BAD, "--no-baseline", "--format", "json"], capsys)
-    assert code == 1
-    document = json.loads(out)
-    assert document["tool"] == "repro-analyze"
-    assert document["count"] == 1
-    finding = document["findings"][0]
-    assert finding["code"] == "REPRO004"
-    assert finding["path"].endswith("bad_branchy_driver.py")
-
-
-def test_json_output_reports_determinism_finding(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text(WALLCLOCK)
-    code, out, _ = run([str(dirty), "--no-baseline", "--format", "json"],
-                       capsys)
-    assert code == 1
-    document = json.loads(out)
-    assert document["count"] == 1
-    assert document["findings"][0]["code"] == "REPRO001"
-    assert document["findings"][0]["line"] == 2
-
-
-def test_json_output_clean(capsys):
-    code, out, _ = run([GOOD, "--no-baseline", "--format", "json"], capsys)
-    assert code == 0
-    assert json.loads(out)["count"] == 0
-
-
 def test_sarif_output_shape(capsys):
-    code, out, _ = run([BAD, "--no-baseline", "--format", "sarif"], capsys)
+    code, out, _ = run([BAD, "--format", "sarif"], capsys)
     assert code == 1
     document = json.loads(out)
     assert document["version"] == "2.1.0"
     run_ = document["runs"][0]
     assert run_["tool"]["driver"]["name"] == "repro-analyze"
     rule_ids = {rule["id"] for rule in run_["tool"]["driver"]["rules"]}
-    # Every analyzer rule is described even when it did not fire.
-    assert {"REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO101",
-            "REPRO102", "REPRO103", "REPRO104"} <= rule_ids
+    # Every analyzer rule is described even when it did not fire, and
+    # so is REPRO000, the parse error the engine reports itself.
+    assert rule_ids == {"REPRO000", "REPRO001", "REPRO002", "REPRO003",
+                        "REPRO004", "REPRO101", "REPRO102", "REPRO103",
+                        "REPRO105"}
     result = run_["results"][0]
     assert result["ruleId"] == "REPRO004"
     location = result["locations"][0]["physicalLocation"]
@@ -185,8 +178,7 @@ def test_sarif_output_shape(capsys):
 def test_sarif_determinism_hit_carries_rule_metadata(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(WALLCLOCK)
-    code, out, _ = run([str(dirty), "--no-baseline", "--format", "sarif"],
-                       capsys)
+    code, out, _ = run([str(dirty), "--format", "sarif"], capsys)
     assert code == 1
     run_ = json.loads(out)["runs"][0]
     result = run_["results"][0]
@@ -199,82 +191,9 @@ def test_sarif_determinism_hit_carries_rule_metadata(tmp_path, capsys):
 
 
 def test_sarif_clean_run_has_empty_results(capsys):
-    code, out, _ = run([GOOD, "--no-baseline", "--format", "sarif"], capsys)
+    code, out, _ = run([GOOD, "--format", "sarif"], capsys)
     assert code == 0
     assert json.loads(out)["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
-# Baseline workflow
-# ---------------------------------------------------------------------------
-def test_baseline_accepts_then_suppresses(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    code, out, _ = run([BAD, "--baseline", baseline, "--write-baseline"],
-                       capsys)
-    assert code == 0
-    assert "wrote 1 finding(s)" in out
-    entries = json.loads(Path(baseline).read_text())["entries"]
-    assert entries[0]["code"] == "REPRO004"
-    assert len(entries[0]["fingerprint"]) == 16
-
-    # With the baseline: clean exit, finding suppressed.
-    code, out, err = run([BAD, "--baseline", baseline], capsys)
-    assert code == 0
-    assert out == ""
-    assert "1 baselined finding(s) suppressed" in err
-
-    # Ignoring it brings the finding back.
-    code, out, _ = run([BAD, "--baseline", baseline, "--no-baseline"],
-                       capsys)
-    assert code == 1
-
-
-def test_missing_baseline_file_means_empty(tmp_path, capsys):
-    code, _, _ = run(
-        [BAD, "--baseline", str(tmp_path / "absent.json")], capsys
-    )
-    assert code == 1
-
-
-def test_baseline_survives_line_drift(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    original = Path(BAD).read_text()
-    drifted = tmp_path / "drifted.py"
-    drifted.write_text(original)
-    code, _, _ = run(
-        [str(drifted), "--baseline", baseline, "--write-baseline"], capsys
-    )
-    assert code == 0
-    # Shift every line down: the flagged line's text is unchanged, so
-    # the fingerprint still matches.
-    fingerprints = {
-        entry["fingerprint"]
-        for entry in json.loads(Path(baseline).read_text())["entries"]
-    }
-    drifted.write_text("# a new leading comment\n" + original)
-    code, out, _ = run([str(drifted), "--baseline", baseline], capsys)
-    assert code == 0, out
-    drifted_prints = set()
-    run([str(drifted), "--baseline", str(tmp_path / "b2.json"),
-         "--write-baseline"], capsys)
-    drifted_prints = {
-        entry["fingerprint"]
-        for entry in json.loads((tmp_path / "b2.json").read_text())[
-            "entries"
-        ]
-    }
-    assert drifted_prints == fingerprints
-
-
-# ---------------------------------------------------------------------------
-# The committed repo baseline contract
-# ---------------------------------------------------------------------------
-def test_committed_baseline_is_empty():
-    document = json.loads(
-        (Path(__file__).parents[2] / "analyze-baseline.json").read_text()
-    )
-    assert document["tool"] == "repro-analyze"
-    assert document["entries"] == []
 
 
 def test_noqa_suppresses_analyzer_finding(tmp_path, capsys):
@@ -286,7 +205,7 @@ def test_noqa_suppresses_analyzer_finding(tmp_path, capsys):
     )
     target = tmp_path / "suppressed.py"
     target.write_text(patched)
-    code, out, _ = run([str(target), "--no-baseline"], capsys)
+    code, out, _ = run([str(target)], capsys)
     assert code == 0, out
 
 

@@ -483,7 +483,7 @@ def test_unguarded_hook_read_through_context_local_flagged():
 )
 def test_hook_attrs_recognised_on_the_real_tree(qualname, attrs):
     # Non-vacuity: a rule that recognises no hook read would keep the
-    # analyze baseline clean trivially.
+    # analyzer clean trivially.
     src_root = Path(repro.__file__).parent
     project = ProjectModel.build(sorted(src_root.rglob("*.py")))
     [klass] = project.classes_by_name[qualname]
@@ -564,51 +564,6 @@ class Worker:
 
 
 # ---------------------------------------------------------------------------
-# REPRO104: spec phase selectors vs the live label vocabulary
-# ---------------------------------------------------------------------------
-RUNNER = """
-class FnsMode:
-    def __init__(self):
-        self.name = "fns"
-
-
-def run_point(registry, mode, x):
-    registry.begin_phase(f"Fig 7 {mode} flows={x}")
-"""
-
-
-def test_unknown_phase_selector_flagged():
-    findings = analyze_source(
-        RUNNER
-        + """
-spec = PointSpec(phase_contains=" tcp ")
-"""
-    )
-    assert codes(findings) == ["REPRO104"]
-    assert "tcp" in findings[0].message
-
-
-def test_known_phase_selector_clean():
-    findings = analyze_source(
-        RUNNER
-        + """
-spec_a = PointSpec(phase_contains=" fns ")
-spec_b = PointSpec(phase_contains="Fig 7")
-"""
-    )
-    assert findings == []
-
-
-def test_phase_rule_silent_without_vocabulary():
-    findings = analyze_source(
-        """
-spec = PointSpec(phase_contains=" anything ")
-"""
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # REPRO105: reset paths must re-arm the invalidation queue first
 # ---------------------------------------------------------------------------
 def test_reset_without_rearm_flagged():
@@ -625,30 +580,6 @@ def test_reset_with_rearm_first_is_clean():
     # Includes a helper-mediated re-arm: the rule must resolve
     # transitive callers of rearm(), not just direct calls.
     assert analyze_fixture("good_reset_rearm.py") == []
-
-
-# ---------------------------------------------------------------------------
-# REPRO106: per-item pool dispatch in a sweep loop
-# ---------------------------------------------------------------------------
-def test_per_item_dispatch_flagged():
-    findings = analyze_fixture("bad_per_item_dispatch.py")
-    assert codes(findings) == ["REPRO106"]
-    assert "one pool task per iterated item" in findings[0].message
-
-
-def test_chunked_dispatch_is_clean():
-    assert analyze_fixture("good_chunked_dispatch.py") == []
-
-
-def test_submit_of_derived_value_not_flagged():
-    # Submitting something computed from the loop variable (not the
-    # variable itself) is not the per-item payload pattern.
-    findings = analyze_source(
-        "def f(pool, items):\n"
-        "    for item in items:\n"
-        "        pool.submit(work, item.tag)\n"
-    )
-    assert findings == []
 
 
 # ---------------------------------------------------------------------------
