@@ -267,10 +267,6 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], tuple]] = {
                     "with a publication layout)"
                 ),
             )),
-            (("--style",), dict(
-                default="paper",
-                help="publication style preset (default: paper)",
-            )),
             (("--from-report",), dict(
                 metavar="PATH",
                 default="report.json",

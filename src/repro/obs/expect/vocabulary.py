@@ -1,10 +1,12 @@
 """The eight expectation verbs: qualitative paper claims as objects.
 
 Every claim the paper makes about a figure is one of a small number of
-*shapes*; each shape is one verb here.  A spec file instantiates verbs
-with row/column selectors and bounds, and the engine evaluates them
-against the reproduced :class:`~repro.experiments.FigureResult` rows
-(and, for metric-based claims, against the final values of a
+*shapes*; each shape is one verb here, a frozen dataclass named by the
+verb, and the class name is the claim's ``kind``.  A spec file calls
+the verbs with row/column selectors and bounds, and the engine
+evaluates them against the reproduced
+:class:`~repro.experiments.FigureResult` rows (and, for metric-based
+claims, against the final values of a
 :class:`~repro.obs.MetricsRegistry` phase).
 
 Selectors shared by the row-based verbs:
@@ -18,15 +20,18 @@ Selectors shared by the row-based verbs:
     A tuple of x values (row[1]) to check; ``None`` means every x the
     sweep produced, so specs stay valid when a test runs a sub-sweep.
 
-Each verb records a human-readable ``claim`` plus the ``paper`` value
-it encodes; the generated ``REPORT.md`` prints both next to the
-observed numbers.
+The selectors are positional; everything else is keyword-only.  Each
+verb records a human-readable ``claim`` plus the ``paper`` value it
+encodes; the generated ``REPORT.md`` prints both next to the observed
+numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import KW_ONLY, dataclass
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional, Sequence
+
+from ..registry import _sum_metric
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import EvalContext
@@ -76,13 +81,24 @@ class SpecError(Exception):
     """A spec referenced a column/mode/x the figure does not produce."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Expectation:
     """Base verb: a claim, the paper's value, and row selectors."""
 
-    kind: str = field(init=False, default="")
-    claim: str = ""
+    claim: str
     paper: str = ""
+
+    def __post_init__(self) -> None:
+        # Sequence selectors are stored as tuples: the verb is frozen.
+        for name in ("at", "between", "among"):
+            value = getattr(self, name, None)
+            if value is not None:
+                object.__setattr__(self, name, tuple(value))
+
+    @property
+    def kind(self) -> str:
+        """The verb's name, as the report and the config hash print it."""
+        return type(self).__name__
 
     def evaluate(self, ctx: "EvalContext") -> Outcome:
         try:
@@ -151,18 +167,27 @@ class Expectation:
         return ", ".join(f"x={x}: {value:g}" for x, value in pairs)
 
 
-# ----------------------------------------------------------------------
-# is_zero — exact-zero (or tolerance-bounded) claims
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class IsZero(Expectation):
-    kind: str = field(init=False, default="is_zero")
+class is_zero(Expectation):
+    """The value is (exactly, or within ``tol`` of) zero.
+
+    Row form: ``column``/``mode``/``at`` select table cells.  Metric
+    form: ``metric``/``phase_contains`` sum a registry metric's final
+    value over matching phases — skipped when no metrics were taken.
+    """
+
     column: Optional[str] = None
     mode: Optional[str] = None
-    at: Optional[tuple] = None
+    _: KW_ONLY
+    at: Optional[Sequence] = None
     tol: float = 0.0
     metric: Optional[str] = None
     phase_contains: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.column is None) == (self.metric is None):
+            raise ValueError("pass exactly one of column= or metric=")
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         if self.metric is not None:
@@ -191,37 +216,6 @@ class IsZero(Expectation):
         )
 
 
-def is_zero(
-    column: Optional[str] = None,
-    mode: Optional[str] = None,
-    *,
-    at: Optional[Sequence] = None,
-    tol: float = 0.0,
-    metric: Optional[str] = None,
-    phase_contains: Optional[str] = None,
-    claim: str,
-    paper: str = "0",
-) -> Expectation:
-    """The value is (exactly, or within ``tol`` of) zero.
-
-    Row form: ``column``/``mode``/``at`` select table cells.  Metric
-    form: ``metric``/``phase_contains`` sum a registry metric's final
-    value over matching phases — skipped when no metrics were taken.
-    """
-    if (column is None) == (metric is None):
-        raise ValueError("pass exactly one of column= or metric=")
-    return IsZero(
-        claim=claim,
-        paper=paper,
-        column=column,
-        mode=mode,
-        at=tuple(at) if at is not None else None,
-        tol=tol,
-        metric=metric,
-        phase_contains=phase_contains,
-    )
-
-
 def _sum_phase_metric(
     metrics: dict, metric: str, phase_contains: Optional[str]
 ) -> tuple[float, int]:
@@ -233,32 +227,27 @@ def _sum_phase_metric(
         if phase_contains is not None and phase_contains not in label:
             continue
         matched += 1
-        for name, value in (phase.get("final") or {}).items():
-            if _normalize(name) == metric and isinstance(
-                value, (int, float)
-            ):
-                total += value
+        total += _sum_metric(phase.get("final") or {}, metric)
     return total, matched
 
 
-def _normalize(name: str) -> str:
-    """Strip the ``#N`` instance-dedup suffixes from a metric name."""
-    return ".".join(part.split("#", 1)[0] for part in name.split("."))
-
-
-# ----------------------------------------------------------------------
-# equal — two columns (or one column at two sweep points) agree
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Equal(Expectation):
-    kind: str = field(init=False, default="equal")
-    column: str = ""
+class equal(Expectation):
+    """Two columns agree row-wise, or one column agrees at two x's."""
+
+    column: str
     column_b: Optional[str] = None
+    _: KW_ONLY
     mode: Optional[str] = None
-    at: Optional[tuple] = None
-    between: Optional[tuple] = None
+    at: Optional[Sequence] = None
+    between: Optional[Sequence] = None
     tol_abs: float = 0.0
     tol_rel: float = 0.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.column_b is None) == (self.between is None):
+            raise ValueError("pass exactly one of column_b= or between=")
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         if self.column_b is not None:
@@ -286,51 +275,23 @@ class Equal(Expectation):
         )
 
 
-def equal(
-    column: str,
-    column_b: Optional[str] = None,
-    *,
-    mode: Optional[str] = None,
-    at: Optional[Sequence] = None,
-    between: Optional[Sequence] = None,
-    tol_abs: float = 0.0,
-    tol_rel: float = 0.0,
-    claim: str,
-    paper: str = "equal",
-) -> Expectation:
-    """Two columns agree row-wise, or one column agrees at two x's."""
-    if (column_b is None) == (between is None):
-        raise ValueError("pass exactly one of column_b= or between=")
-    return Equal(
-        claim=claim,
-        paper=paper,
-        column=column,
-        column_b=column_b,
-        mode=mode,
-        at=tuple(at) if at is not None else None,
-        between=tuple(between) if between is not None else None,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-    )
-
-
-# ----------------------------------------------------------------------
-# grows_with / declines_with — monotone trend over the sweep axis
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Trend(Expectation):
-    kind: str = field(init=False, default="grows_with")
-    column: str = ""
+class grows_with(Expectation):
+    """Last sweep point ≥ first × ``factor`` − ``slack``.
+
+    With ``of=``, the trend is checked on the ``mode``/``of`` ratio
+    (e.g. "strict's relative throughput recovers at larger sizes").
+    """
+
+    declines: ClassVar[bool] = False
+
+    column: str
     mode: Optional[str] = None
+    _: KW_ONLY
     of: Optional[str] = None
-    at: Optional[tuple] = None
+    at: Optional[Sequence] = None
     factor: float = 1.0
     slack: float = 0.0
-    declines: bool = False
-
-    def __post_init__(self) -> None:
-        if self.declines:
-            object.__setattr__(self, "kind", "declines_with")
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         pairs = self._series(ctx, self.column, self.mode, self.at, self.of)
@@ -346,71 +307,32 @@ class Trend(Expectation):
         return ("pass" if ok else "fail"), observed
 
 
-def grows_with(
-    column: str,
-    mode: Optional[str] = None,
-    *,
-    of: Optional[str] = None,
-    at: Optional[Sequence] = None,
-    factor: float = 1.0,
-    slack: float = 0.0,
-    claim: str,
-    paper: str = "grows",
-) -> Expectation:
-    """Last sweep point ≥ first × ``factor`` − ``slack``.
-
-    With ``of=``, the trend is checked on the ``mode``/``of`` ratio
-    (e.g. "strict's relative throughput recovers at larger sizes").
-    """
-    return Trend(
-        claim=claim,
-        paper=paper,
-        column=column,
-        mode=mode,
-        of=of,
-        at=tuple(at) if at is not None else None,
-        factor=factor,
-        slack=slack,
-    )
-
-
-def declines_with(
-    column: str,
-    mode: Optional[str] = None,
-    *,
-    of: Optional[str] = None,
-    at: Optional[Sequence] = None,
-    factor: float = 1.0,
-    slack: float = 0.0,
-    claim: str,
-    paper: str = "declines",
-) -> Expectation:
+class declines_with(grows_with):
     """First sweep point ≥ last × ``factor`` − ``slack`` (mirror verb)."""
-    return Trend(
-        claim=claim,
-        paper=paper,
-        column=column,
-        mode=mode,
-        of=of,
-        at=tuple(at) if at is not None else None,
-        factor=factor,
-        slack=slack,
-        declines=True,
-    )
+
+    declines: ClassVar[bool] = True
 
 
-# ----------------------------------------------------------------------
-# wins — one mode beats another (per point, or on the series extreme)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Wins(Expectation):
-    kind: str = field(init=False, default="wins")
-    mode: str = ""
-    over: str = ""
-    column: str = ""
+class wins(Expectation):
+    """``mode`` beats ``over``: value > other × ``by`` at each shared x.
+
+    ``agg="max"`` compares the series maxima instead (tail claims like
+    "strict's worst tail is 10× off's worst tail").
+    """
+
+    mode: str
+    over: str
+    column: str
+    _: KW_ONLY
     by: float = 1.0
-    at: Optional[tuple] = None
+    at: Optional[Sequence] = None
     agg: str = "all"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.agg not in ("all", "max"):
+            raise ValueError(f"agg must be 'all' or 'max', got {self.agg!r}")
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         mine = self._series(ctx, self.column, self.mode, self.at)
@@ -432,52 +354,36 @@ class Wins(Expectation):
         return ("pass" if ok else "fail"), observed
 
 
-def wins(
-    mode: str,
-    over: str,
-    column: str,
-    *,
-    by: float = 1.0,
-    at: Optional[Sequence] = None,
-    agg: str = "all",
-    claim: str,
-    paper: str = "wins",
-) -> Expectation:
-    """``mode`` beats ``over``: value > other × ``by`` at each shared x.
-
-    ``agg="max"`` compares the series maxima instead (tail claims like
-    "strict's worst tail is 10× off's worst tail").
-    """
-    if agg not in ("all", "max"):
-        raise ValueError(f"agg must be 'all' or 'max', got {agg!r}")
-    return Wins(
-        claim=claim,
-        paper=paper,
-        mode=mode,
-        over=over,
-        column=column,
-        by=by,
-        at=tuple(at) if at is not None else None,
-        agg=agg,
-    )
-
-
-# ----------------------------------------------------------------------
-# within_band — absolute or relative bounds (the workhorse verb)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class WithinBand(Expectation):
-    kind: str = field(init=False, default="within_band")
+class within_band(Expectation):
+    """Value within bounds: absolute, or relative to mode ``of``.
+
+    Relative form checks ``lo·base ≤ v`` and ``v ≤ hi·base`` where the
+    upper bound is loosened to ``max(hi·base, base+slack, hi_min)`` when
+    those are given (tail claims shaped like "≤ 3× of off, or within
+    200 µs of it").  ``derived=`` evaluates a callable of the
+    :class:`FigureResult` instead (e.g. a fitted model constant from
+    ``result.raw``), named by ``label=``.
+    """
+
     column: Optional[str] = None
     mode: Optional[str] = None
+    _: KW_ONLY
     of: Optional[str] = None
-    at: Optional[tuple] = None
+    at: Optional[Sequence] = None
     lo: Optional[float] = None
     hi: Optional[float] = None
     slack: Optional[float] = None
     hi_min: Optional[float] = None
     derived: Optional[Callable] = None
-    label: str = ""
+    label: str = "derived"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.derived is None and self.column is None:
+            raise ValueError("pass column= or derived=")
+        if self.lo is None and self.hi is None:
+            raise ValueError("at least one of lo=/hi= is required")
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         if self.derived is not None:
@@ -530,62 +436,21 @@ class WithinBand(Expectation):
         return True
 
 
-def within_band(
-    column: Optional[str] = None,
-    mode: Optional[str] = None,
-    *,
-    of: Optional[str] = None,
-    at: Optional[Sequence] = None,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-    slack: Optional[float] = None,
-    hi_min: Optional[float] = None,
-    derived: Optional[Callable] = None,
-    label: str = "",
-    claim: str,
-    paper: str = "within band",
-) -> Expectation:
-    """Value within bounds: absolute, or relative to mode ``of``.
-
-    Relative form checks ``lo·base ≤ v`` and ``v ≤ hi·base`` where the
-    upper bound is loosened to ``max(hi·base, base+slack, hi_min)`` when
-    those are given (tail claims shaped like "≤ 3× of off, or within
-    200 µs of it").  ``derived=`` evaluates a callable of the
-    :class:`FigureResult` instead (e.g. a fitted model constant from
-    ``result.raw``), named by ``label=``.
-    """
-    if derived is None and column is None:
-        raise ValueError("pass column= or derived=")
-    if lo is None and hi is None:
-        raise ValueError("at least one of lo=/hi= is required")
-    return WithinBand(
-        claim=claim,
-        paper=paper,
-        column=column,
-        mode=mode,
-        of=of,
-        at=tuple(at) if at is not None else None,
-        lo=lo,
-        hi=hi,
-        slack=slack,
-        hi_min=hi_min,
-        derived=derived,
-        label=label or "derived",
-    )
-
-
-# ----------------------------------------------------------------------
-# crossover_at — a ratio stays below a threshold until a sweep point
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CrossoverAt(Expectation):
-    kind: str = field(init=False, default="crossover_at")
-    column: str = ""
-    mode: str = ""
-    of: str = ""
-    threshold: float = 1.0
-    after: object = None
-    must_cross: bool = True
+class crossover_at(Expectation):
+    """The ``mode``/``of`` ratio stays < ``threshold`` up to ``after``.
+
+    The ratio must also rise to ``threshold`` or above at some later
+    sweep point — pinning *where* an effect fades, not just that it
+    exists.
+    """
+
+    column: str
+    mode: str
+    _: KW_ONLY
+    of: str
+    threshold: float
+    after: object
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         pairs = self._series(ctx, self.column, self.mode, None, self.of)
@@ -596,8 +461,7 @@ class CrossoverAt(Expectation):
         if not below:
             raise SpecError(f"no sweep points at or before {self.after!r}")
         ok = all(r < self.threshold for _, r in below)
-        if self.must_cross:
-            ok = ok and any(r >= self.threshold for _, r in above)
+        ok = ok and any(r >= self.threshold for _, r in above)
         observed = (
             f"{self.mode}.{self.column} / {self.of}: "
             + self._show(pairs)
@@ -615,45 +479,22 @@ def _le_x(x: object, bound: object) -> bool:
         ) from None
 
 
-def crossover_at(
-    column: str,
-    mode: str,
-    *,
-    of: str,
-    threshold: float,
-    after,
-    must_cross: bool = True,
-    claim: str,
-    paper: str = "crossover",
-) -> Expectation:
-    """The ``mode``/``of`` ratio stays < ``threshold`` up to ``after``.
-
-    With ``must_cross=True`` (default) the ratio must also rise to
-    ``threshold`` or above at some later sweep point — pinning *where*
-    an effect fades, not just that it exists.
-    """
-    return CrossoverAt(
-        claim=claim,
-        paper=paper,
-        column=column,
-        mode=mode,
-        of=of,
-        threshold=threshold,
-        after=after,
-        must_cross=must_cross,
-    )
-
-
-# ----------------------------------------------------------------------
-# largest_class — one column dominates its siblings (m3 > m1, m2)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class LargestClass(Expectation):
-    kind: str = field(init=False, default="largest_class")
-    column: str = ""
-    among: tuple = ()
+class largest_class(Expectation):
+    """``column`` ≥ every other column in ``among`` at each point."""
+
+    column: str
+    _: KW_ONLY
+    among: Sequence[str]
     mode: Optional[str] = None
-    at: Optional[tuple] = None
+    at: Optional[Sequence] = None
+
+    def __post_init__(self) -> None:
+        if self.column not in self.among:
+            raise ValueError(
+                f"{self.column!r} must be one of among={self.among!r}"
+            )
+        super().__post_init__()
 
     def _eval(self, ctx: "EvalContext") -> tuple[str, str]:
         rows = self._rows(ctx, self.mode, self.at)
@@ -679,25 +520,3 @@ class LargestClass(Expectation):
             f": {shown}"
         )
         return ("pass" if ok else "fail"), observed
-
-
-def largest_class(
-    column: str,
-    *,
-    among: Sequence[str],
-    mode: Optional[str] = None,
-    at: Optional[Sequence] = None,
-    claim: str,
-    paper: str = "largest",
-) -> Expectation:
-    """``column`` ≥ every other column in ``among`` at each point."""
-    if column not in among:
-        raise ValueError(f"{column!r} must be one of among={among!r}")
-    return LargestClass(
-        claim=claim,
-        paper=paper,
-        column=column,
-        among=tuple(among),
-        mode=mode,
-        at=tuple(at) if at is not None else None,
-    )

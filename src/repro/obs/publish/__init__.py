@@ -13,7 +13,7 @@ Module map — data flows top to bottom:
 * :mod:`.figspecs` / :mod:`.figdata` — per-figure panel layouts and
   the backend-independent artifact model;
 * :mod:`.tracedigest` — the span-trace digest dashboard;
-* :mod:`.style` — palette and publication style presets;
+* :mod:`.style` — palette and typography;
 * :mod:`.svgbackend` — the renderer (stdlib-only SVG);
 * :mod:`.htmlindex` / :mod:`.cli` — the gallery page and the
   ``repro publish`` command, which loads the report document.
@@ -28,7 +28,7 @@ from .figdata import (
     build_figure_artifact,
 )
 from .figspecs import PUBLISH_SPECS, PanelSpec, PublishSpec
-from .style import MODE_COLORS, STYLES, Style, series_color
+from .style import MODE_COLORS, series_color
 from .svgbackend import render_figure_svg
 from .tracedigest import TraceDigest, digest_trace
 
@@ -43,8 +43,6 @@ __all__ = [
     "PanelSpec",
     "PublishSpec",
     "MODE_COLORS",
-    "STYLES",
-    "Style",
     "series_color",
     "render_figure_svg",
     "TraceDigest",

@@ -2,8 +2,8 @@
 
 Usage::
 
-    repro publish out/ [--figures fig2,fig9] [--style paper|arxiv]
-                       [--from-report PATH] [--trace PATH]
+    repro publish out/ [--figures fig2,fig9] [--from-report PATH]
+                       [--trace PATH]
 
 Publish runs no sweep of its own: it renders the ``report.json`` that
 ``repro reproduce`` wrote (``--from-report``, default ``report.json``),
@@ -34,7 +34,6 @@ from ..expect.reproduce import REPORT_SCHEMA
 from .figdata import FigureArtifact, build_figure_artifact
 from .figspecs import PUBLISH_SPECS
 from .htmlindex import render_index
-from .style import STYLES
 from .svgbackend import render_figure_svg
 from .tracedigest import (
     CRITICAL_PATH_HEADERS,
@@ -70,13 +69,6 @@ def load_report(path: str) -> dict:
 
 def main(args: argparse.Namespace) -> int:
     """Render ``args.from_report`` (and any ``--trace``) into ``args.outdir``."""
-    if args.style not in STYLES:
-        print(
-            f"unknown style {args.style!r}; available: "
-            f"{', '.join(sorted(STYLES))}",
-            file=sys.stderr,
-        )
-        return 2
     requested = args.figures or list(PUBLISH_SPECS)
     unknown = [n for n in requested if n not in PUBLISH_SPECS]
     if unknown:
@@ -120,9 +112,7 @@ def main(args: argparse.Namespace) -> int:
             sections[name], PUBLISH_SPECS[name]
         )
         filename = f"{name}.svg"
-        info = render_figure_svg(
-            artifact, args.style, os.path.join(args.outdir, filename)
-        )
+        info = render_figure_svg(artifact, os.path.join(args.outdir, filename))
         counts = artifact.badge_counts()
         print(
             f"figure: {filename} ({info['panels']} panels, "
@@ -162,7 +152,6 @@ def main(args: argparse.Namespace) -> int:
         trace_image = "trace_digest.svg"
         render_figure_svg(
             digest_artifact(digest),
-            args.style,
             os.path.join(args.outdir, trace_image),
         )
         print(
@@ -178,7 +167,6 @@ def main(args: argparse.Namespace) -> int:
         cards=cards,
         trace_image=trace_image,
         trace_digest=digest,
-        style_name=args.style,
     )
     index_path = os.path.join(args.outdir, "index.html")
     with open(index_path, "w") as handle:

@@ -156,7 +156,6 @@ def render_index(
     cards: list[tuple[dict, FigureArtifact, str]],
     trace_image: Optional[str],
     trace_digest: Optional[TraceDigest],
-    style_name: str,
 ) -> str:
     """Assemble the full index page as a string."""
     manifest = report.get("provenance", {})
@@ -174,8 +173,7 @@ def render_index(
         f"scale <code>{_esc(manifest.get('scale', '?'))}</code>, "
         f"seed <code>{_esc(manifest.get('seed', '?'))}</code>, "
         f"config hash <code>"
-        f"{_esc(manifest.get('config_hash', '?'))}</code>, "
-        f"style <code>{_esc(style_name)}</code></p>",
+        f"{_esc(manifest.get('config_hash', '?'))}</code></p>",
         '<div class="tiles">',
         f'<div class="tile"><div class="num">'
         f'{_esc(summary.get("claims", 0))}</div>'

@@ -1,4 +1,4 @@
-"""Publication styles and the shared chart palette.
+"""Publication typography and the shared chart palette.
 
 One place for everything visual: series colors follow the protection
 mode (the entity), never the draw order; paper reference curves reuse
@@ -15,11 +15,9 @@ claim tables and per-series direct labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "Style",
-    "STYLES",
+    "FONT_SIZE",
+    "FONT_FAMILY",
     "MODE_COLORS",
     "EXTRA_COLORS",
     "PASS_COLOR",
@@ -34,27 +32,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Style:
-    """One publication style: typography parameters."""
-
-    name: str
-    font_size: int
-    font_family: str  # "serif" | "sans-serif"
-
-
-STYLES: dict[str, Style] = {
-    "paper": Style(
-        name="paper",
-        font_size=11,
-        font_family="serif",
-    ),
-    "arxiv": Style(
-        name="arxiv",
-        font_size=10,
-        font_family="serif",
-    ),
-}
+# Typography: one serif face at one base size (pt); axis text is 2 pt
+# smaller, titles 3 pt larger.
+FONT_SIZE = 11
+FONT_FAMILY = "serif"
 
 # Categorical slots in validated fixed order; a protection mode keeps
 # its slot in every figure (color follows the entity).

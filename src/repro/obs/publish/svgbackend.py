@@ -21,21 +21,21 @@ from xml.sax.saxutils import escape
 from .figdata import FigureArtifact, PanelData
 from .style import (
     FAIL_COLOR,
+    FONT_FAMILY,
+    FONT_SIZE,
     GRID,
     PASS_COLOR,
     SKIP_COLOR,
-    STYLES,
     SURFACE,
     TEXT,
     TEXT_MUTED,
     WARN_COLOR,
-    Style,
 )
 
 __all__ = ["render_figure_svg"]
 
-# Panel geometry (px); the style scales typography only, so the SVG
-# stays readable at its natural size in the HTML index.
+# Panel geometry (px), sized so the SVG stays readable at its natural
+# size in the HTML index.
 PLOT_W = 300
 PLOT_H = 215
 MARGIN_L = 58
@@ -180,7 +180,6 @@ def _draw_axes(
     origin: tuple[float, float],
     panel: PanelData,
     limits: tuple[float, float, float, float],
-    style: Style,
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """Grid, ticks and labels; returns the (px, py) transforms."""
     ox, oy = origin  # top-left of the plot rect
@@ -194,8 +193,8 @@ def _draw_axes(
     def py(v: float) -> float:
         return oy + PLOT_H - sy(v)
 
-    font = style.font_family
-    small = style.font_size - 2
+    font = FONT_FAMILY
+    small = FONT_SIZE - 2
     svg.add(
         f'<rect x="{ox}" y="{oy}" width="{PLOT_W}" height="{PLOT_H}"'
         f' fill="{SURFACE}" stroke="{GRID}" class="panel"/>'
@@ -309,14 +308,13 @@ def _draw_bars(
     panel: PanelData,
     origin: tuple[float, float],
     py,
-    style: Style,
 ) -> None:
     ox, oy = origin
     bars = panel.bars
     if not bars:
         return
-    small = style.font_size - 2
-    font = style.font_family
+    small = FONT_SIZE - 2
+    font = FONT_FAMILY
     slot = PLOT_W / len(bars)
     width = min(slot * 0.62, 54.0)
     base = py(0.0)
@@ -356,12 +354,10 @@ def _bars_limits(panel: PanelData) -> tuple[float, float, float, float]:
     return 0.0, 1.0, 0.0, hi * 1.15 or 1.0
 
 
-def _badge_strip(
-    svg: _Svg, artifact: FigureArtifact, y: float, style: Style
-) -> None:
+def _badge_strip(svg: _Svg, artifact: FigureArtifact, y: float) -> None:
     """Claim-verdict summary chips + the first failing claims."""
-    font = style.font_family
-    small = style.font_size - 2
+    font = FONT_FAMILY
+    small = FONT_SIZE - 2
     counts = artifact.badge_counts()
     x = 10.0
     chips = [
@@ -395,12 +391,9 @@ def _badge_strip(
         )
 
 
-def render_figure_svg(
-    artifact: FigureArtifact, style_name: str, path: str
-) -> dict:
+def render_figure_svg(artifact: FigureArtifact, path: str) -> dict:
     """Render one artifact to an SVG file; returns structure counts."""
-    style = STYLES[style_name]
-    font = style.font_family
+    font = FONT_FAMILY
     n_panels = max(len(artifact.panels), 1)
     width = (
         MARGIN_L + PLOT_W + MARGIN_R
@@ -413,11 +406,11 @@ def render_figure_svg(
     )
     title = f"{artifact.figure_id} — {artifact.title}"
     svg.text(
-        10, style.font_size + 8, title, style.font_size + 3, TEXT,
+        10, FONT_SIZE + 8, title, FONT_SIZE + 3, TEXT,
         family=font, cls="title",
     )
     if artifact.badges:
-        _badge_strip(svg, artifact, HEADER_H - 26.0, style)
+        _badge_strip(svg, artifact, HEADER_H - 26.0)
     # Legend: unique (label, color, kind) across panels, one row.
     seen: list[tuple[str, str, str]] = []
     for panel in artifact.panels:
@@ -426,7 +419,7 @@ def render_figure_svg(
             if key not in seen:
                 seen.append(key)
     x = 10.0
-    small = style.font_size - 2
+    small = FONT_SIZE - 2
     legend_y = HEADER_H - 8.0
     for label, color, kind in seen:
         dash = ' stroke-dasharray="6,4"' if kind == "paper" else ""
@@ -451,9 +444,9 @@ def render_figure_svg(
             if panel.kind == "bars"
             else _panel_limits(panel)
         )
-        px, py = _draw_axes(svg, (ox, oy), panel, limits, style)
+        px, py = _draw_axes(svg, (ox, oy), panel, limits)
         if panel.kind == "bars":
-            _draw_bars(svg, panel, (ox, oy), py, style)
+            _draw_bars(svg, panel, (ox, oy), py)
             counts["bars"] += len(panel.bars)
         else:
             _draw_lines(svg, panel, px, py)

@@ -20,21 +20,25 @@ Mapping onto the simulation:
 Timestamps come from a bound simulated clock (see :meth:`bind_clock`);
 without one, explicit span times still work and instants stamp 0.
 
-Each phase keeps at most :data:`PHASE_EVENT_BUDGET` spans and instants,
-so a long early phase cannot crowd the later ones out of the file;
-metadata events are always kept.  The written document's
-``otherData.dropped_events`` counts the events dropped past a budget.
+Each phase keeps its *last* :data:`PHASE_EVENT_BUDGET` spans and
+instants, so a long early phase cannot crowd the later ones out of the
+file, and a phase's kept events cover the end of its run (the measured
+window) rather than its warmup; metadata events are always kept.  The
+written document's ``otherData.dropped_events`` counts the events
+evicted past a budget.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from typing import Callable, Optional
 
 __all__ = ["PHASE_EVENT_BUDGET", "SpanTracer"]
 
-# Spans and instants kept per phase (Chrome-trace pid).  The quick
-# Fig 12 sweep has five phases, so its trace stays under 200,000 events.
+# Spans and instants kept per phase (Chrome-trace pid), the latest
+# ones.  The quick Fig 12 sweep has five phases, so its trace stays
+# under 200,000 events.
 PHASE_EVENT_BUDGET = 39_000
 
 
@@ -42,12 +46,19 @@ class SpanTracer:
     """Collects Chrome-trace events from instrumented span sites."""
 
     def __init__(self) -> None:
-        self.events: list[dict] = []
         self.dropped_events = 0
         self._clock: Optional[Callable[[], float]] = None
         self._pid = 0
         self._tids: dict[tuple[int, str], int] = {}
-        self._kept: dict[int, int] = {}  # pid -> spans + instants kept
+        self._meta: list[dict] = []
+        self._kept: dict[int, deque[dict]] = {}  # pid -> spans + instants
+
+    @property
+    def events(self) -> list[dict]:
+        """Every event the written document holds, metadata first."""
+        return self._meta + [
+            event for kept in self._kept.values() for event in kept
+        ]
 
     # ------------------------------------------------------------------
     # Clock and process (phase) management
@@ -64,7 +75,7 @@ class SpanTracer:
     def set_process(self, pid: int, label: str) -> None:
         """Route subsequent events to Chrome-trace process ``pid``."""
         self._pid = pid
-        self.events.append(
+        self._meta.append(
             {
                 "name": "process_name",
                 "ph": "M",
@@ -86,8 +97,6 @@ class SpanTracer:
         **args: object,
     ) -> None:
         """One finished span: ``[start_ns, start_ns + duration_ns)``."""
-        if not self._admit():
-            return
         event = {
             "name": name,
             "ph": "X",
@@ -98,7 +107,7 @@ class SpanTracer:
         }
         if args:
             event["args"] = args
-        self.events.append(event)
+        self._keep(event)
 
     def instant(
         self,
@@ -108,8 +117,6 @@ class SpanTracer:
         **args: object,
     ) -> None:
         """A point event (retry, degraded flush, drop)."""
-        if not self._admit():
-            return
         event = {
             "name": name,
             "ph": "i",
@@ -120,7 +127,7 @@ class SpanTracer:
         }
         if args:
             event["args"] = args
-        self.events.append(event)
+        self._keep(event)
 
     # ------------------------------------------------------------------
     # Export
@@ -145,7 +152,7 @@ class SpanTracer:
         if tid is None:
             tid = len([k for k in self._tids if k[0] == self._pid]) + 1
             self._tids[key] = tid
-            self.events.append(
+            self._meta.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
@@ -156,11 +163,11 @@ class SpanTracer:
             )
         return tid
 
-    def _admit(self) -> bool:
-        """Count one span or instant against its phase's budget."""
-        kept = self._kept.get(self._pid, 0)
-        if kept >= PHASE_EVENT_BUDGET:
+    def _keep(self, event: dict) -> None:
+        """Keep one span or instant, evicting its phase's oldest past budget."""
+        kept = self._kept.get(self._pid)
+        if kept is None:
+            kept = self._kept[self._pid] = deque(maxlen=PHASE_EVENT_BUDGET)
+        if len(kept) == kept.maxlen:
             self.dropped_events += 1
-            return False
-        self._kept[self._pid] = kept + 1
-        return True
+        kept.append(event)

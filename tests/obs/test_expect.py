@@ -188,23 +188,23 @@ class TestWithinBand:
 
 class TestCrossoverAt:
     def test_crossover(self):
-        # strict/off gbps ratio: 0.8 at x=5, 0.404 at x=20 — stays below
-        # 0.9 up to 5 but never crosses after, so must_cross fails ...
-        strictly_below = crossover_at(
-            "gbps", "strict", of="off", threshold=0.9, after=5,
-            must_cross=False, claim="c",
-        )
-        assert run(strictly_below).passed
-        crossing = crossover_at(
+        # strict/off gbps ratio 0.8 at x=5, then 1.0 at x=20: below 0.9
+        # up to 5 and crossing after it.
+        crossing = make_result()
+        crossing.rows[3] = ["strict", 20, 99.0, 9.0, 0.6, 0.6, 3.5]
+        claim = crossover_at(
             "gbps", "strict", of="off", threshold=0.9, after=5, claim="c"
         )
-        assert run(crossing).failed
+        assert run(claim, result=crossing).passed
+        # The stock result's ratio falls to 0.404 and never crosses ...
+        assert run(claim).failed
         # ... and a threshold below the x=5 ratio fails the below check.
         assert run(
             crossover_at(
                 "gbps", "strict", of="off", threshold=0.7, after=5,
-                must_cross=False, claim="c",
-            )
+                claim="c",
+            ),
+            result=crossing,
         ).failed
 
     def test_unorderable_x_is_spec_error(self):

@@ -118,6 +118,7 @@ def test_publish_help_mentions_formats(capsys):
     out = capsys.readouterr().out
     assert "SVG" in out
     assert "--format" not in out
+    assert "--style" not in out
     assert "--trace" in out
 
 

@@ -33,7 +33,7 @@ def test_svg_renders_every_figure(figure, make_section, tmp_path):
         make_section(figure), PUBLISH_SPECS[figure]
     )
     out = tmp_path / f"{figure}.svg"
-    info = render_figure_svg(artifact, "paper", str(out))
+    info = render_figure_svg(artifact, str(out))
     assert out.stat().st_size > 0
     classes = class_counts(out)
     assert classes["panel"] == len(PUBLISH_SPECS[figure].panels)
@@ -57,7 +57,7 @@ def test_svg_paper_series_are_dashed(make_section, tmp_path):
         make_section("fig2"), PUBLISH_SPECS["fig2"]
     )
     out = tmp_path / "fig2.svg"
-    render_figure_svg(artifact, "paper", str(out))
+    render_figure_svg(artifact, str(out))
     dashed = [
         el
         for el in ET.parse(out).getroot().iter()
@@ -72,7 +72,7 @@ def test_svg_truncation_marker(make_section, tmp_path):
     section["truncated_phases"] = ["fig2 off flows=5"]
     artifact = build_figure_artifact(section, PUBLISH_SPECS["fig2"])
     out = tmp_path / "fig2.svg"
-    render_figure_svg(artifact, "paper", str(out))
+    render_figure_svg(artifact, str(out))
     assert class_counts(out).get("truncated") == 1
     assert "sample cap" in out.read_text()
 
@@ -98,7 +98,7 @@ def test_svg_handles_zero_values_on_log_axis(tmp_path):
         ],
     )
     out = tmp_path / "degenerate.svg"
-    info = render_figure_svg(artifact, "paper", str(out))
+    info = render_figure_svg(artifact, str(out))
     assert info["panels"] == 1
     content = out.read_text()
     assert "nan" not in content.lower()
@@ -109,6 +109,6 @@ def test_svg_empty_artifact_still_renders(tmp_path):
         name="empty", figure_id="Fig E", title="no data", panels=[]
     )
     out = tmp_path / "empty.svg"
-    info = render_figure_svg(artifact, "arxiv", str(out))
+    info = render_figure_svg(artifact, str(out))
     assert info == {"panels": 0, "series": 0, "bars": 0, "badges": 0}
     ET.parse(out)  # well-formed XML

@@ -116,13 +116,13 @@ def test_capped_trace_warns_in_digest_and_index(monkeypatch):
     assert capped.dropped_events == tracer.dropped_events > 0
     page = render_index(
         report={}, cards=[], trace_image="trace_digest.svg",
-        trace_digest=capped, style_name="paper",
+        trace_digest=capped,
     )
     assert f"{capped.dropped_events} events dropped" in page
     whole = digest_trace(make_trace())
     assert whole.dropped_events == 0
     page = render_index(
         report={}, cards=[], trace_image="trace_digest.svg",
-        trace_digest=whole, style_name="paper",
+        trace_digest=whole,
     )
     assert "events dropped" not in page

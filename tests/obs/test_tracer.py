@@ -81,21 +81,23 @@ def test_phase_budget_drops_and_counts(tmp_path, monkeypatch):
     monkeypatch.setattr("repro.obs.tracer.PHASE_EVENT_BUDGET", 2)
     tracer = SpanTracer()
     for i in range(5):
-        tracer.complete("x", "t", float(i), 1.0)
+        tracer.complete("x", "t", float(i) * 1000.0, 1.0)
+    # The budget evicts the oldest spans: the end of the phase survives.
     spans = [e for e in tracer.events if e["ph"] == "X"]
-    assert len(spans) == 2
+    assert [e["ts"] for e in spans] == [3.0, 4.0]
     assert tracer.dropped_events == 3
-    # The written document says how many events the budget dropped.
+    # The written document holds what ``events`` holds and says how
+    # many events the budget dropped.
     path = tmp_path / "trace.json"
     tracer.write(str(path))
     doc = json.loads(path.read_text())
-    assert len(doc["traceEvents"]) == len(tracer.events)
+    assert doc["traceEvents"] == tracer.events
     assert doc["otherData"] == {"dropped_events": 3}
 
 
 def test_full_phase_leaves_later_phases_their_budget(monkeypatch):
     # A long first phase must not crowd the later ones out of the file:
-    # every phase keeps its own spans, and its metadata always.
+    # every phase keeps its own last events, and its metadata always.
     monkeypatch.setattr("repro.obs.tracer.PHASE_EVENT_BUDGET", 3)
     tracer = SpanTracer()
     for pid, count in enumerate((10, 1, 10)):
@@ -106,16 +108,19 @@ def test_full_phase_leaves_later_phases_their_budget(monkeypatch):
     kept = {}
     for event in tracer.events:
         if event["ph"] != "M":
-            kept[event["pid"]] = kept.get(event["pid"], 0) + 1
-    assert kept == {0: 3, 1: 2, 2: 3}
+            kept.setdefault(event["pid"], []).append(event["name"])
+    assert kept == {
+        0: ["x", "x", "late"], 1: ["x", "late"], 2: ["x", "x", "late"],
+    }
     assert tracer.dropped_events == (10 + 1 - 3) + (10 + 1 - 3)
     names = [e["args"]["name"] for e in tracer.events
              if e["name"] == "process_name"]
     assert names == ["phase0", "phase1", "phase2"]
-    # A track whose every event was dropped gets no thread name.
     tracks = {(e["pid"], e["args"]["name"]) for e in tracer.events
               if e["name"] == "thread_name"}
-    assert tracks == {(0, "t"), (1, "t"), (1, "late-track"), (2, "t")}
+    assert tracks == {
+        (pid, track) for pid in range(3) for track in ("t", "late-track")
+    }
 
 
 def test_document_round_trips_through_json(tmp_path):

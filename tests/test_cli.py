@@ -65,6 +65,7 @@ def test_jobs_flag_runs_figure(capsys):
         ["publish", "out", "--figures", ""],
         ["publish", "out", "--format", "svg"],
         ["analyze", "--format", "json"],
+        ["publish", "out", "--style", "arxiv"],
     ],
 )
 def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
