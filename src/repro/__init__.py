@@ -18,8 +18,9 @@ Quick start::
     fns = run_iperf("fns", flows=5)
     print(linux.rx_goodput_gbps, "->", fns.rx_goodput_gbps)
 
-See ``examples/`` for richer scenarios and ``benchmarks/`` for the
-per-figure reproduction harness.
+See ``examples/`` for richer scenarios; ``python -m repro reproduce``
+runs the paper's evaluation and ``python -m repro run <figure>``
+prints any one figure or study.
 """
 
 from .apps import (

@@ -1,8 +1,7 @@
-"""Plain-text table formatting for benchmark output.
+"""Plain-text table formatting for figure output.
 
-Every benchmark prints the rows/series of its paper figure through
-these helpers, so ``pytest benchmarks/ --benchmark-only`` regenerates
-the evaluation tables in one readable format.
+``repro run`` prints every figure's and study's rows through these
+helpers, so the evaluation tables share one readable format.
 """
 
 from __future__ import annotations

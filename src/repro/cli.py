@@ -6,7 +6,7 @@ Usage::
     python -m repro fig2                 # run Fig 2 at the quick scale
     python -m repro fig9 --full          # full-length run
     python -m repro fig12 --out out.txt  # also write the table to a file
-    python -m repro all                  # every figure, quick scale
+    python -m repro all                  # every figure and study, quick scale
     python -m repro run fig7 --verify    # run with the invariant monitor
     python -m repro run fig7 --faults plan.json --verify
     python -m repro run fig12 --metrics m.json --trace t.json
@@ -112,7 +112,7 @@ def _shared() -> dict[str, argparse.ArgumentParser]:
         action="store_const",
         const=FULL,
         default=QUICK,
-        help="full-length runs (benchmark scale) instead of quick",
+        help="full-length runs instead of quick",
     )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
@@ -440,10 +440,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _list_figures() -> str:
+    width = max(map(len, FIGURES))
     lines = ["available figures:"]
     for name, (_runner, description) in FIGURES.items():
-        lines.append(f"  {name:8s} {description}")
-    lines.append("  all      run every figure")
+        lines.append(f"  {name:{width}s} {description}")
+    lines.append(f"  {'all':{width}s} run every figure")
     return "\n".join(lines)
 
 

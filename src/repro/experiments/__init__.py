@@ -1,7 +1,8 @@
-"""Experiment runners: one per paper figure, plus run-scale presets.
+"""Experiment runners: one per paper figure or study, plus run-scale presets.
 
 :data:`FIGURES` is the one figure registry: the CLI lists and runs
-figures from it, and ``repro reproduce`` derives its runners from it.
+figures and studies from it, and ``repro reproduce`` derives its
+runners from the entries that have an expectation spec.
 Every runner takes ``scale, seed, jobs, chunk`` as keywords.  The
 chaos search (:mod:`.chaos`) is not re-exported here, so the figure
 commands never import it.
@@ -12,6 +13,11 @@ from typing import Callable
 from .faultsweep import fault_sweep, sweep_plans
 from .figures import (
     FigureResult,
+    ablation_aging,
+    ablation_ddio,
+    ablation_l3,
+    ablation_walkers,
+    extension_hugepages,
     fig2_flows,
     fig3_ring,
     fig7_fns_flows,
@@ -22,6 +28,7 @@ from .figures import (
     fig11_redis,
     fig11_spdk,
     fig12_ablation,
+    generality_single_page,
     model_fit,
 )
 from .settings import FULL, QUICK, RunScale
@@ -40,6 +47,12 @@ __all__ = [
     "fig11_nginx",
     "fig11_spdk",
     "fig12_ablation",
+    "ablation_l3",
+    "ablation_aging",
+    "ablation_walkers",
+    "ablation_ddio",
+    "generality_single_page",
+    "extension_hugepages",
     "fault_sweep",
     "sweep_plans",
     "RunScale",
@@ -47,7 +60,8 @@ __all__ = [
     "FULL",
 ]
 
-# Figure key -> (runner, one-line description), in the paper's order.
+# Figure key -> (runner, one-line description): the paper's figures in
+# its order, then the studies beyond them, then the fault sweep.
 FIGURES: dict[str, tuple[Callable, str]] = {
     "fig2": (fig2_flows, "Linux strict vs IOMMU off, varying flows"),
     "fig3": (fig3_ring, "Linux strict vs IOMMU off, varying ring size"),
@@ -60,5 +74,15 @@ FIGURES: dict[str, tuple[Callable, str]] = {
     "fig11b": (fig11_nginx, "Nginx throughput"),
     "fig11c": (fig11_spdk, "SPDK remote read throughput"),
     "fig12": (fig12_ablation, "Ablation: each F&S idea is necessary"),
+    "ablation-l3": (ablation_l3, "PTcache-L3 capacity sweep"),
+    "ablation-aging": (ablation_aging, "Allocator aging sweep"),
+    "ablation-walkers": (ablation_walkers, "Walker concurrency sweep"),
+    "ablation-ddio": (ablation_ddio, "DDIO on/off"),
+    "generality": (
+        generality_single_page, "Section 3: single-page descriptors"
+    ),
+    "extension-huge": (
+        extension_hugepages, "Section 5: F&S with 2 MB hugepages"
+    ),
     "faults": (fault_sweep, "Fault sweep: throughput degrades, safety holds"),
 }

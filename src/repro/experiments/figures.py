@@ -1,10 +1,13 @@
-"""One runner per paper figure.
+"""One runner per paper figure, plus six studies beyond the paper's.
 
 Each ``fig*`` function sweeps the figure's x-axis for the relevant
 protection modes and returns a :class:`FigureResult` whose rows are the
-series the paper plots.  The benchmark suite prints these tables; the
+series the paper plots.  ``repro run`` prints these tables and
+``repro reproduce`` gates them against the paper's claims; the
 integration tests assert the qualitative shapes (who wins, what is
-zero, what grows).
+zero, what grows).  The studies (design-knob ablations, §3 generality,
+§5 hugepages) sweep a host or IOMMU knob the same way; no paper claim
+gates them, so their shapes are asserted in the tests alone.
 
 Sweeps are declarative: each figure builds a list of
 :class:`~repro.parallel.spec.PointSpec` cells and hands them to
@@ -39,6 +42,12 @@ __all__ = [
     "fig11_nginx",
     "fig11_spdk",
     "fig12_ablation",
+    "ablation_l3",
+    "ablation_aging",
+    "ablation_walkers",
+    "ablation_ddio",
+    "generality_single_page",
+    "extension_hugepages",
 ]
 
 
@@ -492,3 +501,199 @@ def fig12_ablation(
         )
         result.raw[spec.mode] = point
     return result
+
+
+# ----------------------------------------------------------------------
+# Studies beyond the paper's figures
+# ----------------------------------------------------------------------
+def _knob_study(
+    result: FigureResult,
+    runner: str,
+    modes: Sequence[str],
+    x_name: str,
+    x_values: Sequence,
+    row,
+    scale: RunScale,
+    jobs: Optional[int],
+    chunk: Optional[int],
+    seed: int,
+) -> FigureResult:
+    """Sweep one knob, every mode at each value, one ``row`` per cell."""
+    specs = [
+        spec
+        for x in x_values
+        for spec in _grid_specs(
+            result.figure_id, runner, modes, x_name, (x,), seed
+        )
+    ]
+    for spec, point in zip(specs, run_points(specs, scale, jobs=jobs, chunk=chunk)):
+        result.rows.append(row(spec, point))
+        result.raw[(spec.mode, spec.x)] = point
+    return result
+
+
+def ablation_l3(
+    scale: RunScale = FULL,
+    jobs: Optional[int] = None,
+    chunk: Optional[int] = None,
+    seed: int = 1,
+) -> FigureResult:
+    """PTcache-L3 capacity over the paper's 64-128 estimate (Fig 2e).
+
+    A bigger cache cannot remove strict mode's misses (invalidations,
+    not capacity, drive them); F&S stays at zero.
+    """
+    return _knob_study(
+        FigureResult(
+            "Ablation-L3",
+            "PTcache-L3 capacity sweep (iperf, 5 flows)",
+            ["mode", "l3_entries", "gbps", "m3/pg"],
+        ),
+        "iperf_l3_entries", ("strict", "fns"), "l3", (32, 64, 128),
+        lambda spec, point: [
+            spec.mode,
+            spec.x,
+            round(point.rx_goodput_gbps, 1),
+            round(point.ptcache_l3_misses_per_page, 3),
+        ],
+        scale, jobs, chunk, seed,
+    )
+
+
+def ablation_aging(
+    scale: RunScale = FULL,
+    jobs: Optional[int] = None,
+    chunk: Optional[int] = None,
+    seed: int = 1,
+) -> FigureResult:
+    """Cold-boot vs long-uptime allocator state (DESIGN.md §5.9)."""
+    return _knob_study(
+        FigureResult(
+            "Ablation-aging",
+            "Allocator aging sweep (strict, iperf, 5 flows)",
+            ["aging_iovas", "gbps", "m3/pg", "iotlb/pg"],
+        ),
+        "iperf_aging", ("strict",), "aging", (0, 16384, 65536),
+        lambda spec, point: [
+            spec.x,
+            round(point.rx_goodput_gbps, 1),
+            round(point.ptcache_l3_misses_per_page, 3),
+            round(point.iotlb_misses_per_page, 2),
+        ],
+        scale, jobs, chunk, seed,
+    )
+
+
+def ablation_walkers(
+    scale: RunScale = FULL,
+    jobs: Optional[int] = None,
+    chunk: Optional[int] = None,
+    seed: int = 1,
+) -> FigureResult:
+    """Concurrent page-walker count: more walkers hide miss cost."""
+    return _knob_study(
+        FigureResult(
+            "Ablation-walkers",
+            "Walker concurrency sweep (strict, iperf, 5 flows)",
+            ["walkers", "gbps", "M"],
+        ),
+        "iperf_walkers", ("strict",), "walkers", (1, 2, 4),
+        lambda spec, point: [
+            spec.x,
+            round(point.rx_goodput_gbps, 1),
+            round(point.memory_reads_per_page, 2),
+        ],
+        scale, jobs, chunk, seed,
+    )
+
+
+def ablation_ddio(
+    scale: RunScale = FULL,
+    jobs: Optional[int] = None,
+    chunk: Optional[int] = None,
+    seed: int = 1,
+) -> FigureResult:
+    """Tech-report extra: DDIO on/off.
+
+    The paper found DDIO only changes CPU utilization, not IOMMU cache
+    behaviour.
+    """
+    return _knob_study(
+        FigureResult(
+            "Ablation-DDIO",
+            "DDIO on/off (strict, iperf, 5 flows)",
+            ["ddio", "gbps", "M", "max_cpu%"],
+        ),
+        "iperf_ddio", ("strict",), "ddio", ("off", "on"),
+        lambda spec, point: [
+            spec.x,
+            round(point.rx_goodput_gbps, 1),
+            round(point.memory_reads_per_page, 2),
+            round(point.max_core_utilization * 100, 1),
+        ],
+        scale, jobs, chunk, seed,
+    )
+
+
+def generality_single_page(
+    scale: RunScale = FULL,
+    jobs: Optional[int] = None,
+    chunk: Optional[int] = None,
+    seed: int = 1,
+) -> FigureResult:
+    """§3 generality: single-page descriptors (e.g. Intel ICE).
+
+    F&S's contiguous allocation and PTcache preservation still apply,
+    but strict safety forces one invalidation per page, so batched
+    invalidation loses its leverage.  The paper leaves this to future
+    work.
+    """
+    return _knob_study(
+        FigureResult(
+            "Generality",
+            "Single-page vs 64-page descriptors (iperf, 5 flows)",
+            ["mode", "desc_pages", "gbps", "m1/pg", "m3/pg", "inval/pg"],
+        ),
+        "iperf_descriptor_pages", ("strict", "fns"), "desc_pages", (1, 64),
+        lambda spec, point: [
+            spec.mode,
+            spec.x,
+            round(point.rx_goodput_gbps, 1),
+            round(point.ptcache_l1_misses_per_page, 3),
+            round(point.ptcache_l3_misses_per_page, 3),
+            round(point.invalidation_requests / point.rx_data_pages, 2),
+        ],
+        scale, jobs, chunk, seed,
+    )
+
+
+def extension_hugepages(
+    scale: RunScale = FULL,
+    jobs: Optional[int] = None,
+    chunk: Optional[int] = None,
+    seed: int = 1,
+) -> FigureResult:
+    """§5 future work: F&S with 2 MB hugepage descriptors.
+
+    Each descriptor is one PT-L3 leaf, unmapped and invalidated as a
+    2 MB unit when it completes: strict safety at descriptor
+    granularity, with the compulsory IOTLB miss rate falling from one
+    per 4 KB page toward one per 512 pages.  Runs at ring 1024.
+    """
+    return _knob_study(
+        FigureResult(
+            "Extension-huge",
+            "F&S with 2 MB hugepage descriptors (iperf, 5 flows)",
+            ["mode", "gbps", "iotlb/pg", "M", "inval/pg", "max_cpu%"],
+        ),
+        "iperf_ring", ("strict", "fns", "fns-huge", "off"), "ring", (1024,),
+        lambda spec, point: [
+            spec.mode,
+            round(point.rx_goodput_gbps, 1),
+            round(point.iotlb_misses_per_page, 3),
+            round(point.memory_reads_per_page, 3),
+            round(point.invalidation_requests / point.rx_data_pages, 3),
+            round(point.max_core_utilization * 100, 1),
+        ],
+        scale, jobs, chunk, seed,
+    )

@@ -66,15 +66,47 @@ def _iperf_flows(spec: PointSpec, scale: RunScale):
     )
 
 
-@point_runner("iperf_ring")
-def _iperf_ring(spec: PointSpec, scale: RunScale):
+def _five_flows(spec: PointSpec, scale: RunScale, **overrides):
+    """A 5-flow iperf cell with one host or IOMMU knob set from ``spec.x``."""
     return run_iperf(
         spec.mode,
         flows=5,
         warmup_ns=scale.warmup_ns,
         measure_ns=scale.measure_ns,
-        ring_size_packets=spec.x,
+        **overrides,
     )
+
+
+@point_runner("iperf_ring")
+def _iperf_ring(spec: PointSpec, scale: RunScale):
+    return _five_flows(spec, scale, ring_size_packets=spec.x)
+
+
+@point_runner("iperf_l3_entries")
+def _iperf_l3_entries(spec: PointSpec, scale: RunScale):
+    return _five_flows(
+        spec, scale, iommu=IommuConfig(ptcache_l3_entries=spec.x)
+    )
+
+
+@point_runner("iperf_aging")
+def _iperf_aging(spec: PointSpec, scale: RunScale):
+    return _five_flows(spec, scale, allocator_aging_iovas=spec.x)
+
+
+@point_runner("iperf_walkers")
+def _iperf_walkers(spec: PointSpec, scale: RunScale):
+    return _five_flows(spec, scale, iommu=IommuConfig(walkers=spec.x))
+
+
+@point_runner("iperf_ddio")
+def _iperf_ddio(spec: PointSpec, scale: RunScale):
+    return _five_flows(spec, scale, enable_ddio=spec.x == "on")
+
+
+@point_runner("iperf_descriptor_pages")
+def _iperf_descriptor_pages(spec: PointSpec, scale: RunScale):
+    return _five_flows(spec, scale, descriptor_pages=spec.x)
 
 
 @point_runner("netperf_rpc")

@@ -1,7 +1,8 @@
 """Experiment durations and shared run-length presets.
 
-Every figure runner accepts a :class:`RunScale`.  ``FULL`` is the
-benchmark-suite default; ``QUICK`` keeps integration tests fast while
+Every figure runner accepts a :class:`RunScale`.  ``FULL`` is a
+runner's default when called from Python and ``--full`` on the CLI;
+``QUICK`` (the CLI default) keeps runs and integration tests fast while
 preserving every qualitative shape (the warm-up still covers DCTCP
 convergence).
 """

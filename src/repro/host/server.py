@@ -263,21 +263,8 @@ class Host:
             if binding is not None
             else flow_id % self.config.num_cores
         )
-        nic = self.nic
-        stats = nic.stats
-        stats.arrived_packets += 1
-        stats.arrived_bytes += size
-        if nic.quiesced:
-            # Function-level reset in progress: the device is off the
-            # bus and arrivals are lost, like a real reset window.
-            stats.buffer_drops += 1
-            return
-        ring = nic.rings[core]
-        if ring.free_pages < pages:
-            stats.ring_drops += 1
-            return
-        if not nic.input_buffer.try_enqueue(packet, size):
-            stats.buffer_drops += 1
+        ring = self.nic.rings[core]
+        if not self.nic.offer(packet, ring, pages):
             return
         # Reserve the page slots now (the NIC owns them on arrival).
         self._rx_jobs[packet.packet_id] = (

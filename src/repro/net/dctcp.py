@@ -147,14 +147,6 @@ class DctcpSender:
     def inflight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    @property
-    def has_unsent_data(self) -> bool:
-        if self._retransmit_queue:
-            return True
-        if self.unlimited:
-            return True
-        return self.pending_segments > 0
-
     def can_send(self) -> int:
         """Number of segments the window allows right now."""
         budget = int(self.cwnd) - self.inflight

@@ -111,24 +111,26 @@ class Nic:
                 "buffered_bytes", lambda: self.input_buffer.occupancy_bytes
             )
 
-    def ring_for_flow(self, flow_id: int) -> RxRing:
-        """aRFS steering: a flow always lands on the same core's ring."""
-        return self.rings[flow_id % len(self.rings)]
+    def offer(self, packet, ring: RxRing, pages: int) -> bool:
+        """Admit an arriving packet bound for ``ring``.
 
-    def offer(self, packet, pages_needed: int) -> bool:
-        """Accept an arriving packet into the input buffer.
-
-        Returns ``False`` (and counts the drop) when the buffer is full
-        or the target ring has no free pages for it.
+        Returns ``False`` and counts the drop when the NIC is quiesced
+        for a reset (arrivals are lost, like a real reset window), when
+        ``ring`` has fewer than ``pages`` free page slots, or when the
+        input buffer is full.
         """
-        self.stats.arrived_packets += 1
-        self.stats.arrived_bytes += packet.size_bytes
-        ring = self.ring_for_flow(packet.flow_id)
-        if ring.free_pages < pages_needed:
-            self.stats.ring_drops += 1
+        size = packet.size_bytes
+        stats = self.stats
+        stats.arrived_packets += 1
+        stats.arrived_bytes += size
+        if self.quiesced:
+            stats.buffer_drops += 1
             return False
-        if not self.input_buffer.try_enqueue(packet, packet.size_bytes):
-            self.stats.buffer_drops += 1
+        if ring.free_pages < pages:
+            stats.ring_drops += 1
+            return False
+        if not self.input_buffer.try_enqueue(packet, size):
+            stats.buffer_drops += 1
             return False
         return True
 

@@ -68,10 +68,6 @@ class RxRing:
         self.posted_descriptors += 1
         self.free_pages += descriptor.free_pages
 
-    @property
-    def descriptor_count(self) -> int:
-        return len(self._descriptors)
-
     def take_pages(self, count: int) -> list[tuple[RxDescriptor, PageSlot]]:
         """Consume ``count`` page slots in order (may span descriptors).
 

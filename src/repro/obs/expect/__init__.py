@@ -17,10 +17,6 @@ each such claim into a first-class, machine-readable object:
   provenance-stamped ``report.json``;
 * :mod:`repro.obs.expect.diffing` — the ``repro diff`` driver:
   differential regression gating between two report documents.
-
-The benchmark suite asserts through the same engine, so the tests,
-the generated report and CI cannot disagree about what the paper
-claims or whether the reproduction meets it.
 """
 
 from .engine import EvalContext, FigureEvaluation, FigureSpec, evaluate_figure

@@ -4,7 +4,7 @@ A :class:`FigureSpec` is one figure's paper claims; evaluating it
 against a :class:`~repro.experiments.FigureResult` (plus, optionally,
 the metrics document of the run's :class:`~repro.obs.MetricsRegistry`)
 yields a :class:`FigureEvaluation` — the per-claim ✓/✗ table behind
-both the benchmark suite's asserts and the generated ``REPORT.md``.
+the generated ``REPORT.md`` and ``repro reproduce``'s exit status.
 """
 
 from __future__ import annotations

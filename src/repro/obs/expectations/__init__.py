@@ -3,8 +3,9 @@
 One module per reproduced figure.  Each exports a single ``SPEC``
 (:class:`repro.obs.expect.FigureSpec`) listing that figure's claims in
 the expectation vocabulary.  ``SPECS`` maps CLI figure keys to specs —
-the benchmark suite, ``repro reproduce`` and the generated ``REPORT.md``
-all read from here, so they cannot disagree.
+``repro reproduce`` and the generated ``REPORT.md`` read from here, and
+``tests/obs/test_specs_pinned.py`` pins them to the committed
+``report.json``.
 
 Paper-vs-ours context for every claim lives in ``EXPERIMENTS.md``;
 deliberate deviations are encoded as the (looser) bounds asserted here

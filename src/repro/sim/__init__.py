@@ -1,9 +1,8 @@
 """Discrete-event simulation substrate.
 
-Exports the engine (:class:`Simulator`), process primitives
-(:class:`Process`, :class:`Timeout`, :class:`Signal`), shared resources
-(:class:`FifoQueue`, :class:`WindowedPipeline`, :class:`TokenBucketPacer`)
-and deterministic RNG (:class:`SeededRng`).
+Exports the callback-driven engine (:class:`Simulator`), shared
+resources (:class:`FifoQueue`, :class:`TokenBucketPacer`) and
+deterministic RNG (:class:`SeededRng`).
 """
 
 from .engine import (
@@ -14,8 +13,7 @@ from .engine import (
     Watchdog,
     WatchdogError,
 )
-from .process import Process, Signal, Timeout
-from .resources import FifoQueue, TokenBucketPacer, WindowedPipeline
+from .resources import FifoQueue, TokenBucketPacer
 from .rng import SeededRng
 
 __all__ = [
@@ -25,11 +23,7 @@ __all__ = [
     "EarlyQuiescenceError",
     "Watchdog",
     "WatchdogError",
-    "Process",
-    "Timeout",
-    "Signal",
     "FifoQueue",
-    "WindowedPipeline",
     "TokenBucketPacer",
     "SeededRng",
 ]

@@ -11,15 +11,12 @@ Time is measured in **nanoseconds** throughout the library, stored as
 floats.  Nanoseconds are the natural unit for the paper's quantities
 (memory reads cost ~197 ns, a 4 KB packet at 100 Gbps lasts ~328 ns).
 
-Two programming styles are supported:
-
-* **callbacks** — ``sim.call_at(t, fn)`` / ``sim.call_after(dt, fn)``;
-* **processes** — generator coroutines that ``yield`` simulation
-  primitives (see :mod:`repro.sim.process`).
+Components schedule callbacks: ``sim.call_at(t, fn)`` /
+``sim.call_after(dt, fn)``.
 
 The engine is deterministic: events scheduled for the same timestamp fire
-in scheduling order (FIFO), which makes every experiment in the benchmark
-suite exactly reproducible for a given seed.
+in scheduling order (FIFO), which makes every experiment exactly
+reproducible for a given seed.
 
 Hot-path design.  Heap entries are plain tuples ``(time, seq, callback,
 handle)`` rather than :class:`Event` objects: ``heapq``'s C

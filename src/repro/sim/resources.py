@@ -1,17 +1,11 @@
 """Shared resources for simulated subsystems.
 
-Three resources cover every queueing structure in the datapath:
+Two resources model the datapath's queues and links (the PCIe lanes
+are :class:`repro.pcie.DmaPipeline`):
 
 * :class:`FifoQueue` — a bounded byte/item queue with tail drop.  Used
   for the NIC input buffer and the switch queue; overflow accounting is
   what produces the paper's packet-drop figures (Figs 2b, 3b, 7b, 8b).
-
-* :class:`WindowedPipeline` — a server that admits work items up to a
-  configurable amount of in-flight *bytes* and completes each item after
-  a per-item service latency.  This implements Little's law directly:
-  sustained throughput = window / latency.  It models the PCIe+IOMMU
-  datapath, where ~100 cachelines of buffering at the processor-side end
-  of PCIe bound the in-flight DMA data (paper §1, §2.2).
 
 * :class:`TokenBucketPacer` — paces packet departures at a configured
   line rate; models NIC serialization and switch egress.
@@ -24,7 +18,7 @@ from typing import Any, Callable, Optional
 
 from .engine import Simulator
 
-__all__ = ["FifoQueue", "WindowedPipeline", "TokenBucketPacer"]
+__all__ = ["FifoQueue", "TokenBucketPacer"]
 
 
 class FifoQueue:
@@ -90,87 +84,6 @@ class FifoQueue:
         """Fraction of offered items that were dropped."""
         offered = self.enqueued_items + self.dropped_items
         return self.dropped_items / offered if offered else 0.0
-
-
-class WindowedPipeline:
-    """A latency/window-limited server (Little's law made executable).
-
-    Work items are submitted with a byte size and a service latency; at
-    most ``window_bytes`` may be in flight.  When an item completes, its
-    completion callback runs and waiting items are admitted.  Throughput
-    therefore self-limits to ``window_bytes / avg_latency`` — exactly the
-    PCIe behaviour the paper describes: once the ~100-cacheline buffer at
-    the processor-side end of PCIe fills, no more requests can be kept in
-    flight and the link underutilizes.
-
-    The optional ``max_inflight_items`` additionally caps the number of
-    concurrent items (e.g. DMA engine tags).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        window_bytes: int,
-        max_inflight_items: Optional[int] = None,
-    ) -> None:
-        if window_bytes <= 0:
-            raise ValueError("window must be positive")
-        self.sim = sim
-        self.window_bytes = window_bytes
-        self.max_inflight_items = max_inflight_items
-        self.inflight_bytes = 0
-        self.inflight_items = 0
-        self._waiting: deque[tuple[int, float, Callable[[], None]]] = deque()
-        self.completed_items = 0
-        self.completed_bytes = 0
-        self._busy_until = 0.0
-
-    def submit(
-        self,
-        size_bytes: int,
-        latency_ns: float,
-        on_complete: Callable[[], None],
-    ) -> None:
-        """Submit a work item; it starts when window space is available."""
-        self._waiting.append((size_bytes, latency_ns, on_complete))
-        self._admit()
-
-    def _has_room(self, size_bytes: int) -> bool:
-        if self.inflight_bytes + size_bytes > self.window_bytes:
-            # Always admit at least one item, else oversized items stall.
-            if self.inflight_items > 0:
-                return False
-        if (
-            self.max_inflight_items is not None
-            and self.inflight_items >= self.max_inflight_items
-        ):
-            return False
-        return True
-
-    def _admit(self) -> None:
-        while self._waiting:
-            size, latency, on_complete = self._waiting[0]
-            if not self._has_room(size):
-                return
-            self._waiting.popleft()
-            self.inflight_bytes += size
-            self.inflight_items += 1
-            self.sim.schedule_after(
-                latency, lambda s=size, cb=on_complete: self._complete(s, cb)
-            )
-
-    def _complete(self, size_bytes: int, on_complete: Callable[[], None]) -> None:
-        self.inflight_bytes -= size_bytes
-        self.inflight_items -= 1
-        self.completed_items += 1
-        self.completed_bytes += size_bytes
-        on_complete()
-        self._admit()
-
-    @property
-    def queued_items(self) -> int:
-        """Items waiting for window space."""
-        return len(self._waiting)
 
 
 class TokenBucketPacer:

@@ -69,12 +69,6 @@ class CFG:
     def predecessors(self, node_id: int) -> list[CFGEdge]:
         return [e for e in self.edges if e.dst == node_id]
 
-    def pred_map(self) -> dict[int, list[CFGEdge]]:
-        preds: dict[int, list[CFGEdge]] = {nid: [] for nid in self.nodes}
-        for edge in self.edges:
-            preds[edge.dst].append(edge)
-        return preds
-
     def succ_map(self) -> dict[int, list[CFGEdge]]:
         succs: dict[int, list[CFGEdge]] = {nid: [] for nid in self.nodes}
         for edge in self.edges:

@@ -239,17 +239,6 @@ class ProjectModel:
                 return True
         return False
 
-    def class_method(
-        self, klass: ClassInfo, name: str
-    ) -> Optional[FunctionInfo]:
-        """Resolve ``self.name`` against the class then its ancestors."""
-        if name in klass.methods:
-            return klass.methods[name]
-        for ancestor in self.ancestors(klass):
-            if name in ancestor.methods:
-                return ancestor.methods[name]
-        return None
-
     # ------------------------------------------------------------------
     # Transitive closures over the call graph
     # ------------------------------------------------------------------

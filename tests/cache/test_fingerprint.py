@@ -202,6 +202,11 @@ class TestImportMemo:
 CELLS = {
     "iperf_flows": ("strict", 2, "None"),
     "iperf_ring": ("fns", 256, "None"),
+    "iperf_l3_entries": ("strict", 32, "None"),
+    "iperf_aging": ("strict", 0, "None"),
+    "iperf_walkers": ("strict", 1, "None"),
+    "iperf_ddio": ("strict", "on", "None"),
+    "iperf_descriptor_pages": ("fns", 1, "None"),
     "netperf_rpc": ("strict", 4096, "None"),
     "bidir_iperf": ("strict", 1, "None"),
     "redis": ("fns", 8192, "None"),

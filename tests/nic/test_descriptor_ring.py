@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.host import HostConfig
+from repro.host.server import Host
+from repro.net import Packet, PacketKind
 from repro.nic import Nic, PageSlot, RxDescriptor, RxRing
+from repro.sim import Simulator
 
 
 def make_descriptor(pages=4, core=0):
@@ -122,41 +126,66 @@ class TestRing:
 
 
 class TestNic:
+    """Rx admission: the host's wire ingress into the NIC's rings."""
+
     class FakePacket:
         def __init__(self, flow_id=0, size_bytes=4096):
             self.flow_id = flow_id
             self.size_bytes = size_bytes
 
-    def test_flow_steering_is_stable(self):
-        nic = Nic(num_cores=4)
-        assert nic.ring_for_flow(5) is nic.ring_for_flow(5)
-        assert nic.ring_for_flow(1) is nic.rings[1]
-        assert nic.ring_for_flow(6) is nic.rings[2]
+    def make_host(self, **overrides):
+        config = HostConfig.cascade_lake(mode="off", **overrides)
+        return Host(Simulator(), config, lambda packet: None)
+
+    def arrive(self, host, flow_id=0, count=1):
+        for seq in range(count):
+            host.packet_from_wire(
+                Packet(flow_id, seq, 4096, PacketKind.DATA)
+            )
 
     def test_offer_requires_ring_pages(self):
-        nic = Nic(num_cores=1)
-        packet = self.FakePacket()
-        assert not nic.offer(packet, pages_needed=1)
-        assert nic.stats.ring_drops == 1
-        nic.rings[0].post(make_descriptor(4))
-        assert nic.offer(packet, pages_needed=1)
+        host = self.make_host()
+        ring = host.nic.rings[0]
+        ring.take_pages(ring.free_pages)
+        self.arrive(host)
+        assert host.nic.stats.ring_drops == 1
+        assert host.nic.stats.buffer_drops == 0
 
     def test_buffer_overflow_drops(self):
-        nic = Nic(num_cores=1, buffer_bytes=8192)
-        nic.rings[0].post(make_descriptor(64))
-        packets = [self.FakePacket() for _ in range(3)]
-        results = [nic.offer(p, 1) for p in packets]
-        assert results == [True, True, False]
-        assert nic.stats.buffer_drops == 1
-        assert nic.stats.drop_fraction == pytest.approx(1 / 3)
+        host = self.make_host(nic_buffer_bytes=8192)
+        lanes = host.rx_pipeline.lanes
+        # The first ``lanes`` packets start their DMA at once, the next
+        # two fill the buffer, and the last one is dropped.
+        self.arrive(host, count=lanes + 3)
+        stats = host.nic.stats
+        assert stats.buffer_drops == 1
+        assert stats.ring_drops == 0
+        assert stats.drop_fraction == pytest.approx(1 / (lanes + 3))
+
+    def test_quiesced_nic_counts_buffer_drops(self):
+        host = self.make_host()
+        ring = host.nic.rings[0]
+        free = ring.free_pages
+        host.nic.quiesce()
+        self.arrive(host)
+        assert host.nic.stats.buffer_drops == 1
+        assert ring.free_pages == free  # no page slot reserved
+
+    def test_flow_steering_is_stable(self):
+        host = self.make_host(num_cores=4)
+        host.register_rx_flow(1, core=3)
+        before = [ring.free_pages for ring in host.nic.rings]
+        self.arrive(host, flow_id=1)
+        after = [ring.free_pages for ring in host.nic.rings]
+        # The flow's bound core, not ``flow_id % cores`` (ring 1).
+        assert [b - a for b, a in zip(before, after)] == [0, 0, 0, 1]
 
     def test_next_packet_fifo(self):
         nic = Nic(num_cores=1)
-        nic.rings[0].post(make_descriptor(64))
         first = self.FakePacket(flow_id=0)
         second = self.FakePacket(flow_id=0)
-        nic.offer(first, 1)
-        nic.offer(second, 1)
+        for packet in (first, second):
+            assert nic.input_buffer.try_enqueue(packet, packet.size_bytes)
         assert nic.next_packet() is first
         assert nic.next_packet() is second
         assert nic.next_packet() is None
