@@ -3,7 +3,7 @@ Protection" (SOSP 2024).
 
 The package models the complete NIC-to-memory datapath of a modern
 server — IOMMU (IO page table, IOTLB, PTcache-L1/L2/L3, invalidation
-queue), Linux IOVA allocation (red-black tree + per-CPU caches), a
+queue), Linux IOVA allocation (top-down range scan + per-CPU caches), a
 multi-page-descriptor NIC, the PCIe DMA pipeline, DCTCP transport, and
 a per-core CPU model — and implements four memory-protection modes
 behind one driver interface: IOMMU-off, Linux strict, Linux deferred,

@@ -170,13 +170,29 @@ class InvalidationQueue:
                 self.partial_completions += 1
             elif extra_ns > 0.0:
                 self.delayed_completions += 1
-        if completed_length > 0:
-            self._apply(
-                iova, completed_length, preserve_ptcache, ptcache_only
-            )
+        # Cache effects apply over the completed prefix only.
         if ptcache_only:
+            if completed_length > 0:
+                self.ptcaches.invalidate_range(iova, completed_length)
+                if self.monitor is not None:
+                    self.monitor.record(
+                        PtCacheInvalidationEvent(iova, completed_length),
+                        owner=id(self.iotlb),
+                    )
             self.stats.ptcache_invalidation_requests += 1
         else:
+            if completed_length > 0:
+                self.iotlb.invalidate_range(iova, completed_length)
+                if not preserve_ptcache:
+                    self.ptcaches.invalidate_range(iova, completed_length)
+                    self.stats.ptcache_invalidation_requests += 1
+                if self.monitor is not None:
+                    self.monitor.record(
+                        InvalidationEvent(
+                            iova, completed_length, preserve_ptcache
+                        ),
+                        owner=id(self.iotlb),
+                    )
             self.stats.invalidation_requests += 1
         if self.trace:
             self.requests.append(
@@ -198,32 +214,6 @@ class InvalidationQueue:
                 status=status.value,
             )
         return InvalidationResult(cost, status, completed_length)
-
-    def _apply(
-        self,
-        iova: int,
-        length: int,
-        preserve_ptcache: bool,
-        ptcache_only: bool,
-    ) -> None:
-        """Apply cache effects over a completed prefix."""
-        if ptcache_only:
-            self.ptcaches.invalidate_range(iova, length)
-            if self.monitor is not None:
-                self.monitor.record(
-                    PtCacheInvalidationEvent(iova, length),
-                    owner=id(self.iotlb),
-                )
-            return
-        self.iotlb.invalidate_range(iova, length)
-        if not preserve_ptcache:
-            self.ptcaches.invalidate_range(iova, length)
-            self.stats.ptcache_invalidation_requests += 1
-        if self.monitor is not None:
-            self.monitor.record(
-                InvalidationEvent(iova, length, preserve_ptcache),
-                owner=id(self.iotlb),
-            )
 
     # ------------------------------------------------------------------
     # Legacy unchecked interface

@@ -170,28 +170,29 @@ class Iotlb:
         first = iova >> PAGE_SHIFT
         last = (iova + length - 1) >> PAGE_SHIFT
         dropped = 0
-        span = last - first + 1
-        if span >= self.entries:
+        sets = self._sets
+        if last - first + 1 >= self.entries:
             # Cheaper to scan every resident entry than every page.
-            for entry_set in self._sets:
+            for entry_set in sets:
                 for page_number in [
                     p for p in entry_set if first <= p <= last
                 ]:
                     del entry_set[page_number]
                     dropped += 1
         else:
+            num_sets = self.num_sets
             for page_number in range(first, last + 1):
-                entry_set = self._set_for(page_number)
-                if page_number in entry_set:
-                    del entry_set[page_number]
+                # Cached frames are ints, never None.
+                if sets[page_number % num_sets].pop(page_number, None) is not None:
                     dropped += 1
-        first_huge = iova >> 21
-        last_huge = (iova + length - 1) >> 21
-        for key in [
-            k for k in self._huge if first_huge <= k <= last_huge
-        ]:
-            del self._huge[key]
-            dropped += 1
+        if self._huge:
+            first_huge = iova >> 21
+            last_huge = (iova + length - 1) >> 21
+            for key in [
+                k for k in self._huge if first_huge <= k <= last_huge
+            ]:
+                del self._huge[key]
+                dropped += 1
         self.invalidations += dropped
         return dropped
 

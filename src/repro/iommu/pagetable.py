@@ -173,9 +173,46 @@ class IOPageTable:
         self.stats.maps += 1
 
     def map_range(self, iova: int, frames: list[int]) -> None:
-        """Map consecutive IOVA pages starting at ``iova`` to ``frames``."""
-        for offset, frame in enumerate(frames):
-            self.map_page(iova + offset * PAGE_SIZE, frame)
+        """Map consecutive IOVA pages starting at ``iova`` to ``frames``.
+
+        One descent per 2 MB region, as :meth:`unmap_range` does, with
+        the same end state, counts and errors as one :meth:`map_page`
+        per frame: on an already-mapped page, the pages below it stay
+        mapped and the call raises.
+        """
+        if iova % PAGE_SIZE:
+            raise MappingError(f"unaligned iova {iova:#x}")
+        stats = self.stats
+        end = iova + len(frames) * PAGE_SIZE
+        addr = iova
+        done = 0
+        while addr < end:
+            page = self.root
+            for level, shift in ((1, 39), (2, 30), (3, 21)):
+                entries = page.entries
+                index = (addr >> shift) & 511
+                child = entries.get(index)
+                if child is None:
+                    child = PageTablePage(level + 1, addr & ~((1 << shift) - 1))
+                    entries[index] = child
+                    stats.pages_created += 1
+                page = child  # type: ignore[assignment]
+            entries = page.entries
+            first = (addr >> 12) & 511
+            count = (min(end, (addr | (PTL4_PAGE_SIZE - 1)) + 1) - addr) >> 12
+            leaves = range(first, first + count)
+            if not entries.keys().isdisjoint(leaves):
+                mapped = next(leaf for leaf in leaves if leaf in entries)
+                count = mapped - first
+                entries.update(zip(leaves[:count], frames[done:done + count]))
+                self._mapped_pages += count
+                stats.maps += count
+                raise MappingError(f"iova {addr + count * PAGE_SIZE:#x} already mapped")
+            entries.update(zip(leaves, frames[done:done + count]))
+            self._mapped_pages += count
+            stats.maps += count
+            done += count
+            addr += count * PAGE_SIZE
 
     def map_huge(self, iova: int, base_frame: int) -> None:
         """Install a 2 MB leaf at ``iova`` (must be 2 MB aligned).
@@ -306,6 +343,8 @@ class IOPageTable:
             self._mapped_pages -= last - first
             stats.unmaps += last - first
             addr = region_end
+        if length < PTL4_PAGE_SIZE:
+            return []  # covers no page-table page
         return self._reclaim_covered(iova, end)
 
     def unmap_page(self, iova: int) -> list[ReclaimedPage]:
@@ -319,12 +358,9 @@ class IOPageTable:
         """Free the pages whose whole coverage lies inside [start, end).
 
         A depth-first pass from the root in index order, so pages are
-        reported parent before children and left to right.  A range
-        shorter than one PT-L4 page's 2 MB covers no page at all.
+        reported parent before children and left to right.
         """
         reclaimed: list[ReclaimedPage] = []
-        if end - start < PTL4_PAGE_SIZE:
-            return reclaimed
         # Each frame: a page above PT-L4 and the child indices it still
         # has to visit.  Only children overlapping the range matter.
         stack = [(self.root, iter(self._overlapping(self.root, start, end)))]

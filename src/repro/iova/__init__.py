@@ -1,4 +1,12 @@
-"""IOVA allocation: Linux rbtree + per-CPU caches, and F&S chunks."""
+"""IOVA allocation: Linux's slow path and per-CPU caches, and F&S chunks.
+
+* :class:`RbTreeIovaAllocator` -- Linux's top-down slow path over an
+  ordered range index (:class:`IovaRangeIndex`), with the cached scan
+  node and a per-range scan cost;
+* :class:`CachingIovaAllocator` -- the per-CPU magazines and depot in
+  front of it, and the closed-form long-uptime aging;
+* :class:`ChunkIovaAllocator` -- F&S's contiguous per-descriptor chunks.
+"""
 
 from .allocator import (
     DEFAULT_LIMIT_PFN,
@@ -13,7 +21,7 @@ from .caching import (
     Magazine,
 )
 from .contiguous import DEFAULT_CHUNK_PAGES, ChunkIovaAllocator, IovaChunk
-from .rbtree import IovaRange, IovaRbTree
+from .rangeindex import IovaRangeIndex
 
 __all__ = [
     "IovaAllocator",
@@ -21,8 +29,7 @@ __all__ = [
     "CachingIovaAllocator",
     "ChunkIovaAllocator",
     "IovaChunk",
-    "IovaRange",
-    "IovaRbTree",
+    "IovaRangeIndex",
     "Magazine",
     "IovaExhaustedError",
     "DEFAULT_LIMIT_PFN",

@@ -1,16 +1,20 @@
-"""IOVA allocator interfaces and the rbtree-backed slow path.
+"""IOVA allocator interfaces and the Linux slow path.
 
 The allocator hands out IOVA *page ranges* and guarantees a range is
 only reallocated after it is freed.  Addresses are allocated top-down
 from the end of the 48-bit space, exactly like Linux's
-``alloc_iova(..., limit_pfn)`` path: walk the red-black tree of
-allocated ranges from the highest node downward until a free gap of the
-requested size appears.
+``alloc_iova(..., limit_pfn)`` path: scan the allocated ranges from the
+highest (or the cached) one downward until a free gap of the requested
+size appears.  Linux keeps the ranges in a red-black tree; here they
+live in an :class:`~repro.iova.rangeindex.IovaRangeIndex`, whose scan
+finds the same gap and counts the same ranges passed.
 
 CPU cost accounting: each operation charges a cost (ns) to the calling
-core; the tree path costs much more than the per-CPU cache hit path,
-which is the trade-off §2.2 describes.  Costs are tallied per core so
-the host model can include them in core utilization.
+core; the slow path costs much more than the per-CPU cache hit path,
+which is the trade-off §2.2 describes.  A gap scan adds a per-step
+cost for every range it passes, as Linux's tree walk does.  Costs are
+tallied per core so the host model can include them in core
+utilization.
 
 Every successful allocation can be appended to an *allocation trace*
 (``(iova, pages)`` tuples) which the locality analysis
@@ -25,7 +29,7 @@ from typing import Optional, Protocol
 from ..context import current_context
 from ..iommu.addr import IOVA_BITS, PAGE_SHIFT
 from ..verify.events import IovaAllocEvent, IovaFreeEvent
-from .rbtree import IovaRange, IovaRbTree
+from .rangeindex import IovaRangeIndex
 
 __all__ = [
     "IovaAllocator",
@@ -59,7 +63,7 @@ class IovaAllocator(Protocol):
 
 
 class RbTreeIovaAllocator:
-    """Linux-style rbtree IOVA allocator (the slow path).
+    """Linux's rbtree IOVA allocator (the slow path).
 
     Parameters
     ----------
@@ -67,7 +71,7 @@ class RbTreeIovaAllocator:
         Allocation proceeds top-down from this pfn.
     tree_op_cost_ns:
         CPU cost charged per tree operation (insert/delete plus scan);
-        the gap scan adds ``scan_step_cost_ns`` per node visited,
+        the gap scan adds ``scan_step_cost_ns`` per range passed,
         modeling the worst-case linear searches the paper mentions.
     trace:
         When given, successful allocations append ``(iova, pages)``.
@@ -81,7 +85,7 @@ class RbTreeIovaAllocator:
         trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         self.limit_pfn = limit_pfn
-        self.tree = IovaRbTree()
+        self.tree = IovaRangeIndex()
         self.tree_op_cost_ns = tree_op_cost_ns
         self.scan_step_cost_ns = scan_step_cost_ns
         self.trace = trace
@@ -103,7 +107,8 @@ class RbTreeIovaAllocator:
         # keeping the common case O(1) even when higher address space
         # is fragmented.  Gaps that open above the cached node are
         # found by a retry-from-top pass when the downward scan fails.
-        self._cached: Optional[IovaRange] = None
+        # Held as the cached range's pfn_lo.
+        self._cached: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _charge(self, cpu: int, cost_ns: float) -> None:
@@ -134,10 +139,10 @@ class RbTreeIovaAllocator:
             )
         pfn_lo, steps = found
         cost += self.scan_step_cost_ns * steps
-        new_range = IovaRange(pfn_lo, pfn_lo + pages - 1)
-        self.tree.insert(new_range)
-        self._cached = new_range
-        self._charge(cpu, cost)
+        self.tree.insert(pfn_lo, pfn_lo + pages - 1)
+        self._cached = pfn_lo
+        by_core = self.cpu_ns_by_core
+        by_core[cpu] = by_core.get(cpu, 0.0) + cost
         self.alloc_count += 1
         self.allocated_pages += pages
         iova = pfn_lo << PAGE_SHIFT
@@ -151,32 +156,15 @@ class RbTreeIovaAllocator:
         return iova
 
     def _scan_down(
-        self, start: Optional[IovaRange], pages: int, align_pages: int = 1
-    ):
-        """Find the highest (aligned) gap of ``pages`` at/below ``start``.
+        self, start: Optional[int], pages: int, align_pages: int = 1
+    ) -> Optional[tuple[int, int]]:
+        """Find the highest (aligned) gap of ``pages`` below ``start``.
 
-        Returns ``(pfn_lo, steps)`` or ``None``.  ``start=None`` scans
-        from the top of the space.
+        Returns ``(pfn_lo, steps)`` or ``None``.  ``start`` is the
+        pfn_lo of the range to scan down from; ``None`` scans from the
+        top of the space.
         """
-        steps = 0
-        if start is None:
-            prev_lo = self.limit_pfn + 1
-            node = self.tree.maximum()
-        else:
-            prev_lo = start.pfn_lo
-            node = self.tree.predecessor(start)
-        mask = ~(align_pages - 1)
-        while node is not None:
-            candidate = (prev_lo - pages) & mask
-            if candidate > node.pfn_hi:
-                return candidate, steps
-            prev_lo = node.pfn_lo
-            node = self.tree.predecessor(node)
-            steps += 1
-        candidate = (prev_lo - pages) & mask
-        if candidate >= 0:
-            return candidate, steps
-        return None
+        return self.tree.scan_down(start, self.limit_pfn, pages, align_pages)
 
     def free(self, iova: int, pages: int, cpu: int = 0) -> None:
         """Free a range previously returned by :meth:`alloc`."""
@@ -186,22 +174,24 @@ class RbTreeIovaAllocator:
                 owner=id(self),
             )
         pfn_lo = iova >> PAGE_SHIFT
-        node = self.tree.find(pfn_lo)
-        if node is None:
-            raise ValueError(f"iova {iova:#x} is not allocated")
-        if node.size != pages:
+        try:
+            higher = self.tree.delete(pfn_lo, pfn_lo + pages - 1)
+        except KeyError:
+            pfn_hi = self.tree.find(pfn_lo)
+            if pfn_hi is None:
+                raise ValueError(f"iova {iova:#x} is not allocated") from None
             raise ValueError(
-                f"iova {iova:#x} was allocated with {node.size} pages, "
-                f"freed with {pages}"
-            )
-        if self._cached is not None and node.pfn_lo >= self._cached.pfn_lo:
+                f"iova {iova:#x} was allocated with {pfn_hi - pfn_lo + 1} "
+                f"pages, freed with {pages}"
+            ) from None
+        if self._cached is not None and pfn_lo >= self._cached:
             # Linux __cached_rbnode_delete_update: a free at or above
             # the cached scan position moves the cached node to the
             # freed node's higher neighbour, so the next downward scan
             # sees the hole just opened.
-            self._cached = self.tree.successor(node)
-        self.tree.delete(node)
-        self._charge(cpu, self.tree_op_cost_ns)
+            self._cached = higher
+        by_core = self.cpu_ns_by_core
+        by_core[cpu] = by_core.get(cpu, 0.0) + self.tree_op_cost_ns
         self.free_count += 1
         self.allocated_pages -= pages
 

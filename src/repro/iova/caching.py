@@ -25,14 +25,13 @@ the CPU-efficiency/locality trade-off quantitatively.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..context import current_context
 from ..iommu.addr import PAGE_SHIFT
 from ..verify.events import IovaAllocEvent, IovaFreeEvent
 from .allocator import DEFAULT_LIMIT_PFN, RbTreeIovaAllocator
-from .rbtree import IovaRange
+from .rangeindex import IovaRangeIndex
 
 if TYPE_CHECKING:
     from ..sim.rng import SeededRng
@@ -45,26 +44,12 @@ DEPOT_MAX_MAGS = 32
 
 
 class Magazine:
-    """A fixed-capacity LIFO stack of IOVA pfns."""
+    """A LIFO stack of up to ``MAG_SIZE`` IOVA pfns (``pfns[-1]`` on top)."""
 
     __slots__ = ("pfns",)
 
     def __init__(self) -> None:
         self.pfns: list[int] = []
-
-    def is_full(self) -> bool:
-        return len(self.pfns) >= MAG_SIZE
-
-    def is_empty(self) -> bool:
-        return not self.pfns
-
-    def push(self, pfn: int) -> None:
-        if self.is_full():
-            raise OverflowError("magazine full")
-        self.pfns.append(pfn)
-
-    def pop(self) -> int:
-        return self.pfns.pop()
 
     def __len__(self) -> int:
         return len(self.pfns)
@@ -80,20 +65,16 @@ class _CpuRcache:
         self.prev = Magazine()
 
 
-def _find_above(above: array, index: int) -> int:
-    """Root of ``index`` in the union-find, halving the path on the way."""
-    while above[index] != index:
-        above[index] = above[above[index]]
-        index = above[index]
-    return index
+def _charged(total: float, cost_ns: float, times: int) -> float:
+    """``total`` after ``times`` charges of ``cost_ns``, one at a time."""
+    for _ in range(times):
+        total += cost_ns
+    return total
 
 
-def _order_of(pages: int) -> Optional[int]:
-    """Cache order for a request size, or ``None`` if not cacheable."""
-    if pages <= 0 or pages & (pages - 1):
-        return None
-    order = pages.bit_length() - 1
-    return order if order <= MAX_CACHED_ORDER else None
+# Cache order by request size: powers of two up to 2**MAX_CACHED_ORDER
+# pages; other sizes are not cached.
+_ORDERS = {1 << order: order for order in range(MAX_CACHED_ORDER + 1)}
 
 
 class CachingIovaAllocator:
@@ -168,31 +149,23 @@ class CachingIovaAllocator:
         if not 0 <= cpu < self.num_cpus:
             raise ValueError(f"cpu {cpu} out of range")
         self.alloc_count += 1
-        order = _order_of(pages) if align_pages == 1 else None
+        order = _ORDERS.get(pages) if align_pages == 1 else None
         if order is not None:
+            # ``loaded``, else ``prev`` swapped in, else a depot magazine.
             rcache = self._cpu_rcaches[cpu][order]
-            if not rcache.loaded.is_empty():
-                pfn = rcache.loaded.pop()
-                self._charge(cpu, self.cache_hit_cost_ns)
+            cost = self.cache_hit_cost_ns
+            if not rcache.loaded.pfns:
+                if rcache.prev.pfns:
+                    rcache.loaded, rcache.prev = rcache.prev, rcache.loaded
+                elif self._depot[order]:
+                    rcache.loaded = self._depot[order].pop()
+                    cost = self.depot_cost_ns
+            pfns = rcache.loaded.pfns
+            if pfns:
+                iova = pfns.pop() << PAGE_SHIFT
+                by_core = self.cpu_ns_by_core
+                by_core[cpu] = by_core.get(cpu, 0.0) + cost
                 self.cache_hits += 1
-                iova = pfn << PAGE_SHIFT
-                self._record(iova, pages, cpu)
-                return iova
-            if not rcache.prev.is_empty():
-                rcache.loaded, rcache.prev = rcache.prev, rcache.loaded
-                pfn = rcache.loaded.pop()
-                self._charge(cpu, self.cache_hit_cost_ns)
-                self.cache_hits += 1
-                iova = pfn << PAGE_SHIFT
-                self._record(iova, pages, cpu)
-                return iova
-            depot = self._depot[order]
-            if depot:
-                rcache.loaded = depot.pop()
-                pfn = rcache.loaded.pop()
-                self._charge(cpu, self.depot_cost_ns)
-                self.cache_hits += 1
-                iova = pfn << PAGE_SHIFT
                 self._record(iova, pages, cpu)
                 return iova
         # Slow path: the rbtree (fresh address range, top-down).
@@ -215,13 +188,13 @@ class CachingIovaAllocator:
                 IovaFreeEvent(iova, pages, cpu, "rcache"),
                 owner=id(self),
             )
-        order = _order_of(pages)
+        order = _ORDERS.get(pages)
         if order is None:
             self.rbtree.free(iova, pages, cpu=cpu)
             return
         rcache = self._cpu_rcaches[cpu][order]
-        if rcache.loaded.is_full():
-            if not rcache.prev.is_full():
+        if len(rcache.loaded.pfns) >= MAG_SIZE:
+            if len(rcache.prev.pfns) < MAG_SIZE:
                 rcache.loaded, rcache.prev = rcache.prev, rcache.loaded
             else:
                 # Push the full magazine to the depot; on overflow the
@@ -234,8 +207,10 @@ class CachingIovaAllocator:
                     for pfn in flushed.pfns:
                         self.rbtree.free(pfn << PAGE_SHIFT, pages, cpu=cpu)
                 self._charge(cpu, self.depot_cost_ns)
-        rcache.loaded.push(iova >> PAGE_SHIFT)
-        self._charge(cpu, self.cache_hit_cost_ns)
+        # ``loaded`` has room now: it was swapped or replaced if full.
+        rcache.loaded.pfns.append(iova >> PAGE_SHIFT)
+        by_core = self.cpu_ns_by_core
+        by_core[cpu] = by_core.get(cpu, 0.0) + self.cache_hit_cost_ns
 
     # ------------------------------------------------------------------
     # Long-uptime state
@@ -249,16 +224,22 @@ class CachingIovaAllocator:
             for iova in iovas:
                 self.free(iova, 1, cpu=rng.randint(0, cores - 1))
 
-        without running ``count`` operations through the rbtree.  The
-        burst is a run of cold misses, so it lands at pfns ``limit,
-        limit - 1, ...``.  The frees go through the magazine and depot
-        logic on plain lists, drawing the same ``rng`` values; only the
-        ranges still parked in a cache at the end enter the tree.  Tree
-        ranges, the rbtree's cached scan node, magazines, depot, every
-        counter and per-core cost tally (same float sums, same key
-        order) and, with a monitor attached, the event sequence all
-        equal the replay's.  Unlike the replay, the burst is not
-        appended to ``trace``: aging is setup, not measured traffic.
+        without running ``count`` operations.  The burst is a run of
+        cold misses, so it lands at pfns ``limit, limit - 1, ...``.  The
+        free stream's draws come in one call,
+        :meth:`~repro.sim.rng.SeededRng.shuffle_then_randints`, and the
+        magazines follow in closed form per core: a core's first
+        ``MAG_SIZE`` frees fill ``loaded``, which then becomes ``prev``;
+        from its ``2 * MAG_SIZE + 1``-th free on, every ``MAG_SIZE``-th
+        free pushes the last ``MAG_SIZE`` to the depot; and each push
+        past ``DEPOT_MAX_MAGS`` flushes the oldest magazine to the
+        rbtree.  The ranges still parked at the end build the rbtree in
+        one pass.  Tree ranges, the rbtree's cached scan node,
+        magazines, depot, every counter and per-core cost tally (same
+        float sums, same key order) and, with a monitor attached, the
+        event sequence all equal the replay's.  Unlike the replay, the
+        burst is not appended to ``trace``: aging is setup, not
+        measured traffic.
         """
         rbtree = self.rbtree
         if self.alloc_count or self.free_count or len(rbtree.tree):
@@ -270,99 +251,138 @@ class CachingIovaAllocator:
         if low < 0:
             raise ValueError(f"cannot age {count} IOVAs below pfn {top:#x}")
         cores = self.num_cpus
-        monitor, tree_monitor = self.monitor, rbtree.monitor
-        # Charged one op at a time, as ``_charge`` does, so the float
-        # sums and the dicts' key order match the replay's exactly.
-        hit_ns, tree_ns = self.cpu_ns_by_core, rbtree.cpu_ns_by_core
-        tree_op_ns = rbtree.tree_op_cost_ns
-        for index in range(count):
-            cpu = index % cores
-            tree_ns[cpu] = tree_ns.get(cpu, 0.0) + tree_op_ns
-            if tree_monitor is not None or monitor is not None:
-                iova = (top - index) << PAGE_SHIFT
-                if tree_monitor is not None:
-                    tree_monitor.record(
-                        IovaAllocEvent(iova, 1, cpu, "rbtree"),
-                        owner=id(rbtree),
-                    )
-                if monitor is not None:
-                    monitor.record(
-                        IovaAllocEvent(iova, 1, cpu, "rcache"),
-                        owner=id(self),
-                    )
-        self.alloc_count = self.cache_misses = count
-        rbtree.alloc_count = count
-
-        # The free stream, on plain lists.  ``order`` is the shuffled
-        # burst.  Pfn ``low + i`` is index ``i``, and index ``count``
-        # stands for "none".  ``above[i]`` is a union-find link toward
-        # the lowest still-allocated index at or above ``i``: the
-        # rbtree successor that a free at or above the cached scan
-        # node (index ``cached``) moves it to.
+        # Arrays, not lists of int objects: 8 bytes per free.
         order = array("q", range(top, low - 1, -1))
-        rng.shuffle(order)
-        above = array("q", range(count + 1))
-        cached = 0
-        loaded: list[list[int]] = [[] for _ in range(cores)]
-        prev: list[list[int]] = [[] for _ in range(cores)]
-        depot: deque[list[int]] = deque()
-        flushed = 0
-        randint = rng.randint
-        for pfn in order:
-            cpu = randint(0, cores - 1)
+        cpus = rng.shuffle_then_randints(order, 0, cores - 1, count)
+        positions = [array("q") for _ in range(cores)]
+        appends = [each.append for each in positions]
+        for position, cpu in enumerate(cpus):
+            appends[cpu](position)
+
+        def pfns(cpu: int, start: int, end: int) -> list[int]:
+            """The pfns of ``cpu``'s frees ``start`` to ``end``."""
+            return [order[position] for position in positions[cpu][start:end]]
+
+        # Depot pushes as (stream position, core, first free pushed).
+        pushes: list[tuple[int, int, int]] = []
+        loaded: list[list[int]] = []
+        prev: list[list[int]] = []
+        for cpu, mine in enumerate(positions):
+            if len(mine) <= MAG_SIZE:
+                loaded.append(pfns(cpu, 0, len(mine)))
+                prev.append([])
+                continue
+            starts = range(MAG_SIZE, len(mine) - MAG_SIZE, MAG_SIZE)
+            pushes += [(mine[start + MAG_SIZE], cpu, start) for start in starts]
+            loaded.append(pfns(cpu, MAG_SIZE * (len(starts) + 1), len(mine)))
+            prev.append(pfns(cpu, 0, MAG_SIZE))
+        pushes.sort()
+        # Push ``i + DEPOT_MAX_MAGS`` flushes push ``i`` to the rbtree,
+        # charged to the pushing core; the depot keeps the last
+        # DEPOT_MAX_MAGS pushes.
+        kept = max(len(pushes) - DEPOT_MAX_MAGS, 0)
+        flushing = pushes[DEPOT_MAX_MAGS:]
+        depot = [
+            pfns(cpu, start, start + MAG_SIZE) for _, cpu, start in pushes[kept:]
+        ]
+        if self.monitor is not None or rbtree.monitor is not None:
+            self._record_aging(
+                order,
+                cpus,
+                {
+                    position: pfns(cpu, start, start + MAG_SIZE)
+                    for (position, _, _), (_, cpu, start) in zip(flushing, pushes)
+                },
+            )
+
+        # Per-core costs, summed one charge at a time as ``_charge``
+        # does, keyed in the order the replay first charges each core.
+        tree_ops = {
+            cpu: count // cores + (cpu < count % cores)
+            for cpu in range(min(count, cores))
+        }
+        for _, cpu, _ in flushing:
+            tree_ops[cpu] = tree_ops.get(cpu, 0) + MAG_SIZE
+        tree_ns = rbtree.cpu_ns_by_core
+        for cpu, ops in tree_ops.items():
+            tree_ns[cpu] = _charged(0.0, rbtree.tree_op_cost_ns, ops)
+        hit_ns = self.cpu_ns_by_core
+        for cpu in dict.fromkeys(cpus):
+            frees = len(positions[cpu])
+            total = _charged(0.0, self.cache_hit_cost_ns, min(frees, 2 * MAG_SIZE))
+            for start in range(2 * MAG_SIZE, frees, MAG_SIZE):
+                total += self.depot_cost_ns
+                total = _charged(
+                    total, self.cache_hit_cost_ns, min(MAG_SIZE, frees - start)
+                )
+            hit_ns[cpu] = total
+
+        flushed = kept * MAG_SIZE
+        self.alloc_count = self.cache_misses = self.free_count = count
+        rbtree.alloc_count = count
+        rbtree.free_count = flushed
+        rbtree.allocated_pages = count - flushed
+        for cpu, rcache in enumerate(self._cpu_rcaches):
+            rcache[0].loaded.pfns = loaded[cpu]
+            rcache[0].prev.pfns = prev[cpu]
+        for parked in depot:
+            magazine = Magazine()
+            magazine.pfns = parked
+            self._depot[0].append(magazine)
+        survivors = sorted(
+            pfn
+            for magazines in (loaded, prev, depot)
+            for parked in magazines
+            for pfn in parked
+        )
+        rbtree.tree = IovaRangeIndex((pfn, pfn) for pfn in survivors)
+        # Each flush at or above the cached node moves it to the
+        # flushed range's higher neighbour, so it ends just above the
+        # highest pfn flushed: nothing above that pfn was ever freed.
+        if kept:
+            highest = 1 + max(
+                max(pfns(cpu, start, start + MAG_SIZE))
+                for _, cpu, start in pushes[:kept]
+            )
+            rbtree._cached = highest if highest <= top else None
+        else:
+            rbtree._cached = low
+
+    def _record_aging(
+        self, order: array, cpus: list[int], flushed_at: dict[int, list[int]]
+    ) -> None:
+        """Emit the aging replay's event sequence to the monitors.
+
+        ``flushed_at`` maps a free's stream position to the pfns its
+        depot push flushed to the rbtree.
+        """
+        rbtree = self.rbtree
+        monitor, tree_monitor = self.monitor, rbtree.monitor
+        cores = self.num_cpus
+        for index in range(len(order)):
+            iova = (rbtree.limit_pfn - index) << PAGE_SHIFT
+            if tree_monitor is not None:
+                tree_monitor.record(
+                    IovaAllocEvent(iova, 1, index % cores, "rbtree"),
+                    owner=id(rbtree),
+                )
+            if monitor is not None:
+                monitor.record(
+                    IovaAllocEvent(iova, 1, index % cores, "rcache"),
+                    owner=id(self),
+                )
+        for position, (pfn, cpu) in enumerate(zip(order, cpus)):
             if monitor is not None:
                 monitor.record(
                     IovaFreeEvent(pfn << PAGE_SHIFT, 1, cpu, "rcache"),
                     owner=id(self),
                 )
-            magazine = loaded[cpu]
-            if len(magazine) >= MAG_SIZE:
-                if len(prev[cpu]) < MAG_SIZE:
-                    loaded[cpu], prev[cpu] = prev[cpu], magazine
-                else:
-                    depot.append(magazine)
-                    loaded[cpu] = []
-                    if len(depot) > DEPOT_MAX_MAGS:
-                        for old in depot.popleft():
-                            if tree_monitor is not None:
-                                tree_monitor.record(
-                                    IovaFreeEvent(
-                                        old << PAGE_SHIFT, 1, cpu, "rbtree"
-                                    ),
-                                    owner=id(rbtree),
-                                )
-                            index = old - low
-                            above[index] = index + 1
-                            if index >= cached:
-                                cached = _find_above(above, index)
-                            tree_ns[cpu] = tree_ns.get(cpu, 0.0) + tree_op_ns
-                            flushed += 1
-                    hit_ns[cpu] = hit_ns.get(cpu, 0.0) + self.depot_cost_ns
-                magazine = loaded[cpu]
-            magazine.append(pfn)
-            hit_ns[cpu] = hit_ns.get(cpu, 0.0) + self.cache_hit_cost_ns
-        self.free_count = count
-        rbtree.free_count = flushed
-        rbtree.allocated_pages = count - flushed
-
-        for cpu, rcache in enumerate(self._cpu_rcaches):
-            rcache[0].loaded.pfns = loaded[cpu]
-            rcache[0].prev.pfns = prev[cpu]
-        for pfns in depot:
-            magazine = Magazine()
-            magazine.pfns = pfns
-            self._depot[0].append(magazine)
-        survivors = sorted(
-            pfn
-            for magazines in (loaded, prev, depot)
-            for pfns in magazines
-            for pfn in pfns
-        )
-        for pfn in survivors:
-            node = IovaRange(pfn, pfn)
-            rbtree.tree.insert(node)
-            if pfn - low == cached:
-                rbtree._cached = node
+            if tree_monitor is not None:
+                for old in flushed_at.get(position, ()):
+                    tree_monitor.record(
+                        IovaFreeEvent(old << PAGE_SHIFT, 1, cpu, "rbtree"),
+                        owner=id(rbtree),
+                    )
 
     # ------------------------------------------------------------------
     # Introspection

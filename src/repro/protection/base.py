@@ -117,10 +117,7 @@ class ProtectionDriver(ABC):
         remaining = length
         for attempt in range(self.max_invalidation_retries + 1):
             result = queue.submit_invalidation(
-                remaining_iova,
-                remaining,
-                preserve_ptcache=preserve_ptcache,
-                ptcache_only=ptcache_only,
+                remaining_iova, remaining, preserve_ptcache, ptcache_only
             )
             cost += result.cost_ns
             if result.status is InvalidationStatus.COMPLETED:

@@ -83,6 +83,8 @@ class StrictFamilyDriver(ProtectionDriver):
         self.allocator = CachingIovaAllocator(
             num_cpus=num_cpus, trace=allocation_trace
         )
+        self._rcache_ns = self.allocator.cpu_ns_by_core
+        self._rbtree_ns = self.allocator.rbtree.cpu_ns_by_core
         self.hugepages = hugepages
         self.chunks: Optional[ChunkIovaAllocator] = None
         if contiguous_iova:
@@ -144,18 +146,21 @@ class StrictFamilyDriver(ProtectionDriver):
     # ------------------------------------------------------------------
     # CPU cost helpers
     # ------------------------------------------------------------------
-    def _allocator_cost_around(self, core: int):
-        """Context to measure allocator CPU charged to ``core``."""
-        return _AllocatorCostProbe(self.allocator, core)
+    def _allocator_ns(self, core: int) -> float:
+        """Allocator CPU charged to ``core`` so far (rcache + rbtree).
+
+        A datapath call's allocator cost is the difference of two
+        readings, one before and one after it.
+        """
+        return self._rcache_ns.get(core, 0.0) + self._rbtree_ns.get(core, 0.0)
 
     # ------------------------------------------------------------------
     # Rx datapath
     # ------------------------------------------------------------------
     def make_rx_descriptor(self, core: int, pages: int):
-        cost = 0.0
         slots: list[PageSlot] = []
         driver_data = None
-        probe = self._allocator_cost_around(core)
+        before = self._allocator_ns(core)
         if self.hugepages:
             assert self.chunks is not None
             if pages != 512:
@@ -173,11 +178,14 @@ class StrictFamilyDriver(ProtectionDriver):
         elif self.contiguous_iova and pages == self.chunk_pages:
             assert self.chunks is not None
             chunk = self.chunks.alloc_chunk(cpu=core)
-            for index in range(pages):
-                frame = self.physmem.alloc_frame()
-                iova = chunk.base_iova + index * PAGE_SIZE
-                self.iommu.map_page(iova, frame)
-                slots.append(PageSlot(iova, frame))
+            frames = self.physmem.alloc_frames(pages)
+            # One map operation for the whole chunk-backed descriptor.
+            self.iommu.map_range(chunk.base_iova, frames)
+            base = chunk.base_iova
+            slots = [
+                PageSlot(base + index * PAGE_SIZE, frame)
+                for index, frame in enumerate(frames)
+            ]
             driver_data = chunk
         elif self.contiguous_iova:
             # Sub-chunk descriptors (single-page devices like Intel
@@ -202,7 +210,7 @@ class StrictFamilyDriver(ProtectionDriver):
                 self.iommu.map_page(iova, frame)
                 slots.append(PageSlot(iova, frame))
         map_calls = 1 if self.hugepages else pages
-        cost += probe.delta() + map_calls * self.costs.map_ns
+        cost = self._allocator_ns(core) - before + map_calls * self.costs.map_ns
         descriptor = RxDescriptor(
             slots=slots, core=core, driver_data=driver_data
         )
@@ -212,7 +220,7 @@ class StrictFamilyDriver(ProtectionDriver):
     def retire_rx_descriptor(self, descriptor: RxDescriptor, core: int) -> float:
         self._notify_rx_retired(descriptor)
         cost = 0.0
-        probe = self._allocator_cost_around(core)
+        before = self._allocator_ns(core)
         if self.hugepages:
             chunk, base_frame = descriptor.driver_data
             length = 512 * PAGE_SIZE
@@ -222,7 +230,7 @@ class StrictFamilyDriver(ProtectionDriver):
             assert self.chunks is not None
             self.chunks.release_chunk(chunk, cpu=core)
             self.physmem.free_huge(base_frame)
-            cost += probe.delta()
+            cost += self._allocator_ns(core) - before
             return cost
         if self.contiguous_iova and isinstance(
             descriptor.driver_data, IovaChunk
@@ -249,14 +257,14 @@ class StrictFamilyDriver(ProtectionDriver):
                 self.allocator.free(slot.iova, 1, cpu=core)
         for slot in descriptor.slots:
             self.physmem.free_frame(slot.frame)
-        cost += probe.delta()
+        cost += self._allocator_ns(core) - before
         return cost
 
     # ------------------------------------------------------------------
     # Tx datapath
     # ------------------------------------------------------------------
     def map_tx_page(self, core: int):
-        probe = self._allocator_cost_around(core)
+        before = self._allocator_ns(core)
         frame = self.physmem.alloc_frame()
         if self.contiguous_iova:
             assert self.chunks is not None
@@ -266,7 +274,7 @@ class StrictFamilyDriver(ProtectionDriver):
             iova = self.allocator.alloc(1, cpu=core)
             cookie = None
         self.iommu.map_page(iova, frame)
-        cost = probe.delta() + self.costs.map_ns
+        cost = self._allocator_ns(core) - before + self.costs.map_ns
         mapping = TxMapping(iova, frame, cookie)
         self._notify_tx_mapped(mapping)
         return mapping, cost
@@ -274,7 +282,7 @@ class StrictFamilyDriver(ProtectionDriver):
     def retire_tx_pages(self, mappings: list[TxMapping], core: int) -> float:
         self._notify_tx_retired(mappings)
         cost = 0.0
-        probe = self._allocator_cost_around(core)
+        before = self._allocator_ns(core)
         if self.contiguous_iova:
             cost += self._retire_tx_contiguous(mappings, core)
         else:
@@ -285,7 +293,7 @@ class StrictFamilyDriver(ProtectionDriver):
                 self.allocator.free(mapping.iova, 1, cpu=core)
         for mapping in mappings:
             self.physmem.free_frame(mapping.frame)
-        cost += probe.delta()
+        cost += self._allocator_ns(core) - before
         return cost
 
     def _retire_tx_contiguous(self, mappings: list[TxMapping], core: int) -> float:
@@ -338,25 +346,6 @@ class StrictFamilyDriver(ProtectionDriver):
 
     def device_can_access(self, iova: int) -> bool:
         return self.iommu.iotlb.contains(iova) or self.iommu.page_table.is_mapped(iova)
-
-
-class _AllocatorCostProbe:
-    """Measures allocator CPU charged to one core across a call span."""
-
-    __slots__ = ("allocator", "core", "before")
-
-    def __init__(self, allocator: CachingIovaAllocator, core: int):
-        self.allocator = allocator
-        self.core = core
-        self.before = self._current()
-
-    def _current(self) -> float:
-        return self.allocator.cpu_ns_by_core.get(
-            self.core, 0.0
-        ) + self.allocator.rbtree.cpu_ns_by_core.get(self.core, 0.0)
-
-    def delta(self) -> float:
-        return self._current() - self.before
 
 
 def _contiguous_runs(

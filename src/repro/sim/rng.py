@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import MutableSequence
 
 __all__ = ["SeededRng"]
 
@@ -54,3 +55,39 @@ class SeededRng:
 
     def sample(self, seq, k: int):
         return self._random.sample(seq, k)
+
+    def shuffle_then_randints(
+        self, seq: MutableSequence, low: int, high: int, count: int
+    ) -> list[int]:
+        """Shuffle ``seq`` in place, then draw ``count`` ints in [low, high].
+
+        Gives the same values, and leaves the generator in the same
+        state, as ``shuffle(seq)`` followed by ``count`` calls to
+        ``randint(low, high)``, without their per-draw Python calls.
+        Both draw an int below ``n`` as CPython does:
+        ``getrandbits(n.bit_length())``, drawn again while ``>= n``.
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range [{low}, {high}]")
+        getrandbits = self._random.getrandbits
+        # ``random.shuffle``: from the top, swap each index with a draw
+        # below index + 1; the indices of one bit length at a time.
+        top = len(seq) - 1
+        while top > 0:
+            bits = (top + 1).bit_length()
+            bottom = (1 << (bits - 1)) - 1
+            for index in range(top, bottom - 1, -1):
+                other = getrandbits(bits)
+                while other > index:
+                    other = getrandbits(bits)
+                seq[index], seq[other] = seq[other], seq[index]
+            top = bottom - 1
+        bits = width.bit_length()
+        draws: list[int] = []
+        for _ in range(count):
+            value = getrandbits(bits)
+            while value >= width:
+                value = getrandbits(bits)
+            draws.append(low + value)
+        return draws

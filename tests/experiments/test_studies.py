@@ -6,6 +6,10 @@ runs the study through :data:`repro.experiments.FIGURES`, as ``repro
 run <slug>`` does, at a micro scale.
 """
 
+import functools
+
+import pytest
+
 from repro.experiments import FIGURES, RunScale
 
 MICRO = RunScale(
@@ -16,6 +20,7 @@ MICRO = RunScale(
 )
 
 
+@functools.lru_cache(maxsize=None)
 def run(slug):
     runner, _description = FIGURES[slug]
     return runner(scale=MICRO)
@@ -33,6 +38,23 @@ def test_ptcache_l3_capacity():
     for entries in (32, 64, 128):
         assert fns[entries][3] < 0.01
         assert fns[entries][2] > strict[entries][2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 3: strict mode's IOVAs stay inside the aged "
+        "extent's 32 2 MB regions, which fit even a 32-entry PTcache-L3, "
+        "so strict m3/pg is the same at 32, 64 and 128 entries"
+    ),
+)
+def test_ptcache_l3_capacity_adds_strict_misses():
+    # The paper's capacity effect (§2.2): a smaller PTcache-L3 holds
+    # less of strict mode's scattered PT-L3 working set.  This test
+    # turns red (XPASS) the day the model lets capacity matter.
+    result = run("ablation-l3")
+    strict = {row[1]: row for row in result.rows if row[0] == "strict"}
+    assert strict[32][3] > strict[128][3]
 
 
 def test_allocator_aging():

@@ -43,6 +43,34 @@ class TestMapping:
         assert table.lookup(0x12000) == 3
         assert table.mapped_pages == 3
 
+    @pytest.mark.parametrize("conflict", [None, 3, 700])
+    def test_map_range_equals_a_map_page_per_frame(self, conflict):
+        """One descent per 2 MB region, with the page loop's end state:
+        entries, counters and, on an already-mapped page, the error
+        and the prefix left mapped."""
+        base = 2 * MB - 5 * PAGE_SIZE  # 1000 pages across a 2 MB boundary
+        frames = list(range(100, 1100))
+
+        def build(whole):
+            table = IOPageTable()
+            if conflict is not None:
+                table.map_page(base + conflict * PAGE_SIZE, 7)
+            try:
+                if whole:
+                    table.map_range(base, frames)
+                else:
+                    for index, frame in enumerate(frames):
+                        table.map_page(base + index * PAGE_SIZE, frame)
+            except MappingError as error:
+                failure = str(error)
+            else:
+                failure = None
+            mapped = [table.lookup(base + i * PAGE_SIZE) for i in range(1000)]
+            stats = (table.stats.maps, table.stats.pages_created)
+            return failure, mapped, stats, table.mapped_pages
+
+        assert build(whole=True) == build(whole=False)
+
     def test_walk_returns_four_level_chain(self):
         table = IOPageTable()
         table.map_page(0x1000, 42)

@@ -37,8 +37,8 @@ def state(allocator):
     rbtree = allocator.rbtree
     rbtree.tree.check_invariants()
     return {
-        "ranges": [(node.pfn_lo, node.pfn_hi) for node in rbtree.tree],
-        "cached": None if rbtree._cached is None else rbtree._cached.pfn_lo,
+        "ranges": list(rbtree.tree),
+        "cached": rbtree._cached,
         "magazines": [
             [(list(rc.loaded.pfns), list(rc.prev.pfns)) for rc in per_cpu]
             for per_cpu in allocator._cpu_rcaches
@@ -140,6 +140,10 @@ class AscendingRng:
     def randint(self, low, high):
         return low
 
+    def shuffle_then_randints(self, seq, low, high, count):
+        self.shuffle(seq)
+        return [self.randint(low, high) for _ in range(count)]
+
 
 def test_flushing_the_cached_node_moves_it_to_its_successor():
     # Each flushed pfn is the rbtree's cached scan node at that moment,
@@ -153,7 +157,7 @@ def test_flushing_the_cached_node_moves_it_to_its_successor():
     # next two magazines are flushed, lowest pfn first.
     low = reference.rbtree.limit_pfn - count + 1
     assert reference.rbtree.free_count == 2 * MAG_SIZE
-    assert reference.rbtree._cached.pfn_lo == low + 3 * MAG_SIZE
+    assert reference.rbtree._cached == low + 3 * MAG_SIZE
     assert state(closed) == state(reference)
 
 

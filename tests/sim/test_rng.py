@@ -2,8 +2,11 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
+
+import pytest
 
 import repro
 from repro.sim import SeededRng
@@ -75,3 +78,27 @@ def test_helpers_cover_range():
     rng.shuffle(items)
     assert sorted(items) == list(range(10))
     assert len(rng.sample(range(100), 5)) == 5
+
+
+@pytest.mark.parametrize(
+    "length, low, high, count",
+    [(0, 0, 0, 0), (1, 0, 0, 3), (2, 0, 1, 5), (1000, 0, 4, 1000),
+     (98304, 0, 7, 98304), (513, 3, 9, 40), (40, 0, (1 << 40) - 1, 8)],
+)
+def test_shuffle_then_randints_is_shuffle_plus_randint(length, low, high, count):
+    """The bulk draws are ``random``'s own stream: a Python whose
+    ``shuffle`` or ``randint`` draws differently fails here, loudly,
+    instead of silently changing every aged allocator."""
+    bulk, reference = SeededRng(42, "aging"), random.Random()
+    reference.setstate(bulk._random.getstate())
+    items, expected = list(range(length)), list(range(length))
+    draws = bulk.shuffle_then_randints(items, low, high, count)
+    reference.shuffle(expected)
+    assert items == expected
+    assert draws == [reference.randint(low, high) for _ in range(count)]
+    assert bulk._random.getstate() == reference.getstate()
+
+
+def test_shuffle_then_randints_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        SeededRng(1).shuffle_then_randints([], 3, 2, 1)
