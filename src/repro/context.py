@@ -14,9 +14,11 @@ attribute load and a pointer comparison.  Objects built outside a
 :func:`using` block never see what the block installs.
 
 The two properties below are the only place that decides whether a
-shortcut may run: burst translation (:mod:`repro.iommu.batch`) needs
+shortcut may run: burst translation
+(:meth:`~repro.iommu.Iommu.translate_page`) needs
 :attr:`RunContext.per_call` off, and the sweep executor's pool and
-result cache need :attr:`RunContext.in_process` off.
+result cache need :attr:`RunContext.in_process` off.  The IOMMU reads
+``per_call`` once, in its constructor; nothing else consults it.
 
 This module is a leaf: it imports nothing from ``repro`` at run time,
 so every instrumented module can import it without cycles.

@@ -306,38 +306,24 @@ class Host:
         for _descriptor, slot in taken:
             in_page = min(remaining, PAGE_SIZE)
             remaining -= in_page
-            transactions = pcie.transactions(in_page)
             # All of this page's TLPs translate back to back with no
-            # event in between; when the driver can batch them (no
-            # monitor/faults/fault queue) only the first can walk.
-            reads = driver.translate_for_dma_burst(
-                slot.iova, transactions, "rx"
+            # event in between: only the first can walk.
+            reads = driver.translate_for_dma(
+                slot.iova, "rx", pcie.transactions(in_page), mps
             )
-            if reads is not None:
-                if reads:
-                    finish = self.iommu.reserve_walk(
-                        start, reads, self._mem_utilization
-                    )
-                    if finish > walks_done:
-                        walks_done = finish
-                continue
-            for index in range(transactions):
-                reads, aborted = driver.translate_for_dma(
-                    slot.iova + index * mps, "rx"
+            if reads is None:
+                # Hard-fault path: the root complex killed the
+                # transaction; no data lands, the fault is logged,
+                # and the DMA completes early with abort latency.
+                self._aborted_dmas.add(packet.packet_id)
+                self.rx_dma_aborts += 1
+                return start + self.iommu.fault_queue.abort_latency_ns
+            if reads:
+                finish = self.iommu.reserve_walk(
+                    start, reads, self._mem_utilization
                 )
-                if aborted:
-                    # Hard-fault path: the root complex killed the
-                    # transaction; no data lands, the fault is logged,
-                    # and the DMA completes early with abort latency.
-                    self._aborted_dmas.add(packet.packet_id)
-                    self.rx_dma_aborts += 1
-                    return start + self.iommu.fault_queue.abort_latency_ns
-                if reads:
-                    finish = self.iommu.reserve_walk(
-                        start, reads, self._mem_utilization
-                    )
-                    if finish > walks_done:
-                        walks_done = finish
+                if finish > walks_done:
+                    walks_done = finish
         self._account_dma_bytes(packet.size_bytes)
         wire_done = self.rx_pipeline.reserve_wire(start, packet.size_bytes)
         return max(wire_done, walks_done + pcie.l0_ns)
@@ -558,32 +544,19 @@ class Host:
         for mapping in mappings:
             in_page = min(remaining, PAGE_SIZE)
             remaining -= in_page
-            transactions = pcie.transactions(in_page)
-            reads = driver.translate_for_dma_burst(
-                mapping.iova, transactions, source
+            reads = driver.translate_for_dma(
+                mapping.iova, source, pcie.transactions(in_page), mps
             )
-            if reads is not None:
-                if reads:
-                    finish = self.iommu.reserve_walk(
-                        start, reads, self._mem_utilization
-                    )
-                    if finish > walks_done:
-                        walks_done = finish
-                continue
-            for index in range(transactions):
-                reads, aborted = driver.translate_for_dma(
-                    mapping.iova + index * mps, source
+            if reads is None:
+                self._aborted_tx.add(packet.packet_id)
+                self.tx_dma_aborts += 1
+                return start + self.iommu.fault_queue.abort_latency_ns
+            if reads:
+                finish = self.iommu.reserve_walk(
+                    start, reads, self._mem_utilization
                 )
-                if aborted:
-                    self._aborted_tx.add(packet.packet_id)
-                    self.tx_dma_aborts += 1
-                    return start + self.iommu.fault_queue.abort_latency_ns
-                if reads:
-                    finish = self.iommu.reserve_walk(
-                        start, reads, self._mem_utilization
-                    )
-                    if finish > walks_done:
-                        walks_done = finish
+                if finish > walks_done:
+                    walks_done = finish
         self._account_dma_bytes(packet.size_bytes)
         wire_done = self.tx_pipeline.reserve_wire(start, packet.size_bytes)
         return max(wire_done, walks_done + pcie.l0_ns)

@@ -269,8 +269,8 @@ class Testbed:
             result.ptcache_l3_misses_per_page = per_page.l3
             result.memory_reads_per_page = per_page.memory_reads
             result.invalidation_requests = delta.invalidation_requests
-        if hasattr(host.driver, "stale_translations"):
-            result.stale_translations = host.driver.stale_translations
+        if host.iommu is not None:
+            result.stale_translations = host.iommu.stale_translations
         # Hardening / fault accounting (cumulative, not interval
         # deltas: fault sweeps run one testbed per plan).
         result.extras["invalidation_retries"] = (

@@ -20,9 +20,8 @@ from .addr import (
     ptcache_key,
     vpn,
 )
-from .batch import burst_ready, replay_hits
 from .faultq import FaultReportingQueue, IommuFaultRecord
-from .invalidation import InvalidationQueue, InvalidationRequest
+from .invalidation import InvalidationQueue
 from .iommu import DmaFault, Iommu, IommuConfig, TranslationResult
 from .iotlb import Iotlb
 from .pagetable import (
@@ -50,9 +49,6 @@ __all__ = [
     "PtCacheHierarchy",
     "ProbeOutcome",
     "InvalidationQueue",
-    "InvalidationRequest",
-    "burst_ready",
-    "replay_hits",
     "FaultReportingQueue",
     "IommuFaultRecord",
     "IommuStats",

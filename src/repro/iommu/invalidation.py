@@ -47,19 +47,9 @@ from .stats import IommuStats
 
 __all__ = [
     "InvalidationQueue",
-    "InvalidationRequest",
     "InvalidationResult",
     "InvalidationStatus",
 ]
-
-
-@dataclass(frozen=True)
-class InvalidationRequest:
-    """One invalidation-queue descriptor (for tracing and tests)."""
-
-    iova: int
-    length: int
-    preserve_ptcache: bool
 
 
 class InvalidationStatus(enum.Enum):
@@ -102,14 +92,11 @@ class InvalidationQueue:
         ptcaches: PtCacheHierarchy,
         stats: IommuStats,
         cpu_cost_ns: float = 250.0,
-        trace: bool = False,
     ) -> None:
         self.iotlb = iotlb
         self.ptcaches = ptcaches
         self.stats = stats
         self.cpu_cost_ns = cpu_cost_ns
-        self.trace = trace
-        self.requests: list[InvalidationRequest] = []
         self.total_cpu_ns = 0.0
         # Safety-invariant monitor (repro.verify); None in normal runs.
         self.monitor = current_context().monitor
@@ -194,10 +181,6 @@ class InvalidationQueue:
                         owner=id(self.iotlb),
                     )
             self.stats.invalidation_requests += 1
-        if self.trace:
-            self.requests.append(
-                InvalidationRequest(iova, length, preserve_ptcache)
-            )
         cost = self.cpu_cost_ns + extra_ns
         self.total_cpu_ns += cost
         if self.obs is not None and self.obs.tracer is not None:

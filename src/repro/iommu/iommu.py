@@ -8,6 +8,10 @@ performs:
   IOTLB probe; on miss a walk shortened by the PTcaches, counting the
   memory reads the walk needs (1 in the best case, 4 in the worst);
 
+* :meth:`translate_page` — all of one page's TLPs, the datapath's unit:
+  a burst of one :meth:`translate` plus N-1 counted hits, or one call
+  per TLP when the run context has an observer that sees every call;
+
 * :meth:`reserve_walk` — the *timing* side: page-walk memory reads are
   serialized at the page-table walker and cost ``lm`` (197 ns by the
   paper's fit) each.  Rx and Tx translations share the walker, which is
@@ -104,7 +108,6 @@ class IommuConfig:
     ptcache_l3_entries: int = 64
     lm_ns: float = DEFAULT_LM_NS
     invalidation_cpu_ns: float = 250.0
-    trace_invalidations: bool = False
     # Concurrent page-table walkers.  Hardware IOMMUs track several
     # walks in flight; reads *within* one walk are sequential (each
     # level's read depends on the previous), but walks for different
@@ -147,7 +150,6 @@ class Iommu:
             self.ptcaches,
             self.stats,
             cpu_cost_ns=self.config.invalidation_cpu_ns,
-            trace=self.config.trace_invalidations,
         )
         self.memory = MemoryLatencyModel(base_read_ns=self.config.lm_ns)
         # Hard-fault path: PRI-style fault log + spurious-fault injector.
@@ -159,17 +161,15 @@ class Iommu:
                 abort_latency_ns=self.config.fault_abort_latency_ns,
             )
         self.faults = context.injector("iommu")
-        # Set by an aborting translate(), consumed by the driver's
-        # translate_for_dma() wrapper; a flag rather than a field on
-        # every TranslationResult keeps driver translate() signatures
-        # (and their subclass overrides) untouched.
-        self._abort_pending = False
+        # IOTLB hits served after the page table dropped the mapping
+        # (counted only while stale-hit checks are on).
+        self.stale_translations = 0
         if self.config.walkers <= 0:
             raise ValueError("need at least one walker")
         self._walker_free = [0.0] * self.config.walkers
         # An observer that sees every call (the run context's
-        # ``per_call``: monitor, fault runtime) rules out burst
-        # translation (:mod:`repro.iommu.batch`).
+        # ``per_call``: monitor, fault runtime) gets every TLP of a page
+        # translated in full (:meth:`translate_page`).
         self.per_call = context.per_call
         self.obs = context.registry
         # Hoisted once: reserve_walk runs per page walk and must not
@@ -230,6 +230,8 @@ class Iommu:
                 self.config.check_stale_hits
                 and not self.page_table.is_mapped(iova)
             )
+            if stale:
+                self.stale_translations += 1
             if self.monitor is not None:
                 self.monitor.record(
                     TranslateEvent(iova, source, True, stale, frame),
@@ -269,6 +271,47 @@ class Iommu:
             )
         return TranslationResult(frame, False, memory_reads)
 
+    def translate_page(
+        self, iova: int, source: str, count: int = 1, stride: int = 0
+    ) -> Optional[int]:
+        """Translate one page's ``count`` TLPs, ``stride`` bytes apart.
+
+        Returns the first TLP's page-walk read count, or ``None`` when
+        a TLP was aborted (fault queue attached); an unmapped access
+        without a fault queue raises :class:`DmaFault` from the first
+        TLP.  Later TLPs read nothing: the first one hit the page's
+        IOTLB entry or walked and inserted it as MRU, and no simulator
+        event runs between TLPs to evict or invalidate it.
+
+        With ``per_call`` set (a monitor or fault runtime sees every
+        call), each TLP runs :meth:`translate` at its own address, so
+        every event and fault roll happens.  Otherwise TLPs 2..N are
+        the counter effect of N-1 hits on the MRU entry (the
+        translation batching of Kurth et al. 2018): only the first TLP
+        can miss, walk or abort, and since the page table cannot change
+        within the burst every TLP is stale exactly when the first one
+        is.
+        """
+        result = self.translate(iova, source)
+        if result.aborted:
+            return None
+        if count > 1:
+            if self.per_call:
+                for index in range(1, count):
+                    if self.translate(iova + index * stride, source).aborted:
+                        return None
+                return result.memory_reads
+            rest = count - 1
+            stats = self.stats
+            stats.translations += rest
+            by_source = stats.translations_by_source
+            by_source[source] = by_source.get(source, 0) + rest
+            stats.iotlb_hits += rest
+            self.iotlb.hits += rest
+            if result.stale:
+                self.stale_translations += rest
+        return result.memory_reads
+
     def _abort(
         self, iova: int, source: str, reason: str
     ) -> TranslationResult:
@@ -280,41 +323,13 @@ class Iommu:
             )
         assert self.fault_queue is not None
         self.fault_queue.report(iova, source, reason)
-        self._abort_pending = True
         return TranslationResult(
             frame=0, iotlb_hit=False, memory_reads=0, aborted=True
         )
 
-    def consume_abort(self) -> bool:
-        """True iff the most recent :meth:`translate` call aborted.
-
-        Drivers' ``translate()`` overrides return only a read count, so
-        the abort outcome travels out-of-band through this one-shot
-        flag; :meth:`~repro.protection.base.ProtectionDriver.
-        translate_for_dma` is the only consumer.
-        """
-        if self._abort_pending:
-            self._abort_pending = False
-            return True
-        return False
-
     def enable_stale_hit_checks(self) -> None:
-        """Turn on the per-hit stale check (deferred-mode diagnostics).
-
-        Burst translation counts calls 2..N of a page as plain hits
-        without consulting the page table, so it stays off while the
-        check is on (:func:`~repro.iommu.batch.burst_ready`).
-        """
+        """Turn on the per-hit stale check (deferred-mode diagnostics)."""
         self.config.check_stale_hits = True
-
-    def observe_every_call(self) -> None:
-        """Run every later translation in full, with no burst batching.
-
-        For an observer attached after construction
-        (:meth:`~repro.verify.InvariantMonitor.attach_iommu`), which the
-        run context could not show the constructor.
-        """
-        self.per_call = True
 
     # ------------------------------------------------------------------
     # Walker timing

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..context import current_context
-from ..iommu.batch import burst_ready, replay_hits
 from ..iommu.invalidation import InvalidationStatus
 from ..nic.descriptor import RxDescriptor
 from ..verify.events import BufferRegisteredEvent, BufferRetiredEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..iommu import Iommu
     from ..iommu.invalidation import InvalidationQueue
 
 __all__ = ["ProtectionDriver", "TxMapping", "DriverCosts"]
@@ -71,6 +71,8 @@ class ProtectionDriver(ABC):
     #: retries.  Both are CPU cost, charged to the retiring core.
     max_invalidation_retries: int = 3
     invalidation_backoff_ns: float = 400.0
+    #: the IOMMU the driver maps through (every mode but IOMMU-off)
+    iommu: "Iommu"
 
     def __init__(self) -> None:
         # Safety-invariant monitor (repro.verify); None in normal runs.
@@ -209,54 +211,17 @@ class ProtectionDriver(ABC):
     def retire_tx_pages(self, mappings: list[TxMapping], core: int) -> float:
         """Unmap/invalidate/free completed Tx pages; returns cpu_ns."""
 
-    @abstractmethod
-    def translate(self, iova: int, source: str) -> int:
-        """Translate one PCIe transaction; returns page-walk memory reads."""
-
-    def translate_for_dma(self, iova: int, source: str) -> tuple[int, bool]:
-        """Translate and report the hard-fault outcome.
-
-        Returns ``(memory_reads, aborted)``.  ``aborted`` is only ever
-        ``True`` when the IOMMU has a fault queue attached (the
-        hard-fault path); without one an unmapped access raises
-        ``DmaFault`` from :meth:`translate` exactly as before.  The
-        out-of-band ``consume_abort`` flag lets every driver keep its
-        plain ``int``-returning ``translate`` override.
-        """
-        reads = self.translate(iova, source)
-        iommu = getattr(self, "iommu", None)
-        if iommu is not None and iommu.fault_queue is not None:
-            return reads, iommu.consume_abort()
-        return reads, False
-
-    def translate_for_dma_burst(
-        self, iova: int, count: int, source: str
+    def translate_for_dma(
+        self, iova: int, source: str, count: int = 1, stride: int = 0
     ) -> Optional[int]:
-        """Translate a same-page burst of ``count`` TLPs in one call.
+        """Translate one page's ``count`` PCIe transactions (TLPs),
+        ``stride`` bytes apart (the link's max payload).
 
-        The datapath's inner loop translates ``count`` consecutive
-        ``max_payload``-sized TLPs of one page back to back, with no
-        simulator event in between, so calls 2..N are IOTLB hits on the
-        MRU entry the first call leaves.  When no per-call observer or
-        check could tell (:func:`~repro.iommu.batch.burst_ready`), this
-        translates the first TLP normally — misses, walks and
-        ``DmaFault`` behave exactly as the scalar loop's first
-        iteration — and applies the remaining N-1 hits as counter
-        arithmetic (:func:`~repro.iommu.batch.replay_hits`).
-
-        Returns the first TLP's page-walk read count (later TLPs are
-        hits and read nothing), or ``None`` when the burst cannot be
-        batched — the caller must then run the scalar
-        :meth:`translate_for_dma` loop, which handles monitors, fault
-        injection, per-call abort outcomes and stale-hit checking.
+        Returns the page-walk memory reads, or ``None`` when the
+        hard-fault path aborted a TLP (IOMMU fault queue attached);
+        see :meth:`~repro.iommu.Iommu.translate_page`.
         """
-        iommu = getattr(self, "iommu", None)
-        if iommu is None or not burst_ready(iommu):
-            return None
-        reads = self.translate(iova, source)
-        if count > 1:
-            replay_hits(iommu, count - 1, source)
-        return reads
+        return self.iommu.translate_page(iova, source, count, stride)
 
     # ------------------------------------------------------------------
     # Hard-fault recovery

@@ -64,11 +64,9 @@ class DeferredDriver(ProtectionDriver):
         # IOVAs unmapped but not yet flushed: (iova, pages, core).
         self._deferred: list[tuple[int, int, int]] = []
         self.flushes = 0
-        # Make the IOMMU detect stale-entry use so experiments can
-        # report the safety violations this mode admits (also turns off
-        # the base burst translation, which would skip the check).
+        # Make the IOMMU detect (and count) stale-entry use so
+        # experiments can report the safety violations this mode admits.
         self.iommu.enable_stale_hit_checks()
-        self.stale_translations = 0
 
     # ------------------------------------------------------------------
     def make_rx_descriptor(self, core: int, pages: int):
@@ -153,37 +151,6 @@ class DeferredDriver(ProtectionDriver):
         return result.cost_ns
 
     # ------------------------------------------------------------------
-    def translate(self, iova: int, source: str) -> int:
-        result = self.iommu.translate(iova, source)
-        if result.stale:
-            self.stale_translations += 1
-        return result.memory_reads
-
-    def translate_for_dma_burst(
-        self, iova: int, count: int, source: str
-    ) -> Optional[int]:
-        # Stale-hit checking turns the base ``burst_ready`` gate off,
-        # so batch explicitly.
-        # Within one burst no event runs between TLPs, so the page
-        # table cannot change: every TLP of the page shares the first
-        # TLP's staleness, and calls 2..N are plain IOTLB hits whose
-        # whole effect is the four hit counters plus the per-call stale
-        # tally this driver keeps.
-        iommu = self.iommu
-        if iommu.per_call or iommu.fault_queue is not None:
-            return None
-        reads = self.translate(iova, source)
-        if count > 1:
-            stats = iommu.stats
-            stats.translations += count - 1
-            by_source = stats.translations_by_source
-            by_source[source] = by_source.get(source, 0) + count - 1
-            stats.iotlb_hits += count - 1
-            iommu.iotlb.hits += count - 1
-            if not iommu.page_table.is_mapped(iova):
-                self.stale_translations += count - 1
-        return reads
-
     def device_can_access(self, iova: int) -> bool:
         # The stale IOTLB entry keeps the door open until the flush.
         return self.iommu.iotlb.contains(iova) or self.iommu.page_table.is_mapped(iova)

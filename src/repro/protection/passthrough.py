@@ -52,12 +52,8 @@ class PassthroughDriver(ProtectionDriver):
             self.physmem.free_frame(mapping.frame)
         return 0.0
 
-    def translate(self, iova: int, source: str) -> int:
-        return 0
-
-    def translate_for_dma_burst(self, iova, count, source):
-        # No IOMMU at all: the scalar loop is `count` pure no-ops, so
-        # the whole burst collapses to "zero reads, never aborted".
+    def translate_for_dma(self, iova, source, count=1, stride=0):
+        # No IOMMU at all: zero reads, never aborted.
         return 0
 
     def device_can_access(self, iova: int) -> bool:

@@ -341,9 +341,6 @@ class StrictFamilyDriver(ProtectionDriver):
         return cost
 
     # ------------------------------------------------------------------
-    def translate(self, iova: int, source: str) -> int:
-        return self.iommu.translate(iova, source).memory_reads
-
     def device_can_access(self, iova: int) -> bool:
         return self.iommu.iotlb.contains(iova) or self.iommu.page_table.is_mapped(iova)
 

@@ -66,8 +66,16 @@ _INVALIDATE_CALLS = {
 _REUSE_CALLS = {"map_page", "map_huge", "alloc_chunk", "alloc_page_with_chunk"}
 
 # DMA sinks for the taint rule: translating or moving data through an
-# IOVA is exactly what must never happen after its unmap.
-_DMA_SINKS = {"translate", "dma_read", "dma_write"}
+# IOVA is exactly what must never happen after its unmap.  A driver's
+# ``translate_for_dma`` and the IOMMU's ``translate_page`` translate a
+# page's TLPs.
+_DMA_SINKS = {
+    "translate",
+    "translate_page",
+    "translate_for_dma",
+    "dma_read",
+    "dma_write",
+}
 
 _SCHED_CALLS = {"call_at", "call_after", "schedule_at", "schedule_after"}
 

@@ -29,10 +29,11 @@ Violations raise :class:`~repro.verify.violation.InvariantViolation`
 carrying the recent event trace; pass ``raise_on_violation=False`` to
 collect violations instead (``monitor.violations``).
 
-The monitor is attached either through the run context — construct
+The monitor is attached through the run context only: construct
 instrumented objects inside ``with using(monitor=InvariantMonitor()):
-...`` (:mod:`repro.context`) — or after the fact with
-:meth:`attach_iommu` / :meth:`attach_driver`.
+...`` (:mod:`repro.context`).  Each component reads the context once,
+at construction, so an object built outside the block is never
+watched; the IOMMU also takes its ``per_call`` choice from that read.
 """
 
 from __future__ import annotations
@@ -134,36 +135,6 @@ class InvariantMonitor:
             BufferRegisteredEvent: self._on_buffer_registered,
             BufferRetiredEvent: self._on_buffer_retired,
         }
-
-    # ------------------------------------------------------------------
-    # Attachment helpers
-    # ------------------------------------------------------------------
-    def attach_iommu(self, iommu: Any) -> None:
-        """Attach to an already-constructed :class:`~repro.iommu.Iommu`."""
-        iommu.monitor = self
-        iommu.observe_every_call()
-        iommu.page_table.monitor = self
-        iommu.iotlb.monitor = self
-        iommu.invalidation_queue.monitor = self
-        for cache in iommu.ptcaches.levels:
-            cache.monitor = self
-
-    def attach_allocator(self, allocator: Any) -> None:
-        """Attach to a caching or rbtree IOVA allocator instance."""
-        allocator.monitor = self
-        inner = getattr(allocator, "rbtree", None)
-        if inner is not None:
-            inner.monitor = self
-
-    def attach_driver(self, driver: Any) -> None:
-        """Attach to a protection driver plus everything beneath it."""
-        driver.monitor = self
-        iommu = getattr(driver, "iommu", None)
-        if iommu is not None:
-            self.attach_iommu(iommu)
-        allocator = getattr(driver, "allocator", None)
-        if allocator is not None:
-            self.attach_allocator(allocator)
 
     # ------------------------------------------------------------------
     # Event intake

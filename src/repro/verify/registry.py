@@ -160,8 +160,9 @@ invalidation.
         explanation="""
 IOVA-lifetime taint analysis: the first argument of an
 unmap_range()/unmap_page() call becomes tainted; if the same expression
-later reaches a DMA sink (translate, dma_read, dma_write) on some
-control-flow path without being re-assigned or re-mapped, the code
+later reaches a DMA sink (translate, translate_page, translate_for_dma,
+dma_read, dma_write) on some control-flow path without being
+re-assigned or re-mapped, the code
 statically contains a use-after-unmap — the exact class of bug the
 runtime invariant monitor (repro verify) only catches on executed
 paths.

@@ -62,7 +62,7 @@ def test_unhardened_driver_is_caught_by_the_monitor():
     with using(monitor=monitor):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         stale = descriptor.slots[0].iova
-        driver.translate(stale, "rx")  # device warms the IOTLB
+        driver.translate_for_dma(stale, "rx")  # device warms the IOTLB
         driver.retire_rx_descriptor(descriptor, core=0)
         # Every completion was dropped and the driver never noticed:
         # the stale translation survives retirement.
@@ -71,7 +71,7 @@ def test_unhardened_driver_is_caught_by_the_monitor():
         # A buggy/malicious device replays the stale translation; it
         # still succeeds, and the access lands outside every live
         # buffer — the monitor must flag it.
-        driver.translate(stale, "rx")
+        driver.translate_for_dma(stale, "rx")
     assert not monitor.ok
     assert monitor.violations[0].kind == "dma-out-of-bounds"
 
@@ -82,7 +82,7 @@ def test_hardened_driver_same_fault_stays_safe():
     with using(monitor=monitor):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         stale = descriptor.slots[0].iova
-        driver.translate(stale, "rx")
+        driver.translate_for_dma(stale, "rx")
         driver.retire_rx_descriptor(descriptor, core=0)
         # The retry budget was burned, then the driver degraded to a
         # global flush: expensive, but the window is closed.
@@ -91,7 +91,7 @@ def test_hardened_driver_same_fault_stays_safe():
         assert not iommu.iotlb.contains(stale)
         assert not driver.device_can_access(stale)
         with pytest.raises(DmaFault):
-            driver.translate(stale, "rx")
+            driver.translate_for_dma(stale, "rx")
     assert monitor.ok
     assert monitor.faults_observed == 1
 

@@ -1,11 +1,36 @@
-"""Unit tests for the invalidation-queue interface."""
+"""Unit tests for the invalidation-queue interface.
 
+Every IOMMU here is built under an invariant monitor, whose event trace
+records each descriptor the queue completed.
+"""
+
+from repro.context import using
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
+from repro.verify import (
+    InvalidationEvent,
+    InvariantMonitor,
+    PtCacheInvalidationEvent,
+)
 
 
 def make_iommu(**kwargs):
-    return Iommu(IommuConfig(trace_invalidations=True, **kwargs))
+    with using(monitor=InvariantMonitor()):
+        return Iommu(IommuConfig(**kwargs))
+
+
+def descriptors(iommu):
+    """The completed descriptors, oldest first: (kind, iova, length,
+    preserve_ptcache); PTcache-only ones have no preserve flag."""
+    out = []
+    for event in iommu.monitor.trace():
+        if isinstance(event, InvalidationEvent):
+            out.append(
+                ("iotlb", event.iova, event.length, event.preserve_ptcache)
+            )
+        elif isinstance(event, PtCacheInvalidationEvent):
+            out.append(("ptcache", event.iova, event.length, None))
+    return out
 
 
 def warm(iommu, base, pages):
@@ -33,10 +58,7 @@ def test_requests_traced():
     iommu.invalidation_queue.invalidate_range(
         0x100000, PAGE_SIZE, preserve_ptcache=True
     )
-    request = iommu.invalidation_queue.requests[-1]
-    assert request.iova == 0x100000
-    assert request.length == PAGE_SIZE
-    assert request.preserve_ptcache
+    assert descriptors(iommu)[-1] == ("iotlb", 0x100000, PAGE_SIZE, True)
 
 
 def test_cpu_cost_constant_per_request_not_per_page():
@@ -61,6 +83,7 @@ def test_ptcache_only_invalidation():
     iommu.invalidation_queue.invalidate_ptcache_range(0x300000, PAGE_SIZE)
     assert iommu.ptcaches.l3.resident_entries == 0
     assert iommu.iotlb.contains(0x300000)
+    assert descriptors(iommu) == [("ptcache", 0x300000, PAGE_SIZE, None)]
 
 
 def test_stats_counters():
@@ -104,7 +127,7 @@ def test_zero_length_request_is_a_noop():
     assert iommu.iotlb.contains(0x600000)
     assert iommu.stats.invalidation_requests == 0
     assert queue.total_cpu_ns == 0.0
-    assert queue.requests == []
+    assert descriptors(iommu) == []
 
 
 def test_range_spanning_past_last_mapped_page():

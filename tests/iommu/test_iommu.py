@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.context import using
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
+from repro.verify import InvalidationEvent, InvariantMonitor
 
 
 def make_iommu(**kwargs):
@@ -200,7 +202,8 @@ class TestInvalidationQueue:
 
     def test_batched_invalidation_is_single_request(self):
         """F&S idea B2: one queue entry for a whole descriptor."""
-        iommu = make_iommu(trace_invalidations=True)
+        with using(monitor=InvariantMonitor()) as context:
+            iommu = make_iommu()
         base = 0x200000
         for page in range(64):
             iommu.map_page(base + page * PAGE_SIZE, page)
@@ -210,7 +213,11 @@ class TestInvalidationQueue:
         )
         assert iommu.stats.invalidation_requests == 1
         assert iommu.iotlb.resident_entries == 0
-        requests = iommu.invalidation_queue.requests
+        requests = [
+            event
+            for event in context.monitor.trace()
+            if isinstance(event, InvalidationEvent)
+        ]
         assert len(requests) == 1
         assert requests[0].length == 64 * PAGE_SIZE
 

@@ -4,9 +4,10 @@ The per-page translate/walk/PTcache/unmap code is written for speed, so
 this file pins what it must keep doing, with numbers recorded from the
 plain per-level implementation:
 
-* every counter of four micro-scale cells (strict and F&S Rx, F&S with
-  2 MB mappings, strict Rx+Tx), identical with and without the
-  invariant monitor, which sends every TLP through ``translate``;
+* every counter of six micro-scale cells (strict, F&S and deferred
+  Rx, F&S with 2 MB mappings, strict Rx+Tx, strict Rx with a
+  fault-reporting queue), identical with and without the invariant
+  monitor, which sends every TLP through ``translate``;
 * the order of PTcache hit events within one walk;
 * ``unmap_range`` across PT-L4 pages, into holes, over huge leaves and
   over whole page-table pages: the error, the prefix it leaves cleared,
@@ -18,7 +19,7 @@ import pytest
 from repro.context import using
 from repro.host.config import HostConfig
 from repro.host.testbed import Testbed
-from repro.iommu import Iommu, IOPageTable, MappingError
+from repro.iommu import Iommu, IommuConfig, IOPageTable, MappingError
 from repro.iommu.addr import PAGE_SIZE, PTL4_PAGE_SIZE
 from repro.verify import InvariantMonitor
 from repro.verify.events import PtCacheHitEvent, PtPageReclaimedEvent
@@ -84,12 +85,46 @@ PINNED = {
         "iotlb": [56880, 4908, 1438, 3371],
         "pagetable": [5840, 4801, 34, 0, {1: 0, 2: 0, 3: 0, 4: 0}],
     },
+    # Deferred mode checks every IOTLB hit for staleness, and a fault
+    # queue may abort any TLP: both once took the per-TLP loop in
+    # unmonitored runs too.
+    ("rx", "deferred"): {
+        "events": 24777,
+        "iommu": [
+            112428, 104775, 7653, 7653, 8570, {1: 27, 2: 27, 3: 863},
+            {"rx": 111760, "tx_ack": 668}, {"rx": 6985, "tx_ack": 668},
+            0, 26, 26,
+        ],
+        "ptcache": [[7626, 27, 0, 26], [7626, 27, 0, 26], [6790, 863, 0, 831]],
+        "iotlb": [104775, 7653, 4209, 3319],
+        "pagetable": [10012, 7452, 34, 0, {1: 0, 2: 0, 3: 0, 4: 0}],
+    },
+    ("rx-faultq", "strict"): {
+        "events": 16473,
+        "iommu": [
+            68885, 63930, 4955, 4955, 7654, {1: 350, 2: 350, 3: 1999},
+            {"rx": 68192, "tx_ack": 693}, {"rx": 4262, "tx_ack": 693},
+            0, 4789, 4789,
+        ],
+        "ptcache": [
+            [4380, 575, 0, 574], [4380, 575, 0, 574], [2956, 1999, 0, 1986],
+        ],
+        "iotlb": [63930, 4955, 1438, 3430],
+        "pagetable": [7349, 4789, 34, 0, {1: 0, 2: 0, 3: 0, 4: 0}],
+    },
 }
 
 
 def cell_counters(kind, mode):
     if kind == "rx":
         testbed = Testbed(HostConfig.cascade_lake(mode=mode))
+        testbed.add_rx_flows(5)
+    elif kind == "rx-faultq":
+        testbed = Testbed(
+            HostConfig.cascade_lake(
+                mode=mode, iommu=IommuConfig(fault_queue=True)
+            )
+        )
         testbed.add_rx_flows(5)
     else:
         testbed = Testbed(HostConfig.ice_lake(mode=mode, num_cores=2))

@@ -1,108 +1,158 @@
-"""Batched same-page DMA translation vs the scalar loop.
+"""Burst translation of a page's TLPs equals one translate per TLP.
 
-``translate_for_dma_burst`` exists purely as a hot-path optimization:
-its contract is that its complete counter/cache effect is *identical*
-to calling ``translate`` once per transaction, and that it declines
-(returns ``None``) whenever any observer could tell the difference
-(monitor, stale-hit checks, fault injection, fault queue).
+``Iommu.translate_page`` (behind every driver's ``translate_for_dma``)
+translates a page's first TLP and counts TLPs 2..N as IOTLB hits,
+unless the run context has an observer that sees every call
+(``per_call``: a monitor or a fault runtime), when it translates each
+TLP at its own address.  Each test runs a burst stack next to a
+per-call twin -- the same driver and IOMMU built under an empty fault
+runtime -- and asserts that nothing the datapath reads can tell them
+apart: the returned reads, the full ``IommuStats``, the IOTLB's
+counters and the stale tally.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.context import using
+from repro.faults import FaultPlan, FaultRuntime
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.mem import PhysicalMemory
 from repro.protection import DeferredDriver, PassthroughDriver, StrictFamilyDriver
 
+MPS = 256  # max payload: 16 TLPs per 4 KB page
 
-def make_pair(factory_name="linux_strict"):
-    """Two identically configured driver+iommu stacks."""
+FACTORIES = {
+    "linux-strict": StrictFamilyDriver.linux_strict,
+    "fns": StrictFamilyDriver.fns,
+    "linux+A": StrictFamilyDriver.linux_plus_preserve,
+    "deferred": lambda iommu, physmem, num_cpus: DeferredDriver(
+        iommu, physmem, num_cpus=num_cpus, flush_threshold=10_000
+    ),
+    "passthrough": lambda iommu, physmem, num_cpus: PassthroughDriver(
+        physmem
+    ),
+}
+
+
+def make_twins(mode, **config):
+    """A burst stack and its per-call twin, identically configured."""
     stacks = []
-    for _ in range(2):
-        iommu = Iommu(IommuConfig())
-        physmem = PhysicalMemory(1 << 16)
-        factory = getattr(StrictFamilyDriver, factory_name)
-        stacks.append((factory(iommu, physmem, num_cpus=2), iommu))
+    empty = FaultRuntime(FaultPlan(seed=1, name="empty", specs=()))
+    for fields in ({}, {"faults": empty}):
+        with using(**fields):
+            iommu = Iommu(IommuConfig(**config))
+            driver = FACTORIES[mode](
+                iommu, PhysicalMemory(1 << 16), num_cpus=2
+            )
+        stacks.append((driver, iommu))
+    assert [iommu.per_call for _, iommu in stacks] == [False, True]
     return stacks
 
 
-def stats_tuple(iommu):
+def observed(iommu):
+    iotlb = iommu.iotlb
     return (
         dataclasses.asdict(iommu.stats),
-        iommu.iotlb.hits,
-        iommu.iotlb.misses,
+        (iotlb.hits, iotlb.misses, iotlb.evictions, iotlb.invalidations),
+        iommu.stale_translations,
     )
+
+
+def retire(driver, descriptor):
+    for _ in range(descriptor.size):
+        descriptor.take_run(1)
+        descriptor.dma_done()
+    driver.retire_rx_descriptor(descriptor, core=0)
+
+
+def exercise(driver, count):
+    """Rx pages cold then warm, a Tx page, and -- deferred only -- the
+    retired Rx pages again, which its stale IOTLB entries still serve."""
+    descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
+    mapping, _ = driver.map_tx_page(core=1)
+    reads = []
+    for _ in range(2):
+        for slot in descriptor.slots:
+            reads.append(driver.translate_for_dma(slot.iova, "rx", count, MPS))
+    reads.append(driver.translate_for_dma(mapping.iova, "tx_data", count, MPS))
+    retire(driver, descriptor)
+    if isinstance(driver, DeferredDriver):
+        for slot in descriptor.slots:
+            reads.append(driver.translate_for_dma(slot.iova, "rx", count, MPS))
+    return reads
 
 
 class TestBurstEquivalence:
     @pytest.mark.parametrize("count", [1, 2, 7])
     def test_burst_counters_equal_scalar_loop(self, count):
-        (burst_driver, burst_iommu), (scalar_driver, scalar_iommu) = (
-            make_pair()
-        )
-        for driver in (burst_driver, scalar_driver):
-            descriptor, _ = driver.make_rx_descriptor(core=0, pages=2)
-            driver._descriptor = descriptor  # stash for the loop below
-        burst_iova = burst_driver._descriptor.slots[0].iova
-        scalar_iova = scalar_driver._descriptor.slots[0].iova
-        reads = burst_driver.translate_for_dma_burst(
-            burst_iova, count, "rx"
-        )
-        scalar_reads = [
-            scalar_driver.translate(scalar_iova, "rx")
-            for _ in range(count)
-        ]
-        # The burst reports the first transaction's walk reads (the
-        # only one that can miss); replays are hits by construction.
-        assert reads == scalar_reads[0]
-        assert stats_tuple(burst_iommu) == stats_tuple(scalar_iommu)
+        for mode in FACTORIES:
+            (burst, burst_iommu), (twin, twin_iommu) = make_twins(mode)
+            assert exercise(burst, count) == exercise(twin, count), mode
+            assert observed(burst_iommu) == observed(twin_iommu), mode
 
     def test_burst_faults_like_scalar_on_unmapped_iova(self):
-        (driver, iommu), _ = make_pair()
-        descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
-        iova = descriptor.slots[0].iova
-        for _ in range(descriptor.size):
-            descriptor.take_run(1)
-            descriptor.dma_done()
-        driver.retire_rx_descriptor(descriptor, core=0)
-        with pytest.raises(DmaFault):
-            driver.translate_for_dma_burst(iova, 4, "rx")
+        for driver, iommu in make_twins("linux-strict"):
+            descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
+            iova = descriptor.slots[0].iova
+            retire(driver, descriptor)
+            with pytest.raises(DmaFault):
+                driver.translate_for_dma(iova, "rx", 4, MPS)
+            assert iommu.stats.faults == 1
+            assert iommu.stats.translations == 1
 
     def test_passthrough_burst_is_free(self):
         physmem = PhysicalMemory(1 << 10)
         driver = PassthroughDriver(physmem)
-        assert driver.translate_for_dma_burst(0, 16, "rx") == 0
+        assert driver.translate_for_dma(0, "rx", 16, MPS) == 0
 
 
 class TestBurstGating:
-    def test_stale_hit_checks_disable_base_burst(self):
-        (driver, iommu), _ = make_pair()
-        descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
-        iommu.enable_stale_hit_checks()
-        assert (
-            driver.translate_for_dma_burst(
-                descriptor.slots[0].iova, 4, "rx"
-            )
-            is None
+    def test_stale_hit_checks_keep_the_burst(self, monkeypatch):
+        (burst, burst_iommu), (twin, twin_iommu) = make_twins(
+            "linux-strict", check_stale_hits=True
         )
+        calls = {burst_iommu: 0, twin_iommu: 0}
+        translate = Iommu.translate
+
+        def counted(iommu, iova, source="rx"):
+            calls[iommu] += 1
+            return translate(iommu, iova, source)
+
+        monkeypatch.setattr(Iommu, "translate", counted)
+        assert exercise(burst, 16) == exercise(twin, 16)
+        assert observed(burst_iommu) == observed(twin_iommu)
+        # Only the first TLP of each page ran translate().
+        pages = 4 * 2 + 1
+        assert calls == {burst_iommu: pages, twin_iommu: 16 * pages}
 
     def test_deferred_burst_counts_stale_per_replay(self):
-        iommu = Iommu(IommuConfig())
-        physmem = PhysicalMemory(1 << 16)
-        driver = DeferredDriver(
-            iommu, physmem, num_cpus=2, flush_threshold=10_000
-        )
-        descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
-        iova = descriptor.slots[0].iova
-        driver.translate(iova, "rx")
-        for _ in range(descriptor.size):
-            descriptor.take_run(1)
-            descriptor.dma_done()
-        driver.retire_rx_descriptor(descriptor, core=0)
-        # Unmapped but not yet flushed: every burst transaction is a
-        # stale translation, exactly as the scalar loop would count.
-        before = driver.stale_translations
-        reads = driver.translate_for_dma_burst(iova, 5, "rx")
-        assert reads is not None
-        assert driver.stale_translations == before + 5
+        (burst, burst_iommu), (twin, twin_iommu) = make_twins("deferred")
+        assert exercise(burst, 5) == exercise(twin, 5)
+        # Unmapped but not yet flushed: every TLP of the 4 retired
+        # pages is a stale translation, in the burst as in its twin.
+        assert burst_iommu.stale_translations == 4 * 5
+        assert observed(burst_iommu) == observed(twin_iommu)
+
+    def test_abort_on_first_tlp_with_fault_queue(self):
+        outcomes = []
+        for driver, iommu in make_twins("linux-strict", fault_queue=True):
+            descriptor, _ = driver.make_rx_descriptor(core=0, pages=2)
+            live = descriptor.slots[1].iova
+            dead = descriptor.slots[0].iova
+            driver.iommu.unmap_range(dead, 4096)
+            reads = [
+                driver.translate_for_dma(live, "rx", 16, MPS),
+                driver.translate_for_dma(dead, "rx", 16, MPS),
+            ]
+            assert reads[1] is None  # aborted: no data moved
+            records = [
+                (record.iova, record.source, record.reason)
+                for record in iommu.fault_queue.records
+            ]
+            outcomes.append((reads, observed(iommu), records))
+        burst, twin = outcomes
+        assert burst == twin
+        # The first TLP aborted; no later TLP was translated or logged.
+        assert burst[2] == [(dead, "rx", "unmapped")]

@@ -36,7 +36,7 @@ class TestDeferral:
         for _ in range(2):
             descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
             for slot in descriptor.slots:
-                driver.translate(slot.iova, "rx")
+                driver.translate_for_dma(slot.iova, "rx")
             consume(descriptor)
             driver.retire_rx_descriptor(descriptor, core=0)
         assert driver.flushes == 1
@@ -70,11 +70,11 @@ class TestDeferral:
         driver, _, _ = make_driver(flush_threshold=10_000)
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
         iova = descriptor.slots[0].iova
-        driver.translate(iova, "rx")
+        driver.translate_for_dma(iova, "rx")
         consume(descriptor)
         driver.retire_rx_descriptor(descriptor, core=0)
-        driver.translate(iova, "rx")  # no fault: the safety hole
-        assert driver.stale_translations == 1
+        driver.translate_for_dma(iova, "rx")  # no fault: the safety hole
+        assert driver.iommu.stale_translations == 1
 
     def test_tx_pages_also_deferred(self):
         driver, _, _ = make_driver(flush_threshold=10_000)

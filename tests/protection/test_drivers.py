@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import using
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
 from repro.mem import PhysicalMemory
@@ -10,10 +11,11 @@ from repro.protection import (
     PassthroughDriver,
     StrictFamilyDriver,
 )
+from repro.verify import InvalidationEvent, InvariantMonitor
 
 
 def make_strict(variant="linux", **kwargs):
-    iommu = Iommu(IommuConfig(trace_invalidations=True))
+    iommu = Iommu(IommuConfig())
     physmem = PhysicalMemory(1 << 16)
     factory = {
         "linux": StrictFamilyDriver.linux_strict,
@@ -24,6 +26,15 @@ def make_strict(variant="linux", **kwargs):
     return factory(iommu, physmem, num_cpus=2, **kwargs), iommu, physmem
 
 
+def invalidations(monitor):
+    """Every queued IOTLB invalidation the monitor saw, in order."""
+    return [
+        (event.iova, event.length, event.preserve_ptcache)
+        for event in monitor.trace()
+        if isinstance(event, InvalidationEvent)
+    ]
+
+
 class TestPassthrough:
     def test_descriptor_uses_physical_addresses(self):
         physmem = PhysicalMemory(1 << 10)
@@ -32,7 +43,7 @@ class TestPassthrough:
         assert cost == 0.0
         for slot in descriptor.slots:
             assert slot.iova == slot.frame << 12
-        assert driver.translate(descriptor.slots[0].iova, "rx") == 0
+        assert driver.translate_for_dma(descriptor.slots[0].iova, "rx") == 0
 
     def test_retire_returns_frames(self):
         physmem = PhysicalMemory(1 << 10)
@@ -64,7 +75,7 @@ class TestStrictSafetyProperty:
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         # The device translates (and caches) every page.
         for slot in descriptor.slots:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
             descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
@@ -79,7 +90,7 @@ class TestStrictSafetyProperty:
         mappings = []
         for _ in range(8):
             mapping, _ = driver.map_tx_page(core=0)
-            driver.translate(mapping.iova, "tx_ack")
+            driver.translate_for_dma(mapping.iova, "tx_ack")
             mappings.append(mapping)
         driver.retire_tx_pages(mappings, core=0)
         for mapping in mappings:
@@ -94,7 +105,7 @@ class TestStrictSafetyProperty:
                                 flush_threshold=10_000)
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
         for slot in descriptor.slots:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
             descriptor.take_run(1)
             descriptor.dma_done()
         driver.retire_rx_descriptor(descriptor, core=0)
@@ -102,8 +113,8 @@ class TestStrictSafetyProperty:
         assert any(
             driver.device_can_access(slot.iova) for slot in descriptor.slots
         )
-        driver.translate(descriptor.slots[0].iova, "rx")
-        assert driver.stale_translations == 1
+        driver.translate_for_dma(descriptor.slots[0].iova, "rx")
+        assert driver.iommu.stale_translations == 1
         # A flush closes the window.
         driver.flush()
         assert not any(
@@ -144,7 +155,8 @@ class TestFnsMechanisms:
         assert any(gaps)
 
     def test_fns_single_invalidation_request_per_descriptor(self):
-        driver, iommu, _ = make_strict("fns")
+        with using(monitor=InvariantMonitor()) as context:
+            driver, iommu, _ = make_strict("fns")
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for _ in range(64):
             descriptor.take_run(1)
@@ -152,9 +164,14 @@ class TestFnsMechanisms:
         before = iommu.stats.invalidation_requests
         driver.retire_rx_descriptor(descriptor, core=0)
         assert iommu.stats.invalidation_requests - before == 1
+        # One ranged IOTLB-only descriptor over the whole buffer.
+        assert invalidations(context.monitor) == [
+            (descriptor.slots[0].iova, 64 * PAGE_SIZE, True)
+        ]
 
     def test_linux_64_invalidation_requests_per_descriptor(self):
-        driver, iommu, _ = make_strict("linux")
+        with using(monitor=InvariantMonitor()) as context:
+            driver, iommu, _ = make_strict("linux")
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for _ in range(64):
             descriptor.take_run(1)
@@ -162,18 +179,22 @@ class TestFnsMechanisms:
         before = iommu.stats.invalidation_requests
         driver.retire_rx_descriptor(descriptor, core=0)
         assert iommu.stats.invalidation_requests - before == 64
+        # One page-sized descriptor per page, PTcaches dropped.
+        assert invalidations(context.monitor) == [
+            (slot.iova, PAGE_SIZE, False) for slot in descriptor.slots
+        ]
 
     def test_fns_preserves_ptcache_across_retire(self):
         driver, iommu, _ = make_strict("fns")
         first, _ = driver.make_rx_descriptor(core=0, pages=64)
         second, _ = driver.make_rx_descriptor(core=0, pages=64)
         for slot in first.slots:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
             first.take_run(1)
             first.dma_done()
         driver.retire_rx_descriptor(first, core=0)
         # The next descriptor's translation should walk only PT-L4.
-        reads = driver.translate(second.slots[0].iova, "rx")
+        reads = driver.translate_for_dma(second.slots[0].iova, "rx")
         assert reads <= 2  # L3 hit (1) or at worst a fresh L3 region (cold)
 
     def test_linux_drops_ptcache_on_retire(self):
@@ -269,7 +290,7 @@ class TestAblationConfigurations:
         driver, iommu, _ = make_strict("A")
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for slot in descriptor.slots:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
             descriptor.take_run(1)
             descriptor.dma_done()
         l3_invalidations_before = iommu.ptcaches.l3.invalidations
@@ -281,7 +302,7 @@ class TestAblationConfigurations:
         driver, iommu, _ = make_strict("B")
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for slot in descriptor.slots:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
             descriptor.take_run(1)
             descriptor.dma_done()
         before_requests = iommu.stats.invalidation_requests

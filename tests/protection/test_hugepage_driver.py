@@ -42,7 +42,7 @@ class TestHugeDescriptors:
         driver, iommu, physmem = make_driver()
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=512)
         for slot in descriptor.slots[:8]:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
         for _ in range(512):
             descriptor.take_run(1)
             descriptor.dma_done()
@@ -69,7 +69,7 @@ class TestHugeDescriptors:
         driver, iommu, _ = make_driver()
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=512)
         for slot in descriptor.slots:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
         assert iommu.stats.iotlb_misses == 1
         assert iommu.stats.memory_reads <= 3
 

@@ -61,13 +61,13 @@ def test_strict_property_holds_at_every_retire(flags, script):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for index, slot in enumerate(descriptor.slots):
             if touch_mask & (1 << (index % 16)):
-                driver.translate(slot.iova, "rx")
+                driver.translate_for_dma(slot.iova, "rx")
             descriptor.take_run(1)
             descriptor.dma_done()
         tx_mappings = []
         for _ in range(tx_count):
             mapping, _ = driver.map_tx_page(core=1)
-            driver.translate(mapping.iova, "tx_ack")
+            driver.translate_for_dma(mapping.iova, "tx_ack")
             tx_mappings.append(mapping)
         driver.retire_rx_descriptor(descriptor, core=0)
         # THE property: no page of the retired descriptor is reachable.
@@ -95,7 +95,7 @@ def test_deferred_mode_violates_the_property(script):
         touched = []
         for index, slot in enumerate(descriptor.slots):
             if touch_mask & (1 << (index % 16)):
-                driver.translate(slot.iova, "rx")
+                driver.translate_for_dma(slot.iova, "rx")
                 touched.append(slot)
             descriptor.take_run(1)
             descriptor.dma_done()
@@ -123,7 +123,7 @@ def test_no_iova_leaks_across_lifecycles(flags, pages_touched):
     for _round in range(3):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=64)
         for index in range(pages_touched):
-            driver.translate(descriptor.slots[index].iova, "rx")
+            driver.translate_for_dma(descriptor.slots[index].iova, "rx")
         for _ in range(64):
             descriptor.take_run(1)
             descriptor.dma_done()

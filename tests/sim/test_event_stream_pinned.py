@@ -8,8 +8,9 @@ cancelled or not) and the SHA-256 of the executed ``(time, seq)``
 stream.  The numbers were recorded from the datapath that built a
 closure per DMA callback and never compacted its calendar.
 
-The cells are the four of ``tests/iommu/test_pinned.py`` (strict, F&S
-and F&S-huge Rx, strict Rx+Tx) plus an IOMMU-off Rx cell.
+The cells are the six of ``tests/iommu/test_pinned.py`` (strict, F&S,
+F&S-huge and deferred Rx, strict Rx+Tx, strict Rx with a
+fault-reporting queue) plus an IOMMU-off Rx cell.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import pytest
 
 from repro.host.config import HostConfig
 from repro.host.testbed import Testbed
+from repro.iommu import IommuConfig
 from repro.sim import engine
 
 WARMUP_NS = 800_000.0
@@ -58,6 +60,18 @@ PINNED = {
         "d9799a9f93fc3fdbe0710ec40271cdb1"
         "f534b5fc9330d0102f1eb7ba8c6d3a48",
     ),
+    ("rx", "deferred"): (
+        24777,
+        25464,
+        "c023e2295935f111d569ad6cd7c457e2"
+        "e2bd6139d60b5ede24c5fea88fd7fec9",
+    ),
+    ("rx-faultq", "strict"): (
+        16473,
+        17188,
+        "0768ec1d57709ed466c62c6739d4c901"
+        "f4079fcb28da1aad955deb7e3b2b65ba",
+    ),
 }
 
 
@@ -83,6 +97,13 @@ def recording_heapq(digest):
 def event_stream(kind, mode):
     if kind == "rx":
         testbed = Testbed(HostConfig.cascade_lake(mode=mode))
+        testbed.add_rx_flows(5)
+    elif kind == "rx-faultq":
+        testbed = Testbed(
+            HostConfig.cascade_lake(
+                mode=mode, iommu=IommuConfig(fault_queue=True)
+            )
+        )
         testbed.add_rx_flows(5)
     else:
         testbed = Testbed(HostConfig.ice_lake(mode=mode, num_cores=2))

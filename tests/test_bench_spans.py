@@ -28,15 +28,38 @@ def layers():
         sys.path.remove(str(BENCH))
 
 
+# Span targets the code deleted on purpose while ``bench/layers.py``,
+# which changes only with the benchmark, still names them.  Their span
+# keeps its other methods (``install`` skips a missing one), so the row
+# still fills.  Drop an entry when the benchmark's span table drops it.
+RETIRED = {
+    # One driver entry point per page: translate_for_dma.
+    ("protection.translate", "ProtectionDriver", "translate_for_dma_burst"),
+}
+
+
 def test_class_span_methods_are_defined(layers):
     missing = []
+    retired = []
     for span, module_name, class_name, methods in layers.CLASS_SPANS:
         base = getattr(importlib.import_module(module_name), class_name)
         classes = layers._with_subclasses(base)
+        defined = [
+            method
+            for method in methods
+            if any(method in cls.__dict__ for cls in classes)
+        ]
+        assert defined, f"{span}: no method of {class_name} is defined"
         for method in methods:
-            if not any(method in cls.__dict__ for cls in classes):
+            if method in defined:
+                continue
+            if (span, class_name, method) in RETIRED:
+                retired.append((span, class_name, method))
+            else:
                 missing.append(f"{span}: {class_name}.{method}")
     assert missing == []
+    # Every retired entry is still named by the bench and still gone.
+    assert sorted(retired) == sorted(RETIRED)
 
 
 def test_function_span_targets_exist(layers):

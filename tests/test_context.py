@@ -4,7 +4,8 @@ A matrix over what a run may carry -- nothing, an invariant monitor, a
 fault runtime, a tracer -- checks that each shortcut takes exactly the
 value the two context properties define:
 
-* ``per_call`` off: burst translation (``burst_ready``) may run;
+* ``per_call`` off: the IOMMU may translate a page's TLPs as one burst
+  (``Iommu.per_call``, read once at construction);
 * ``in_process`` off: ``run_points`` may fan out to the pool and may
   serve cells from the result cache.
 
@@ -20,7 +21,7 @@ from repro.context import RunContext, current_context, using
 from repro.experiments.points import POINT_RUNNERS
 from repro.experiments.settings import QUICK
 from repro.faults import FaultPlan, FaultRuntime
-from repro.iommu import Iommu, IommuConfig, burst_ready
+from repro.iommu import Iommu, IommuConfig
 from repro.mem import PhysicalMemory
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.parallel import PointSpec, run_points
@@ -85,39 +86,38 @@ def test_properties(case):
 
 
 def test_iommu_shortcuts_follow_per_call(case):
+    # Only the context decides: a fault-reporting queue or stale-hit
+    # checks leave the burst on.
     fields, per_call, _ = case
     with using(**fields):
-        iommu = Iommu()
-        hard_fault_iommu = Iommu(IommuConfig(fault_queue=True))
-        stale_checked_iommu = Iommu()
-    assert burst_ready(iommu) is not per_call
-    # A fault-reporting queue rolls an outcome per translation.
-    assert not burst_ready(hard_fault_iommu)
-    # A stale-hit check consults the page table on every hit.
-    stale_checked_iommu.enable_stale_hit_checks()
-    assert not burst_ready(stale_checked_iommu)
+        iommus = [
+            Iommu(),
+            Iommu(IommuConfig(fault_queue=True)),
+            Iommu(IommuConfig(check_stale_hits=True)),
+        ]
+    assert [iommu.per_call for iommu in iommus] == [per_call] * 3
 
 
 @pytest.mark.parametrize(
     "factory", [StrictFamilyDriver.linux_strict, DeferredDriver]
 )
-def test_driver_burst_follows_per_call(case, factory):
-    # The deferred driver batches under its own stale-hit bookkeeping,
-    # but declines on the same property.
+def test_driver_burst_follows_per_call(case, factory, monkeypatch):
     fields, per_call, _ = case
     with using(**fields):
         driver = factory(Iommu(), PhysicalMemory(1 << 16), num_cpus=2)
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
-    reads = driver.translate_for_dma_burst(descriptor.slots[0].iova, 4, "rx")
-    assert (reads is None) is per_call
+    calls = []
+    translate = Iommu.translate
 
+    def counted(iommu, iova, source="rx"):
+        calls.append(iova)
+        return translate(iommu, iova, source)
 
-def test_monitor_attached_after_construction_turns_replay_off():
-    iommu = Iommu()
-    assert burst_ready(iommu)
-    InvariantMonitor().attach_iommu(iommu)
-    assert iommu.per_call
-    assert not burst_ready(iommu)
+    monkeypatch.setattr(Iommu, "translate", counted)
+    iova = descriptor.slots[0].iova
+    assert driver.translate_for_dma(iova, "rx", 4, 1024) == 4
+    expected = [iova, iova + 1024, iova + 2048, iova + 3072]
+    assert calls == (expected if per_call else expected[:1])
 
 
 def test_pool_fallback_follows_in_process(case, pid_runner):

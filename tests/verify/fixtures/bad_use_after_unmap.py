@@ -1,8 +1,8 @@
 """Known-bad: the IOVA handed to unmap flows into a DMA sink.
 
-Statically reachable use-after-unmap: the translate() on the last
-line runs against an address whose mapping a previous statement
-already tore down.
+Statically reachable use-after-unmap: the translate() and the
+driver's translate_for_dma() run against an address whose mapping a
+previous statement already tore down.
 """
 
 
@@ -14,3 +14,9 @@ class StaleReader:
 
     def log(self, iova):
         pass
+
+
+class StaleDriver:
+    def retire_then_dma(self, slot):
+        self.iommu.unmap_range(slot.iova, slot.length)
+        return self.translate_for_dma(slot.iova, "rx")

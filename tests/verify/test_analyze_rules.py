@@ -346,6 +346,7 @@ def test_whole_fixture_corpus_codes():
         "REPRO004",
         "REPRO004",
         "REPRO101",
+        "REPRO101",
         "REPRO102",
         "REPRO103",
     ]
@@ -356,8 +357,11 @@ def test_whole_fixture_corpus_codes():
 # ---------------------------------------------------------------------------
 def test_use_after_unmap_flagged():
     findings = analyze_fixture("bad_use_after_unmap.py")
-    assert codes(findings) == ["REPRO101"]
-    assert "slot.iova" in findings[0].message
+    assert codes(findings) == ["REPRO101", "REPRO101"]
+    assert all("slot.iova" in finding.message for finding in findings)
+    # The IOMMU's translate() and a driver's translate_for_dma().
+    sinks = [finding.message.split(" to ")[1].split("(")[0] for finding in findings]
+    assert sinks == ["translate", "translate_for_dma"]
 
 
 def test_taint_killed_by_rebinding():

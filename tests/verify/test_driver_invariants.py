@@ -29,12 +29,12 @@ def exercise(driver, pages=8):
     """One full Rx + Tx datapath cycle, translating like the NIC would."""
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=pages)
     for slot in descriptor.slots:
-        driver.translate(slot.iova, "rx")
+        driver.translate_for_dma(slot.iova, "rx")
     driver.retire_rx_descriptor(descriptor, core=0)
     mappings = []
     for _ in range(4):
         mapping, _ = driver.map_tx_page(core=1)
-        driver.translate(mapping.iova, "tx_data")
+        driver.translate_for_dma(mapping.iova, "tx_data")
         mappings.append(mapping)
     driver.retire_tx_pages(mappings, core=1)
 
@@ -65,7 +65,7 @@ def test_fns_huge_runs_violation_free():
     for _ in range(2):
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=512)
         for slot in descriptor.slots[:16]:
-            driver.translate(slot.iova, "rx")
+            driver.translate_for_dma(slot.iova, "rx")
         driver.retire_rx_descriptor(descriptor, core=0)
     assert monitor.ok
     assert monitor.translations_checked > 0
@@ -76,14 +76,14 @@ def test_dma_outside_registered_buffers_violates():
     driver = build(StrictFamilyDriver.linux_strict, monitor)
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
     for slot in descriptor.slots:
-        driver.translate(slot.iova, "rx")
+        driver.translate_for_dma(slot.iova, "rx")
     # A mapping the driver never registered as a DMA buffer (e.g. a
     # leaked page or an attacker-controlled stray descriptor entry):
     # translation succeeds, but the access is out of bounds.
     stray = 0x1000
     driver.iommu.map_page(stray, frame=99)
     with pytest.raises(InvariantViolation) as excinfo:
-        driver.translate(stray, "rx")
+        driver.translate_for_dma(stray, "rx")
     assert excinfo.value.kind == "dma-out-of-bounds"
 
 
@@ -96,12 +96,12 @@ def test_dma_after_retire_is_out_of_bounds_or_dead():
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
     target = descriptor.slots[0].iova
     frame = descriptor.slots[0].frame
-    driver.translate(target, "rx")
+    driver.translate_for_dma(target, "rx")
     driver.retire_rx_descriptor(descriptor, core=0)
     # Forge the stale IOTLB entry a buggy invalidation would leave.
     driver.iommu.iotlb.insert(target, frame)
     with pytest.raises(InvariantViolation) as excinfo:
-        driver.translate(target, "rx")
+        driver.translate_for_dma(target, "rx")
     assert excinfo.value.kind == "use-after-unmap"
 
 
@@ -111,7 +111,7 @@ def test_bounds_check_can_be_disabled():
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=2)
     stray = 0x1000
     driver.iommu.map_page(stray, frame=99)
-    driver.translate(stray, "rx")
+    driver.translate_for_dma(stray, "rx")
     assert monitor.ok
 
 
@@ -127,11 +127,11 @@ def test_deferred_mode_stale_window_is_counted_not_fatal():
                                 flush_threshold=10_000)
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
     target = descriptor.slots[0].iova
-    driver.translate(target, "rx")
+    driver.translate_for_dma(target, "rx")
     driver.retire_rx_descriptor(descriptor, core=0)
     # No flush yet: the stale entry still translates (the safety hole).
-    driver.translate(target, "rx")
-    assert driver.stale_translations == 1
+    driver.translate_for_dma(target, "rx")
+    assert driver.iommu.stale_translations == 1
     assert monitor.ok
     assert monitor.stale_window_translations == 1
     # After the flush completes the invalidation, the same access is a
@@ -139,5 +139,5 @@ def test_deferred_mode_stale_window_is_counted_not_fatal():
     driver.flush()
     driver.iommu.iotlb.insert(target, descriptor.slots[0].frame)
     with pytest.raises(InvariantViolation) as excinfo:
-        driver.translate(target, "rx")
+        driver.translate_for_dma(target, "rx")
     assert excinfo.value.kind == "use-after-unmap"

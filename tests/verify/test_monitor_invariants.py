@@ -256,12 +256,23 @@ def test_collect_mode_records_instead_of_raising():
 
 
 def test_attach_after_construction():
-    iommu = Iommu()  # built unmonitored...
+    """The run context attaches a monitor at construction only: an
+    IOMMU built before the block stays unwatched and batches its
+    bursts, one built inside is watched and translates every TLP."""
+    before = Iommu()
     monitor = InvariantMonitor()
-    monitor.attach_iommu(iommu)  # ...then attached post-hoc
-    iommu.map_page(0x1000, 1)
-    iommu.translate(0x1000)
-    assert monitor.events_recorded > 0
+    watched = make_iommu(monitor)
+    for iommu in (before, watched):
+        iommu.map_page(0x1000, 1)
+        iommu.translate_page(0x1000, "rx", 4, 1024)
+    assert before.monitor is None and not before.per_call
+    assert watched.per_call
+    translated = [
+        event.iova
+        for event in monitor.trace()
+        if isinstance(event, TranslateEvent)
+    ]
+    assert translated == [0x1000, 0x1400, 0x1800, 0x1C00]
 
 
 def test_two_address_spaces_do_not_collide():
