@@ -16,7 +16,7 @@ paper's memory-read counts come from:
 Run:  python examples/translation_anatomy.py
 """
 
-from repro.iommu import DmaFault, Iommu, IommuConfig
+from repro.iommu import DmaFault, Iommu
 from repro.iommu.addr import PAGE_SIZE
 
 
@@ -25,7 +25,8 @@ def show(step: str, detail: str) -> None:
 
 
 def main() -> None:
-    iommu = Iommu(IommuConfig(check_stale_hits=True))
+    iommu = Iommu()
+    iommu.check_stale_hits = True
     base = 0x7F00_0000_0000  # some IOVA region
     for page in range(64):
         iommu.map_page(base + page * PAGE_SIZE, frame=1000 + page)

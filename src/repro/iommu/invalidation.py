@@ -19,21 +19,18 @@ submit-plus-wait time (hundreds of ns in practice [Peleg et al. 2015]).
 Batched invalidation therefore reduces per-descriptor CPU cost 64x.
 
 Failure model (:mod:`repro.faults`): queued completions can be lost,
-delayed, or spuriously partial, so :meth:`submit_invalidation` returns
-an :class:`InvalidationResult` the caller must check — cache effects
-are applied only over the *completed prefix* of the requested range.
-The register-based global flush (:meth:`flush_all`) polls a status
-register instead of waiting on a completion descriptor; it can be
-slowed but never lost, which makes it the drivers' sound last-resort
-fallback.  The legacy :meth:`invalidate_range` discards the status and
-exists for unhardened callers — the lint rule REPRO004 and the fault
-test suite exist to keep production drivers off that path.
+delayed, or spuriously partial, so :meth:`invalidate_range` returns a
+``(cost_ns, completed_length)`` pair — cache effects are applied only
+over the *completed prefix* of the requested range, and the descriptor
+is confirmed exactly when ``completed_length == length``.  Deciding
+what an unconfirmed descriptor means (retry, back off, fall back) is
+the driver's job (``ProtectionDriver._invalidate_robust``).  The
+register-based global flush (:meth:`flush_all`) polls a status register
+instead of waiting on a completion descriptor; it can be slowed but
+never lost, which makes it the drivers' sound last-resort fallback.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 from ..context import current_context
 from ..verify.events import (
@@ -45,37 +42,7 @@ from .iotlb import Iotlb
 from .ptcache import PtCacheHierarchy
 from .stats import IommuStats
 
-__all__ = [
-    "InvalidationQueue",
-    "InvalidationResult",
-    "InvalidationStatus",
-]
-
-
-class InvalidationStatus(enum.Enum):
-    """How one queued descriptor's completion came back."""
-
-    COMPLETED = "completed"
-    PARTIAL = "partial"
-    DROPPED = "dropped"
-
-
-# Injector status strings -> enum (the injector answers in plain
-# strings so the faults package never imports this module).
-_STATUS_BY_NAME = {status.value: status for status in InvalidationStatus}
-
-
-@dataclass(frozen=True, slots=True)
-class InvalidationResult:
-    """One descriptor's outcome: CPU cost, status, completed prefix."""
-
-    cost_ns: float
-    status: InvalidationStatus
-    completed_length: int
-
-    @property
-    def completed(self) -> bool:
-        return self.status is InvalidationStatus.COMPLETED
+__all__ = ["InvalidationQueue"]
 
 
 class InvalidationQueue:
@@ -117,43 +84,41 @@ class InvalidationQueue:
             scope.counter("cpu_ns", lambda: self.total_cpu_ns)
 
     # ------------------------------------------------------------------
-    # Checked interface (hardened drivers)
+    # Queued descriptors
     # ------------------------------------------------------------------
-    def submit_invalidation(
+    def invalidate_range(
         self,
         iova: int,
         length: int,
         preserve_ptcache: bool,
         ptcache_only: bool = False,
-    ) -> InvalidationResult:
+    ) -> tuple[float, int]:
         """Submit one descriptor and wait for its completion report.
 
         ``preserve_ptcache=False`` is the Linux behaviour (drop IOTLB
         *and* every PTcache entry covering the range); ``True`` is the
         F&S behaviour (IOTLB only).  ``ptcache_only=True`` submits a
-        PTcache-entry invalidation instead (F&S's reclaim fallback).
+        PTcache-entry invalidation instead (F&S's reclaim fallback,
+        used when an unmap reclaimed a page-table page).
 
-        Cache effects are applied only over the returned completed
-        prefix; on ``DROPPED``/``PARTIAL`` the caller must retry, back
-        off, or fall back to :meth:`flush_all`.
+        Returns ``(cost_ns, completed_length)``.  Cache effects are
+        applied only over the completed prefix; the descriptor is
+        confirmed exactly when ``completed_length == length``.
         """
         if length <= 0:
             # VT-d descriptors always cover at least one page; a
             # zero-length submission is an upstream no-op, not a wait.
-            return InvalidationResult(
-                0.0, InvalidationStatus.COMPLETED, 0
-            )
-        status = InvalidationStatus.COMPLETED
+            return 0.0, 0
+        status = "completed"
         extra_ns = 0.0
         completed_length = length
         if self.faults is not None:
-            name, extra_ns, completed_length = self.faults.outcome(
+            status, extra_ns, completed_length = self.faults.outcome(
                 iova, length, self.cpu_cost_ns
             )
-            status = _STATUS_BY_NAME[name]
-            if status is InvalidationStatus.DROPPED:
+            if status == "dropped":
                 self.dropped_completions += 1
-            elif status is InvalidationStatus.PARTIAL:
+            elif status == "partial":
                 self.partial_completions += 1
             elif extra_ns > 0.0:
                 self.delayed_completions += 1
@@ -194,47 +159,20 @@ class InvalidationQueue:
                 cost,
                 iova=hex(iova),
                 length=length,
-                status=status.value,
+                status=status,
             )
-        return InvalidationResult(cost, status, completed_length)
-
-    # ------------------------------------------------------------------
-    # Legacy unchecked interface
-    # ------------------------------------------------------------------
-    def invalidate_range(
-        self, iova: int, length: int, preserve_ptcache: bool
-    ) -> float:
-        """Submit one invalidation descriptor and assume it completed.
-
-        Returns only the CPU cost: a dropped or partial completion is
-        silently ignored, which is exactly the bug class the fault
-        suite demonstrates.  Hardened drivers use
-        :meth:`submit_invalidation` and check the result.
-        """
-        return self.submit_invalidation(
-            iova, length, preserve_ptcache
-        ).cost_ns
-
-    def invalidate_ptcache_range(self, iova: int, length: int) -> float:
-        """Drop only PTcache entries covering a range (no IOTLB).
-
-        Used by F&S when an unmap reclaimed a page-table page: the entry
-        pointing at the reclaimed page must go, but the corresponding
-        IOTLB invalidation was already issued.
-        """
-        return self.submit_invalidation(
-            iova, length, preserve_ptcache=False, ptcache_only=True
-        ).cost_ns
+        return cost, completed_length
 
     # ------------------------------------------------------------------
     # Register-based global flush
     # ------------------------------------------------------------------
-    def submit_flush(self) -> InvalidationResult:
+    def flush_all(self) -> float:
         """Global IOTLB + PTcache flush via the status-register path.
 
         Always completes (delay faults only inflate the wait); this is
         the graceful-degradation fallback when queued completions
         cannot be confirmed, and deferred mode's periodic flush.
+        Returns the CPU cost.
         """
         extra_ns = 0.0
         if self.faults is not None:
@@ -253,13 +191,7 @@ class InvalidationQueue:
             self.obs.tracer.complete(
                 "flush", "invq", self.obs.tracer.now(), cost
             )
-        return InvalidationResult(
-            cost, InvalidationStatus.COMPLETED, 0
-        )
-
-    def flush_all(self) -> float:
-        """Global flush, returning only the CPU cost (always safe)."""
-        return self.submit_flush().cost_ns
+        return cost
 
     # ------------------------------------------------------------------
     # Queue teardown + re-init (hard-fault recovery)

@@ -97,12 +97,6 @@ class IommuConfig:
 
     iotlb_entries: int = 128
     iotlb_ways: int = 8
-    # Verify on every IOTLB hit that the page table still maps the IOVA
-    # (detects stale-entry use).  Strict mode and F&S invalidate on every
-    # unmap, so an IOTLB hit implies a live mapping and the check is
-    # skipped for speed; the deferred driver enables it to surface its
-    # safety hole in the tests.
-    check_stale_hits: bool = False
     ptcache_l1_entries: int = 32
     ptcache_l2_entries: int = 32
     ptcache_l3_entries: int = 64
@@ -161,6 +155,13 @@ class Iommu:
                 abort_latency_ns=self.config.fault_abort_latency_ns,
             )
         self.faults = context.injector("iommu")
+        # Verify on every IOTLB hit that the page table still maps the
+        # IOVA (detects stale-entry use).  Strict mode and F&S
+        # invalidate on every unmap, so an IOTLB hit implies a live
+        # mapping and the check is skipped for speed; the deferred
+        # driver turns it on for its own IOMMU to surface its safety
+        # hole.
+        self.check_stale_hits = False
         # IOTLB hits served after the page table dropped the mapping
         # (counted only while stale-hit checks are on).
         self.stale_translations = 0
@@ -227,7 +228,7 @@ class Iommu:
             # table — if the page table no longer maps this IOVA the
             # access is *stale* (deferred-mode safety hole).
             stale = (
-                self.config.check_stale_hits
+                self.check_stale_hits
                 and not self.page_table.is_mapped(iova)
             )
             if stale:
@@ -326,10 +327,6 @@ class Iommu:
         return TranslationResult(
             frame=0, iotlb_hit=False, memory_reads=0, aborted=True
         )
-
-    def enable_stale_hit_checks(self) -> None:
-        """Turn on the per-hit stale check (deferred-mode diagnostics)."""
-        self.config.check_stale_hits = True
 
     # ------------------------------------------------------------------
     # Walker timing

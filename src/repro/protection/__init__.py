@@ -1,6 +1,6 @@
 """Protection drivers: IOMMU-off, Linux strict/deferred, F&S + ablations."""
 
-from .base import DriverCosts, ProtectionDriver, TxMapping
+from .base import ProtectionDriver, TxMapping
 from .deferred import DeferredDriver
 from .passthrough import PassthroughDriver
 from .strict import StrictFamilyDriver
@@ -8,7 +8,6 @@ from .strict import StrictFamilyDriver
 __all__ = [
     "ProtectionDriver",
     "TxMapping",
-    "DriverCosts",
     "PassthroughDriver",
     "StrictFamilyDriver",
     "DeferredDriver",

@@ -27,15 +27,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..context import current_context
-from ..iommu.invalidation import InvalidationStatus
 from ..nic.descriptor import RxDescriptor
 from ..verify.events import BufferRegisteredEvent, BufferRetiredEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..iommu import Iommu
-    from ..iommu.invalidation import InvalidationQueue
 
-__all__ = ["ProtectionDriver", "TxMapping", "DriverCosts"]
+__all__ = ["ProtectionDriver", "TxMapping"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,18 +43,6 @@ class TxMapping:
     iova: int
     frame: int
     cookie: Any = None  # driver-private (e.g. the F&S chunk)
-
-
-@dataclass
-class DriverCosts:
-    """CPU cost constants for protection operations (ns per op).
-
-    Values follow the magnitudes reported for Linux dma_map/unmap and
-    queued-invalidation waits [Peleg et al. 2015; Malka et al. 2015].
-    """
-
-    map_ns: float = 120.0
-    unmap_ns: float = 150.0
 
 
 class ProtectionDriver(ABC):
@@ -98,7 +84,6 @@ class ProtectionDriver(ABC):
     # ------------------------------------------------------------------
     def _invalidate_robust(
         self,
-        queue: "InvalidationQueue",
         iova: int,
         length: int,
         preserve_ptcache: bool,
@@ -106,28 +91,31 @@ class ProtectionDriver(ABC):
     ) -> float:
         """Invalidate a range and *confirm* it, whatever the fabric does.
 
-        Submits through the checked queue interface; on a dropped or
-        partial completion, retries the unconfirmed suffix with
-        exponential backoff.  When the retry budget is exhausted, the
-        preservation optimisation is abandoned and a register-based
-        global flush (full IOTLB + PTcache invalidation) closes the
-        window — graceful degradation: throughput is lost, safety is
-        not.  Returns the total CPU cost in ns.
+        The one place that decides what an unconfirmed invalidation
+        means.  A descriptor is confirmed when the queue reports its
+        whole length completed; on a dropped or partial completion,
+        retries the unconfirmed suffix with exponential backoff.  When
+        the retry budget is exhausted, the preservation optimisation is
+        abandoned and a register-based global flush (full IOTLB +
+        PTcache invalidation) closes the window — graceful degradation:
+        throughput is lost, safety is not.  Returns the total CPU cost
+        in ns.
         """
+        queue = self.iommu.invalidation_queue
         cost = 0.0
         remaining_iova = iova
         remaining = length
         for attempt in range(self.max_invalidation_retries + 1):
-            result = queue.submit_invalidation(
+            wait_ns, completed = queue.invalidate_range(
                 remaining_iova, remaining, preserve_ptcache, ptcache_only
             )
-            cost += result.cost_ns
-            if result.status is InvalidationStatus.COMPLETED:
+            cost += wait_ns
+            if completed == remaining:
                 return cost
             # Advance over the confirmed prefix and spin before the
             # retry (exponential backoff, charged as CPU time).
-            remaining_iova += result.completed_length
-            remaining -= result.completed_length
+            remaining_iova += completed
+            remaining -= completed
             self.invalidation_retries += 1
             cost += self.invalidation_backoff_ns * (2 ** attempt)
             if self.obs is not None and self.obs.tracer is not None:
@@ -241,7 +229,8 @@ class ProtectionDriver(ABC):
         host rebuilds rings afterwards — so recovery can never race its
         own cleanup (and analyzer rule REPRO105 holds by construction).
         """
-        queue = self._recovery_queue()
+        iommu = getattr(self, "iommu", None)
+        queue = iommu.invalidation_queue if iommu is not None else None
         cost = 0.0
         dropped_before = 0
         if queue is not None:
@@ -262,13 +251,6 @@ class ProtectionDriver(ABC):
                 cost += queue.rearm()
             cost += queue.flush_all()
         return cost
-
-    def _recovery_queue(self) -> "InvalidationQueue | None":
-        """The invalidation queue to re-arm, if this driver has one."""
-        iommu = getattr(self, "iommu", None)
-        if iommu is None:
-            return None
-        return iommu.invalidation_queue
 
     def device_can_access(self, iova: int) -> bool:
         """Whether the device could still reach ``iova`` right now.

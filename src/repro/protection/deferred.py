@@ -23,7 +23,8 @@ from ..iommu.addr import PAGE_SIZE
 from ..iova.caching import CachingIovaAllocator
 from ..mem.physmem import PhysicalMemory
 from ..nic.descriptor import PageSlot, RxDescriptor
-from .base import DriverCosts, ProtectionDriver, TxMapping
+from .base import ProtectionDriver, TxMapping
+from .strict import MAP_NS, UNMAP_NS
 
 __all__ = ["DeferredDriver"]
 
@@ -40,13 +41,11 @@ class DeferredDriver(ProtectionDriver):
         physmem: PhysicalMemory,
         num_cpus: int,
         flush_threshold: int = 250,
-        costs: Optional[DriverCosts] = None,
         allocation_trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         super().__init__()
         self.iommu = iommu
         self.physmem = physmem
-        self.costs = costs or DriverCosts()
         self.flush_threshold = flush_threshold
         # Hardening (repro.faults): when a flush wait comes back slower
         # than this budget, the invalidation fabric is degraded and the
@@ -66,7 +65,7 @@ class DeferredDriver(ProtectionDriver):
         self.flushes = 0
         # Make the IOMMU detect (and count) stale-entry use so
         # experiments can report the safety violations this mode admits.
-        self.iommu.enable_stale_hit_checks()
+        self.iommu.check_stale_hits = True
 
     # ------------------------------------------------------------------
     def make_rx_descriptor(self, core: int, pages: int):
@@ -77,7 +76,7 @@ class DeferredDriver(ProtectionDriver):
             iova = self.allocator.alloc(1, cpu=core)
             self.iommu.map_page(iova, frame)
             slots.append(PageSlot(iova, frame))
-        cost += pages * self.costs.map_ns
+        cost += pages * MAP_NS
         descriptor = RxDescriptor(slots=slots, core=core)
         self._notify_rx_mapped(descriptor)
         return descriptor, cost
@@ -87,7 +86,7 @@ class DeferredDriver(ProtectionDriver):
         cost = 0.0
         for slot in descriptor.slots:
             self.iommu.unmap_range(slot.iova, PAGE_SIZE)
-            cost += self.costs.unmap_ns
+            cost += UNMAP_NS
             self._defer(slot.iova, 1, core)
             self.physmem.free_frame(slot.frame)
         cost += self._maybe_flush()
@@ -99,14 +98,14 @@ class DeferredDriver(ProtectionDriver):
         self.iommu.map_page(iova, frame)
         mapping = TxMapping(iova, frame)
         self._notify_tx_mapped(mapping)
-        return mapping, self.costs.map_ns
+        return mapping, MAP_NS
 
     def retire_tx_pages(self, mappings, core: int) -> float:
         self._notify_tx_retired(mappings)
         cost = 0.0
         for mapping in mappings:
             self.iommu.unmap_range(mapping.iova, PAGE_SIZE)
-            cost += self.costs.unmap_ns
+            cost += UNMAP_NS
             self._defer(mapping.iova, 1, core)
             self.physmem.free_frame(mapping.frame)
         cost += self._maybe_flush()
@@ -133,8 +132,8 @@ class DeferredDriver(ProtectionDriver):
         (graceful degradation: more flushes, shorter stale windows);
         healthy flushes restore it.
         """
-        result = self.iommu.invalidation_queue.submit_flush()
-        if result.cost_ns > self.flush_cost_budget_ns:
+        cost = self.iommu.invalidation_queue.flush_all()
+        if cost > self.flush_cost_budget_ns:
             if self.flush_threshold > self.min_flush_threshold:
                 self.flush_threshold = max(
                     self.min_flush_threshold, self.flush_threshold // 2
@@ -148,7 +147,7 @@ class DeferredDriver(ProtectionDriver):
             self.allocator.free(iova, pages, cpu=core)
         self._deferred.clear()
         self.flushes += 1
-        return result.cost_ns
+        return cost
 
     # ------------------------------------------------------------------
     def device_can_access(self, iova: int) -> bool:

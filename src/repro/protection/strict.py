@@ -35,10 +35,15 @@ from ..iova.caching import CachingIovaAllocator
 from ..iova.contiguous import ChunkIovaAllocator, IovaChunk
 from ..mem.physmem import PhysicalMemory
 from ..nic.descriptor import PageSlot, RxDescriptor
-from .base import DriverCosts, ProtectionDriver, TxMapping
+from .base import ProtectionDriver, TxMapping
 
 __all__ = ["StrictFamilyDriver"]
 
+# CPU cost of one map and one unmap operation (ns), following the
+# magnitudes reported for Linux dma_map/unmap [Peleg et al. 2015;
+# Malka et al. 2015].  The deferred driver charges the same.
+MAP_NS = 120.0
+UNMAP_NS = 150.0
 # Per-PTE clear cost inside a range unmap (amortized page walking in
 # the kernel's unmap loop).
 PTE_CLEAR_NS = 20.0
@@ -59,7 +64,6 @@ class StrictFamilyDriver(ProtectionDriver):
         batched_invalidation: bool,
         chunk_pages: int = 64,
         hugepages: bool = False,
-        costs: Optional[DriverCosts] = None,
         allocation_trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         if batched_invalidation and not contiguous_iova:
@@ -79,7 +83,6 @@ class StrictFamilyDriver(ProtectionDriver):
         self.contiguous_iova = contiguous_iova
         self.batched_invalidation = batched_invalidation
         self.chunk_pages = chunk_pages
-        self.costs = costs or DriverCosts()
         self.allocator = CachingIovaAllocator(
             num_cpus=num_cpus, trace=allocation_trace
         )
@@ -210,7 +213,7 @@ class StrictFamilyDriver(ProtectionDriver):
                 self.iommu.map_page(iova, frame)
                 slots.append(PageSlot(iova, frame))
         map_calls = 1 if self.hugepages else pages
-        cost = self._allocator_ns(core) - before + map_calls * self.costs.map_ns
+        cost = self._allocator_ns(core) - before + map_calls * MAP_NS
         descriptor = RxDescriptor(
             slots=slots, core=core, driver_data=driver_data
         )
@@ -225,7 +228,7 @@ class StrictFamilyDriver(ProtectionDriver):
             chunk, base_frame = descriptor.driver_data
             length = 512 * PAGE_SIZE
             reclaimed = self.iommu.unmap_range(chunk.base_iova, length)
-            cost += self.costs.unmap_ns
+            cost += UNMAP_NS
             cost += self._invalidate(chunk.base_iova, length, 512, reclaimed)
             assert self.chunks is not None
             self.chunks.release_chunk(chunk, cpu=core)
@@ -240,7 +243,7 @@ class StrictFamilyDriver(ProtectionDriver):
             length = descriptor.size * PAGE_SIZE
             # One unmap operation for the whole descriptor range.
             reclaimed = self.iommu.unmap_range(base, length)
-            cost += self.costs.unmap_ns + descriptor.size * PTE_CLEAR_NS
+            cost += UNMAP_NS + descriptor.size * PTE_CLEAR_NS
             cost += self._invalidate(base, length, descriptor.size, reclaimed)
             assert self.chunks is not None
             self.chunks.release_chunk(chunk, cpu=core)
@@ -252,7 +255,7 @@ class StrictFamilyDriver(ProtectionDriver):
             # Linux: one unmap + one invalidation per page.
             for slot in descriptor.slots:
                 reclaimed = self.iommu.unmap_range(slot.iova, PAGE_SIZE)
-                cost += self.costs.unmap_ns
+                cost += UNMAP_NS
                 cost += self._invalidate(slot.iova, PAGE_SIZE, 1, reclaimed)
                 self.allocator.free(slot.iova, 1, cpu=core)
         for slot in descriptor.slots:
@@ -274,7 +277,7 @@ class StrictFamilyDriver(ProtectionDriver):
             iova = self.allocator.alloc(1, cpu=core)
             cookie = None
         self.iommu.map_page(iova, frame)
-        cost = self._allocator_ns(core) - before + self.costs.map_ns
+        cost = self._allocator_ns(core) - before + MAP_NS
         mapping = TxMapping(iova, frame, cookie)
         self._notify_tx_mapped(mapping)
         return mapping, cost
@@ -288,7 +291,7 @@ class StrictFamilyDriver(ProtectionDriver):
         else:
             for mapping in mappings:
                 reclaimed = self.iommu.unmap_range(mapping.iova, PAGE_SIZE)
-                cost += self.costs.unmap_ns
+                cost += UNMAP_NS
                 cost += self._invalidate(mapping.iova, PAGE_SIZE, 1, reclaimed)
                 self.allocator.free(mapping.iova, 1, cpu=core)
         for mapping in mappings:
@@ -305,7 +308,7 @@ class StrictFamilyDriver(ProtectionDriver):
         for chunk, start, count in runs:
             length = count * PAGE_SIZE
             reclaimed = self.iommu.unmap_range(start, length)
-            cost += self.costs.unmap_ns + count * PTE_CLEAR_NS
+            cost += UNMAP_NS + count * PTE_CLEAR_NS
             cost += self._invalidate(start, length, count, reclaimed)
             self.chunks.release_pages(start, count, cpu=core)
             del chunk  # runs are already chunk-local
@@ -315,15 +318,14 @@ class StrictFamilyDriver(ProtectionDriver):
     # Invalidation policy (where the A/B2 flags act)
     # ------------------------------------------------------------------
     def _invalidate(self, iova, length, pages, reclaimed) -> float:
-        queue = self.iommu.invalidation_queue
         preserve = self.preserve_ptcache
         cost = 0.0
         if self.batched_invalidation:
-            cost += self._invalidate_robust(queue, iova, length, preserve)
+            cost += self._invalidate_robust(iova, length, preserve)
         else:
             for index in range(pages):
                 cost += self._invalidate_robust(
-                    queue, iova + index * PAGE_SIZE, PAGE_SIZE, preserve
+                    iova + index * PAGE_SIZE, PAGE_SIZE, preserve
                 )
         if preserve and reclaimed:
             # Correctness fallback: an unmap actually reclaimed PT
@@ -331,7 +333,6 @@ class StrictFamilyDriver(ProtectionDriver):
             # and must be dropped after all.
             for page in reclaimed:
                 cost += self._invalidate_robust(
-                    queue,
                     page.base_iova,
                     page.coverage_bytes,
                     preserve,

@@ -51,13 +51,10 @@ __all__ = [
 _UNMAP_CALLS = {"unmap_range", "unmap_page"}
 _INVALIDATE_CALLS = {
     "invalidate_range",
-    "invalidate_ptcache_range",
     "flush_all",
     "flush",
-    # Checked/robust interfaces (repro.faults hardening): these arm an
-    # invalidation and confirm its completion.
-    "submit_invalidation",
-    "submit_flush",
+    # The drivers' hardened helper (repro.faults): it arms an
+    # invalidation and confirms its completion.
     "_invalidate_robust",
 }
 
@@ -1114,7 +1111,6 @@ _RESET_MAP_CALLS = {
 _REARM_CALLS = {
     "rearm",
     "flush_all",
-    "submit_flush",
     "_invalidate_robust",
     "invalidate_range",
 }

@@ -17,7 +17,6 @@ from repro.faults.injectors import DEFAULT_PARTIAL_FRACTION
 from repro.faults.runtime import FaultRuntime
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
-from repro.iommu.invalidation import InvalidationStatus
 
 
 def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
@@ -218,12 +217,13 @@ def test_window_just_before_start_is_inactive():
 def test_partial_magnitude_zero_uses_default_fraction():
     iommu = faulted_iommu(plan_for("partial-completion", magnitude=0.0))
     warm(iommu, 0x600000, 4)
-    result = iommu.invalidation_queue.submit_invalidation(
+    queue = iommu.invalidation_queue
+    _, completed = queue.invalidate_range(
         0x600000, 4 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.status is InvalidationStatus.PARTIAL
+    assert queue.partial_completions == 1
     expected = int(4 * DEFAULT_PARTIAL_FRACTION) * PAGE_SIZE
-    assert result.completed_length == expected
+    assert completed == expected
 
 
 def test_partial_magnitude_one_clamps_to_all_but_last_page():
@@ -233,10 +233,11 @@ def test_partial_magnitude_one_clamps_to_all_but_last_page():
     # re-invalidate.
     iommu = faulted_iommu(plan_for("partial-completion", magnitude=1.0))
     warm(iommu, 0x700000, 4)
-    result = iommu.invalidation_queue.submit_invalidation(
+    queue = iommu.invalidation_queue
+    _, completed = queue.invalidate_range(
         0x700000, 4 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.status is InvalidationStatus.PARTIAL
-    assert result.completed_length == 3 * PAGE_SIZE
+    assert queue.partial_completions == 1
+    assert completed == 3 * PAGE_SIZE
     assert iommu.iotlb.contains(0x700000 + 3 * PAGE_SIZE)
     assert not iommu.iotlb.contains(0x700000)

@@ -3,7 +3,7 @@
 The acceptance bar (and the point of the hardening): an injected fault
 may cost throughput, never safety.  The hardened strict driver retries
 and finally degrades to a global flush; a deliberately unhardened
-variant that ignores completion statuses leaves stale IOTLB entries
+variant that ignores completed lengths leaves stale IOTLB entries
 live, and the invariant monitor catches the resulting unsafe access.
 """
 
@@ -21,17 +21,18 @@ from repro.verify import InvariantMonitor
 class LeakyStrictDriver(StrictFamilyDriver):
     """Strict driver with the hardening removed: fire-and-forget.
 
-    Submits invalidations but never checks the completion status — the
+    Submits invalidations but never checks the completed length — the
     exact bug class ``_invalidate_robust`` (and lint rule REPRO004)
     exists to prevent.  Test-only.
     """
 
     def _invalidate_robust(
-        self, queue, iova, length, preserve_ptcache, ptcache_only=False
+        self, iova, length, preserve_ptcache, ptcache_only=False
     ):
-        return queue.submit_invalidation(
+        cost, _ = self.iommu.invalidation_queue.invalidate_range(
             iova, length, preserve_ptcache, ptcache_only=ptcache_only
-        ).cost_ns
+        )
+        return cost
 
 
 DROP_EVERYTHING = FaultPlan(

@@ -4,7 +4,6 @@ from repro.context import using
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
-from repro.iommu.invalidation import InvalidationStatus
 
 
 def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
@@ -37,58 +36,61 @@ def warm(iommu, base, pages):
 def test_dropped_completion_leaves_caches_untouched():
     iommu = faulted_iommu(plan_for("drop-completion"))
     warm(iommu, 0x100000, 2)
-    result = iommu.invalidation_queue.submit_invalidation(
+    queue = iommu.invalidation_queue
+    cost, completed = queue.invalidate_range(
         0x100000, 2 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.status is InvalidationStatus.DROPPED
-    assert result.completed_length == 0
-    assert not result.completed
+    assert completed == 0
     # Nothing was invalidated: the stale entries survive, which is why
-    # callers must check the status.
+    # callers must check the completed length.
     assert iommu.iotlb.contains(0x100000)
     assert iommu.iotlb.contains(0x101000)
-    assert iommu.invalidation_queue.dropped_completions == 1
+    assert queue.dropped_completions == 1
+    assert queue.partial_completions == 0
     # The wait timed out: strictly more expensive than a clean wait.
-    assert result.cost_ns > iommu.invalidation_queue.cpu_cost_ns
+    assert cost > queue.cpu_cost_ns
 
 
 def test_partial_completion_invalidates_prefix_only():
     iommu = faulted_iommu(plan_for("partial-completion"))
     warm(iommu, 0x200000, 4)
-    result = iommu.invalidation_queue.submit_invalidation(
+    queue = iommu.invalidation_queue
+    _, completed = queue.invalidate_range(
         0x200000, 4 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.status is InvalidationStatus.PARTIAL
-    assert 0 < result.completed_length < 4 * PAGE_SIZE
-    assert result.completed_length % PAGE_SIZE == 0
-    completed_pages = result.completed_length // PAGE_SIZE
+    assert 0 < completed < 4 * PAGE_SIZE
+    assert completed % PAGE_SIZE == 0
+    completed_pages = completed // PAGE_SIZE
     for page in range(4):
         iova = 0x200000 + page * PAGE_SIZE
         assert iommu.iotlb.contains(iova) == (page >= completed_pages)
-    assert iommu.invalidation_queue.partial_completions == 1
+    assert queue.partial_completions == 1
+    assert queue.dropped_completions == 0
 
 
 def test_delayed_completion_completes_with_extra_cost():
     iommu = faulted_iommu(plan_for("delay-completion", magnitude=3_000.0))
     warm(iommu, 0x300000, 1)
-    result = iommu.invalidation_queue.submit_invalidation(
+    queue = iommu.invalidation_queue
+    cost, completed = queue.invalidate_range(
         0x300000, PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.status is InvalidationStatus.COMPLETED
-    assert result.completed_length == PAGE_SIZE
-    assert result.cost_ns == iommu.invalidation_queue.cpu_cost_ns + 3_000.0
+    assert completed == PAGE_SIZE
+    assert cost == queue.cpu_cost_ns + 3_000.0
     assert not iommu.iotlb.contains(0x300000)
-    assert iommu.invalidation_queue.delayed_completions == 1
+    assert queue.delayed_completions == 1
+    assert queue.dropped_completions == queue.partial_completions == 0
 
 
 def test_probability_zero_never_fires():
     iommu = faulted_iommu(plan_for("drop-completion", probability=0.0))
     warm(iommu, 0x400000, 1)
-    result = iommu.invalidation_queue.submit_invalidation(
+    queue = iommu.invalidation_queue
+    _, completed = queue.invalidate_range(
         0x400000, PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.completed
-    assert iommu.invalidation_queue.dropped_completions == 0
+    assert completed == PAGE_SIZE
+    assert queue.dropped_completions == 0
 
 
 def test_flush_survives_drop_faults():
@@ -96,7 +98,8 @@ def test_flush_survives_drop_faults():
     a sound graceful-degradation fallback."""
     iommu = faulted_iommu(plan_for("drop-completion"))
     warm(iommu, 0x500000, 2)
-    result = iommu.invalidation_queue.submit_flush()
-    assert result.status is InvalidationStatus.COMPLETED
+    queue = iommu.invalidation_queue
+    assert queue.flush_all() == queue.cpu_cost_ns
+    assert queue.dropped_completions == 0
     assert not iommu.iotlb.contains(0x500000)
     assert not iommu.iotlb.contains(0x501000)

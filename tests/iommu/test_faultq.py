@@ -149,10 +149,14 @@ def test_rearm_clears_a_latched_wedge():
     queue = iommu.invalidation_queue
     iommu.map_page(0x8000, 3)
     iommu.translate(0x8000)
-    result = queue.submit_invalidation(0x8000, PAGE_SIZE, True)
-    assert not result.completed
+    _, completed = queue.invalidate_range(0x8000, PAGE_SIZE, True)
+    assert completed == 0
+    assert queue.dropped_completions == 1
+    assert iommu.iotlb.contains(0x8000)
     assert runtime.unrecovered_wedges() == 1
     queue.rearm()
     assert runtime.unrecovered_wedges() == 0
-    result = queue.submit_invalidation(0x8000, PAGE_SIZE, True)
-    assert result.completed
+    _, completed = queue.invalidate_range(0x8000, PAGE_SIZE, True)
+    assert completed == PAGE_SIZE
+    assert queue.dropped_completions == 1
+    assert not iommu.iotlb.contains(0x8000)

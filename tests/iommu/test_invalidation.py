@@ -72,7 +72,8 @@ def test_cpu_cost_constant_per_request_not_per_page():
     ranged = iommu.invalidation_queue.invalidate_range(
         0x201000, 63 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert single == ranged == 300.0
+    assert single == (300.0, PAGE_SIZE)
+    assert ranged == (300.0, 63 * PAGE_SIZE)
 
 
 def test_ptcache_only_invalidation():
@@ -80,7 +81,9 @@ def test_ptcache_only_invalidation():
     touching the IOTLB."""
     iommu = make_iommu()
     warm(iommu, 0x300000, 1)
-    iommu.invalidation_queue.invalidate_ptcache_range(0x300000, PAGE_SIZE)
+    iommu.invalidation_queue.invalidate_range(
+        0x300000, PAGE_SIZE, preserve_ptcache=False, ptcache_only=True
+    )
     assert iommu.ptcaches.l3.resident_entries == 0
     assert iommu.iotlb.contains(0x300000)
     assert descriptors(iommu) == [("ptcache", 0x300000, PAGE_SIZE, None)]
@@ -104,7 +107,9 @@ def test_total_cpu_accumulates():
     warm(iommu, 0x500000, 2)
     queue = iommu.invalidation_queue
     queue.invalidate_range(0x500000, PAGE_SIZE, preserve_ptcache=True)
-    queue.invalidate_ptcache_range(0x500000, PAGE_SIZE)
+    queue.invalidate_range(
+        0x500000, PAGE_SIZE, preserve_ptcache=False, ptcache_only=True
+    )
     queue.flush_all()
     assert queue.total_cpu_ns == 300.0
 
@@ -118,12 +123,10 @@ def test_zero_length_request_is_a_noop():
     iommu = make_iommu()
     warm(iommu, 0x600000, 1)
     queue = iommu.invalidation_queue
-    result = queue.submit_invalidation(
+    # Confirmed: the completed length equals the (zero) length asked.
+    assert queue.invalidate_range(
         0x600000, 0, preserve_ptcache=True
-    )
-    assert result.cost_ns == 0.0
-    assert result.completed
-    assert result.completed_length == 0
+    ) == (0.0, 0)
     assert iommu.iotlb.contains(0x600000)
     assert iommu.stats.invalidation_requests == 0
     assert queue.total_cpu_ns == 0.0
@@ -136,10 +139,10 @@ def test_range_spanning_past_last_mapped_page():
     the range are dropped, the unmapped tail is harmless."""
     iommu = make_iommu()
     warm(iommu, 0x700000, 4)
-    result = iommu.invalidation_queue.submit_invalidation(
+    _, completed = iommu.invalidation_queue.invalidate_range(
         0x702000, 4 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert result.completed
+    assert completed == 4 * PAGE_SIZE
     # Pages 0-1 are outside the range and survive; 2-3 are inside and
     # must be gone even though the range runs two pages past them.
     assert iommu.iotlb.contains(0x700000)
@@ -155,10 +158,9 @@ def test_preserve_ptcache_on_unmapped_range():
     warm(iommu, 0x800000, 1)
     queue = iommu.invalidation_queue
     resident_before = iommu.ptcaches.l3.resident_entries
-    cost = queue.invalidate_range(
+    assert queue.invalidate_range(
         0xdead000, 2 * PAGE_SIZE, preserve_ptcache=True
-    )
-    assert cost == queue.cpu_cost_ns
+    ) == (queue.cpu_cost_ns, 2 * PAGE_SIZE)
     assert iommu.iotlb.contains(0x800000)
     assert iommu.ptcaches.l3.resident_entries == resident_before
     assert iommu.stats.invalidation_requests == 1

@@ -61,7 +61,8 @@ class TestTranslate:
     def test_stale_hit_flagged_without_invalidation(self):
         """Deferred-mode hole: unmap without invalidation leaves a
         usable stale IOTLB entry."""
-        iommu = make_iommu(check_stale_hits=True)
+        iommu = make_iommu()
+        iommu.check_stale_hits = True
         iommu.map_page(0x1000, 42)
         iommu.translate(0x1000)
         iommu.unmap_range(0x1000, PAGE_SIZE)
@@ -194,7 +195,7 @@ class TestInvalidationQueue:
     def test_cpu_cost_accumulates(self):
         iommu = make_iommu(invalidation_cpu_ns=100.0)
         iommu.map_page(0x1000, 1)
-        cost = iommu.invalidation_queue.invalidate_range(
+        cost, _ = iommu.invalidation_queue.invalidate_range(
             0x1000, PAGE_SIZE, preserve_ptcache=True
         )
         assert cost == 100.0

@@ -36,13 +36,14 @@ FACTORIES = {
 }
 
 
-def make_twins(mode, **config):
+def make_twins(mode, check_stale_hits=False, **config):
     """A burst stack and its per-call twin, identically configured."""
     stacks = []
     empty = FaultRuntime(FaultPlan(seed=1, name="empty", specs=()))
     for fields in ({}, {"faults": empty}):
         with using(**fields):
             iommu = Iommu(IommuConfig(**config))
+            iommu.check_stale_hits = check_stale_hits
             driver = FACTORIES[mode](
                 iommu, PhysicalMemory(1 << 16), num_cpus=2
             )

@@ -1,7 +1,11 @@
 """Unit tests for the deferred (lazy) protection mode."""
 
+import dataclasses
+
 import pytest
 
+from repro.host.config import HostConfig
+from repro.host.testbed import Testbed
 from repro.iommu import Iommu, IommuConfig
 from repro.mem import PhysicalMemory
 from repro.protection import DeferredDriver
@@ -86,3 +90,14 @@ class TestDeferral:
         driver, _, _ = make_driver()
         assert not driver.strict_safety
         assert driver.name == "linux-deferred"
+
+    def test_stale_checks_stay_on_the_drivers_iommu(self):
+        # The check is the deferred driver's own IOMMU's: building a
+        # deferred host leaves the caller's config -- and a strict
+        # config derived from it -- without stale-hit checks.
+        base = HostConfig.cascade_lake(mode="deferred")
+        strict = dataclasses.replace(base, mode="strict")
+        deferred = Testbed(base).host
+        assert base.iommu == IommuConfig()
+        assert deferred.iommu.check_stale_hits
+        assert not Testbed(strict).host.iommu.check_stale_hits

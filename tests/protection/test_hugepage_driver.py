@@ -6,6 +6,7 @@ from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
 from repro.mem import PhysicalMemory
 from repro.protection import StrictFamilyDriver
+from repro.protection.strict import MAP_NS
 
 
 def make_driver():
@@ -36,7 +37,7 @@ class TestHugeDescriptors:
         driver, _, _ = make_driver()
         _, cost = driver.make_rx_descriptor(core=0, pages=512)
         # One map call, not 512: far below the per-page driver.
-        assert cost < 512 * driver.costs.map_ns / 4
+        assert cost < 512 * MAP_NS / 4
 
     def test_strict_safety_after_retire(self):
         driver, iommu, physmem = make_driver()

@@ -35,6 +35,11 @@ def layers():
 RETIRED = {
     # One driver entry point per page: translate_for_dma.
     ("protection.translate", "ProtectionDriver", "translate_for_dma_burst"),
+    # One queued-descriptor method (invalidate_range) and one flush
+    # (flush_all) on the invalidation queue.
+    ("iommu.invalidate", "InvalidationQueue", "submit_invalidation"),
+    ("iommu.invalidate", "InvalidationQueue", "invalidate_ptcache_range"),
+    ("iommu.invalidate", "InvalidationQueue", "submit_flush"),
 }
 
 

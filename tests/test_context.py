@@ -86,15 +86,16 @@ def test_properties(case):
 
 
 def test_iommu_shortcuts_follow_per_call(case):
-    # Only the context decides: a fault-reporting queue or stale-hit
-    # checks leave the burst on.
+    # Only the context decides: a fault-reporting queue or the
+    # deferred driver's stale-hit checks leave the burst on.
     fields, per_call, _ = case
     with using(**fields):
         iommus = [
             Iommu(),
             Iommu(IommuConfig(fault_queue=True)),
-            Iommu(IommuConfig(check_stale_hits=True)),
+            DeferredDriver(Iommu(), PhysicalMemory(1 << 16), num_cpus=2).iommu,
         ]
+    assert iommus[2].check_stale_hits
     assert [iommu.per_call for iommu in iommus] == [per_call] * 3
 
 

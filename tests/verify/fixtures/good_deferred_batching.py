@@ -28,5 +28,5 @@ class DeferredBatchingDriver(Driver):
 
     def _maybe_flush(self, force=False):
         if force or len(self.pending) >= 32:
-            self.queue.submit_flush(list(self.pending))
+            self.queue.flush_all()
             self.pending = []

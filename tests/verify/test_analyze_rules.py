@@ -196,7 +196,7 @@ class RearmingDriver(ProtectionDriver):
             attempts += 1
 
     def _rearm(self, iova):
-        self._invalidate_robust(self.queue, iova, 4096, False)
+        self._invalidate_robust(iova, 4096, False)
 """
 
 
@@ -213,7 +213,7 @@ class RearmingDriver(ProtectionDriver):
 class CheckedDriver(ProtectionDriver):
     def retire(self, slot):
         self.iommu.unmap_range(slot.iova, 4096)
-        self._invalidate_robust(self.queue, slot.iova, 4096, False)
+        self._invalidate_robust(slot.iova, 4096, False)
 """,
             [],
             id="checked-interface-allowed",

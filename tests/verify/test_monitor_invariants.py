@@ -93,7 +93,7 @@ def test_unmapped_but_uninvalidated_counts_stale_window():
     monitor = InvariantMonitor()
     with using(monitor=monitor):
         iommu = Iommu()
-        iommu.config.check_stale_hits = True
+        iommu.check_stale_hits = True
     iova = 0x4000
     iommu.map_page(iova, frame=7)
     iommu.translate(iova)
@@ -141,8 +141,11 @@ def test_ptcache_fallback_invalidation_is_safe():
     # Correct driver (F&S's fallback): drop the PTcache entries covering
     # every reclaimed page-table page.
     for page in reclaimed:
-        iommu.invalidation_queue.invalidate_ptcache_range(
-            page.base_iova, page.coverage_bytes
+        iommu.invalidation_queue.invalidate_range(
+            page.base_iova,
+            page.coverage_bytes,
+            preserve_ptcache=False,
+            ptcache_only=True,
         )
     iommu.map_range(base, list(range(2000, 2512)))
     iommu.translate(base)
