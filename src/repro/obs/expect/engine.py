@@ -10,7 +10,7 @@ the generated ``REPORT.md`` and ``repro reproduce``'s exit status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional
 
 from .vocabulary import Expectation, Outcome
 
@@ -22,7 +22,6 @@ __all__ = [
     "FigureSpec",
     "FigureEvaluation",
     "evaluate_figure",
-    "available_specs",
 ]
 
 
@@ -98,45 +97,12 @@ class FigureEvaluation:
         ]
 
 
-def _specs() -> dict[str, FigureSpec]:
-    # Imported lazily: the spec files import the vocabulary from this
-    # package, so a module-level import would be circular.
-    from ..expectations import SPECS
-
-    return SPECS
-
-
-def available_specs() -> list[str]:
-    """The figure keys that have expectation spec files."""
-    return list(_specs())
-
-
 def evaluate_figure(
-    spec: Union[str, FigureSpec],
+    spec: FigureSpec,
     result: "FigureResult",
     metrics: Optional[dict] = None,
-    only: Optional[Sequence[str]] = None,
 ) -> FigureEvaluation:
-    """Evaluate a figure's spec (by key or directly) against a result.
-
-    ``only`` restricts evaluation to expectations whose claim text
-    contains any of the given substrings (used by sub-sweep tests).
-    """
-    if isinstance(spec, str):
-        try:
-            spec = _specs()[spec]
-        except KeyError:
-            raise KeyError(
-                f"no expectation spec for {spec!r}; "
-                f"available: {available_specs()}"
-            ) from None
+    """Evaluate every claim of a figure's spec against a result."""
     ctx = EvalContext(result=result, metrics=metrics)
-    expectations = spec.expectations
-    if only is not None:
-        expectations = tuple(
-            e
-            for e in expectations
-            if any(token in e.claim for token in only)
-        )
-    outcomes = [e.evaluate(ctx) for e in expectations]
+    outcomes = [e.evaluate(ctx) for e in spec.expectations]
     return FigureEvaluation(spec.figure, spec.title, outcomes)

@@ -1,8 +1,8 @@
-"""Tests for the experiment runners and FigureResult plumbing."""
+"""Tests for the figure sweep and FigureResult plumbing."""
 
 import pytest
 
-from repro.experiments import FigureResult, RunScale, fig2_flows, fig12_ablation
+from repro.experiments import FIGURE_TABLE, FigureResult, RunScale, sweep
 
 MICRO = RunScale(
     name="micro",
@@ -17,9 +17,6 @@ class TestFigureResult:
         result = FigureResult("Fig X", "title", ["mode", "x", "gbps"])
         result.rows = [["off", 5, 100.0], ["off", 10, 99.0], ["fns", 5, 98.0]]
         return result
-
-    def test_series_filters_by_mode(self):
-        assert len(self.make().series("off")) == 2
 
     def test_row_lookup(self):
         assert self.make().row("fns", 5)[2] == 98.0
@@ -37,7 +34,9 @@ class TestFigureResult:
 
 class TestRunners:
     def test_fig2_micro_run_has_expected_structure(self):
-        result = fig2_flows(modes=("off", "strict"), flows=(5,), scale=MICRO)
+        result = sweep(
+            FIGURE_TABLE["fig2"], modes=("off", "strict"), xs=(5,), scale=MICRO
+        )
         assert len(result.rows) == 2
         off = result.row("off", 5)
         strict = result.row("strict", 5)
@@ -48,9 +47,7 @@ class TestRunners:
         assert result.raw[("strict", 5)].rx_data_pages > 0
 
     def test_fig12_micro_orders_modes(self):
-        result = fig12_ablation(
-            modes=("strict", "fns"), value_bytes=8192, scale=MICRO
-        )
+        result = sweep(FIGURE_TABLE["fig12"], modes=("strict", "fns"), scale=MICRO)
         gbps = {row[0]: row[2] for row in result.rows}
         assert gbps["fns"] > gbps["strict"]
 

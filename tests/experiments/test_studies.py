@@ -20,10 +20,51 @@ MICRO = RunScale(
 )
 
 
+# Each study's (figure id, title, headers), as ``repro run`` prints them.
+HEADINGS = {
+    "ablation-l3": (
+        "Ablation-L3",
+        "PTcache-L3 capacity sweep (iperf, 5 flows)",
+        ["mode", "l3_entries", "gbps", "m3/pg"],
+    ),
+    "ablation-aging": (
+        "Ablation-aging",
+        "Allocator aging sweep (strict, iperf, 5 flows)",
+        ["aging_iovas", "gbps", "m3/pg", "iotlb/pg"],
+    ),
+    "ablation-walkers": (
+        "Ablation-walkers",
+        "Walker concurrency sweep (strict, iperf, 5 flows)",
+        ["walkers", "gbps", "M"],
+    ),
+    "ablation-ddio": (
+        "Ablation-DDIO",
+        "DDIO on/off (strict, iperf, 5 flows)",
+        ["ddio", "gbps", "M", "max_cpu%"],
+    ),
+    "generality": (
+        "Generality",
+        "Single-page vs 64-page descriptors (iperf, 5 flows)",
+        ["mode", "desc_pages", "gbps", "m1/pg", "m3/pg", "inval/pg"],
+    ),
+    "extension-huge": (
+        "Extension-huge",
+        "F&S with 2 MB hugepage descriptors (iperf, 5 flows)",
+        ["mode", "gbps", "iotlb/pg", "M", "inval/pg", "max_cpu%"],
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def run(slug):
     runner, _description = FIGURES[slug]
     return runner(scale=MICRO)
+
+
+@pytest.mark.parametrize("slug", list(HEADINGS))
+def test_study_heading(slug):
+    result = run(slug)
+    assert (result.figure_id, result.title, result.headers) == HEADINGS[slug]
 
 
 def test_ptcache_l3_capacity():

@@ -10,7 +10,7 @@ worker boundaries (more points than workers).
 import json
 
 from repro.context import using
-from repro.experiments import RunScale, fault_sweep, fig2_flows
+from repro.experiments import FIGURE_TABLE, RunScale, fault_sweep, sweep
 from repro.experiments.faultsweep import sweep_plans
 from repro.obs import MetricsRegistry
 from repro.obs.expectations import SPECS
@@ -27,9 +27,10 @@ MICRO = RunScale(
 def run_fig2(jobs, chunk=None):
     registry = MetricsRegistry(sample_interval_ns=500_000.0)
     with using(registry=registry):
-        result = fig2_flows(
+        result = sweep(
+            FIGURE_TABLE["fig2"],
             modes=("off", "strict"),
-            flows=(5, 10),
+            xs=(5, 10),
             scale=MICRO,
             jobs=jobs,
             chunk=chunk,
@@ -78,9 +79,10 @@ class TestFigureEquivalence:
 
 
 def fig2_reduced(scale, jobs=None, chunk=None, seed=1):
-    return fig2_flows(
+    return sweep(
+        FIGURE_TABLE["fig2"],
         modes=("off", "strict"),
-        flows=(5, 10),
+        xs=(5, 10),
         scale=scale,
         jobs=jobs,
         chunk=chunk,
