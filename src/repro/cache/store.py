@@ -8,22 +8,15 @@ output:
 * the :class:`~repro.experiments.settings.RunScale` durations;
 * the observation shape (whether metrics are collected, the sampling
   interval and cap — these change the recorded phase payload);
-* the ``cache_parts`` of the run context (:mod:`repro.context`;
-  ``repro reproduce`` supplies the figure's expectation-spec digest
-  parts there);
-* the code fingerprint of the cell's registered point runner
-  (:mod:`repro.cache.fingerprint` — file-content hashing, so dirty
-  worktrees invalidate exactly as edits land on disk).
-
-Beside the objects, ``<dir>/imports/<aa>/<sha256>.json`` memoizes the
-parsed import list of each source file the fingerprints hash, keyed on
-the SHA-256 of the file's bytes, so a warm process hashes its closure
-without parsing it.
+* the code fingerprint: a SHA-256 over the contents of every ``.py``
+  file of the installed ``repro`` package (:func:`tree_fingerprint`).
+  Any edit to the package, committed or not, changes every key, so a
+  cached cell can never outlive the code that produced it.
 
 An entry stores the runner's pickled return value plus the cell's
 recorded metrics phase payload, which a warm sweep adopts into the
-parent registry exactly like a worker-process payload — the mechanism
-PR 5 proved byte-identical to inline execution.
+parent registry exactly like a worker-process payload, so a warm
+sweep's report is byte-identical to a cold one's.
 
 Writes are atomic (temp file + rename) so concurrent ``repro reproduce``
 processes can share one store; a hit refreshes the entry's mtime, which
@@ -33,18 +26,16 @@ is the recency signal ``gc`` evicts by.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
 import pickle
-import shutil
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
-
-from .fingerprint import runner_fingerprint
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     import argparse
@@ -59,12 +50,35 @@ __all__ = [
     "DEFAULT_GC_MAX_BYTES",
     "CACHE_DIR_ENV",
     "main",
+    "tree_fingerprint",
 ]
 
 SCHEMA = "repro.cache/1"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 DEFAULT_GC_MAX_BYTES = 1 << 30  # 1 GiB
+# The installed ``repro`` package: this file is ``repro/cache/store.py``.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def tree_fingerprint() -> str:
+    """SHA-256 over every ``.py`` file of the installed package tree.
+
+    Computed once per process: each file's path relative to the
+    package and its bytes, in sorted path order, ``__pycache__``
+    excluded.
+    """
+    digest = hashlib.sha256()
+    files = sorted(
+        p for p in _PACKAGE_ROOT.rglob("*.py") if "__pycache__" not in p.parts
+    )
+    for path in files:
+        digest.update(str(path.relative_to(_PACKAGE_ROOT)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> str:
@@ -108,9 +122,9 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------
-    def fingerprint_for(self, runner_key: str) -> str:
-        """The code fingerprint half of a key (patchable in tests)."""
-        return runner_fingerprint(runner_key, self.directory / "imports")
+    def fingerprint_for(self) -> str:
+        """The code fingerprint part of a key (patchable in tests)."""
+        return tree_fingerprint()
 
     def key_for(
         self,
@@ -119,9 +133,8 @@ class ResultCache:
         *,
         collect: bool,
         sample_interval_ns: Optional[float],
-        parts: Sequence[str] = (),
     ) -> str:
-        """The content address of one cell, with extra key ``parts``."""
+        """The content address of one cell."""
         material = {
             "schema": SCHEMA,
             "cell": [
@@ -139,8 +152,7 @@ class ResultCache:
                 scale.latency_measure_ns,
             ],
             "observe": [collect, sample_interval_ns],
-            "context": list(parts),
-            "code": self.fingerprint_for(spec.runner),
+            "code": self.fingerprint_for(),
         }
         return hashlib.sha256(
             json.dumps(material, sort_keys=True).encode()
@@ -309,15 +321,11 @@ class ResultCache:
         }
 
     def clear(self) -> dict:
-        """Remove every entry; returns the same shape as :meth:`gc`.
-
-        The import memo goes too (it only ever saves parse time).
-        """
+        """Remove every entry; returns the same shape as :meth:`gc`."""
         entries = self._entries()
         freed = sum(stat.st_size for _, stat in entries)
         for path, _stat in entries:
             self._remove(path)
-        shutil.rmtree(self.directory / "imports", ignore_errors=True)
         return {
             "directory": str(self.directory),
             "evicted": len(entries),

@@ -3,8 +3,7 @@
 One frozen :class:`RunContext` names everything a run may carry beside
 its configuration: the metrics registry (:mod:`repro.obs`), the
 invariant monitor (:mod:`repro.verify`), the fault runtime
-(:mod:`repro.faults`) and the result cache (:mod:`repro.cache`) with
-the extra key parts the current sweep is cached under.
+(:mod:`repro.faults`) and the result cache (:mod:`repro.cache`).
 
 Instrumented classes read :func:`current_context` once at construction
 and keep what they need in an attribute (``obs``, ``monitor``,
@@ -31,15 +30,11 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    # The code fingerprint (repro.cache.fingerprint) walks type-only
-    # imports too, and every runner's closure reaches this module.
-    # ResultCache and InvariantMonitor come from their packages so the
-    # store and the monitor do not widen every closure.
-    from .cache import ResultCache
+    from .cache.store import ResultCache
     from .faults.injectors import ComponentInjector
     from .faults.runtime import FaultRuntime
     from .obs.registry import MetricsRegistry
-    from .verify import InvariantMonitor
+    from .verify.monitor import InvariantMonitor
 
 __all__ = ["RunContext", "current_context", "reset_context", "using"]
 
@@ -52,9 +47,6 @@ class RunContext:
     monitor: Optional[InvariantMonitor] = None
     faults: Optional[FaultRuntime] = None
     cache: Optional[ResultCache] = None
-    # Extra key material for every cell cached under this context
-    # (``repro reproduce`` supplies each figure's spec digest parts).
-    cache_parts: tuple[str, ...] = ()
 
     @property
     def per_call(self) -> bool:

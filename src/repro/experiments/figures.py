@@ -49,8 +49,14 @@ class FigureResult:
         )
 
     def row(self, mode: str, x) -> list:
-        for candidate in self.rows:
-            if candidate[0] == mode and candidate[1] == x:
+        """The row of cell ``(mode, x)``.
+
+        ``sweep`` appends each cell's row and ``raw`` entry in the same
+        order (a ``finish`` step adds ``raw`` keys only after the
+        cells), so the cell's position in ``raw`` is its row's.
+        """
+        for candidate, cell in zip(self.rows, self.raw):
+            if cell == (mode, x):
                 return candidate
         raise KeyError((mode, x))
 

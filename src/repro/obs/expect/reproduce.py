@@ -174,13 +174,7 @@ def collect_sections(
     sections = []
     for name in names:
         registry = MetricsRegistry()
-        # Each figure's cells are keyed under its expectation spec's
-        # digest parts: editing one spec invalidates exactly that
-        # figure's cache entries (unused when no cache is installed).
-        with using(
-            registry=registry,
-            cache_parts=tuple(specs[name].digest_parts()),
-        ):
+        with using(registry=registry):
             result = runners[name](
                 scale=scale, seed=seed, jobs=jobs, chunk=chunk
             )

@@ -335,7 +335,6 @@ def run_points(
                 sample_interval_ns=(
                     None if registry is None else registry.sample_interval_ns
                 ),
-                parts=context.cache_parts,
             )
             for spec in specs
         ]

@@ -30,7 +30,7 @@ def cache(tmp_path, monkeypatch):
     store = ResultCache(str(tmp_path / "store"))
     # Key tests must not depend on the real source tree's bytes.
     monkeypatch.setattr(
-        type(store), "fingerprint_for", lambda self, key: f"fp:{key}"
+        type(store), "fingerprint_for", lambda self: "fp"
     )
     return store
 
@@ -68,14 +68,16 @@ class TestKeys:
         assert key(cache, spec_for(), collect=False) != base
         assert key(cache, spec_for(), sample_interval_ns=1.0) != base
 
-    def test_key_parts_change_the_key(self, cache):
-        base = key(cache, spec_for())
-        assert key(cache, spec_for(), parts=("spec digest part",)) != base
+    def test_key_takes_no_context_parts(self, cache):
+        # Spec files are part of the hashed source tree, so no sweep
+        # adds key material of its own.
+        with pytest.raises(TypeError):
+            key(cache, spec_for(), parts=("spec digest part",))
 
     def test_code_fingerprint_changes_the_key(self, cache, monkeypatch):
         base = key(cache, spec_for())
         monkeypatch.setattr(
-            type(cache), "fingerprint_for", lambda self, k: "edited"
+            type(cache), "fingerprint_for", lambda self: "edited"
         )
         assert key(cache, spec_for()) != base
 

@@ -16,6 +16,7 @@ class TestFigureResult:
     def make(self):
         result = FigureResult("Fig X", "title", ["mode", "x", "gbps"])
         result.rows = [["off", 5, 100.0], ["off", 10, 99.0], ["fns", 5, 98.0]]
+        result.raw = {("off", 5): None, ("off", 10): None, ("fns", 5): None}
         return result
 
     def test_row_lookup(self):
@@ -24,6 +25,20 @@ class TestFigureResult:
     def test_missing_row_raises(self):
         with pytest.raises(KeyError):
             self.make().row("strict", 5)
+
+    def test_row_lookup_without_mode_or_x_columns(self):
+        # Studies over one mode print no mode column, and x-less ones
+        # no x column; a cell's row is found by its place in ``raw``.
+        result = FigureResult("Fig Y", "title", ["walkers", "gbps"])
+        result.rows = [[1, 70.0], [2, 80.0]]
+        result.raw = {("strict", 1): None, ("strict", 2): None, "l0_ns": 1.0}
+        assert result.row("strict", 2) == [2, 80.0]
+        result = FigureResult("Fig Z", "title", ["mode", "gbps"])
+        result.rows = [["fns", 90.0]]
+        result.raw = {("fns", 1024): None}
+        assert result.row("fns", 1024) == ["fns", 90.0]
+        with pytest.raises(KeyError):
+            result.row("fns", 2048)
 
     def test_format_contains_headers_and_rows(self):
         text = self.make().format()

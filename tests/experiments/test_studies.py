@@ -113,6 +113,8 @@ def test_walker_concurrency():
     by_walkers = {row[0]: row for row in result.rows}
     # Fewer walkers -> more serialization -> lower throughput.
     assert by_walkers[1][1] <= by_walkers[4][1] + 1.0
+    # Rows have no mode column; ``row`` finds a cell by its coordinates.
+    assert result.row("strict", 2) == by_walkers[2]
 
 
 def test_ddio():

@@ -173,7 +173,7 @@ def test_each_point_frees_its_cyclic_garbage(
 
     runner = scratch_runners("t-cycle", point)
     monkeypatch.setattr(
-        ResultCache, "fingerprint_for", lambda self, key: "pinned"
+        ResultCache, "fingerprint_for", lambda self: "pinned"
     )
     store = ResultCache(str(tmp_path / "store"))
     gc.disable()
@@ -205,7 +205,7 @@ def test_each_point_frees_its_cyclic_garbage_under_a_registry(
 
     runner = scratch_runners("t-cycle-obs", point)
     monkeypatch.setattr(
-        ResultCache, "fingerprint_for", lambda self, key: "pinned"
+        ResultCache, "fingerprint_for", lambda self: "pinned"
     )
     store = ResultCache(str(tmp_path / "store"))
     registry = MetricsRegistry()

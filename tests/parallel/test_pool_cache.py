@@ -74,7 +74,7 @@ def specs_for(runner, count=4, payload=None):
 def cache(tmp_path, monkeypatch):
     store = ResultCache(str(tmp_path / "store"))
     monkeypatch.setattr(
-        type(store), "fingerprint_for", lambda self, key: "pinned"
+        type(store), "fingerprint_for", lambda self: "pinned"
     )
     return store
 

@@ -140,11 +140,12 @@ def test_cache_bypass_follows_in_process(case, pid_runner, tmp_path):
 
 def test_using_restores_the_previous_context():
     before = current_context()
-    with using(monitor=InvariantMonitor(), cache_parts=("a",)):
-        with using(cache_parts=("b",)) as inner:
+    outer_registry, inner_registry = MetricsRegistry(), MetricsRegistry()
+    with using(monitor=InvariantMonitor(), registry=outer_registry):
+        with using(registry=inner_registry) as inner:
             assert inner.monitor is not None
-            assert inner.cache_parts == ("b",)
-        assert current_context().cache_parts == ("a",)
+            assert inner.registry is inner_registry
+        assert current_context().registry is outer_registry
     assert current_context() is before
 
 
@@ -160,7 +161,6 @@ def test_forked_worker_starts_with_empty_context(tmp_path):
             monitor=InvariantMonitor(),
             faults=_empty_faults(),
             cache=ResultCache(str(tmp_path / "store")),
-            cache_parts=("spec",),
         ):
             pool = _ensure_pool(1)
             assert pool.submit(_worker_context, None).result()
