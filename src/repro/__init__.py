@@ -24,6 +24,7 @@ prints any one figure or study.
 """
 
 from .apps import (
+    AppResult,
     run_bidirectional_iperf,
     run_iperf,
     run_netperf_rpc,
@@ -47,6 +48,7 @@ __all__ = [
     "HostConfig",
     "Testbed",
     "TestbedResult",
+    "AppResult",
     "Host",
     "RemotePeer",
     "Iommu",

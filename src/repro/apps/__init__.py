@@ -1,24 +1,26 @@
-"""Application workloads: iperf, netperf RPC, Redis, Nginx, SPDK."""
+"""Application workloads: iperf, netperf RPC, Redis, Nginx, SPDK.
 
-from .base import AppStats, RequestResponseApp, segments_for
+iperf returns the testbed's :class:`~repro.host.TestbedResult`; the
+four request/response apps return one :class:`AppResult`, measured over
+the same ``Testbed.run`` window.
+"""
+
+from .base import AppResult, AppStats, RequestResponseApp, segments_for
 from .iperf import run_bidirectional_iperf, run_iperf
-from .netperf import NetperfResult, run_netperf_rpc
-from .nginx import NginxResult, run_nginx
-from .redis import RedisResult, run_redis
-from .spdk import SpdkResult, run_spdk
+from .netperf import run_netperf_rpc
+from .nginx import run_nginx
+from .redis import run_redis
+from .spdk import run_spdk
 
 __all__ = [
     "RequestResponseApp",
     "AppStats",
+    "AppResult",
     "segments_for",
     "run_iperf",
     "run_bidirectional_iperf",
     "run_netperf_rpc",
-    "NetperfResult",
     "run_redis",
-    "RedisResult",
     "run_nginx",
-    "NginxResult",
     "run_spdk",
-    "SpdkResult",
 ]

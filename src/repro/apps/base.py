@@ -26,13 +26,20 @@ emerges from the exchange structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from ..analysis.metrics import LatencyRecorder
+from ..analysis.metrics import PERCENTILES_FIG9, LatencyRecorder
+from ..host.config import HostConfig
 from ..host.testbed import Testbed
 
-__all__ = ["RequestResponseApp", "AppStats", "segments_for"]
+__all__ = [
+    "RequestResponseApp",
+    "AppStats",
+    "AppResult",
+    "segments_for",
+    "paper_app_testbed",
+]
 
 _APP_FLOW_BASE = 4000
 
@@ -47,12 +54,53 @@ def segments_for(message_bytes: int, mtu_bytes: int) -> tuple[int, int]:
     return count, mtu_bytes
 
 
+# The §4.2 setup of Redis, Nginx and SPDK: 8 cores, 9 K MTU, and an
+# allocator aged with 98,304 IOVAs.
+APP_CORES = 8
+APP_MTU_BYTES = 9000
+APP_AGING_IOVAS = 98304
+
+
+def paper_app_testbed(mode: str) -> Testbed:
+    """A testbed in the paper's §4.2 application setup."""
+    return Testbed(
+        HostConfig.cascade_lake(
+            mode=mode,
+            num_cores=APP_CORES,
+            mtu_bytes=APP_MTU_BYTES,
+            allocator_aging_iovas=APP_AGING_IOVAS,
+        )
+    )
+
+
 @dataclass
 class AppStats:
-    """Counters the experiment runner snapshots around the window."""
+    """Counters the testbed's measurement window reads."""
 
     requests_completed: int = 0
     bulk_bytes_delivered: int = 0
+
+
+@dataclass
+class AppResult:
+    """One app cell: the app's counters over the testbed's window.
+
+    ``goodput_gbps`` counts the app's bulk bytes (Redis values, web
+    pages, storage blocks, RPC requests); ``background_gbps`` is the
+    window's goodput of the testbed's iperf flows (Fig 9's colocated
+    load; 0 without them).  The latency fields are filled only for an
+    app that records latency (netperf RPC).
+    """
+
+    mode: str
+    goodput_gbps: float
+    requests_per_second: float
+    iotlb_misses_per_page: float
+    ptcache_l3_misses_per_page: float
+    background_gbps: float
+    rpc_count: int = 0
+    percentiles_ns: dict = field(default_factory=dict)
+    mean_ns: float = 0.0
 
 
 class _Connection:
@@ -92,12 +140,16 @@ class RequestResponseApp:
     ) -> None:
         if initiator not in ("remote", "host"):
             raise ValueError("initiator must be 'remote' or 'host'")
+        if testbed.app is not None:
+            raise RuntimeError("testbed already has an app attached")
+        testbed.app = self
         self.testbed = testbed
         self.initiator = initiator
         self.pipeline_depth = pipeline_depth
         self.host_app_cost_ns = host_app_cost_ns
         self.think_ns = think_ns
         self.stats = AppStats()
+        self._window_start = AppStats()
         self.latency = LatencyRecorder() if record_latency else None
         mtu = testbed.config.mtu_bytes
         if initiator == "remote":
@@ -149,12 +201,44 @@ class RequestResponseApp:
             self.connections.append(connection)
             self._by_to_host_flow[to_host_flow] = connection
             self._by_to_remote_flow[to_remote_flow] = connection
-        if host.on_delivery is not None or remote.on_delivery is not None:
-            raise RuntimeError("testbed already has an app attached")
         host.on_delivery = self._on_host_delivery
         remote.on_delivery = self._on_remote_delivery
         # Kick off the pipeline once the simulation starts.
         testbed.sim.schedule_after(0.0, self._start)
+
+    # ------------------------------------------------------------------
+    # Measurement
+    # ------------------------------------------------------------------
+    def run(self, warmup_ns: float, measure_ns: float) -> AppResult:
+        """Warm up and measure through the testbed's one window."""
+        window = self.testbed.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
+        requests = (
+            self.stats.requests_completed
+            - self._window_start.requests_completed
+        )
+        goodput_bytes = (
+            self.stats.bulk_bytes_delivered
+            - self._window_start.bulk_bytes_delivered
+        )
+        result = AppResult(
+            mode=window.mode,
+            goodput_gbps=goodput_bytes * 8 / measure_ns,
+            requests_per_second=requests / (measure_ns / 1e9),
+            iotlb_misses_per_page=window.iotlb_misses_per_page,
+            ptcache_l3_misses_per_page=window.ptcache_l3_misses_per_page,
+            background_gbps=window.rx_goodput_gbps,
+        )
+        if self.latency is not None and len(self.latency):
+            result.rpc_count = len(self.latency)
+            result.percentiles_ns = self.latency.percentiles(PERCENTILES_FIG9)
+            result.mean_ns = self.latency.mean
+        return result
+
+    def open_window(self) -> None:
+        """Start counting at the window's open (called by ``Testbed.run``)."""
+        self._window_start = replace(self.stats)
+        if self.latency is not None:
+            self.latency.samples.clear()
 
     # ------------------------------------------------------------------
     # Startup

@@ -22,19 +22,18 @@ def run_iperf(
     flows: int = 5,
     warmup_ns: float = 3_000_000.0,
     measure_ns: float = 10_000_000.0,
-    config: Optional[HostConfig] = None,
     strict_until: bool = False,
     watchdog_interval_ns: Optional[float] = None,
     **config_overrides,
 ) -> TestbedResult:
     """Run one iperf point; returns the testbed measurement.
 
-    ``strict_until`` and ``watchdog_interval_ns`` harden the run
-    against dead workloads and deadlocks (see :mod:`repro.sim`); the
-    fault-sweep experiment enables both.
+    ``config_overrides`` set :class:`HostConfig` fields (the studies'
+    knobs).  ``strict_until`` and ``watchdog_interval_ns`` harden the
+    run against dead workloads and deadlocks (see :mod:`repro.sim`);
+    the fault-sweep experiment enables both.
     """
-    if config is None:
-        config = HostConfig.cascade_lake(mode=mode, **config_overrides)
+    config = HostConfig.cascade_lake(mode=mode, **config_overrides)
     testbed = Testbed(config, watchdog_interval_ns=watchdog_interval_ns)
     testbed.add_rx_flows(flows)
     return testbed.run(
@@ -50,17 +49,12 @@ def run_bidirectional_iperf(
     tx_cores: int,
     warmup_ns: float = 3_000_000.0,
     measure_ns: float = 10_000_000.0,
-    config: Optional[HostConfig] = None,
-    **config_overrides,
 ) -> TestbedResult:
     """Fig 10: concurrent Rx and Tx data flows on disjoint cores.
 
-    One flow per core in each direction, Ice Lake host by default.
+    One flow per core in each direction, on an Ice Lake host.
     """
-    if config is None:
-        config = HostConfig.ice_lake(
-            mode=mode, num_cores=rx_cores + tx_cores, **config_overrides
-        )
+    config = HostConfig.ice_lake(mode=mode, num_cores=rx_cores + tx_cores)
     testbed = Testbed(config)
     testbed.add_rx_flows(rx_cores, cores=list(range(rx_cores)))
     testbed.add_tx_flows(

@@ -10,51 +10,33 @@ the paper measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..analysis.metrics import PERCENTILES_FIG9
 from ..host.config import HostConfig
 from ..host.testbed import Testbed
-from .base import RequestResponseApp
+from .base import AppResult, RequestResponseApp
 
-__all__ = ["run_netperf_rpc", "NetperfResult"]
+__all__ = ["run_netperf_rpc"]
 
-
-@dataclass
-class NetperfResult:
-    """RPC latency percentiles plus the background load achieved."""
-
-    mode: str
-    rpc_bytes: int
-    rpc_count: int
-    percentiles_ns: dict = field(default_factory=dict)
-    background_gbps: float = 0.0
-    mean_ns: float = 0.0
+BACKGROUND_FLOWS = 5  # colocated iperf flows, one core each
 
 
 def run_netperf_rpc(
     mode: str,
     rpc_bytes: int,
-    background_flows: int = 5,
     warmup_ns: float = 3_000_000.0,
     measure_ns: float = 30_000_000.0,
-    **config_overrides,
-) -> NetperfResult:
+) -> AppResult:
     """Run the Fig 9 workload for one (mode, RPC size) point.
 
     The host gets one extra core beyond the iperf cores; the RPC
-    connection is pinned there.
+    connection is pinned there.  ``background_gbps`` is the iperf
+    flows' goodput over the window.
     """
     config = HostConfig.cascade_lake(
-        mode=mode,
-        num_cores=min(background_flows, 5) + 1,
-        **config_overrides,
+        mode=mode, num_cores=BACKGROUND_FLOWS + 1
     )
     testbed = Testbed(config)
     rpc_core = config.num_cores - 1
-    testbed.add_rx_flows(
-        background_flows, cores=list(range(config.num_cores - 1))
-    )
+    testbed.add_rx_flows(BACKGROUND_FLOWS, cores=list(range(rpc_core)))
     app = RequestResponseApp(
         testbed,
         initiator="remote",
@@ -65,32 +47,4 @@ def run_netperf_rpc(
         cores=[rpc_core],
         record_latency=True,
     )
-    testbed.remote.start_all()
-    testbed.sim.run(until=warmup_ns)
-    app.latency.samples.clear()
-    background_before = sum(
-        count
-        for flow, count in testbed.host.delivered_segments_by_flow.items()
-        if flow in testbed.rx_flow_ids
-    )
-    testbed.sim.run(until=warmup_ns + measure_ns)
-    background_after = sum(
-        count
-        for flow, count in testbed.host.delivered_segments_by_flow.items()
-        if flow in testbed.rx_flow_ids
-    )
-    result = NetperfResult(
-        mode=mode,
-        rpc_bytes=rpc_bytes,
-        rpc_count=len(app.latency),
-        background_gbps=(
-            (background_after - background_before)
-            * config.mtu_bytes
-            * 8
-            / measure_ns
-        ),
-    )
-    if len(app.latency):
-        result.percentiles_ns = app.latency.percentiles(PERCENTILES_FIG9)
-        result.mean_ns = app.latency.mean
-    return result
+    return app.run(warmup_ns, measure_ns)

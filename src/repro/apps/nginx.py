@@ -13,15 +13,13 @@ Setup follows §4.2: 8 cores, 9 K MTU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .base import AppResult, RequestResponseApp, paper_app_testbed
 
-from ..host.config import HostConfig
-from ..host.testbed import Testbed
-from .base import RequestResponseApp
-
-__all__ = ["run_nginx", "NginxResult", "nginx_request_cost_ns"]
+__all__ = ["run_nginx", "nginx_request_cost_ns"]
 
 HTTP_GET_BYTES = 256  # request line + headers
+CONNECTIONS_PER_CORE = 4
+PIPELINE_DEPTH = 2
 
 
 def nginx_request_cost_ns(message_bytes: int) -> float:
@@ -29,54 +27,21 @@ def nginx_request_cost_ns(message_bytes: int) -> float:
     return 9_000.0 + 0.035 * message_bytes
 
 
-@dataclass
-class NginxResult:
-    mode: str
-    page_bytes: int
-    goodput_gbps: float
-    requests_per_second: float
-
-
 def run_nginx(
     mode: str,
     page_bytes: int,
-    connections_per_core: int = 4,
-    pipeline_depth: int = 2,
-    num_cores: int = 8,
-    mtu_bytes: int = 9000,
     warmup_ns: float = 3_000_000.0,
     measure_ns: float = 10_000_000.0,
-    allocator_aging_iovas: int = 98304,
-    **config_overrides,
-) -> NginxResult:
+) -> AppResult:
     """Run one (mode, page size) Nginx point."""
-    config = HostConfig.cascade_lake(
-        mode=mode,
-        num_cores=num_cores,
-        mtu_bytes=mtu_bytes,
-        allocator_aging_iovas=allocator_aging_iovas,
-        **config_overrides,
-    )
-    testbed = Testbed(config)
+    testbed = paper_app_testbed(mode)
     app = RequestResponseApp(
         testbed,
         initiator="host",
         request_bytes=HTTP_GET_BYTES,
         response_bytes=page_bytes,
-        pipeline_depth=pipeline_depth,
-        connections=connections_per_core * num_cores,
+        pipeline_depth=PIPELINE_DEPTH,
+        connections=CONNECTIONS_PER_CORE * testbed.config.num_cores,
         host_app_cost_ns=nginx_request_cost_ns,
     )
-    testbed.remote.start_all()
-    testbed.sim.run(until=warmup_ns)
-    requests_before = app.stats.requests_completed
-    bytes_before = app.stats.bulk_bytes_delivered
-    testbed.sim.run(until=warmup_ns + measure_ns)
-    requests = app.stats.requests_completed - requests_before
-    goodput_bytes = app.stats.bulk_bytes_delivered - bytes_before
-    return NginxResult(
-        mode=mode,
-        page_bytes=page_bytes,
-        goodput_gbps=goodput_bytes * 8 / measure_ns,
-        requests_per_second=requests / (measure_ns / 1e9),
-    )
+    return app.run(warmup_ns, measure_ns)

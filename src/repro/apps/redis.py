@@ -13,15 +13,13 @@ Setup follows §4.2: 8 cores, 9 K MTU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .base import AppResult, RequestResponseApp, paper_app_testbed
 
-from ..host.config import HostConfig
-from ..host.testbed import Testbed
-from .base import RequestResponseApp
-
-__all__ = ["run_redis", "RedisResult", "redis_server_cost_ns"]
+__all__ = ["run_redis", "redis_server_cost_ns"]
 
 REDIS_REPLY_BYTES = 64  # "+OK\r\n" plus protocol/TCP framing
+CONNECTIONS_PER_CORE = 2
+PIPELINE_DEPTH = 32
 
 
 def redis_server_cost_ns(message_bytes: int) -> float:
@@ -29,70 +27,21 @@ def redis_server_cost_ns(message_bytes: int) -> float:
     return 1_200.0 + 0.03 * message_bytes
 
 
-@dataclass
-class RedisResult:
-    mode: str
-    value_bytes: int
-    goodput_gbps: float
-    requests_per_second: float
-    iotlb_misses_per_page: float
-    ptcache_l3_misses_per_page: float
-
-
 def run_redis(
     mode: str,
     value_bytes: int,
-    connections_per_core: int = 2,
-    pipeline_depth: int = 32,
-    num_cores: int = 8,
-    mtu_bytes: int = 9000,
     warmup_ns: float = 3_000_000.0,
     measure_ns: float = 10_000_000.0,
-    allocator_aging_iovas: int = 98304,
-    **config_overrides,
-) -> RedisResult:
+) -> AppResult:
     """Run one (mode, value size) Redis point."""
-    config = HostConfig.cascade_lake(
-        mode=mode,
-        num_cores=num_cores,
-        mtu_bytes=mtu_bytes,
-        allocator_aging_iovas=allocator_aging_iovas,
-        **config_overrides,
-    )
-    testbed = Testbed(config)
+    testbed = paper_app_testbed(mode)
     app = RequestResponseApp(
         testbed,
         initiator="remote",
         request_bytes=value_bytes + 4,  # 4 B key
         response_bytes=REDIS_REPLY_BYTES,
-        pipeline_depth=pipeline_depth,
-        connections=connections_per_core * num_cores,
+        pipeline_depth=PIPELINE_DEPTH,
+        connections=CONNECTIONS_PER_CORE * testbed.config.num_cores,
         host_app_cost_ns=redis_server_cost_ns,
     )
-    testbed.remote.start_all()
-    testbed.sim.run(until=warmup_ns)
-    requests_before = app.stats.requests_completed
-    bytes_before = app.stats.bulk_bytes_delivered
-    snapshot = (
-        testbed.host.iommu.stats.snapshot()
-        if testbed.host.iommu is not None
-        else None
-    )
-    pages_before = testbed.host.rx_data_pages
-    testbed.sim.run(until=warmup_ns + measure_ns)
-    requests = app.stats.requests_completed - requests_before
-    goodput_bytes = app.stats.bulk_bytes_delivered - bytes_before
-    pages = testbed.host.rx_data_pages - pages_before
-    iotlb = l3 = 0.0
-    if snapshot is not None and pages > 0:
-        per_page = testbed.host.iommu.stats.delta(snapshot).per_page(pages)
-        iotlb = per_page.iotlb
-        l3 = per_page.l3
-    return RedisResult(
-        mode=mode,
-        value_bytes=value_bytes,
-        goodput_gbps=goodput_bytes * 8 / measure_ns,
-        requests_per_second=requests / (measure_ns / 1e9),
-        iotlb_misses_per_page=iotlb,
-        ptcache_l3_misses_per_page=l3,
-    )
+    return app.run(warmup_ns, measure_ns)

@@ -16,15 +16,12 @@ Setup follows §4.2: 8 cores, 9 K MTU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .base import AppResult, RequestResponseApp, paper_app_testbed
 
-from ..host.config import HostConfig
-from ..host.testbed import Testbed
-from .base import RequestResponseApp
-
-__all__ = ["run_spdk", "SpdkResult", "spdk_per_io_cost_ns"]
+__all__ = ["run_spdk", "spdk_per_io_cost_ns"]
 
 NVME_READ_CMD_BYTES = 128  # command capsule over TCP
+IO_DEPTH = 8  # outstanding reads per core
 
 
 def spdk_per_io_cost_ns(message_bytes: int) -> float:
@@ -32,67 +29,21 @@ def spdk_per_io_cost_ns(message_bytes: int) -> float:
     return 600.0
 
 
-@dataclass
-class SpdkResult:
-    mode: str
-    block_bytes: int
-    goodput_gbps: float
-    iops: float
-    iotlb_misses_per_page: float
-
-
 def run_spdk(
     mode: str,
     block_bytes: int,
-    io_depth: int = 8,
-    num_cores: int = 8,
-    mtu_bytes: int = 9000,
     warmup_ns: float = 3_000_000.0,
     measure_ns: float = 10_000_000.0,
-    allocator_aging_iovas: int = 98304,
-    **config_overrides,
-) -> SpdkResult:
-    """Run one (mode, block size) SPDK point."""
-    config = HostConfig.cascade_lake(
-        mode=mode,
-        num_cores=num_cores,
-        mtu_bytes=mtu_bytes,
-        allocator_aging_iovas=allocator_aging_iovas,
-        **config_overrides,
-    )
-    testbed = Testbed(config)
+) -> AppResult:
+    """Run one (mode, block size) SPDK point; one read is one request."""
+    testbed = paper_app_testbed(mode)
     app = RequestResponseApp(
         testbed,
         initiator="host",
         request_bytes=NVME_READ_CMD_BYTES,
         response_bytes=block_bytes,
-        pipeline_depth=io_depth,
-        connections=num_cores,
+        pipeline_depth=IO_DEPTH,
+        connections=testbed.config.num_cores,
         host_app_cost_ns=spdk_per_io_cost_ns,
     )
-    testbed.remote.start_all()
-    testbed.sim.run(until=warmup_ns)
-    requests_before = app.stats.requests_completed
-    bytes_before = app.stats.bulk_bytes_delivered
-    snapshot = (
-        testbed.host.iommu.stats.snapshot()
-        if testbed.host.iommu is not None
-        else None
-    )
-    pages_before = testbed.host.rx_data_pages
-    testbed.sim.run(until=warmup_ns + measure_ns)
-    ios = app.stats.requests_completed - requests_before
-    goodput_bytes = app.stats.bulk_bytes_delivered - bytes_before
-    pages = testbed.host.rx_data_pages - pages_before
-    iotlb = 0.0
-    if snapshot is not None and pages > 0:
-        iotlb = (
-            testbed.host.iommu.stats.delta(snapshot).per_page(pages).iotlb
-        )
-    return SpdkResult(
-        mode=mode,
-        block_bytes=block_bytes,
-        goodput_gbps=goodput_bytes * 8 / measure_ns,
-        iops=ios / (measure_ns / 1e9),
-        iotlb_misses_per_page=iotlb,
-    )
+    return app.run(warmup_ns, measure_ns)

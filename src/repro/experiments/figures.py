@@ -305,7 +305,7 @@ FIGURE_TABLE: dict[str, Figure] = {
                 mode,
                 x,
                 round(r.goodput_gbps, 1),
-                round(r.iops / 1000, 1),
+                round(r.requests_per_second / 1000, 1),
                 round(r.iotlb_misses_per_page, 2),
             ],
         ),

@@ -94,8 +94,6 @@ class HostConfig:
     irq_coalesce_ns: float = 6_000.0
     irq_coalesce_frames: int = 32
     gro_max_bytes: int = 65536
-    # Tx completion cleaning batch (pages per retire burst).
-    tx_retire_batch: int = 1
     # Deferred-mode flush threshold.
     deferred_flush_threshold: int = 250
     # Long-uptime allocator state: before the experiment, this many

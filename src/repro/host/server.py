@@ -483,7 +483,7 @@ class Host:
             if trailing is not None:
                 self._send_ack(core, trailing)
         # Tx completion cleaning also happens in the poll context.
-        self._maybe_retire_tx(core, force=True)
+        self._maybe_retire_tx(core)
         # Another interrupt window begins.
         self._poll_scheduled[core] = False
         if self._napi_queues[core]:
@@ -571,13 +571,11 @@ class Host:
         else:
             self.wire_out(packet)
         self._pending_tx[core].extend(mappings)
-        self._maybe_retire_tx(core, force=False)
+        self._maybe_retire_tx(core)
 
-    def _maybe_retire_tx(self, core: int, force: bool) -> None:
+    def _maybe_retire_tx(self, core: int) -> None:
         pending = self._pending_tx[core]
         if not pending:
-            return
-        if not force and len(pending) < self.config.tx_retire_batch:
             return
         batch = list(pending)
         pending.clear()

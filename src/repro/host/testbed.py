@@ -3,13 +3,15 @@
 This mirrors the paper's measurement setup (§2.2): two servers
 connected through one switch so that all bottlenecks are at the host.
 The testbed owns flow setup, warm-up handling, and the snapshot/delta
-measurement of every quantity the paper's figures plot.
+measurement of every quantity the paper's figures plot: ``Testbed.run``
+is the one measurement window, for iperf flows and for the
+request/response app attached to the testbed alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..context import current_context
 from ..net.switch import SwitchPort
@@ -18,13 +20,14 @@ from .config import HostConfig
 from .remote import RemotePeer
 from .server import Host
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..apps.base import RequestResponseApp
+
 __all__ = ["Testbed", "TestbedResult"]
 
 # Flow-id ranges by role (documentation of convention, not enforcement).
 RX_FLOW_BASE = 0
 TX_FLOW_BASE = 1000
-RPC_REQ_BASE = 2000
-RPC_RESP_BASE = 3000
 
 
 @dataclass
@@ -120,6 +123,9 @@ class Testbed:
         self.port_to_remote.deliver = self.remote.packet_from_wire
         self.rx_flow_ids: list[int] = []
         self.tx_flow_ids: list[int] = []
+        # The request/response app driving this testbed, if any; run()
+        # opens its measurement window together with the testbed's.
+        self.app: Optional[RequestResponseApp] = None
         self.watchdog: Optional[Watchdog] = None
         if watchdog_interval_ns is not None:
             self.watchdog = Watchdog(
@@ -188,6 +194,8 @@ class Testbed:
             self.watchdog.arm()
         self.sim.run(until=warmup_ns, strict_until=strict_until)
         snapshot = self._snapshot()
+        if self.app is not None:
+            self.app.open_window()
         self.sim.run(
             until=warmup_ns + measure_ns, strict_until=strict_until
         )
@@ -221,8 +229,22 @@ class Testbed:
             "trace_len": len(host.allocation_trace),
         }
         if host.iommu is not None:
-            snap["iommu"] = host.iommu.stats.snapshot()
+            snap["iommu"] = self._iommu_counters()
         return snap
+
+    def _iommu_counters(self) -> tuple:
+        """The IOMMU counters the window reads: the ones divided by
+        pages, then the invalidation requests."""
+        stats = self.host.iommu.stats
+        misses = stats.ptcache_counted_misses
+        return (
+            stats.iotlb_misses,
+            misses[1],
+            misses[2],
+            misses[3],
+            stats.memory_reads,
+            stats.invalidation_requests,
+        )
 
     def _result(self, snap: dict, measure_ns: float) -> TestbedResult:
         host = self.host
@@ -261,14 +283,16 @@ class Testbed:
             rx_data_pages=pages,
         )
         if host.iommu is not None and pages > 0:
-            delta = host.iommu.stats.delta(snap["iommu"])
-            per_page = delta.per_page(pages)
-            result.iotlb_misses_per_page = per_page.iotlb
-            result.ptcache_l1_misses_per_page = per_page.l1
-            result.ptcache_l2_misses_per_page = per_page.l2
-            result.ptcache_l3_misses_per_page = per_page.l3
-            result.memory_reads_per_page = per_page.memory_reads
-            result.invalidation_requests = delta.invalidation_requests
+            iotlb, l1, l2, l3, reads, invalidations = (
+                now - before
+                for now, before in zip(self._iommu_counters(), snap["iommu"])
+            )
+            result.iotlb_misses_per_page = iotlb / pages
+            result.ptcache_l1_misses_per_page = l1 / pages
+            result.ptcache_l2_misses_per_page = l2 / pages
+            result.ptcache_l3_misses_per_page = l3 / pages
+            result.memory_reads_per_page = reads / pages
+            result.invalidation_requests = invalidations
         if host.iommu is not None:
             result.stale_translations = host.iommu.stale_translations
         # Hardening / fault accounting (cumulative, not interval

@@ -32,7 +32,7 @@ from .pagetable import (
     WalkResult,
 )
 from .ptcache import ProbeOutcome, PtCache, PtCacheHierarchy
-from .stats import IommuStats, IommuStatsDelta
+from .stats import IommuStats
 
 __all__ = [
     "Iommu",
@@ -52,7 +52,6 @@ __all__ = [
     "FaultReportingQueue",
     "IommuFaultRecord",
     "IommuStats",
-    "IommuStatsDelta",
     "IOVA_BITS",
     "IOVA_SPACE_SIZE",
     "PAGE_SHIFT",

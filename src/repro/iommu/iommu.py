@@ -209,8 +209,6 @@ class Iommu:
         """
         stats = self.stats
         stats.translations += 1
-        by_source = stats.translations_by_source
-        by_source[source] = by_source.get(source, 0) + 1
 
         if (
             self.faults is not None
@@ -241,8 +239,6 @@ class Iommu:
             return TranslationResult(frame, True, 0, stale)
 
         stats.iotlb_misses += 1
-        misses_by_source = stats.iotlb_misses_by_source
-        misses_by_source[source] = misses_by_source.get(source, 0) + 1
 
         walk = self.page_table.walk(iova)
         if walk is None:
@@ -305,8 +301,6 @@ class Iommu:
             rest = count - 1
             stats = self.stats
             stats.translations += rest
-            by_source = stats.translations_by_source
-            by_source[source] = by_source.get(source, 0) + rest
             stats.iotlb_hits += rest
             self.iotlb.hits += rest
             if result.stale:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..context import current_context
-from ..verify.events import InvalidationEvent, IotlbEvictEvent
-from .addr import PAGE_SHIFT, PAGE_SIZE
+from ..verify.events import IotlbEvictEvent
+from .addr import PAGE_SHIFT
 
 __all__ = ["Iotlb"]
 
@@ -123,41 +123,6 @@ class Iotlb:
             del self._huge[next(iter(self._huge))]
             self.evictions += 1
         self._huge[key] = base_frame
-
-    def invalidate_page(self, iova: int) -> bool:
-        """Drop any entry translating one IOVA page; returns whether one
-        existed.
-
-        A page-granule invalidation must drop a *covering* 2 MB entry
-        too, not just an exact 4 KB match — hardware invalidates any
-        cached translation for the address, whatever its size.  Keeping
-        the huge entry would leave the device a stale translation for
-        the whole 2 MB region after a strict-mode per-page unmap.
-        """
-        page_number = iova >> PAGE_SHIFT
-        entry_set = self._set_for(page_number)
-        dropped = False
-        if page_number in entry_set:
-            del entry_set[page_number]
-            self.invalidations += 1
-            dropped = True
-        huge_key = iova >> 21
-        if huge_key in self._huge:
-            del self._huge[huge_key]
-            self.invalidations += 1
-            dropped = True
-        if self.monitor is not None:
-            # The invalidation completes whether or not an entry was
-            # resident; afterwards any successful translation of this
-            # page is a use-after-unmap.  An IOTLB-level invalidation
-            # inherently leaves the PTcaches alone.
-            self.monitor.record(
-                InvalidationEvent(
-                    iova & ~(PAGE_SIZE - 1), PAGE_SIZE, True
-                ),
-                owner=id(self),
-            )
-        return dropped
 
     def invalidate_range(self, iova: int, length: int) -> int:
         """Drop all entries within ``[iova, iova + length)``.

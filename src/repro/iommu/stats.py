@@ -2,17 +2,15 @@
 
 The paper measures IOTLB and PTcache misses with Intel PCM hardware
 counters and normalizes them per 4 KB page of received data.  We count
-the same quantities exactly (no sampling), support snapshot/delta so
-experiments can exclude warm-up, and tag counts by traffic source
-(rx data, tx data, tx acks) for the Fig 2c-style Tx-interference
-analysis.
+the same quantities exactly (no sampling); the testbed reads them at the
+start and end of its measurement window to exclude warm-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["IommuStats", "IommuStatsDelta"]
+__all__ = ["IommuStats"]
 
 
 @dataclass
@@ -28,95 +26,6 @@ class IommuStats:
     ptcache_counted_misses: dict[int, int] = field(
         default_factory=lambda: {1: 0, 2: 0, 3: 0}
     )
-    translations_by_source: dict[str, int] = field(default_factory=dict)
-    iotlb_misses_by_source: dict[str, int] = field(default_factory=dict)
     faults: int = 0
     invalidation_requests: int = 0
     ptcache_invalidation_requests: int = 0
-
-    def snapshot(self) -> "IommuStats":
-        """A deep copy for later delta computation."""
-        return IommuStats(
-            translations=self.translations,
-            iotlb_hits=self.iotlb_hits,
-            iotlb_misses=self.iotlb_misses,
-            walks=self.walks,
-            memory_reads=self.memory_reads,
-            ptcache_counted_misses=dict(self.ptcache_counted_misses),
-            translations_by_source=dict(self.translations_by_source),
-            iotlb_misses_by_source=dict(self.iotlb_misses_by_source),
-            faults=self.faults,
-            invalidation_requests=self.invalidation_requests,
-            ptcache_invalidation_requests=self.ptcache_invalidation_requests,
-        )
-
-    def delta(self, since: "IommuStats") -> "IommuStatsDelta":
-        """Counter increases since a snapshot."""
-        return IommuStatsDelta(
-            translations=self.translations - since.translations,
-            iotlb_hits=self.iotlb_hits - since.iotlb_hits,
-            iotlb_misses=self.iotlb_misses - since.iotlb_misses,
-            walks=self.walks - since.walks,
-            memory_reads=self.memory_reads - since.memory_reads,
-            ptcache_counted_misses={
-                level: self.ptcache_counted_misses[level]
-                - since.ptcache_counted_misses.get(level, 0)
-                for level in (1, 2, 3)
-            },
-            translations_by_source={
-                key: value - since.translations_by_source.get(key, 0)
-                for key, value in self.translations_by_source.items()
-            },
-            iotlb_misses_by_source={
-                key: value - since.iotlb_misses_by_source.get(key, 0)
-                for key, value in self.iotlb_misses_by_source.items()
-            },
-            faults=self.faults - since.faults,
-            invalidation_requests=self.invalidation_requests
-            - since.invalidation_requests,
-            ptcache_invalidation_requests=self.ptcache_invalidation_requests
-            - since.ptcache_invalidation_requests,
-        )
-
-
-@dataclass
-class IommuStatsDelta:
-    """Counter increases over a measurement interval, plus per-page views."""
-
-    translations: int
-    iotlb_hits: int
-    iotlb_misses: int
-    walks: int
-    memory_reads: int
-    ptcache_counted_misses: dict[int, int]
-    translations_by_source: dict[str, int]
-    iotlb_misses_by_source: dict[str, int]
-    faults: int
-    invalidation_requests: int
-    ptcache_invalidation_requests: int
-
-    def per_page(self, pages: int) -> "PerPageMisses":
-        """Normalize by pages of received data (the paper's unit)."""
-        if pages <= 0:
-            raise ValueError("pages must be positive")
-        return PerPageMisses(
-            iotlb=self.iotlb_misses / pages,
-            l1=self.ptcache_counted_misses[1] / pages,
-            l2=self.ptcache_counted_misses[2] / pages,
-            l3=self.ptcache_counted_misses[3] / pages,
-            memory_reads=self.memory_reads / pages,
-        )
-
-
-@dataclass(frozen=True)
-class PerPageMisses:
-    """Misses per 4 KB page of data — the y-axis of Figs 2c/2d etc.
-
-    ``memory_reads`` equals ``iotlb + l1 + l2 + l3`` (the paper's M).
-    """
-
-    iotlb: float
-    l1: float
-    l2: float
-    l3: float
-    memory_reads: float

@@ -1,16 +1,21 @@
 """The strict-mode driver family: Linux strict, F&S, and the ablations.
 
 All four strict-safety configurations the paper evaluates are the same
-driver with three boolean knobs (its Fig 12 decomposition):
+driver with two boolean knobs (its Fig 12 decomposition):
 
-=====================  =================  ===============  ====================
-Configuration          preserve_ptcache   contiguous_iova  batched_invalidation
-=====================  =================  ===============  ====================
-Linux strict           no                 no               no
-Linux + A              yes                no               no
-Linux + B              no                 yes              yes
-F&S (A + B)            yes                yes              yes
-=====================  =================  ===============  ====================
+=====================  =================  ===============
+Configuration          preserve_ptcache   contiguous_iova
+=====================  =================  ===============
+Linux strict           no                 no
+Linux + A              yes                no
+Linux + B              no                 yes
+F&S (A + B)            yes                yes
+=====================  =================  ===============
+
+Contiguous IOVAs bring batched invalidation with them (the paper's
+Fig 12 clubs the two as idea B): the driver spends one invalidation
+descriptor per unmapped range, which is one page for scattered IOVAs
+and a whole run for contiguous ones.
 
 Every configuration upholds the strict safety property: each IOVA is
 unmapped and its IOTLB entry invalidated before the retire call
@@ -61,16 +66,10 @@ class StrictFamilyDriver(ProtectionDriver):
         num_cpus: int,
         preserve_ptcache: bool,
         contiguous_iova: bool,
-        batched_invalidation: bool,
         chunk_pages: int = 64,
         hugepages: bool = False,
         allocation_trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
-        if batched_invalidation and not contiguous_iova:
-            raise ValueError(
-                "batched invalidation requires contiguous IOVAs "
-                "(the paper's Fig 12 clubs them for the same reason)"
-            )
         if hugepages and (not contiguous_iova or chunk_pages != 512):
             raise ValueError(
                 "hugepage descriptors need contiguous 512-page (2 MB) chunks"
@@ -81,7 +80,6 @@ class StrictFamilyDriver(ProtectionDriver):
         self.num_cpus = num_cpus
         self.preserve_ptcache = preserve_ptcache
         self.contiguous_iova = contiguous_iova
-        self.batched_invalidation = batched_invalidation
         self.chunk_pages = chunk_pages
         self.allocator = CachingIovaAllocator(
             num_cpus=num_cpus, trace=allocation_trace
@@ -109,13 +107,13 @@ class StrictFamilyDriver(ProtectionDriver):
     # ------------------------------------------------------------------
     @classmethod
     def linux_strict(cls, iommu, physmem, num_cpus, **kwargs):
-        driver = cls(iommu, physmem, num_cpus, False, False, False, **kwargs)
+        driver = cls(iommu, physmem, num_cpus, False, False, **kwargs)
         driver.name = "linux-strict"
         return driver
 
     @classmethod
     def fns(cls, iommu, physmem, num_cpus, **kwargs):
-        driver = cls(iommu, physmem, num_cpus, True, True, True, **kwargs)
+        driver = cls(iommu, physmem, num_cpus, True, True, **kwargs)
         driver.name = "fns"
         return driver
 
@@ -126,7 +124,7 @@ class StrictFamilyDriver(ProtectionDriver):
         safety at 2 MB descriptor granularity."""
         kwargs.setdefault("chunk_pages", 512)
         driver = cls(
-            iommu, physmem, num_cpus, True, True, True,
+            iommu, physmem, num_cpus, True, True,
             hugepages=True, **kwargs,
         )
         driver.name = "fns-huge"
@@ -135,14 +133,14 @@ class StrictFamilyDriver(ProtectionDriver):
     @classmethod
     def linux_plus_preserve(cls, iommu, physmem, num_cpus, **kwargs):
         """Fig 12's "Linux + A": preserve PTcaches, scattered IOVAs."""
-        driver = cls(iommu, physmem, num_cpus, True, False, False, **kwargs)
+        driver = cls(iommu, physmem, num_cpus, True, False, **kwargs)
         driver.name = "linux+A"
         return driver
 
     @classmethod
     def linux_plus_contiguous(cls, iommu, physmem, num_cpus, **kwargs):
         """Fig 12's "Linux + B": contiguous + batched, PTcaches dropped."""
-        driver = cls(iommu, physmem, num_cpus, False, True, True, **kwargs)
+        driver = cls(iommu, physmem, num_cpus, False, True, **kwargs)
         driver.name = "linux+B"
         return driver
 
@@ -229,7 +227,7 @@ class StrictFamilyDriver(ProtectionDriver):
             length = 512 * PAGE_SIZE
             reclaimed = self.iommu.unmap_range(chunk.base_iova, length)
             cost += UNMAP_NS
-            cost += self._invalidate(chunk.base_iova, length, 512, reclaimed)
+            cost += self._invalidate(chunk.base_iova, length, reclaimed)
             assert self.chunks is not None
             self.chunks.release_chunk(chunk, cpu=core)
             self.physmem.free_huge(base_frame)
@@ -244,7 +242,7 @@ class StrictFamilyDriver(ProtectionDriver):
             # One unmap operation for the whole descriptor range.
             reclaimed = self.iommu.unmap_range(base, length)
             cost += UNMAP_NS + descriptor.size * PTE_CLEAR_NS
-            cost += self._invalidate(base, length, descriptor.size, reclaimed)
+            cost += self._invalidate(base, length, reclaimed)
             assert self.chunks is not None
             self.chunks.release_chunk(chunk, cpu=core)
         elif self.contiguous_iova:
@@ -256,7 +254,7 @@ class StrictFamilyDriver(ProtectionDriver):
             for slot in descriptor.slots:
                 reclaimed = self.iommu.unmap_range(slot.iova, PAGE_SIZE)
                 cost += UNMAP_NS
-                cost += self._invalidate(slot.iova, PAGE_SIZE, 1, reclaimed)
+                cost += self._invalidate(slot.iova, PAGE_SIZE, reclaimed)
                 self.allocator.free(slot.iova, 1, cpu=core)
         for slot in descriptor.slots:
             self.physmem.free_frame(slot.frame)
@@ -292,7 +290,7 @@ class StrictFamilyDriver(ProtectionDriver):
             for mapping in mappings:
                 reclaimed = self.iommu.unmap_range(mapping.iova, PAGE_SIZE)
                 cost += UNMAP_NS
-                cost += self._invalidate(mapping.iova, PAGE_SIZE, 1, reclaimed)
+                cost += self._invalidate(mapping.iova, PAGE_SIZE, reclaimed)
                 self.allocator.free(mapping.iova, 1, cpu=core)
         for mapping in mappings:
             self.physmem.free_frame(mapping.frame)
@@ -309,7 +307,7 @@ class StrictFamilyDriver(ProtectionDriver):
             length = count * PAGE_SIZE
             reclaimed = self.iommu.unmap_range(start, length)
             cost += UNMAP_NS + count * PTE_CLEAR_NS
-            cost += self._invalidate(start, length, count, reclaimed)
+            cost += self._invalidate(start, length, reclaimed)
             self.chunks.release_pages(start, count, cpu=core)
             del chunk  # runs are already chunk-local
         return cost
@@ -317,16 +315,11 @@ class StrictFamilyDriver(ProtectionDriver):
     # ------------------------------------------------------------------
     # Invalidation policy (where the A/B2 flags act)
     # ------------------------------------------------------------------
-    def _invalidate(self, iova, length, pages, reclaimed) -> float:
+    def _invalidate(self, iova, length, reclaimed) -> float:
+        """One descriptor for the unmapped range, plus the PTcache
+        fallback for any page-table page the unmap reclaimed."""
         preserve = self.preserve_ptcache
-        cost = 0.0
-        if self.batched_invalidation:
-            cost += self._invalidate_robust(iova, length, preserve)
-        else:
-            for index in range(pages):
-                cost += self._invalidate_robust(
-                    iova + index * PAGE_SIZE, PAGE_SIZE, preserve
-                )
+        cost = self._invalidate_robust(iova, length, preserve)
         if preserve and reclaimed:
             # Correctness fallback: an unmap actually reclaimed PT
             # pages, so the PTcache entries pointing at them are stale

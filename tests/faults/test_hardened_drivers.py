@@ -52,7 +52,6 @@ def build(driver_cls, monitor):
             num_cpus=1,
             preserve_ptcache=True,
             contiguous_iova=True,
-            batched_invalidation=True,
         )
     return driver, iommu
 

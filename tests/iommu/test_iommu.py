@@ -6,6 +6,7 @@ from repro.context import using
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
 from repro.verify import InvalidationEvent, InvariantMonitor
+from repro.verify.events import TranslateEvent
 
 
 def make_iommu(**kwargs):
@@ -100,13 +101,18 @@ class TestTranslate:
         assert result.memory_reads == 4
 
     def test_source_tagging(self):
-        iommu = make_iommu()
+        # The traffic source travels with each translation's event.
+        with using(monitor=InvariantMonitor()) as context:
+            iommu = make_iommu()
         iommu.map_page(0x1000, 1)
         iommu.map_page(0x2000, 2)
         iommu.translate(0x1000, source="rx")
         iommu.translate(0x2000, source="tx_ack")
-        assert iommu.stats.translations_by_source == {"rx": 1, "tx_ack": 1}
-        assert iommu.stats.iotlb_misses_by_source == {"rx": 1, "tx_ack": 1}
+        assert [
+            (event.iova, event.source)
+            for event in context.monitor.trace()
+            if isinstance(event, TranslateEvent)
+        ] == [(0x1000, "rx"), (0x2000, "tx_ack")]
 
 
 class TestWalkerTiming:
@@ -164,31 +170,6 @@ class TestWalkerTiming:
         relaxed = iommu.reserve_walk(0.0, 1, utilization=0.0)
         inflated = iommu.reserve_walk(relaxed, 1, utilization=0.9)
         assert inflated - relaxed > 100.0
-
-
-class TestStatsDelta:
-    def test_snapshot_delta_and_per_page(self):
-        iommu = make_iommu()
-        for page in range(8):
-            iommu.map_page(page * PAGE_SIZE, page)
-        iommu.translate(0)
-        before = iommu.stats.snapshot()
-        for page in range(8):
-            iommu.translate(page * PAGE_SIZE)
-        delta = iommu.stats.delta(before)
-        assert delta.translations == 8
-        assert delta.iotlb_hits == 1  # page 0 was already cached
-        per_page = delta.per_page(8)
-        assert per_page.iotlb == pytest.approx(7 / 8)
-        assert per_page.memory_reads == pytest.approx(
-            per_page.iotlb + per_page.l1 + per_page.l2 + per_page.l3
-        )
-
-    def test_per_page_requires_positive_pages(self):
-        iommu = make_iommu()
-        delta = iommu.stats.delta(iommu.stats.snapshot())
-        with pytest.raises(ValueError):
-            delta.per_page(0)
 
 
 class TestInvalidationQueue:

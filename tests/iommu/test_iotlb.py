@@ -48,8 +48,8 @@ def test_set_isolation():
 def test_invalidate_page():
     tlb = Iotlb(entries=8, ways=2)
     tlb.insert(0x5000, 7)
-    assert tlb.invalidate_page(0x5000)
-    assert not tlb.invalidate_page(0x5000)
+    assert tlb.invalidate_range(0x5000, PAGE_SIZE) == 1
+    assert tlb.invalidate_range(0x5000, PAGE_SIZE) == 0
     assert tlb.lookup(0x5000) is None
 
 
@@ -106,8 +106,8 @@ def test_miss_rate():
 
 
 # ---------------------------------------------------------------------------
-# Huge-entry interaction with page-granule invalidation (regression:
-# invalidate_page used to leave a covering 2 MB entry resident).
+# Huge-entry interaction with page-granule invalidation (regression: a
+# one-page invalidation used to leave a covering 2 MB entry resident).
 # ---------------------------------------------------------------------------
 def test_invalidate_page_drops_covering_huge_entry():
     tlb = Iotlb(entries=8, ways=2)
@@ -115,7 +115,7 @@ def test_invalidate_page_drops_covering_huge_entry():
     assert tlb.lookup(0x3000) == 1003
     # A 4 KB-granule invalidation inside the huge region must drop the
     # covering 2 MB entry: afterwards no address in the region hits.
-    assert tlb.invalidate_page(0x3000)
+    assert tlb.invalidate_range(0x3000, PAGE_SIZE) == 1
     assert tlb.lookup(0x3000) is None
     assert tlb.lookup(0x0) is None
     assert tlb.lookup(0x1FF000) is None
@@ -126,7 +126,7 @@ def test_invalidate_page_drops_both_4k_and_huge():
     tlb = Iotlb(entries=8, ways=2)
     tlb.insert(0x3000, 7)
     tlb.insert_huge(0, 1000)
-    assert tlb.invalidate_page(0x3000)
+    assert tlb.invalidate_range(0x3000, PAGE_SIZE) == 2
     assert tlb.invalidations == 2
     assert tlb.resident_entries == 0
 
@@ -135,7 +135,7 @@ def test_invalidate_page_misses_other_huge_regions():
     tlb = Iotlb(entries=8, ways=2)
     tlb.insert_huge(0, 1000)
     tlb.insert_huge(2 << 20, 2000)
-    assert tlb.invalidate_page(0x3000)
+    assert tlb.invalidate_range(0x3000, PAGE_SIZE) == 1
     assert tlb.lookup(0x3000) is None
     # The neighbouring region's entry must survive.
     assert tlb.lookup((2 << 20) + 0x1000) == 2001

@@ -30,8 +30,8 @@ MEASURE_NS = 1_500_000.0
 
 # (cell, mode) -> counters after a micro run.  ``iommu``: translations,
 # IOTLB hits, IOTLB misses, walks, memory reads, counted PTcache misses
-# (m1/m2/m3), translations and IOTLB misses by source, faults,
-# invalidation requests, PTcache invalidation requests.  ``ptcache``:
+# (m1/m2/m3), faults, invalidation requests, PTcache invalidation
+# requests.  ``ptcache``:
 # hits, misses, evictions, invalidations for L1, L2, L3.  ``iotlb``:
 # hits, misses, evictions, invalidations.  ``pagetable``: maps, unmaps,
 # pages created, pages reclaimed, reclaims by level.
@@ -40,7 +40,6 @@ PINNED = {
         "events": 16473,
         "iommu": [
             68885, 63930, 4955, 4955, 7654, {1: 350, 2: 350, 3: 1999},
-            {"rx": 68192, "tx_ack": 693}, {"rx": 4262, "tx_ack": 693},
             0, 4789, 4789,
         ],
         "ptcache": [
@@ -53,7 +52,6 @@ PINNED = {
         "events": 25026,
         "iommu": [
             112652, 104925, 7727, 7727, 7736, {1: 1, 2: 1, 3: 7},
-            {"rx": 111920, "tx_ack": 732}, {"rx": 6995, "tx_ack": 732},
             0, 839, 0,
         ],
         "ptcache": [[7726, 1, 0, 0], [7726, 1, 0, 0], [7720, 7, 0, 0]],
@@ -64,7 +62,6 @@ PINNED = {
         "events": 24622,
         "iommu": [
             112544, 111840, 704, 704, 711, {1: 1, 2: 1, 3: 5},
-            {"rx": 111856, "tx_ack": 688}, {"rx": 16, "tx_ack": 688},
             0, 699, 0,
         ],
         "ptcache": [[703, 1, 0, 0], [703, 1, 0, 0], [683, 5, 0, 0]],
@@ -75,8 +72,6 @@ PINNED = {
         "events": 16771,
         "iommu": [
             61788, 56880, 4908, 4908, 9307, {1: 1020, 2: 1020, 3: 2359},
-            {"rx": 35121, "tx_ack": 139, "tx_data": 26528},
-            {"rx": 3111, "tx_ack": 139, "tx_data": 1658},
             0, 4801, 4801,
         ],
         "ptcache": [
@@ -92,7 +87,6 @@ PINNED = {
         "events": 24777,
         "iommu": [
             112428, 104775, 7653, 7653, 8570, {1: 27, 2: 27, 3: 863},
-            {"rx": 111760, "tx_ack": 668}, {"rx": 6985, "tx_ack": 668},
             0, 26, 26,
         ],
         "ptcache": [[7626, 27, 0, 26], [7626, 27, 0, 26], [6790, 863, 0, 831]],
@@ -103,7 +97,6 @@ PINNED = {
         "events": 16473,
         "iommu": [
             68885, 63930, 4955, 4955, 7654, {1: 350, 2: 350, 3: 1999},
-            {"rx": 68192, "tx_ack": 693}, {"rx": 4262, "tx_ack": 693},
             0, 4789, 4789,
         ],
         "ptcache": [
@@ -144,8 +137,6 @@ def cell_counters(kind, mode):
             stats.walks,
             stats.memory_reads,
             dict(stats.ptcache_counted_misses),
-            dict(stats.translations_by_source),
-            dict(stats.iotlb_misses_by_source),
             stats.faults,
             stats.invalidation_requests,
             stats.ptcache_invalidation_requests,

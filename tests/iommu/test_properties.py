@@ -65,7 +65,7 @@ def test_iotlb_matches_reference_lru(ops):
             tlb.insert(iova, page + 1000)
             reference.insert(page, page + 1000)
         else:
-            tlb.invalidate_page(iova)
+            tlb.invalidate_range(iova, PAGE_SIZE)
             reference.invalidate(page)
 
 

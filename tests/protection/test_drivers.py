@@ -212,18 +212,6 @@ class TestFnsMechanisms:
 
         assert retire_cost("fns") < retire_cost("linux") / 3
 
-    def test_batching_requires_contiguity(self):
-        iommu = Iommu(IommuConfig())
-        with pytest.raises(ValueError):
-            StrictFamilyDriver(
-                iommu,
-                PhysicalMemory(64),
-                num_cpus=1,
-                preserve_ptcache=False,
-                contiguous_iova=False,
-                batched_invalidation=True,
-            )
-
     def test_sub_chunk_descriptors_slice_chunks(self):
         """Single-page-descriptor devices (Intel ICE, paper §3
         "Generality"): descriptors smaller than a chunk carve

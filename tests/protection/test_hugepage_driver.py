@@ -94,7 +94,6 @@ class TestHugeDescriptors:
                 num_cpus=1,
                 preserve_ptcache=True,
                 contiguous_iova=True,
-                batched_invalidation=True,
                 chunk_pages=64,
                 hugepages=True,  # needs 512-page chunks
             )

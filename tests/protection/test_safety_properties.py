@@ -16,15 +16,15 @@ from repro.mem import PhysicalMemory
 from repro.protection import DeferredDriver, StrictFamilyDriver
 
 FLAG_COMBOS = [
-    (False, False, False),  # linux strict
-    (True, False, False),  # + preserve (A)
-    (False, True, True),  # + contiguous/batched (B)
-    (True, True, True),  # F&S
+    (False, False),  # linux strict
+    (True, False),  # + preserve (A)
+    (False, True),  # + contiguous/batched (B)
+    (True, True),  # F&S
 ]
 
 
 def make_driver(flags):
-    preserve, contiguous, batched = flags
+    preserve, contiguous = flags
     iommu = Iommu(IommuConfig())
     driver = StrictFamilyDriver(
         iommu,
@@ -32,7 +32,6 @@ def make_driver(flags):
         num_cpus=2,
         preserve_ptcache=preserve,
         contiguous_iova=contiguous,
-        batched_invalidation=batched,
     )
     return driver, iommu
 

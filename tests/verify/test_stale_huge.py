@@ -1,6 +1,6 @@
 """Regression: per-page invalidation must drop covering 2 MB IOTLB entries.
 
-The bug: ``Iotlb.invalidate_page`` only probed the 4 KB array, so a
+The bug: a one-page IOTLB invalidation only probed the 4 KB array, so a
 covering huge entry survived a strict-mode per-page unmap+invalidate —
 the device kept a live translation for the whole retired 2 MB region.
 
@@ -21,11 +21,7 @@ from repro.context import using
 from repro.iommu import Iommu, Iotlb
 from repro.iommu.addr import PAGE_SHIFT, PAGE_SIZE
 from repro.iommu.iommu import DmaFault
-from repro.verify import (
-    InvalidationEvent,
-    InvariantMonitor,
-    InvariantViolation,
-)
+from repro.verify import InvariantMonitor, InvariantViolation
 
 HUGE = 512 * PAGE_SIZE  # 2 MB
 
@@ -33,26 +29,19 @@ HUGE = 512 * PAGE_SIZE  # 2 MB
 class LegacyIotlb(Iotlb):
     """Pre-fix drop logic: page invalidation ignores the huge array.
 
-    The invalidation *descriptor* still completes (and is reported to
-    the monitor) — that is exactly the bug's shape: the driver believes
-    the page is unreachable while the 2 MB entry keeps translating it.
+    The invalidation *descriptor* still completes (and the queue reports
+    it to the monitor) — that is exactly the bug's shape: the driver
+    believes the page is unreachable while the 2 MB entry keeps
+    translating it.
     """
 
-    def invalidate_page(self, iova: int) -> bool:
-        page_number = iova >> PAGE_SHIFT
-        entry_set = self._set_for(page_number)
-        dropped = False
-        if page_number in entry_set:
-            del entry_set[page_number]
-            self.invalidations += 1
-            dropped = True
-        if self.monitor is not None:
-            self.monitor.record(
-                InvalidationEvent(
-                    iova & ~(PAGE_SIZE - 1), PAGE_SIZE, True
-                ),
-                owner=id(self),
-            )
+    def invalidate_range(self, iova: int, length: int) -> int:
+        dropped = 0
+        first = iova >> PAGE_SHIFT
+        for page_number in range(first, first + length // PAGE_SIZE):
+            if self._set_for(page_number).pop(page_number, None) is not None:
+                dropped += 1
+        self.invalidations += dropped
         return dropped
 
 
@@ -64,11 +53,14 @@ def _huge_mapped_iommu(monitor, legacy: bool):
             iommu.iotlb = LegacyIotlb(
                 iommu.config.iotlb_entries, iommu.config.iotlb_ways
             )
+            iommu.invalidation_queue.iotlb = iommu.iotlb
     iommu.map_huge(0, base_frame=1000)
     assert iommu.translate(0x3000).frame == 1003  # fills the huge entry
     iommu.unmap_range(0, HUGE)  # pages now pending invalidation
     # Strict-mode per-page teardown: invalidate just the touched page.
-    iommu.iotlb.invalidate_page(0x3000)
+    iommu.invalidation_queue.invalidate_range(
+        0x3000, PAGE_SIZE, preserve_ptcache=True
+    )
     return iommu
 
 
