@@ -16,9 +16,10 @@ factor.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
-from ..net.dctcp import DctcpParams, DctcpReceiver, DctcpSender
+from ..net.dctcp import DctcpParams, DctcpReceiver, DctcpSender, RtoTimer
 from ..net.packet import Packet, PacketKind
 from ..sim import Simulator
 
@@ -26,13 +27,13 @@ __all__ = ["RemotePeer"]
 
 
 class _RemoteFlow:
-    __slots__ = ("flow_id", "sender", "receiver", "rto_event")
+    __slots__ = ("flow_id", "sender", "receiver", "rto")
 
     def __init__(self, flow_id: int):
         self.flow_id = flow_id
         self.sender: Optional[DctcpSender] = None
         self.receiver: Optional[DctcpReceiver] = None
-        self.rto_event = None
+        self.rto: Optional[RtoTimer] = None
 
 
 class RemotePeer:
@@ -50,6 +51,7 @@ class RemotePeer:
         self.params = params
         self.wire_out = wire_out
         self.ack_every = ack_every
+        # Added by the switch port toward the peer to each arrival.
         self.processing_delay_ns = processing_delay_ns
         self._flows: dict[int, _RemoteFlow] = {}
         # App hook for delivered in-order segments (RPC client etc.).
@@ -72,6 +74,7 @@ class RemotePeer:
             unlimited=unlimited,
             segment_bytes=segment_bytes,
         )
+        flow.rto = RtoTimer(self.sim, flow.sender, partial(self.pump, flow_id))
         return flow.sender
 
     def register_receiver(self, flow_id: int) -> DctcpReceiver:
@@ -87,13 +90,12 @@ class RemotePeer:
     # ------------------------------------------------------------------
     def pump(self, flow_id: int) -> None:
         """Send whatever the flow's congestion window allows."""
-        flow = self._flows[flow_id]
-        sender = flow.sender
-        if sender is None:
+        rto = self._flows[flow_id].rto
+        if rto is None:
             return
-        for packet in sender.take_packets(self.sim.now):
+        for packet in rto.sender.take_packets(self.sim.now):
             self.wire_out(packet)
-        self._arm_rto(flow)
+        rto.arm()
 
     def start_all(self) -> None:
         """Kick every registered sender (t=0 of the experiment)."""
@@ -105,12 +107,7 @@ class RemotePeer:
     # Receiving
     # ------------------------------------------------------------------
     def packet_from_wire(self, packet: Packet) -> None:
-        """Handle a delivered packet after a small processing delay."""
-        self.sim.schedule_after(
-            self.processing_delay_ns, lambda: self._process(packet)
-        )
-
-    def _process(self, packet: Packet) -> None:
+        """Process a delivered packet (its processing delay has passed)."""
         flow = self._flows.get(packet.flow_id)
         if flow is None:
             return
@@ -134,28 +131,3 @@ class RemotePeer:
                 self.on_delivery(packet.flow_id, delivered)
         if maybe_ack is not None:
             self.wire_out(maybe_ack)
-
-    # ------------------------------------------------------------------
-    # RTO
-    # ------------------------------------------------------------------
-    def _arm_rto(self, flow: _RemoteFlow) -> None:
-        sender = flow.sender
-        if sender is None or sender.inflight == 0:
-            return
-        if flow.rto_event is not None:
-            flow.rto_event.cancel()
-        deadline = max(sender.rto_deadline_ns, self.sim.now)
-        flow.rto_event = self.sim.call_at(
-            deadline, lambda: self._rto_fire(flow)
-        )
-
-    def _rto_fire(self, flow: _RemoteFlow) -> None:
-        sender = flow.sender
-        flow.rto_event = None
-        if sender is None or sender.inflight == 0:
-            return
-        if self.sim.now + 1e-9 < sender.rto_deadline_ns:
-            self._arm_rto(flow)
-            return
-        sender.on_rto(self.sim.now)
-        self.pump(flow.flow_id)

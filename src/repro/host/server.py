@@ -30,7 +30,7 @@ from ..context import current_context
 from ..iommu import Iommu
 from ..iommu.addr import PAGE_SIZE
 from ..mem.physmem import PhysicalMemory
-from ..net.dctcp import DctcpReceiver, DctcpSender
+from ..net.dctcp import DctcpReceiver, DctcpSender, RtoTimer
 from ..net.packet import Packet, PacketKind
 from ..nic import Nic, RecoveryManager
 from ..nic.descriptor import RxDescriptor
@@ -53,14 +53,14 @@ __all__ = ["Host"]
 class _FlowBinding:
     """Host-side state for one flow (either direction)."""
 
-    __slots__ = ("flow_id", "core", "receiver", "sender", "rto_event")
+    __slots__ = ("flow_id", "core", "receiver", "sender", "rto")
 
     def __init__(self, flow_id: int, core: int):
         self.flow_id = flow_id
         self.core = core
         self.receiver: Optional[DctcpReceiver] = None
         self.sender: Optional[DctcpSender] = None
-        self.rto_event = None
+        self.rto: Optional[RtoTimer] = None
 
 
 class Host:
@@ -246,6 +246,9 @@ class Host:
             self.config.dctcp,
             unlimited=unlimited,
             segment_bytes=segment_bytes,
+        )
+        binding.rto = RtoTimer(
+            self.sim, binding.sender, partial(self.pump_tx_flow, flow_id)
         )
         return binding.sender
 
@@ -509,12 +512,12 @@ class Host:
     def pump_tx_flow(self, flow_id: int) -> None:
         """Send whatever the flow's window allows."""
         binding = self._flows.get(flow_id)
-        if binding is None or binding.sender is None:
+        if binding is None or binding.rto is None:
             return
-        sender = binding.sender
-        for packet in sender.take_packets(self.sim.now):
+        rto = binding.rto
+        for packet in rto.sender.take_packets(self.sim.now):
             self._send_tx_data(binding.core, packet)
-        self._arm_rto(binding)
+        rto.arm()
 
     def _send_tx_data(self, core: int, packet: Packet) -> None:
         pages = max(1, -(-packet.size_bytes // PAGE_SIZE))
@@ -581,31 +584,6 @@ class Host:
         pending.clear()
         cost = self.driver.retire_tx_pages(batch, core)
         self.cores.charge(core, cost)
-
-    # ------------------------------------------------------------------
-    # RTO management for host-side senders
-    # ------------------------------------------------------------------
-    def _arm_rto(self, binding: _FlowBinding) -> None:
-        sender = binding.sender
-        if sender is None or sender.inflight == 0:
-            return
-        if binding.rto_event is not None:
-            binding.rto_event.cancel()
-        deadline = max(sender.rto_deadline_ns, self.sim.now)
-        binding.rto_event = self.sim.call_at(
-            deadline, lambda: self._rto_fire(binding)
-        )
-
-    def _rto_fire(self, binding: _FlowBinding) -> None:
-        sender = binding.sender
-        binding.rto_event = None
-        if sender is None or sender.inflight == 0:
-            return
-        if self.sim.now + 1e-9 < sender.rto_deadline_ns:
-            self._arm_rto(binding)
-            return
-        sender.on_rto(self.sim.now)
-        self.pump_tx_flow(binding.flow_id)
 
     # ------------------------------------------------------------------
     # Memory-bandwidth utilization estimate

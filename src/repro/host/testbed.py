@@ -121,6 +121,8 @@ class Testbed:
         )
         self.port_to_host.deliver = self.host.packet_from_wire
         self.port_to_remote.deliver = self.remote.packet_from_wire
+        # The peer's processing delay rides on the arrival event.
+        self.port_to_remote.receiver_delay_ns = self.remote.processing_delay_ns
         self.rx_flow_ids: list[int] = []
         self.tx_flow_ids: list[int] = []
         # The request/response app driving this testbed, if any; run()

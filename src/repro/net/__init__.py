@@ -1,6 +1,6 @@
 """Transport substrate: packets, DCTCP, and the switch."""
 
-from .dctcp import DctcpParams, DctcpReceiver, DctcpSender
+from .dctcp import DctcpParams, DctcpReceiver, DctcpSender, RtoTimer
 from .packet import ACK_SIZE_BYTES, Packet, PacketKind
 from .switch import SwitchPort
 
@@ -11,5 +11,6 @@ __all__ = [
     "DctcpSender",
     "DctcpReceiver",
     "DctcpParams",
+    "RtoTimer",
     "SwitchPort",
 ]

@@ -26,12 +26,15 @@ Sequence numbers count MTU-sized segments.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..context import current_context
 from .packet import ACK_SIZE_BYTES, Packet, PacketKind
 
-__all__ = ["DctcpSender", "DctcpReceiver", "DctcpParams"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim import Event, Simulator
+
+__all__ = ["DctcpSender", "DctcpReceiver", "DctcpParams", "RtoTimer"]
 
 
 class DctcpParams:
@@ -80,8 +83,8 @@ class DctcpSender:
 
     The owner drives it with three entry points: :meth:`take_packets`
     (pull sendable segments), :meth:`on_ack` (process a returning ACK)
-    and :meth:`on_rto` (fire a retransmission timeout).  The owner is
-    responsible for arming the RTO timer at ``rto_deadline_ns``.
+    and :meth:`on_rto` (fire a retransmission timeout).  The owner arms
+    an :class:`RtoTimer` after every pump.
     """
 
     def __init__(
@@ -292,6 +295,66 @@ class DctcpSender:
         self.rto_backoff = min(self.rto_backoff * 2, 16)
         self.last_progress_ns = now
         self.timeouts += 1
+
+
+class RtoTimer:
+    """One sender's retransmission timer, re-armed lazily.
+
+    The owner arms it after every pump, and ACKs only move the deadline
+    later, so a pending timer that fires no later than the new deadline
+    is kept; only a deadline that moved earlier cancels it.  Each arm
+    takes a sequence number, and a timer that wakes before the latest
+    arm's ``(deadline, seq)`` moves there, so it runs in exactly the
+    slot of a timer re-pushed on every arm, ties included.
+    """
+
+    __slots__ = ("sim", "sender", "on_timeout", "event", "deadline", "seq")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        sender: DctcpSender,
+        on_timeout: Callable[[], None],
+    ) -> None:
+        self.sim = sim
+        self.sender = sender
+        self.on_timeout = on_timeout  # runs after ``sender.on_rto``
+        self.event: Optional["Event"] = None
+        self.deadline = 0.0
+        self.seq = 0
+
+    def arm(self) -> None:
+        """Make sure a timer fires by the sender's deadline."""
+        sender = self.sender
+        if sender.inflight == 0:
+            return
+        sim = self.sim
+        self.deadline = deadline = max(sender.rto_deadline_ns, sim.now)
+        self.seq = seq = sim.take_seq()
+        event = self.event
+        if event is not None:
+            if event.time <= deadline:
+                return
+            event.cancel()
+        self.event = sim.call_at(deadline, self._fire, seq=seq)
+
+    def _fire(self) -> None:
+        if self.event is not None and self.event.seq != self.seq:
+            # Woke before the latest arm's slot: move there.
+            self.event = self.sim.call_at(
+                self.deadline, self._fire, seq=self.seq
+            )
+            return
+        self.event = None
+        sender = self.sender
+        if sender.inflight == 0:
+            return
+        now = self.sim.now
+        if now + 1e-9 < sender.rto_deadline_ns:
+            self.arm()
+            return
+        sender.on_rto(now)
+        self.on_timeout()
 
 
 class DctcpReceiver:

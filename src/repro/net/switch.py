@@ -8,6 +8,11 @@ real enough to carry the ECN control loop and to show that, when the
 receiver's IOMMU is the bottleneck, queueing shifts to the *NIC* buffer
 (where there is no ECN marking) and DCTCP must fall back to loss
 recovery — the paper's drop-rate dynamics.
+
+A FIFO serializer at a fixed rate knows each packet's departure when it
+admits it, so admission schedules the packet's one event, its arrival
+at the receiver.  The queue holds start times, and every read of it
+first retires the packets whose start has come (``start <= now``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import partial
 from typing import Callable
 
 from ..context import current_context
-from ..sim import FifoQueue, Simulator, TokenBucketPacer
+from ..sim import FifoQueue, Simulator
 from .packet import Packet
 
 __all__ = ["SwitchPort"]
@@ -33,13 +38,18 @@ class SwitchPort:
         ecn_threshold_bytes: int = 200_000,
         propagation_ns: float = 2_000.0,
         deliver: Callable[[Packet], None] = lambda packet: None,
+        receiver_delay_ns: float = 0.0,
     ) -> None:
         self.sim = sim
+        # Items are the queued packets' serialization start times.
         self.queue = FifoQueue(buffer_bytes, ecn_threshold_bytes)
-        self.pacer = TokenBucketPacer(sim, rate_gbps)
+        self.rate_bits_per_ns = rate_gbps  # 1 Gbps == 1 bit/ns
         self.propagation_ns = propagation_ns
         self.deliver = deliver
-        self._draining = False
+        # The receiver's processing delay, added to each arrival time.
+        self.receiver_delay_ns = receiver_delay_ns
+        self._next_free = 0.0
+        self._delivered_bytes = 0
         # Fault injector (repro.faults); None in normal runs.
         self.faults = current_context().injector("net")
         self.injected_losses = 0
@@ -54,35 +64,25 @@ class SwitchPort:
                 "reordered_packets", lambda: self.reordered_packets
             )
             scope.counter("marked", lambda: self.queue.marked_items)
-            scope.gauge("queue_bytes", lambda: self.queue.occupancy_bytes)
+            scope.gauge("queue_bytes", lambda: self.queue_bytes)
 
     def enqueue(self, packet: Packet) -> bool:
         """Offer a packet to the port; marks/drops per queue state."""
+        now = self.sim.now
+        self._retire(now)
         if self.faults is not None and self.faults.drop(packet):
             # Wire loss: the sender saw the packet leave, the receiver
             # never will — DCTCP's loss recovery has to notice.
             self.injected_losses += 1
             return True
-        if not self.queue.try_enqueue(packet, packet.size_bytes):
+        size = packet.size_bytes
+        start = max(now, self._next_free)
+        if not self.queue.try_enqueue(start, size):
             return False
         if self.queue.should_mark() and packet.is_data:
             packet.ecn_marked = True
-        if not self._draining:
-            self._drain_next()
-        return True
-
-    def _drain_next(self) -> None:
-        entry = self.queue.dequeue()
-        if entry is None:
-            self._draining = False
-            return
-        self._draining = True
-        packet, size = entry
-        self.pacer.send(size, partial(self._on_wire_done, packet))
-
-    def _on_wire_done(self, packet: Packet) -> None:
-        # Serialization finished; deliver after propagation, then pull
-        # the next queued packet.
+        finish = start + size * 8 / self.rate_bits_per_ns
+        self._next_free = finish
         propagation = self.propagation_ns
         if self.faults is not None:
             extra = self.faults.reorder_delay(packet)
@@ -91,8 +91,19 @@ class SwitchPort:
                 # after packets serialized behind it.
                 self.reordered_packets += 1
                 propagation += extra
-        self.sim.schedule_after(propagation, partial(self.deliver, packet))
-        self._drain_next()
+        self.sim.schedule_at(
+            finish + propagation + self.receiver_delay_ns,
+            partial(self.deliver, packet),
+        )
+        return True
+
+    def _retire(self, now: float) -> None:
+        """Dequeue every packet whose serialization has started."""
+        queue = self.queue
+        while queue and queue.peek() <= now:
+            entry = queue.dequeue()
+            if entry is not None:
+                self._delivered_bytes += entry[1]
 
     @property
     def drops(self) -> int:
@@ -100,4 +111,12 @@ class SwitchPort:
 
     @property
     def delivered_bytes(self) -> int:
-        return self.pacer.sent_bytes
+        """Bytes that have left the queue for the wire."""
+        self._retire(self.sim.now)
+        return self._delivered_bytes
+
+    @property
+    def queue_bytes(self) -> int:
+        """Bytes admitted and not yet on the wire."""
+        self._retire(self.sim.now)
+        return self.queue.occupancy_bytes

@@ -1,8 +1,7 @@
 """Discrete-event simulation substrate.
 
-Exports the callback-driven engine (:class:`Simulator`), shared
-resources (:class:`FifoQueue`, :class:`TokenBucketPacer`) and
-deterministic RNG (:class:`SeededRng`).
+Exports the callback-driven engine (:class:`Simulator`), the shared
+queue (:class:`FifoQueue`) and deterministic RNG (:class:`SeededRng`).
 """
 
 from .engine import (
@@ -13,7 +12,7 @@ from .engine import (
     Watchdog,
     WatchdogError,
 )
-from .resources import FifoQueue, TokenBucketPacer
+from .resources import FifoQueue
 from .rng import SeededRng
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "Watchdog",
     "WatchdogError",
     "FifoQueue",
-    "TokenBucketPacer",
     "SeededRng",
 ]

@@ -145,13 +145,6 @@ class Event:
             self._sim = None
             sim._entry_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Exact float compare is intended: only *bitwise-equal* times
-        # fall through to the deterministic seq tie-break.
-        if self.time != other.time:  # noqa: REPRO003
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.1f}ns {state}>"
@@ -188,6 +181,7 @@ class Simulator:
         time: float,
         callback: Callable[[], Any],
         housekeeping: bool = False,
+        seq: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` to run at absolute simulated ``time``.
 
@@ -195,6 +189,7 @@ class Simulator:
         :class:`SimulationError` if ``time`` is in the past.
         ``housekeeping=True`` marks the event as an observer (watchdog
         or sampler tick) that does not count toward :attr:`alive_events`.
+        A ``seq`` from :meth:`take_seq` orders it as if scheduled then.
 
         Callers that never cancel the event should prefer
         :meth:`schedule_at`, which skips the handle allocation.
@@ -203,11 +198,17 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is {self.now})"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self.take_seq()
         event = Event(time, seq, callback, housekeeping, self)
         heapq.heappush(self._heap, (time, seq, callback, event))
         return event
+
+    def take_seq(self) -> int:
+        """Take the next sequence number without scheduling anything."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def call_after(
         self,

@@ -1,24 +1,18 @@
 """Shared resources for simulated subsystems.
 
-Two resources model the datapath's queues and links (the PCIe lanes
-are :class:`repro.pcie.DmaPipeline`):
-
-* :class:`FifoQueue` — a bounded byte/item queue with tail drop.  Used
-  for the NIC input buffer and the switch queue; overflow accounting is
-  what produces the paper's packet-drop figures (Figs 2b, 3b, 7b, 8b).
-
-* :class:`TokenBucketPacer` — paces packet departures at a configured
-  line rate; models NIC serialization and switch egress.
+:class:`FifoQueue` is a bounded byte/item queue with tail drop, used
+for the NIC input buffer and the switch queue; overflow accounting is
+what produces the paper's packet-drop figures (Figs 2b, 3b, 7b, 8b).
+The PCIe lanes are :class:`repro.pcie.DmaPipeline`, and the switch
+port serializes in closed form (:class:`repro.net.SwitchPort`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from .engine import Simulator
-
-__all__ = ["FifoQueue", "TokenBucketPacer"]
+__all__ = ["FifoQueue"]
 
 
 class FifoQueue:
@@ -68,6 +62,10 @@ class FifoQueue:
             return False
         return self.occupancy_bytes > self.ecn_threshold_bytes
 
+    def peek(self) -> Any:
+        """The head item, left in place; the queue must not be empty."""
+        return self._items[0][0]
+
     def dequeue(self) -> Optional[tuple[Any, int]]:
         """Remove and return ``(item, size_bytes)``; ``None`` if empty."""
         if not self._items:
@@ -84,37 +82,3 @@ class FifoQueue:
         """Fraction of offered items that were dropped."""
         offered = self.enqueued_items + self.dropped_items
         return self.dropped_items / offered if offered else 0.0
-
-
-class TokenBucketPacer:
-    """Serializes item departures at a fixed line rate.
-
-    Items are emitted back-to-back at ``rate_bits_per_ns`` (e.g. 100 Gbps
-    == 100 bits/ns); each item's wire time is ``bits / rate``.  Used for
-    the sender NIC's egress and the switch's egress port.
-    """
-
-    def __init__(self, sim: Simulator, rate_gbps: float) -> None:
-        if rate_gbps <= 0:
-            raise ValueError("rate must be positive")
-        self.sim = sim
-        self.rate_bits_per_ns = rate_gbps  # 1 Gbps == 1 bit/ns
-        self._next_free = 0.0
-        self.sent_items = 0
-        self.sent_bytes = 0
-
-    def send(self, size_bytes: int, on_delivered: Callable[[], None]) -> float:
-        """Schedule delivery of one item; returns its delivery time."""
-        wire_ns = size_bytes * 8 / self.rate_bits_per_ns
-        start = max(self.sim.now, self._next_free)
-        finish = start + wire_ns
-        self._next_free = finish
-        self.sent_items += 1
-        self.sent_bytes += size_bytes
-        self.sim.schedule_at(finish, on_delivered)
-        return finish
-
-    @property
-    def backlog_ns(self) -> float:
-        """How far ahead of the clock the serializer is booked."""
-        return max(0.0, self._next_free - self.sim.now)

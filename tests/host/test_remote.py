@@ -1,6 +1,6 @@
 """Unit tests for the ideal remote peer."""
 
-from repro.host import RemotePeer
+from repro.host import HostConfig, RemotePeer, Testbed
 from repro.net import DctcpParams, Packet, PacketKind
 from repro.sim import Simulator
 
@@ -56,13 +56,18 @@ def test_delivery_callback_fires():
 
 
 def test_processing_delay_applied():
-    sim, peer, sent = make_peer()
+    # In the testbed the delay rides on the switch port's arrival
+    # event: wire time, then propagation, then the peer's processing.
+    testbed = Testbed(HostConfig.cascade_lake())
+    peer = testbed.remote
     peer.register_receiver(7)
     times = []
-    peer.on_delivery = lambda flow, segs: times.append(sim.now)
-    peer.packet_from_wire(Packet(7, 0, 4096, PacketKind.DATA))
-    sim.run(until=100_000.0)
-    assert times[0] == peer.processing_delay_ns
+    peer.on_delivery = lambda flow, segs: times.append(testbed.sim.now)
+    testbed.port_to_remote.enqueue(Packet(7, 0, 4096, PacketKind.DATA))
+    testbed.sim.run(until=100_000.0)
+    wire_ns = 4096 * 8 / testbed.config.link_gbps
+    propagation_ns = testbed.port_to_remote.propagation_ns
+    assert times == [wire_ns + propagation_ns + peer.processing_delay_ns]
 
 
 def test_rto_recovers_lost_window():

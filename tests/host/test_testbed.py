@@ -76,10 +76,18 @@ class TestWireLevel:
             testbed.port_to_remote.deliver
             == testbed.remote.packet_from_wire
         )
+        # The host's datapath models its own delays; the peer's
+        # processing delay rides on the port's arrival event.
+        assert testbed.port_to_host.receiver_delay_ns == 0.0
+        assert (
+            testbed.port_to_remote.receiver_delay_ns
+            == testbed.remote.processing_delay_ns
+        )
 
     def test_switch_rate_matches_link(self):
         testbed = make_testbed(link_gbps=25.0)
-        assert testbed.port_to_host.pacer.rate_bits_per_ns == 25.0
+        assert testbed.port_to_host.rate_bits_per_ns == 25.0
+        assert testbed.port_to_remote.rate_bits_per_ns == 25.0
 
 
 class TestFaultAccounting:
@@ -97,3 +105,64 @@ class TestFaultAccounting:
         assert runtime.injected_faults > 0
         assert result.extras["injected_faults"] == runtime.injected_faults
         assert result.extras["unrecovered_wedges"] == 0
+
+
+class TestNetFaults:
+    """Loss and reorder windows act on packets the switch admits in them."""
+
+    LOSS = (300_000.0, 600_000.0)
+    REORDER = (900_000.0, 1_200_000.0)
+
+    def run_lossy_testbed(self):
+        plan = FaultPlan(
+            seed=5,
+            specs=(
+                FaultSpec("net", "loss", *self.LOSS, probability=0.05),
+                FaultSpec(
+                    "net", "reorder", *self.REORDER, probability=0.05,
+                    magnitude=10_000.0,
+                ),
+            ),
+        )
+        runtime = FaultRuntime(plan)
+        with using(faults=runtime):
+            testbed = make_testbed(mode="strict")
+        testbed.add_rx_flows(2)
+        port = testbed.port_to_host
+        admitted, arrived = [], []
+        enqueue, deliver = port.enqueue, port.deliver
+
+        def recording_enqueue(packet):
+            losses = port.injected_losses
+            accepted = enqueue(packet)
+            if accepted and port.injected_losses == losses:
+                admitted.append(packet.packet_id)
+            return accepted
+
+        def recording_deliver(packet):
+            arrived.append(packet.packet_id)
+            deliver(packet)
+
+        port.deliver = recording_deliver
+        testbed.remote.wire_out = recording_enqueue
+        testbed.run(warmup_ns=200_000.0, measure_ns=1_300_000.0)
+        return runtime, port, admitted, arrived
+
+    def test_loss_and_reorder_windows_fire_on_the_wire(self):
+        runtime, port, admitted, arrived = self.run_lossy_testbed()
+        assert port.injected_losses > 0
+        assert port.reordered_packets > 0
+        windows = {"loss": self.LOSS, "reorder": self.REORDER}
+        for record in runtime.records:
+            start, end = windows[record.kind]
+            assert start <= record.time_ns < end, record
+        # Lost packets never arrive: everything that arrives was
+        # admitted, and arrivals trail admissions only by what is
+        # still on the wire at the end of the run.
+        assert set(arrived) <= set(admitted)
+        in_flight = len(admitted) - len(arrived)
+        assert 0 <= in_flight < 50
+        # Reordered packets land behind packets admitted after them.
+        rank = {packet_id: index for index, packet_id in enumerate(admitted)}
+        ranks = [rank[packet_id] for packet_id in arrived]
+        assert ranks != sorted(ranks)

@@ -1,9 +1,13 @@
 """Unit tests for the switch port model."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import Packet, PacketKind, SwitchPort
-from repro.sim import Simulator
+from repro.sim import FifoQueue, Simulator
 
 
 def data_packet(seq=0, size=4096):
@@ -92,3 +96,163 @@ def test_delivered_bytes_counter():
     port.enqueue(data_packet(0, size=1000))
     sim.run()
     assert port.delivered_bytes == 1000
+
+
+# ----------------------------------------------------------------------
+# Closed-form departures against the two-event port they replaced
+# ----------------------------------------------------------------------
+RATE_GBPS = 100.0  # 100 bits/ns: each 125-byte unit serializes in 10 ns
+PROPAGATION_NS = 2000.0
+BUFFER_BYTES = 6000
+ECN_THRESHOLD_BYTES = 2500
+
+
+class TwoEventPort:
+    """The port as it was: an event per serialization end, one more
+    per propagation, and the receiver's delay as a third."""
+
+    def __init__(self, sim, deliver, receiver_delay_ns):
+        self.sim = sim
+        self.queue = FifoQueue(BUFFER_BYTES, ECN_THRESHOLD_BYTES)
+        self.deliver = deliver
+        self.receiver_delay_ns = receiver_delay_ns
+        self.next_free = 0.0
+        self.delivered_bytes = 0
+        self.draining = False
+
+    def enqueue(self, packet):
+        if not self.queue.try_enqueue(packet, packet.size_bytes):
+            return False
+        if self.queue.should_mark() and packet.is_data:
+            packet.ecn_marked = True
+        if not self.draining:
+            self.drain_next()
+        return True
+
+    def drain_next(self):
+        entry = self.queue.dequeue()
+        self.draining = entry is not None
+        if entry is not None:
+            packet, size = entry
+            self.delivered_bytes += size
+            start = max(self.sim.now, self.next_free)
+            self.next_free = start + size * 8 / RATE_GBPS
+            self.sim.schedule_at(self.next_free, partial(self.wire_done, packet))
+
+    def wire_done(self, packet):
+        self.sim.schedule_after(PROPAGATION_NS, partial(self.arrive, packet))
+        self.drain_next()
+
+    def arrive(self, packet):
+        self.sim.schedule_after(
+            self.receiver_delay_ns, partial(self.deliver, packet)
+        )
+
+    @property
+    def queue_bytes(self):
+        return self.queue.occupancy_bytes
+
+
+def replay(make_port, arrivals, probe_times):
+    """Offer ``arrivals`` and read the port at ``probe_times``.
+
+    Every offer and read hops once through the calendar at its own
+    time, so it runs after each departure already due then: the tie
+    rule, under which a packet whose serialization starts exactly now
+    has left the queue.
+    """
+    sim = Simulator()
+    delivered = []
+    port = make_port(sim, lambda p: delivered.append((p.seq, sim.now)))
+    admitted, reads, packets = [], [], []
+
+    def offer(packet):
+        admitted.append(port.enqueue(packet))
+
+    def read():
+        reads.append((sim.now, port.delivered_bytes, port.queue_bytes))
+
+    for seq, (time, size, is_data) in enumerate(arrivals):
+        kind = PacketKind.DATA if is_data else PacketKind.ACK
+        packet = Packet(1, seq, size, kind)
+        packets.append(packet)
+        sim.schedule_at(time, partial(sim.schedule_at, time, partial(offer, packet)))
+    for time in probe_times:
+        sim.schedule_at(time, partial(sim.schedule_at, time, read))
+    sim.run()
+    read()
+    marked = [packet.ecn_marked for packet in packets]
+    return delivered, admitted, marked, reads
+
+
+def arrival_times(gaps):
+    time, times = 0.0, []
+    for gap in gaps:
+        time += gap
+        times.append(time)
+    return times
+
+
+# Gaps on the 10 ns grid land arrivals exactly on serialization ends;
+# the off-grid ones fall between them.
+gap = st.one_of(
+    st.integers(0, 30).map(lambda units: units * 10.0),
+    st.floats(0.0, 300.0, allow_nan=False),
+)
+arrival = st.tuples(gap, st.integers(1, 12).map(lambda units: units * 125),
+                    st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(arrival, min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 4000.0, allow_nan=False), max_size=10),
+    st.sampled_from([0.0, 2000.0]),
+)
+def test_closed_form_port_matches_two_event_port(
+    draws, probe_times, receiver_delay_ns
+):
+    times = arrival_times(gap for gap, _, _ in draws)
+    arrivals = [
+        (time, size, is_data)
+        for time, (_, size, is_data) in zip(times, draws)
+    ]
+    probe_times = probe_times + times
+
+    def closed_form(sim, deliver):
+        return SwitchPort(
+            sim,
+            rate_gbps=RATE_GBPS,
+            buffer_bytes=BUFFER_BYTES,
+            ecn_threshold_bytes=ECN_THRESHOLD_BYTES,
+            propagation_ns=PROPAGATION_NS,
+            deliver=deliver,
+            receiver_delay_ns=receiver_delay_ns,
+        )
+
+    def two_event(sim, deliver):
+        return TwoEventPort(sim, deliver, receiver_delay_ns)
+
+    assert replay(closed_form, arrivals, probe_times) == replay(
+        two_event, arrivals, probe_times
+    )
+
+
+def test_arrival_at_a_departure_sees_the_departed_packet_gone():
+    # Three 10 ns packets at t=0: the first goes straight to the wire,
+    # the second starts at exactly t=10, when a fourth arrives.  The
+    # second has left the queue by then, so the fourth sees 250 B
+    # queued, not 375 B, and stays under the 250 B ECN threshold.
+    sim = Simulator()
+    port = SwitchPort(
+        sim, rate_gbps=RATE_GBPS, ecn_threshold_bytes=250,
+        deliver=lambda p: None,
+    )
+    packets = [data_packet(seq, size=125) for seq in range(4)]
+    for packet in packets[:3]:
+        port.enqueue(packet)
+    sim.schedule_at(10.0, partial(port.enqueue, packets[3]))
+    sim.run(until=10.0)
+    assert not any(packet.ecn_marked for packet in packets)
+    assert port.delivered_bytes == 250
+    assert port.queue_bytes == 250

@@ -198,8 +198,22 @@ class TestFnsMechanisms:
         assert reads <= 2  # L3 hit (1) or at worst a fresh L3 region (cold)
 
     def test_linux_drops_ptcache_on_retire(self):
-        driver, iommu, _ = make_strict("linux")
-        first, _ = driver.make_rx_descriptor(core=0, pages=1)
+        # The DMA's walk caches the IOVA's PT-L4 page in the PTcache-L3;
+        # Linux strict invalidates it with the IOTLB entry on retire,
+        # F&S invalidates the IOTLB only and keeps it.
+        def l3_holds_iova_after_retire(variant):
+            driver, iommu, _ = make_strict(variant)
+            descriptor, _ = driver.make_rx_descriptor(core=0, pages=1)
+            iova = descriptor.slots[0].iova
+            descriptor.take_run(1)
+            assert driver.translate_for_dma(iova, "rx") > 0
+            descriptor.dma_done()
+            assert iommu.ptcaches.l3.contains(iova)
+            driver.retire_rx_descriptor(descriptor, core=0)
+            return iommu.ptcaches.l3.contains(iova)
+
+        assert not l3_holds_iova_after_retire("linux")
+        assert l3_holds_iova_after_retire("fns")
 
     def test_fns_cpu_cost_lower_than_linux(self):
         def retire_cost(variant):

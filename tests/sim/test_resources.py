@@ -1,8 +1,8 @@
-"""Unit tests for queues and pacers."""
+"""Unit tests for the shared FIFO queue."""
 
 import pytest
 
-from repro.sim import FifoQueue, Simulator, TokenBucketPacer
+from repro.sim import FifoQueue
 
 
 class TestFifoQueue:
@@ -59,36 +59,3 @@ class TestFifoQueue:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             FifoQueue(capacity_bytes=0)
-
-
-class TestTokenBucketPacer:
-    def test_serializes_at_line_rate(self):
-        sim = Simulator()
-        pacer = TokenBucketPacer(sim, rate_gbps=100.0)  # 100 bits/ns
-        times = []
-        # 4000-byte packet = 32000 bits = 320 ns of wire time.
-        pacer.send(4000, lambda: times.append(sim.now))
-        pacer.send(4000, lambda: times.append(sim.now))
-        sim.run()
-        assert times == [320.0, 640.0]
-
-    def test_idle_restart_from_now(self):
-        sim = Simulator()
-        pacer = TokenBucketPacer(sim, rate_gbps=100.0)
-        times = []
-        pacer.send(1000, lambda: times.append(sim.now))
-        sim.run()
-        assert times == [80.0]
-        # After idling, the next send starts from "now", not the old
-        # serializer booking: scheduled at t=1080, delivered at 1160.
-        sim.call_after(
-            1000.0, lambda: pacer.send(1000, lambda: times.append(sim.now))
-        )
-        sim.run()
-        assert times[1] == pytest.approx(1080.0 + 80.0)
-
-    def test_backlog_reporting(self):
-        sim = Simulator()
-        pacer = TokenBucketPacer(sim, rate_gbps=1.0)  # 1 bit/ns
-        pacer.send(125, lambda: None)  # 1000 bits = 1000 ns
-        assert pacer.backlog_ns == pytest.approx(1000.0)
