@@ -3,14 +3,17 @@
 One unlimited DCTCP flow per registration; the paper's default is one
 flow per core with five cores.  ``run_iperf`` builds a testbed for one
 (mode, flows, ring size, ...) point and returns the measured
-:class:`TestbedResult`; ``run_bidirectional_iperf`` adds Tx-direction
-flows on separate cores for the Fig 10 Rx/Tx-interference experiment.
+:class:`TestbedResult`, with the window's IOVA locality summarized in
+the cell (the trace itself never leaves it); ``run_bidirectional_iperf``
+adds Tx-direction flows on separate cores for the Fig 10
+Rx/Tx-interference experiment.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..analysis.locality import summarize_locality
 from ..host.config import HostConfig
 from ..host.testbed import Testbed, TestbedResult
 
@@ -36,11 +39,13 @@ def run_iperf(
     config = HostConfig.cascade_lake(mode=mode, **config_overrides)
     testbed = Testbed(config, watchdog_interval_ns=watchdog_interval_ns)
     testbed.add_rx_flows(flows)
-    return testbed.run(
+    result = testbed.run(
         warmup_ns=warmup_ns,
         measure_ns=measure_ns,
         strict_until=strict_until,
     )
+    result.locality = summarize_locality(testbed.host.allocation_trace)
+    return result
 
 
 def run_bidirectional_iperf(

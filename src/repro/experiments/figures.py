@@ -23,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from ..analysis.locality import summarize_locality
+# Not called here: cells summarize their own locality (apps.iperf).
+# Kept as the traced bench's span target until its span table moves
+# next to the code it names (ROADMAP item 4).
+from ..analysis.locality import summarize_locality  # noqa: F401
 from ..analysis.model import ModelPoint, fit_l0_lm, model_error, throughput_gbps
 from ..analysis.report import format_figure
 from ..parallel import PointSpec, derive_seed, run_points
@@ -139,7 +142,7 @@ IPERF_COLUMNS = (
 
 
 def _iperf_row(mode: str, x, result) -> list:
-    locality = summarize_locality(result.allocation_trace)
+    locality = result.locality
     return [
         mode,
         x,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from ..analysis.locality import LocalitySummary
 from ..context import current_context
 from ..net.switch import SwitchPort
 from ..sim import Simulator, Watchdog
@@ -53,8 +54,9 @@ class TestbedResult:
     tx_packets_per_page: float = 0.0
     # CPU.
     max_core_utilization: float = 0.0
-    # Allocation trace slice for locality analysis (iova, pages).
-    allocation_trace: list = field(default_factory=list)
+    # The window's IOVA locality (Fig 2e/7e); set by ``run_iperf``,
+    # the one caller whose rows plot it.
+    locality: Optional[LocalitySummary] = None
     # Safety accounting.
     stale_translations: int = 0
     invalidation_requests: int = 0
@@ -228,8 +230,9 @@ class Testbed:
             "arrived": host.nic.stats.arrived_packets,
             "drops": host.nic.stats.total_drops,
             "busy_ns": list(host.cores.busy_ns),
-            "trace_len": len(host.allocation_trace),
         }
+        # The allocation trace from here on is the window's alone.
+        host.allocation_trace.clear()
         if host.iommu is not None:
             snap["iommu"] = self._iommu_counters()
         return snap
@@ -281,7 +284,6 @@ class Testbed:
                 (busy - before) / measure_ns
                 for busy, before in zip(host.cores.busy_ns, snap["busy_ns"])
             ),
-            allocation_trace=host.allocation_trace[snap["trace_len"]:],
             rx_data_pages=pages,
         )
         if host.iommu is not None and pages > 0:

@@ -54,6 +54,7 @@ class SwitchPort:
         self.faults = current_context().injector("net")
         self.injected_losses = 0
         self.reordered_packets = 0
+        self.marked = 0
         self.obs = current_context().registry
         if self.obs is not None:
             scope = self.obs.scope("switch.port")
@@ -63,7 +64,7 @@ class SwitchPort:
             scope.counter(
                 "reordered_packets", lambda: self.reordered_packets
             )
-            scope.counter("marked", lambda: self.queue.marked_items)
+            scope.counter("marked", lambda: self.marked)
             scope.gauge("queue_bytes", lambda: self.queue_bytes)
 
     def enqueue(self, packet: Packet) -> bool:
@@ -81,6 +82,7 @@ class SwitchPort:
             return False
         if self.queue.should_mark() and packet.is_data:
             packet.ecn_marked = True
+            self.marked += 1
         finish = start + size * 8 / self.rate_bits_per_ns
         self._next_free = finish
         propagation = self.propagation_ns

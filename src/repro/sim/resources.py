@@ -39,7 +39,6 @@ class FifoQueue:
         self.enqueued_bytes = 0
         self.dropped_items = 0
         self.dropped_bytes = 0
-        self.marked_items = 0
         self.peak_occupancy_bytes = 0
 
     def try_enqueue(self, item: Any, size_bytes: int) -> bool:

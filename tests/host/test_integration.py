@@ -126,15 +126,44 @@ class TestDropBehaviour:
 
 
 class TestLocalityTrace:
+    @staticmethod
+    def run_traced(mode):
+        """Run a 5-flow testbed; also return the allocation trace's
+        length just before and just after the window opens."""
+        testbed = Testbed(HostConfig.cascade_lake(mode=mode))
+        testbed.add_rx_flows(5)
+        trace = testbed.host.allocation_trace
+        snapshot = testbed._snapshot
+        lengths = []
+
+        def open_window():
+            lengths.append(len(trace))
+            snap = snapshot()
+            lengths.append(len(trace))
+            return snap
+
+        testbed._snapshot = open_window
+        testbed.run(warmup_ns=WARMUP, measure_ns=MEASURE)
+        return trace, lengths
+
     def test_fns_trace_is_chunked(self):
-        result = run_mode("fns")
-        sizes = {pages for _iova, pages in result.allocation_trace}
+        trace, _lengths = self.run_traced("fns")
+        sizes = {pages for _iova, pages in trace}
         assert sizes <= {64}
 
     def test_strict_trace_is_per_page(self):
-        result = run_mode("strict")
-        sizes = {pages for _iova, pages in result.allocation_trace}
+        trace, _lengths = self.run_traced("strict")
+        sizes = {pages for _iova, pages in trace}
         assert sizes == {1}
+
+    @pytest.mark.parametrize("mode", ["strict", "fns"])
+    def test_trace_holds_the_window_only(self, mode):
+        # Ring fill and warm-up allocate; the window opens on an empty
+        # trace, so none of that reaches the locality summary.
+        trace, (before, after) = self.run_traced(mode)
+        assert before > 0
+        assert after == 0
+        assert trace
 
 
 class TestDeterminism:

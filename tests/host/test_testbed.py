@@ -3,6 +3,7 @@
 from repro.context import using
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.host import HostConfig, Testbed
+from repro.obs import MetricsRegistry
 
 
 def make_testbed(mode="off", **kwargs):
@@ -88,6 +89,47 @@ class TestWireLevel:
         testbed = make_testbed(link_gbps=25.0)
         assert testbed.port_to_host.rate_bits_per_ns == 25.0
         assert testbed.port_to_remote.rate_bits_per_ns == 25.0
+
+
+class TestEcnMarks:
+    def test_marked_metric_counts_the_marked_packets(self):
+        # A low DCTCP threshold toward the peer makes the host's Tx
+        # flows queue past it; every packet either end hands to the
+        # switch is recorded, and each port's metric must equal the
+        # packets it admitted with the ECN mark set.
+        registry = MetricsRegistry()
+        with using(registry=registry):
+            testbed = Testbed(
+                HostConfig.cascade_lake(mode="off", num_cores=2),
+                ecn_threshold_to_remote_bytes=20_000,
+            )
+        toward_host, toward_remote = [], []
+
+        def recording(wire_out, sent):
+            def send(packet):
+                admitted = wire_out(packet)
+                if admitted:
+                    sent.append(packet)
+                return admitted
+
+            return send
+
+        testbed.host.wire_out = recording(
+            testbed.host.wire_out, toward_remote
+        )
+        testbed.remote.wire_out = recording(
+            testbed.remote.wire_out, toward_host
+        )
+        testbed.add_rx_flows(2)
+        testbed.add_tx_flows(2)
+        testbed.run(warmup_ns=2e5, measure_ns=5e5)
+        final = registry.report()["phases"][0]["final"]
+        marked_toward_remote = sum(p.ecn_marked for p in toward_remote)
+        assert marked_toward_remote > 0
+        assert final["switch.port#2.marked"] == marked_toward_remote
+        assert final["switch.port.marked"] == sum(
+            p.ecn_marked for p in toward_host
+        )
 
 
 class TestFaultAccounting:
