@@ -104,9 +104,6 @@ class Host:
         self._pending_tx: list[list[TxMapping]] = [
             [] for _ in range(config.num_cores)
         ]
-        # Buffered packets' Rx DMA jobs by packet_id: ``(packet, core,
-        # taken (descriptor, slot) pairs)``, the core being the flow's.
-        self._rx_jobs: dict[int, tuple] = {}
         # Hard-fault path: packets whose DMA the IOMMU aborted.  The
         # begin callback flags the packet; the finish callback consumes
         # the flag and suppresses delivery (Rx) / wire-out (Tx).
@@ -266,13 +263,8 @@ class Host:
             if binding is not None
             else flow_id % self.config.num_cores
         )
-        ring = self.nic.rings[core]
-        if not self.nic.offer(packet, ring, pages):
+        if not self.nic.offer(packet, self.nic.rings[core], pages):
             return
-        # Reserve the page slots now (the NIC owns them on arrival).
-        self._rx_jobs[packet.packet_id] = (
-            packet, core, ring.take_pages(pages)
-        )
         pipeline = self.rx_pipeline
         if pipeline.inflight < pipeline.lanes:
             self._pump_rx_dma()
@@ -280,16 +272,15 @@ class Host:
     def _pump_rx_dma(self) -> None:
         pipeline = self.rx_pipeline
         next_packet = self.nic.next_packet
-        jobs = self._rx_jobs
         while pipeline.inflight < pipeline.lanes:
-            packet = next_packet()
-            if packet is None:
+            job = next_packet()
+            if job is None:
                 return
             pipeline.submit(
-                packet.size_bytes,
+                job[0].size_bytes,
                 self._rx_dma_begin,
                 self._rx_dma_finish,
-                jobs.pop(packet.packet_id),
+                job,
             )
 
     def _rx_dma_begin(self, job: tuple, start: float) -> float:
@@ -365,18 +356,13 @@ class Host:
     def quiesce_datapath(self) -> None:
         """Stop the DMA engine and drop everything buffered in the NIC.
 
-        Buffered packets' page-slot reservations are released (their
-        descriptors are about to be torn off the rings anyway); DMAs
-        already in flight on the PCIe pipelines complete on their own
-        and are handled by the normal finish callbacks.
+        The buffered Rx DMA jobs are dropped with the page slots they
+        took; the slots are never returned, because the reset tears
+        their descriptors off the rings.  DMAs already in flight on
+        the PCIe pipelines complete on their own and are handled by
+        the normal finish callbacks.
         """
         self.nic.quiesce()
-        while True:
-            entry = self.nic.input_buffer.dequeue()
-            if entry is None:
-                break
-            buffered, _size = entry
-            self._rx_jobs.pop(buffered.packet_id, None)
 
     def outstanding_descriptors(self) -> list[RxDescriptor]:
         """Tear every posted descriptor off every ring (device reset)."""

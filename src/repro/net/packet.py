@@ -27,6 +27,9 @@ class PacketKind:
     RPC_RESP = "rpc_resp"
 
 
+_DATA_KINDS = (PacketKind.DATA, PacketKind.RPC_REQ, PacketKind.RPC_RESP)
+
+
 class Packet:
     """One wire unit.
 
@@ -40,6 +43,8 @@ class Packet:
         Bytes on the wire.
     kind:
         One of :class:`PacketKind`.
+    is_data:
+        Whether ``kind`` carries payload (data or an RPC), not an ACK.
     ecn_marked:
         Set by the switch when its queue exceeds the marking threshold;
         echoed by the receiver in ACKs (``ecn_echo``).
@@ -57,6 +62,7 @@ class Packet:
         "seq",
         "size_bytes",
         "kind",
+        "is_data",
         "ecn_marked",
         "ecn_echo",
         "retransmission",
@@ -80,6 +86,8 @@ class Packet:
         self.seq = seq
         self.size_bytes = size_bytes
         self.kind = kind
+        # Set once: ``kind`` is never reassigned.
+        self.is_data = kind in _DATA_KINDS
         self.ecn_marked = False
         self.ecn_echo = False
         self.retransmission = False
@@ -89,10 +97,6 @@ class Packet:
         # For ACK packets: the sequence of the segment that triggered
         # this (dup) ack, letting the sender do SACK-like recovery.
         self.sack_seq: Optional[int] = None
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind in (PacketKind.DATA, PacketKind.RPC_REQ, PacketKind.RPC_RESP)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

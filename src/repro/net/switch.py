@@ -11,17 +11,19 @@ recovery — the paper's drop-rate dynamics.
 
 A FIFO serializer at a fixed rate knows each packet's departure when it
 admits it, so admission schedules the packet's one event, its arrival
-at the receiver.  The queue holds start times, and every read of it
-first retires the packets whose start has come (``start <= now``).
+at the receiver.  The port's own deque holds the admitted packets'
+``(start, size)``, and every read of it first retires the packets whose
+start has come (``start <= now``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from typing import Callable
 
 from ..context import current_context
-from ..sim import FifoQueue, Simulator
+from ..sim import Simulator
 from .packet import Packet
 
 __all__ = ["SwitchPort"]
@@ -40,9 +42,15 @@ class SwitchPort:
         deliver: Callable[[Packet], None] = lambda packet: None,
         receiver_delay_ns: float = 0.0,
     ) -> None:
+        if buffer_bytes <= 0:
+            raise ValueError("capacity must be positive")
         self.sim = sim
-        # Items are the queued packets' serialization start times.
-        self.queue = FifoQueue(buffer_bytes, ecn_threshold_bytes)
+        self.buffer_bytes = buffer_bytes
+        self.ecn_threshold_bytes = ecn_threshold_bytes
+        # Admitted packets' ``(serialization start, size)``, FIFO.
+        self._queue: deque[tuple[float, int]] = deque()
+        self._occupancy_bytes = 0
+        self.drops = 0
         self.rate_bits_per_ns = rate_gbps  # 1 Gbps == 1 bit/ns
         self.propagation_ns = propagation_ns
         self.deliver = deliver
@@ -77,10 +85,14 @@ class SwitchPort:
             self.injected_losses += 1
             return True
         size = packet.size_bytes
-        start = max(now, self._next_free)
-        if not self.queue.try_enqueue(start, size):
+        occupancy = self._occupancy_bytes + size
+        if occupancy > self.buffer_bytes:
+            self.drops += 1
             return False
-        if self.queue.should_mark() and packet.is_data:
+        start = max(now, self._next_free)
+        self._queue.append((start, size))
+        self._occupancy_bytes = occupancy
+        if occupancy > self.ecn_threshold_bytes and packet.is_data:
             packet.ecn_marked = True
             self.marked += 1
         finish = start + size * 8 / self.rate_bits_per_ns
@@ -101,15 +113,11 @@ class SwitchPort:
 
     def _retire(self, now: float) -> None:
         """Dequeue every packet whose serialization has started."""
-        queue = self.queue
-        while queue and queue.peek() <= now:
-            entry = queue.dequeue()
-            if entry is not None:
-                self._delivered_bytes += entry[1]
-
-    @property
-    def drops(self) -> int:
-        return self.queue.dropped_items
+        queue = self._queue
+        while queue and queue[0][0] <= now:
+            size = queue.popleft()[1]
+            self._occupancy_bytes -= size
+            self._delivered_bytes += size
 
     @property
     def delivered_bytes(self) -> int:
@@ -121,4 +129,4 @@ class SwitchPort:
     def queue_bytes(self) -> int:
         """Bytes admitted and not yet on the wire."""
         self._retire(self.sim.now)
-        return self.queue.occupancy_bytes
+        return self._occupancy_bytes

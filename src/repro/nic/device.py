@@ -1,6 +1,8 @@
 """The NIC: input buffer, per-core Rx rings, drop accounting.
 
-Arriving packets enter a bounded input buffer; the DMA engine drains it
+An admitted packet takes its page slots from its core's ring at once,
+and its Rx DMA job — ``(packet, core, taken (descriptor, slot)
+pairs)`` — waits in a bounded input buffer; the DMA engine drains it
 through the PCIe/IOMMU pipeline.  When address translation inflates
 per-DMA latency, the drain rate falls below the arrival rate, the
 buffer fills, and packets are tail-dropped — the causal chain behind
@@ -12,10 +14,11 @@ DMA'd (the CPU fell behind on descriptor recycling).
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Optional
 
 from ..context import current_context
-from ..sim import FifoQueue, Simulator
+from ..sim import Simulator
 from .ring import RxRing
 
 __all__ = ["Nic", "NicStats"]
@@ -63,6 +66,8 @@ class Nic:
     ) -> None:
         if num_cores <= 0:
             raise ValueError("need at least one core")
+        if buffer_bytes <= 0:
+            raise ValueError("capacity must be positive")
         # Fault injector (repro.faults); None in normal runs.  The
         # simulator reference exists only for fault scheduling
         # (stall-end wakeups, doorbell redelivery).
@@ -72,7 +77,11 @@ class Nic:
             RxRing(core, sim=sim, faults=self.faults)
             for core in range(num_cores)
         ]
-        self.input_buffer = FifoQueue(buffer_bytes)
+        # The input buffer: admitted packets' Rx DMA jobs, FIFO, and
+        # the bytes they hold against ``buffer_bytes`` (tail drop).
+        self.buffer_bytes = buffer_bytes
+        self._jobs: deque[tuple] = deque()
+        self.buffered_bytes = 0
         self.stats = NicStats()
         # Called when a fault-induced stall ends and buffered packets
         # can move again; the host points this at its DMA pump.
@@ -107,9 +116,7 @@ class Nic:
                 "dropped_doorbells",
                 lambda: sum(r.dropped_doorbells for r in self.rings),
             )
-            scope.gauge(
-                "buffered_bytes", lambda: self.input_buffer.occupancy_bytes
-            )
+            scope.gauge("buffered_bytes", lambda: self.buffered_bytes)
 
     def offer(self, packet, ring: RxRing, pages: int) -> bool:
         """Admit an arriving packet bound for ``ring``.
@@ -117,7 +124,9 @@ class Nic:
         Returns ``False`` and counts the drop when the NIC is quiesced
         for a reset (arrivals are lost, like a real reset window), when
         ``ring`` has fewer than ``pages`` free page slots, or when the
-        input buffer is full.
+        input buffer is full.  An admitted packet takes its ``pages``
+        slots from ``ring`` now (the NIC owns them on arrival) and
+        buffers its Rx DMA job.
         """
         size = packet.size_bytes
         stats = self.stats
@@ -129,13 +138,16 @@ class Nic:
         if ring.free_pages < pages:
             stats.ring_drops += 1
             return False
-        if not self.input_buffer.try_enqueue(packet, size):
+        buffered = self.buffered_bytes + size
+        if buffered > self.buffer_bytes:
             stats.buffer_drops += 1
             return False
+        self.buffered_bytes = buffered
+        self._jobs.append((packet, ring.core, ring.take_pages(pages)))
         return True
 
-    def next_packet(self):
-        """Pop the next buffered packet for the DMA engine.
+    def next_packet(self) -> Optional[tuple]:
+        """Pop the next buffered Rx DMA job ``(packet, core, taken)``.
 
         Returns ``None`` when the buffer is empty — or when a
         fault-injected descriptor-engine stall is in effect, in which
@@ -152,13 +164,15 @@ class Nic:
                 self.stalled_dequeues += 1
                 self._schedule_wake(stalled_until)
                 return None
-        entry = self.input_buffer.dequeue()
-        if entry is None:
+        if not self._jobs:
             return None
-        packet, _size = entry
-        self.stats.dma_packets += 1
-        self.stats.dma_bytes += packet.size_bytes
-        return packet
+        job = self._jobs.popleft()
+        size = job[0].size_bytes
+        self.buffered_bytes -= size
+        stats = self.stats
+        stats.dma_packets += 1
+        stats.dma_bytes += size
+        return job
 
     def _schedule_wake(self, at_ns: float) -> None:
         if self.sim is None or self._wake_event is not None:
@@ -178,8 +192,14 @@ class Nic:
     # Reset & recovery surface
     # ------------------------------------------------------------------
     def quiesce(self) -> None:
-        """Stop the DMA engine while the host tears the rings down."""
+        """Stop the DMA engine while the host tears the rings down.
+
+        The buffered jobs are dropped with their page slots: the
+        reset tears their descriptors off the rings.
+        """
         self.quiesced = True
+        self._jobs.clear()
+        self.buffered_bytes = 0
 
     def reset_device(self) -> None:
         """Function-level reset: the only way out of a device wedge.

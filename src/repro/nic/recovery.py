@@ -137,7 +137,7 @@ class RecoveryManager:
         )
         device_wedged = (
             dma_packets == self._last_dma_packets
-            and nic.input_buffer.occupancy_bytes > 0
+            and nic.buffered_bytes > 0
         )
         # DMA-progress flatlining is a per-tick signal; the degraded
         # baseline advances only on recovery (see the threshold note).

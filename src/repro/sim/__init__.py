@@ -1,7 +1,10 @@
 """Discrete-event simulation substrate.
 
-Exports the callback-driven engine (:class:`Simulator`), the shared
-queue (:class:`FifoQueue`) and deterministic RNG (:class:`SeededRng`).
+Exports the callback-driven engine (:class:`Simulator`) and the
+deterministic RNG (:class:`SeededRng`).  The bounded FIFOs a packet
+crosses belong to their owners: the switch egress queue to
+:class:`repro.net.SwitchPort`, the NIC input buffer to
+:class:`repro.nic.Nic`.
 """
 
 from .engine import (
@@ -12,7 +15,6 @@ from .engine import (
     Watchdog,
     WatchdogError,
 )
-from .resources import FifoQueue
 from .rng import SeededRng
 
 __all__ = [
@@ -22,6 +24,5 @@ __all__ = [
     "EarlyQuiescenceError",
     "Watchdog",
     "WatchdogError",
-    "FifoQueue",
     "SeededRng",
 ]

@@ -1,5 +1,6 @@
 """Unit tests for the switch port model."""
 
+from collections import deque
 from functools import partial
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Packet, PacketKind, SwitchPort
-from repro.sim import FifoQueue, Simulator
+from repro.sim import Simulator
 
 
 def data_packet(seq=0, size=4096):
@@ -98,6 +99,71 @@ def test_delivered_bytes_counter():
     assert port.delivered_bytes == 1000
 
 
+class TestPortQueue:
+    """The egress queue the port keeps itself: tail drop and ECN.
+
+    A packet whose serialization starts now has left the queue, so of
+    packets offered at time 0 the first is gone by the second offer.
+    """
+
+    def port(self, sim, **overrides):
+        return SwitchPort(sim, deliver=lambda p: None, **overrides)
+
+    def test_admits_at_capacity_drops_above(self):
+        sim = Simulator()
+        port = self.port(sim, buffer_bytes=25)
+        # The head leaves at once; the next two fill the queue to
+        # exactly its 25 bytes, and one byte more is dropped.
+        assert port.enqueue(data_packet(0, size=10))
+        assert port.enqueue(data_packet(1, size=10))
+        assert port.enqueue(data_packet(2, size=15))
+        assert port.queue_bytes == 25
+        assert not port.enqueue(data_packet(3, size=1))
+        assert port.drops == 1
+        assert port.queue_bytes == 25
+
+    def test_occupancy_counts_bytes(self):
+        sim = Simulator()
+        port = self.port(sim, rate_gbps=8.0)  # 1 byte/ns
+        port.enqueue(data_packet(0, size=30))
+        port.enqueue(data_packet(1, size=40))
+        port.enqueue(data_packet(2, size=50))
+        assert port.queue_bytes == 90
+        sim.run(until=30.0)  # packet 1 starts at 30 ns
+        assert port.queue_bytes == 50
+        assert port.delivered_bytes == 70
+
+    def test_ecn_marks_strictly_above_threshold(self):
+        sim = Simulator()
+        port = self.port(sim, buffer_bytes=100, ecn_threshold_bytes=50)
+        head, at, above = (data_packet(i, size=s) for i, s in
+                           enumerate((10, 50, 1)))
+        for packet in (head, at, above):
+            port.enqueue(packet)
+        assert not at.ecn_marked  # 50 is not above 50
+        assert above.ecn_marked
+        assert port.marked == 1
+
+    def test_ecn_marks_data_only(self):
+        sim = Simulator()
+        port = self.port(sim, buffer_bytes=100, ecn_threshold_bytes=0)
+        packets = [
+            data_packet(0, size=10),
+            Packet(1, 1, 10, PacketKind.ACK),
+            Packet(1, 2, 10, PacketKind.RPC_REQ),
+            Packet(1, 3, 10, PacketKind.RPC_RESP),
+        ]
+        for packet in packets:
+            port.enqueue(packet)
+        # Any occupancy is above a zero threshold; the ACK is spared.
+        assert [p.ecn_marked for p in packets] == [True, False, True, True]
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_non_positive_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError):
+            SwitchPort(Simulator(), buffer_bytes=capacity)
+
+
 # ----------------------------------------------------------------------
 # Closed-form departures against the two-event port they replaced
 # ----------------------------------------------------------------------
@@ -113,7 +179,8 @@ class TwoEventPort:
 
     def __init__(self, sim, deliver, receiver_delay_ns):
         self.sim = sim
-        self.queue = FifoQueue(BUFFER_BYTES, ECN_THRESHOLD_BYTES)
+        self.queue = deque()
+        self.occupancy_bytes = 0
         self.deliver = deliver
         self.receiver_delay_ns = receiver_delay_ns
         self.next_free = 0.0
@@ -121,19 +188,23 @@ class TwoEventPort:
         self.draining = False
 
     def enqueue(self, packet):
-        if not self.queue.try_enqueue(packet, packet.size_bytes):
+        size = packet.size_bytes
+        if self.occupancy_bytes + size > BUFFER_BYTES:
             return False
-        if self.queue.should_mark() and packet.is_data:
+        self.queue.append(packet)
+        self.occupancy_bytes += size
+        if self.occupancy_bytes > ECN_THRESHOLD_BYTES and packet.is_data:
             packet.ecn_marked = True
         if not self.draining:
             self.drain_next()
         return True
 
     def drain_next(self):
-        entry = self.queue.dequeue()
-        self.draining = entry is not None
-        if entry is not None:
-            packet, size = entry
+        self.draining = bool(self.queue)
+        if self.draining:
+            packet = self.queue.popleft()
+            size = packet.size_bytes
+            self.occupancy_bytes -= size
             self.delivered_bytes += size
             start = max(self.sim.now, self.next_free)
             self.next_free = start + size * 8 / RATE_GBPS
@@ -150,7 +221,7 @@ class TwoEventPort:
 
     @property
     def queue_bytes(self):
-        return self.queue.occupancy_bytes
+        return self.occupancy_bytes
 
 
 def replay(make_port, arrivals, probe_times):

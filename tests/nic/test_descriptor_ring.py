@@ -1,6 +1,8 @@
 """Unit tests for Rx descriptors and rings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.host import HostConfig
 from repro.host.server import Host
@@ -182,11 +184,164 @@ class TestNic:
 
     def test_next_packet_fifo(self):
         nic = Nic(num_cores=1)
+        ring = nic.rings[0]
+        ring.post(make_descriptor(4))
         first = self.FakePacket(flow_id=0)
-        second = self.FakePacket(flow_id=0)
-        for packet in (first, second):
-            assert nic.input_buffer.try_enqueue(packet, packet.size_bytes)
-        assert nic.next_packet() is first
-        assert nic.next_packet() is second
+        second = self.FakePacket(flow_id=0, size_bytes=8192)
+        assert nic.offer(first, ring, 1)
+        assert nic.offer(second, ring, 2)
+        packet, core, taken = nic.next_packet()
+        assert (packet, core) == (first, 0)
+        assert [slot.iova for _, slot in taken] == [0]
+        packet, core, taken = nic.next_packet()
+        assert (packet, core) == (second, 0)
+        assert [slot.iova for _, slot in taken] == [4096, 8192]
         assert nic.next_packet() is None
         assert nic.stats.dma_packets == 2
+        assert nic.stats.dma_bytes == 4096 + 8192
+
+
+class TestNicBuffer:
+    """The NIC input buffer: bounded FIFO of Rx DMA jobs, tail drop."""
+
+    def make_nic(self, buffer_bytes, pages=64):
+        nic = Nic(num_cores=1, buffer_bytes=buffer_bytes)
+        nic.rings[0].post(make_descriptor(pages))
+        return nic
+
+    def offer(self, nic, size):
+        return nic.offer(Packet(0, 0, size, PacketKind.DATA), nic.rings[0], 1)
+
+    def test_enqueue_dequeue_order(self):
+        nic = self.make_nic(buffer_bytes=100)
+        a = Packet(0, 0, 10, PacketKind.DATA)
+        b = Packet(0, 1, 20, PacketKind.DATA)
+        assert nic.offer(a, nic.rings[0], 1)
+        assert nic.offer(b, nic.rings[0], 1)
+        assert nic.next_packet()[0] is a
+        assert nic.next_packet()[0] is b
+        assert nic.next_packet() is None
+        assert nic.buffered_bytes == 0
+
+    def test_admits_at_capacity_drops_above(self):
+        nic = self.make_nic(buffer_bytes=25)
+        assert self.offer(nic, 10)
+        assert self.offer(nic, 15)
+        assert nic.buffered_bytes == 25
+        assert not self.offer(nic, 1)
+        stats = nic.stats
+        assert (stats.buffer_drops, stats.ring_drops) == (1, 0)
+        # A dropped packet takes no page slot.
+        assert nic.rings[0].free_pages == 62
+
+    def test_ring_checked_before_buffer(self):
+        nic = self.make_nic(buffer_bytes=10, pages=1)
+        assert self.offer(nic, 10)
+        # Both the ring and the buffer are full: a ring drop.
+        assert not self.offer(nic, 10)
+        stats = nic.stats
+        assert (stats.buffer_drops, stats.ring_drops) == (0, 1)
+
+    def test_buffered_bytes_count_bytes(self):
+        nic = self.make_nic(buffer_bytes=100)
+        self.offer(nic, 30)
+        self.offer(nic, 40)
+        assert nic.buffered_bytes == 70
+        nic.next_packet()
+        assert nic.buffered_bytes == 40
+
+    def test_buffer_never_marks(self):
+        # ECN marking is the switch's; the NIC buffer only drops.
+        nic = self.make_nic(buffer_bytes=100)
+        packet = Packet(0, 0, 99, PacketKind.DATA)
+        assert nic.offer(packet, nic.rings[0], 1)
+        assert not packet.ecn_marked
+
+    def test_quiesce_drops_buffered_jobs(self):
+        nic = self.make_nic(buffer_bytes=100)
+        self.offer(nic, 30)
+        nic.quiesce()
+        assert nic.buffered_bytes == 0
+        nic.resume()
+        assert nic.next_packet() is None
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_non_positive_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError):
+            Nic(num_cores=1, buffer_bytes=capacity)
+
+
+# One step of the NIC model: offer ``(size, pages)``, pop a job,
+# quiesce, or resume.
+nic_step = st.one_of(
+    st.tuples(st.just("offer"), st.integers(1, 60), st.integers(1, 3)),
+    st.just(("next",)),
+    st.just(("quiesce",)),
+    st.just(("resume",)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(nic_step, max_size=60))
+def test_nic_matches_list_model(steps):
+    """``Nic.offer``/``next_packet`` against a plain list of jobs."""
+    capacity, descriptors, per_descriptor = 100, 2, 3
+    nic = Nic(num_cores=1, buffer_bytes=capacity)
+    ring = nic.rings[0]
+    slots = []
+    for n in range(descriptors):
+        descriptor = RxDescriptor(
+            slots=[
+                PageSlot(iova=(n * per_descriptor + i) * 4096, frame=i)
+                for i in range(per_descriptor)
+            ],
+            core=0,
+        )
+        slots.extend(slot.iova for slot in descriptor.slots)
+        ring.post(descriptor)
+    jobs, next_slot, quiesced = [], 0, False
+    arrived = buffer_drops = ring_drops = dma_packets = dma_bytes = 0
+    for seq, step in enumerate(steps):
+        if step[0] == "offer":
+            _, size, pages = step
+            packet = Packet(0, seq, size, PacketKind.DATA)
+            arrived += 1
+            buffered = sum(job[0].size_bytes for job in jobs)
+            if quiesced:
+                buffer_drops += 1
+                admitted = False
+            elif len(slots) - next_slot < pages:
+                ring_drops += 1
+                admitted = False
+            elif buffered + size > capacity:
+                buffer_drops += 1
+                admitted = False
+            else:
+                jobs.append((packet, slots[next_slot:next_slot + pages]))
+                next_slot += pages
+                admitted = True
+            assert nic.offer(packet, ring, pages) == admitted
+        elif step[0] == "next":
+            job = nic.next_packet()
+            if quiesced or not jobs:
+                assert job is None
+            else:
+                packet, iovas = jobs.pop(0)
+                dma_packets += 1
+                dma_bytes += packet.size_bytes
+                assert job[:2] == (packet, 0)
+                assert [slot.iova for _, slot in job[2]] == iovas
+        elif step[0] == "quiesce":
+            nic.quiesce()
+            jobs, quiesced = [], True
+        else:
+            nic.resume()
+            quiesced = False
+        assert nic.buffered_bytes == sum(j[0].size_bytes for j in jobs)
+        stats = nic.stats
+        assert stats.arrived_packets == arrived
+        assert (stats.buffer_drops, stats.ring_drops) == (
+            buffer_drops, ring_drops
+        )
+        assert (stats.dma_packets, stats.dma_bytes) == (dma_packets, dma_bytes)
+        assert ring.free_pages == len(slots) - next_slot
