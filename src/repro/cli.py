@@ -16,7 +16,6 @@ Usage::
     python -m repro reproduce            # claims gate -> REPORT.md + report.json
     python -m repro reproduce --figures fig2,fig7 --jobs 4
     python -m repro diff old.json new.json   # report.json regression gate
-    python -m repro publish out/         # gallery of report.json + index.html
     python -m repro cache stats          # result-cache operability
     python -m repro cache gc --max-bytes 268435456
 
@@ -36,12 +35,12 @@ results are byte-identical to a serial run.  To profile a figure, run
 ``python -m cProfile -s cumulative -m repro run fig12``.
 
 ``reproduce`` runs figures against their paper-claims expectation specs
-(:mod:`repro.obs.expect`), regenerates ``REPORT.md``/``report.json`` and
-exits nonzero on any violated claim; it serves unchanged cells from the
+(:mod:`repro.obs.expect`), scores each figure against the paper's
+curves, regenerates ``REPORT.md``/``report.json`` and exits nonzero on
+any violated claim; it serves unchanged cells from the
 content-addressed result cache (:mod:`repro.cache`).  ``diff`` compares
-two ``report.json`` documents and ``publish`` renders one as a gallery.
-A safety violation, here or in a pool worker, exits 1 with its event
-trace; a usage error exits 2.
+two ``report.json`` documents.  A safety violation, here or in a pool
+worker, exits 1 with its event trace; a usage error exits 2.
 """
 
 from __future__ import annotations
@@ -214,8 +213,9 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], tuple]] = {
     ),
     "reproduce": (
         "repro.obs.expect.reproduce:main",
-        "run figures against their paper claims; write REPORT.md and "
-        "report.json; exit 1 when a claim fails",
+        "run figures against their paper claims and score them against "
+        "the paper's curves; write REPORT.md and report.json; exit 1 "
+        "when a claim fails",
         ("full", "seed", "pool", "cache"),
         (
             (("--figures",), dict(
@@ -250,38 +250,6 @@ COMMANDS: dict[str, tuple[str, str, tuple[str, ...], tuple]] = {
         (
             (("old",), dict(help="baseline report.json")),
             (("new",), dict(help="candidate report.json")),
-        ),
-    ),
-    "publish": (
-        "repro.obs.publish.cli:main",
-        "render a report.json as SVG publication figures, a trace "
-        "digest and a browsable index.html",
-        (),
-        (
-            (("outdir",), dict(help="output directory (created if missing)")),
-            (("--figures",), dict(
-                type=_figure_list,
-                metavar="LIST",
-                help=(
-                    "comma-separated figure keys (default: every figure "
-                    "with a publication layout)"
-                ),
-            )),
-            (("--from-report",), dict(
-                metavar="PATH",
-                default="report.json",
-                help=(
-                    "the report to render, as written by 'repro "
-                    "reproduce' (default: report.json)"
-                ),
-            )),
-            (("--trace",), dict(
-                metavar="PATH",
-                help=(
-                    "digest this Chrome trace (from 'repro run --trace'); "
-                    "without it the gallery has no trace digest"
-                ),
-            )),
         ),
     ),
     "chaos": (

@@ -107,6 +107,7 @@ class Testbed:
             buffer_bytes=switch_buffer_bytes,
             ecn_threshold_bytes=ecn_threshold_bytes,
             propagation_ns=propagation_ns,
+            label="to_host",
         )
         self.port_to_remote = SwitchPort(
             self.sim,
@@ -114,6 +115,7 @@ class Testbed:
             buffer_bytes=switch_buffer_bytes,
             ecn_threshold_bytes=ecn_threshold_to_remote_bytes,
             propagation_ns=propagation_ns,
+            label="to_peer",
         )
         self.host = Host(
             self.sim, config, wire_out=self.port_to_remote.enqueue

@@ -30,7 +30,10 @@ __all__ = ["SwitchPort"]
 
 
 class SwitchPort:
-    """One direction through the switch: queue -> serializer -> wire."""
+    """One direction through the switch: queue -> serializer -> wire.
+
+    ``label`` names the direction in the metrics (``switch.<label>``).
+    """
 
     def __init__(
         self,
@@ -41,6 +44,7 @@ class SwitchPort:
         propagation_ns: float = 2_000.0,
         deliver: Callable[[Packet], None] = lambda packet: None,
         receiver_delay_ns: float = 0.0,
+        label: str = "port",
     ) -> None:
         if buffer_bytes <= 0:
             raise ValueError("capacity must be positive")
@@ -65,7 +69,7 @@ class SwitchPort:
         self.marked = 0
         self.obs = current_context().registry
         if self.obs is not None:
-            scope = self.obs.scope("switch.port")
+            scope = self.obs.scope(f"switch.{label}")
             scope.counter("delivered_bytes", lambda: self.delivered_bytes)
             scope.counter("drops", lambda: self.drops)
             scope.counter("injected_losses", lambda: self.injected_losses)

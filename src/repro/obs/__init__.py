@@ -21,12 +21,11 @@ PATH --trace PATH``.  Wall-clock speed is measured outside the package,
 by the benchmark of ``repro reproduce`` in ``bench/run.py``.
 """
 
-from .registry import Metric, MetricsRegistry, MetricsScope, Phase
+from .registry import MetricsRegistry, MetricsScope, Phase
 from .sampler import MetricsSampler
 from .tracer import SpanTracer
 
 __all__ = [
-    "Metric",
     "MetricsScope",
     "Phase",
     "MetricsRegistry",

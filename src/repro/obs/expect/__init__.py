@@ -11,7 +11,8 @@ each such claim into a first-class, machine-readable object:
   each a plain list of vocabulary objects;
 * :mod:`repro.obs.expect.engine` — evaluates a spec against a
   :class:`repro.experiments.FigureResult` (and, optionally, the
-  final-phase metrics of a :class:`repro.obs.MetricsRegistry`);
+  final-phase metrics of a :class:`repro.obs.MetricsRegistry`), and
+  scores the rows against the paper's curves (:func:`paper_score`);
 * :mod:`repro.obs.expect.reproduce` — the ``repro reproduce`` driver:
   runs figures, evaluates their specs, emits ``REPORT.md`` and a
   provenance-stamped ``report.json``;
@@ -19,7 +20,13 @@ each such claim into a first-class, machine-readable object:
   differential regression gating between two report documents.
 """
 
-from .engine import EvalContext, FigureEvaluation, FigureSpec, evaluate_figure
+from .engine import (
+    EvalContext,
+    FigureEvaluation,
+    FigureSpec,
+    evaluate_figure,
+    paper_score,
+)
 from .vocabulary import (
     Expectation,
     Outcome,
@@ -46,6 +53,7 @@ __all__ = [
     "grows_with",
     "is_zero",
     "largest_class",
+    "paper_score",
     "within_band",
     "wins",
 ]

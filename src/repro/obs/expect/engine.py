@@ -5,12 +5,14 @@ against a :class:`~repro.experiments.FigureResult` (plus, optionally,
 the metrics document of the run's :class:`~repro.obs.MetricsRegistry`)
 yields a :class:`FigureEvaluation` — the per-claim ✓/✗ table behind
 the generated ``REPORT.md`` and ``repro reproduce``'s exit status.
+:func:`paper_score` measures how far the same rows sit from the
+paper's digitized curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .vocabulary import Expectation, Outcome
 
@@ -22,6 +24,7 @@ __all__ = [
     "FigureSpec",
     "FigureEvaluation",
     "evaluate_figure",
+    "paper_score",
 ]
 
 
@@ -106,3 +109,46 @@ def evaluate_figure(
     ctx = EvalContext(result=result, metrics=metrics)
     outcomes = [e.evaluate(ctx) for e in spec.expectations]
     return FigureEvaluation(spec.figure, spec.title, outcomes)
+
+
+def paper_score(
+    headers: Sequence[str],
+    rows: Sequence[Sequence],
+    curves: dict[str, dict[str, list[tuple[float, float]]]],
+) -> Optional[dict]:
+    """Mean relative error of table cells against the paper's curves.
+
+    ``curves`` is ``{column: {mode: [(x, y), ...]}}`` and rows are
+    ``[mode, x, ...]``.  A point counts only where a row has that mode
+    and x and the table has that column; a point whose paper value is
+    0 has no relative error and is skipped.  Returns ``None`` when no
+    point matched, else ``{"mre", "points", "series"}``: the mean over
+    every matched point, their count, and the mean of each series as
+    ``{column: {mode: mre}}``.  Errors are summed in column, mode, point
+    order, so ``mre`` is bit-equal to ``bench/stats.py::paper_mre``.
+    """
+    errors: list[float] = []
+    series: dict[str, dict[str, float]] = {}
+    for column, by_mode in curves.items():
+        if column not in headers:
+            continue
+        index = list(headers).index(column)
+        for mode, points in by_mode.items():
+            found = []
+            for x, paper in points:
+                if paper == 0:
+                    continue
+                for row in rows:
+                    if row[0] == mode and row[1] == x:
+                        found.append(abs(row[index] - paper) / abs(paper))
+                        break
+            if found:
+                errors.extend(found)
+                series.setdefault(column, {})[mode] = sum(found) / len(found)
+    if not errors:
+        return None
+    return {
+        "mre": sum(errors) / len(errors),
+        "points": len(errors),
+        "series": series,
+    }

@@ -4,7 +4,8 @@ Runs the selected figure sweeps with a metrics registry installed,
 evaluates each figure's expectation spec, and writes:
 
 * ``REPORT.md`` — a generated paper-vs-ours report with a ✓/✗ table
-  per claim, replacing hand-maintained drift in ``EXPERIMENTS.md``;
+  per claim and each figure's distance from the paper's curves,
+  replacing hand-maintained drift in ``EXPERIMENTS.md``;
 * ``report.json`` — the same content machine-readable, stamped with a
   run-provenance manifest (seed, config hash, scale, git sha) so two
   reports can be compared with ``repro diff``.
@@ -29,7 +30,7 @@ from ...analysis.report import format_markdown_table
 from ...context import using
 from ...experiments.settings import RunScale
 from ..registry import MetricsRegistry
-from .engine import FigureEvaluation, FigureSpec, evaluate_figure
+from .engine import FigureEvaluation, FigureSpec, evaluate_figure, paper_score
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -161,13 +162,13 @@ def collect_sections(
     specs: Optional[dict[str, FigureSpec]] = None,
     echo: Callable[[str], None] = print,
 ) -> list[dict]:
-    """Run each named figure and evaluate its spec.
+    """Run each named figure, evaluate its spec and score its rows.
 
     Each runner is called as ``runner(scale=, seed=, jobs=, chunk=)``;
     via :mod:`repro.parallel` the sections are identical at any
     ``--jobs``.
     """
-    from ..expectations import SPECS
+    from ..expectations import SPECS, reference_curves
 
     runners = runners if runners is not None else default_runners()
     specs = specs if specs is not None else SPECS
@@ -191,6 +192,9 @@ def collect_sections(
                 "rows": result.rows,
                 "notes": result.notes,
                 "evaluation": evaluation,
+                "paper_score": paper_score(
+                    result.headers, result.rows, reference_curves(name)
+                ),
                 "truncated_phases": _truncated_phases(metrics),
             }
         )
@@ -311,6 +315,7 @@ def report_doc(manifest: dict, sections: list[dict]) -> dict:
                 "headers": section["headers"],
                 "rows": section["rows"],
                 "claims": evaluation.to_claims(),
+                "paper_score": section["paper_score"],
                 "truncated_phases": section["truncated_phases"],
             }
         )
@@ -362,6 +367,7 @@ def render_report_md(manifest: dict, sections: list[dict]) -> str:
             f"## {section['figure_id']} — {section['title']}"
         )
         lines.append("")
+        lines.extend(_score_lines(section["paper_score"]))
         claim_rows = [
             [o.symbol, o.expectation.claim, o.expectation.paper, o.observed]
             for o in evaluation.outcomes
@@ -388,6 +394,24 @@ def render_report_md(manifest: dict, sections: list[dict]) -> str:
         lines.append("</details>")
         lines.append("")
     return "\n".join(lines)
+
+
+def _score_lines(score: Optional[dict]) -> list[str]:
+    """The paper-score paragraph and per-series table of one figure."""
+    if score is None:
+        return ["Paper score: none (no digitized paper curves).", ""]
+    rows = [
+        [column, mode, f"{mre:.4f}"]
+        for column, by_mode in score["series"].items()
+        for mode, mre in by_mode.items()
+    ]
+    return [
+        f"Paper score: mean relative error **{score['mre']:.4f}** over "
+        f"{score['points']} points of the paper's curves.",
+        "",
+        format_markdown_table(["column", "mode", "MRE"], rows),
+        "",
+    ]
 
 
 def _table_text(section: dict) -> str:

@@ -13,9 +13,11 @@ and documented there.
 
 Spec modules may additionally export ``PAPER_CURVES`` — approximate
 digitizations of the paper's plotted series, keyed by table column then
-mode.  :func:`reference_curves` is the accessor ``repro publish`` uses
-to overlay them as dashed context lines; they are presentation only and
-never gated on.
+mode.  :func:`reference_curves` is their accessor: ``repro reproduce``
+scores each figure's rows against them
+(:func:`repro.obs.expect.paper_score`, the ``paper_score`` field of
+``report.json`` and the score under each ``REPORT.md`` heading), and CI
+gates the committed score byte for byte.  No claim reads them.
 """
 
 from . import (

@@ -87,10 +87,11 @@ SPEC = FigureSpec(
 )
 
 
-# Paper reference curves for the publication overlay (``repro publish``).
-# Approximate digitizations of the paper's plotted series (the claim-level
-# paper-vs-ours context lives in EXPERIMENTS.md); they are drawn as dashed
-# context lines in the generated figures and are never gated on.
+# Paper reference curves: approximate digitizations of the paper's plotted
+# series (the claim-level paper-vs-ours context lives in EXPERIMENTS.md).
+# ``repro reproduce`` scores the rows against them (``paper_score`` in
+# report.json and REPORT.md) and CI gates the committed score; no claim
+# reads them.
 PAPER_CURVES: dict[str, dict[str, list[tuple[float, float]]]] = {
     "gbps": {
         "off": [(5, 99.0), (10, 97.0), (20, 95.0), (40, 92.0)],

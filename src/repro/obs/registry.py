@@ -24,27 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tracer import SpanTracer
 
 __all__ = [
-    "Metric",
     "MetricsScope",
     "Phase",
     "MetricsRegistry",
 ]
-
-
-class Metric:
-    """One named metric: a kind tag plus a read-current-value callable."""
-
-    __slots__ = ("name", "kind", "read")
-
-    def __init__(
-        self, name: str, kind: str, read: Callable[[], float]
-    ) -> None:
-        self.name = name
-        self.kind = kind  # "counter" (monotonic) or "gauge" (level)
-        self.read = read
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Metric {self.name} ({self.kind})>"
 
 
 class Phase:
@@ -53,11 +36,11 @@ class Phase:
     def __init__(self, index: int, label: str) -> None:
         self.index = index
         self.label = label
-        self.metrics: dict[str, Metric] = {}
+        # Metric name -> its read-current-value callable.
+        self.metrics: dict[str, Callable[[], float]] = {}
         self.sample_times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.final: Optional[dict[str, float]] = None
-        self._kinds: dict[str, str] = {}
         self.sim_attached = False
         # Set by the sampler when the time series hit max_samples while
         # the workload was still running (no-silent-caps rule): the
@@ -69,7 +52,7 @@ class Phase:
         """Current value of every registered metric (frozen once final)."""
         if self.final is not None:
             return dict(self.final)
-        return {name: m.read() for name, m in self.metrics.items()}
+        return {name: read() for name, read in self.metrics.items()}
 
     def record_sample(self, t_ns: float) -> None:
         """Append one time-series point for every registered metric."""
@@ -86,9 +69,6 @@ class Phase:
         """
         if self.final is None:
             self.final = self.read_all()
-            self._kinds.update(
-                (name, m.kind) for name, m in self.metrics.items()
-            )
             self.metrics = {}
 
     def to_dict(self) -> dict:
@@ -104,7 +84,6 @@ class Phase:
             "index": self.index,
             "label": self.label,
             "final": self.final,
-            "kinds": dict(self._kinds),
             "truncated": self.truncated,
             "samples": {"t_ns": self.sample_times, "series": series},
         }
@@ -121,15 +100,14 @@ class MetricsScope:
 
     def counter(self, name: str, read: Callable[[], float]) -> None:
         """Register a monotonically increasing count."""
-        self._add(name, "counter", read)
+        self._add(name, read)
 
     def gauge(self, name: str, read: Callable[[], float]) -> None:
         """Register an instantaneous level (occupancy, utilization)."""
-        self._add(name, "gauge", read)
+        self._add(name, read)
 
-    def _add(self, name: str, kind: str, read: Callable[[], float]) -> None:
-        full = f"{self.prefix}.{name}"
-        self._phase.metrics[full] = Metric(full, kind, read)
+    def _add(self, name: str, read: Callable[[], float]) -> None:
+        self._phase.metrics[f"{self.prefix}.{name}"] = read
 
 
 class MetricsRegistry:
@@ -177,7 +155,6 @@ class MetricsRegistry:
             self.phases[-1].finalize()
         phase = Phase(len(self.phases), payload["label"])
         phase.final = payload["final"]
-        phase._kinds = dict(payload["kinds"])
         phase.truncated = payload["truncated"]
         samples = payload["samples"]
         phase.sample_times = list(samples["t_ns"])

@@ -102,7 +102,7 @@ def test_cli_and_experiments_import_without_numpy_or_scipy():
         "    repro.cli.main(['list'])\n"
         "print(sorted({m.split('.')[0] for m in sys.modules}"
         " & {'numpy', 'scipy'}))\n"
-        "print(sorted(set(sys.modules) & {'repro.obs.publish',"
+        "print(sorted(set(sys.modules) & {'repro.obs.expect.diffing',"
         " 'repro.verify.analyze', 'repro.experiments.chaos'}))\n"
     )
     src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])

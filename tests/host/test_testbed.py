@@ -126,8 +126,8 @@ class TestEcnMarks:
         final = registry.report()["phases"][0]["final"]
         marked_toward_remote = sum(p.ecn_marked for p in toward_remote)
         assert marked_toward_remote > 0
-        assert final["switch.port#2.marked"] == marked_toward_remote
-        assert final["switch.port.marked"] == sum(
+        assert final["switch.to_peer.marked"] == marked_toward_remote
+        assert final["switch.to_host.marked"] == sum(
             p.ecn_marked for p in toward_host
         )
 

@@ -5,8 +5,8 @@ drop, ECN marking) and the NIC input buffer (tail drop, ring-slot
 admission, fault stalls).  The registry finals of both, recorded from
 the implementation that ran both queues through one shared queue class
 and kept the Rx DMA jobs in a separate host-side table, are pinned
-here (``switch.port`` is the port toward the measured host,
-``switch.port#2`` the one toward its peer) for:
+here (``switch.to_host`` is the port toward the measured host,
+``switch.to_peer`` the one toward its peer) for:
 
 * quick fig7 strict with 40 flows, which overflows the NIC buffer
   (578 buffer drops) while the switch marks;
@@ -42,18 +42,18 @@ FIG7_STRICT_40 = {
     "nic.posted_descriptors": 307,
     "nic.ring_drops": 0,
     "nic.stalled_dequeues": 0,
-    "switch.port.delivered_bytes": 73834496,
-    "switch.port.drops": 0,
-    "switch.port.injected_losses": 0,
-    "switch.port.marked": 1104,
-    "switch.port.queue_bytes": 200704,
-    "switch.port.reordered_packets": 0,
-    "switch.port#2.delivered_bytes": 279104,
-    "switch.port#2.drops": 0,
-    "switch.port#2.injected_losses": 0,
-    "switch.port#2.marked": 0,
-    "switch.port#2.queue_bytes": 0,
-    "switch.port#2.reordered_packets": 0,
+    "switch.to_host.delivered_bytes": 73834496,
+    "switch.to_host.drops": 0,
+    "switch.to_host.injected_losses": 0,
+    "switch.to_host.marked": 1104,
+    "switch.to_host.queue_bytes": 200704,
+    "switch.to_host.reordered_packets": 0,
+    "switch.to_peer.delivered_bytes": 279104,
+    "switch.to_peer.drops": 0,
+    "switch.to_peer.injected_losses": 0,
+    "switch.to_peer.marked": 0,
+    "switch.to_peer.queue_bytes": 0,
+    "switch.to_peer.reordered_packets": 0,
 }
 
 MICRO_NIC_STALL_NET_LOSS = {
@@ -68,18 +68,18 @@ MICRO_NIC_STALL_NET_LOSS = {
     "nic.posted_descriptors": 127,
     "nic.ring_drops": 0,
     "nic.stalled_dequeues": 97,
-    "switch.port.delivered_bytes": 23724032,
-    "switch.port.drops": 0,
-    "switch.port.injected_losses": 18,
-    "switch.port.marked": 1314,
-    "switch.port.queue_bytes": 159744,
-    "switch.port.reordered_packets": 0,
-    "switch.port#2.delivered_bytes": 63104,
-    "switch.port#2.drops": 0,
-    "switch.port#2.injected_losses": 4,
-    "switch.port#2.marked": 0,
-    "switch.port#2.queue_bytes": 0,
-    "switch.port#2.reordered_packets": 0,
+    "switch.to_host.delivered_bytes": 23724032,
+    "switch.to_host.drops": 0,
+    "switch.to_host.injected_losses": 18,
+    "switch.to_host.marked": 1314,
+    "switch.to_host.queue_bytes": 159744,
+    "switch.to_host.reordered_packets": 0,
+    "switch.to_peer.delivered_bytes": 63104,
+    "switch.to_peer.drops": 0,
+    "switch.to_peer.injected_losses": 4,
+    "switch.to_peer.marked": 0,
+    "switch.to_peer.queue_bytes": 0,
+    "switch.to_peer.reordered_packets": 0,
 }
 
 
@@ -88,7 +88,7 @@ def queue_finals(registry):
     return {
         name: value
         for name, value in phase["final"].items()
-        if name.startswith(("nic.", "switch.port"))
+        if name.startswith(("nic.", "switch."))
     }
 
 

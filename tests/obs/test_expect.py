@@ -12,6 +12,7 @@ from repro.obs.expect import (
     grows_with,
     is_zero,
     largest_class,
+    paper_score,
     wins,
     within_band,
 )
@@ -295,6 +296,39 @@ class TestEngine:
         assert set(records[0]) == {
             "kind", "claim", "paper", "observed", "status",
         }
+
+
+class TestPaperScore:
+    HEADERS = ["mode", "flows", "gbps", "m3/pg"]
+    ROWS = [["off", 5, 100.0, 0.0], ["fns", 5, 90.0, 0.05]]
+
+    def test_skips_unmatched_points_and_zero_bases(self):
+        curves = {
+            "gbps": {"off": [(5, 80.0), (40, 70.0)], "fns": [(5, 100.0)]},
+            "m3/pg": {"off": [(5, 0.0)], "fns": [(5, 0.1)]},
+            "missing": {"off": [(5, 1.0)]},
+        }
+        # off@5: 0.25, fns@5: 0.1, fns m3@5: 0.5; off@40, the 0 base
+        # and the column the table lacks are skipped.
+        score = paper_score(self.HEADERS, self.ROWS, curves)
+        assert score == {
+            "mre": (0.25 + 0.1 + 0.5) / 3,
+            "points": 3,
+            "series": {
+                "gbps": {"off": 0.25, "fns": 0.1},
+                "m3/pg": {"fns": 0.5},
+            },
+        }
+
+    def test_none_when_nothing_matches(self):
+        assert paper_score(self.HEADERS, self.ROWS, {}) is None
+        curves = {"gbps": {"strict": [(5, 1.0)]}, "m3/pg": {"off": [(5, 0.0)]}}
+        assert paper_score(self.HEADERS, self.ROWS, curves) is None
+
+    def test_first_matching_row_counts(self):
+        rows = self.ROWS + [["off", 5, 50.0, 0.0]]
+        score = paper_score(self.HEADERS, rows, {"gbps": {"off": [(5, 80.0)]}})
+        assert score["mre"] == 0.25
 
 
 class TestShippedSpecs:

@@ -22,7 +22,8 @@ def test_subsystems_register_and_count():
     assert final["pcie.rx.bytes"] > 0
     assert final["nic.arrived_packets"] > 0
     assert final["host.rx_data_segments"] > 0
-    assert final["switch.port.delivered_bytes"] > 0
+    assert final["switch.to_host.delivered_bytes"] > 0
+    assert final["switch.to_peer.delivered_bytes"] > 0
     assert any(name.startswith("dctcp.flow") for name in final)
     assert any(name.startswith("ptcache.l3") for name in final)
     assert "driver.degraded_flushes" in final

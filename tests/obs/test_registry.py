@@ -48,8 +48,11 @@ def test_scope_registers_counters_and_gauges():
     state["count"] = 7
     phase = registry.current_phase()
     assert phase.read_all() == {"thing.count": 7, "thing.level": 3}
-    kinds = registry.report()["phases"][0]["kinds"]
-    assert kinds == {"thing.count": "counter", "thing.level": "gauge"}
+    phase_doc = registry.report()["phases"][0]
+    assert phase_doc["final"] == {"thing.count": 7, "thing.level": 3}
+    # Reading a frozen phase returns its finals, not the live values.
+    state["count"] = 9
+    assert phase.read_all() == {"thing.count": 7, "thing.level": 3}
 
 
 def test_scope_dedup_suffixes():

@@ -153,6 +153,42 @@ class TestRunReproduce:
         ][0]["claims"]
         assert claim["observed"] == observed
 
+    def test_figure_scored_against_its_paper_curves(self, tmp_path):
+        # Under a key with curves (fig7 gbps: off 99.0, strict 80.0 at
+        # 5 flows), the section carries its score and REPORT.md prints
+        # it; a key without curves scores null.
+        def scored_runner(scale, seed=1, jobs=None, chunk=None):
+            result = FigureResult("Fig S", "stub", ["mode", "flows", "gbps"])
+            result.rows = [["off", 5, 99.0], ["strict", 5, 60.0]]
+            return result
+
+        spec = FigureSpec(
+            "fig7", "stub", (wins("off", "strict", "gbps", claim="off wins"),)
+        )
+        status = run_reproduce(
+            ["fig7", "stub"],
+            scale=MICRO,
+            report_path=str(tmp_path / "REPORT.md"),
+            json_path=str(tmp_path / "report.json"),
+            runners={"fig7": scored_runner, "stub": stub_runner},
+            specs={"fig7": spec, "stub": GOOD_SPEC},
+            echo=lambda _: None,
+        )
+        assert status == 0
+        scored, unscored = json.loads(
+            (tmp_path / "report.json").read_text()
+        )["figures"]
+        assert scored["paper_score"] == {
+            "mre": 0.125,
+            "points": 2,
+            "series": {"gbps": {"off": 0.0, "strict": 0.25}},
+        }
+        assert unscored["paper_score"] is None
+        md = (tmp_path / "REPORT.md").read_text()
+        assert "mean relative error **0.1250** over 2 points" in md
+        assert "| gbps | strict | 0.2500 |" in md
+        assert "Paper score: none" in md
+
     def test_unknown_figure_exits_two(self, tmp_path):
         # An empty selection is no figure either, not "every figure".
         for figures in (["nope"], []):

@@ -7,21 +7,24 @@ and observed text when re-evaluated on the committed rows; and the
 provenance config hash (which also keys result-cache comparisons)
 must match.  A refactor of the expectation vocabulary that moves any
 of these shows here in well under a second, without running a sweep.
+So does a change to the paper score: each committed ``paper_score``
+must equal a fresh score of the committed rows, and its ``mre`` must
+equal the benchmark's own ``bench/stats.py::paper_mre``.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import QUICK, FigureResult
-from repro.obs.expect import EvalContext
+from repro.obs.expect import EvalContext, paper_score
 from repro.obs.expect.reproduce import provenance
-from repro.obs.expectations import SPECS
+from repro.obs.expectations import SPECS, reference_curves
 
-REPORT = json.loads(
-    (Path(__file__).resolve().parents[2] / "report.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[2]
+REPORT = json.loads((ROOT / "report.json").read_text())
 SECTIONS = {section["figure"]: section for section in REPORT["figures"]}
 
 
@@ -81,3 +84,44 @@ def test_config_hash_matches_committed():
     assert manifest["scale"] == QUICK.name
     fresh = provenance(manifest["figures"], QUICK, manifest["seed"], SPECS)
     assert fresh["config_hash"] == manifest["config_hash"]
+
+
+@pytest.mark.parametrize("figure", list(SECTIONS))
+def test_committed_paper_score_rescores(figure):
+    section = SECTIONS[figure]
+    fresh = paper_score(
+        section["headers"], section["rows"], reference_curves(figure)
+    )
+    assert fresh == section["paper_score"]
+
+
+@pytest.mark.parametrize("figure", list(SECTIONS))
+def test_every_paper_point_is_scored(figure):
+    # A curve column, mode or x the table lacks would drop out of the
+    # score silently; at quick scale every nonzero point must match
+    # (and a figure without curves, ``model``, scores null).
+    nonzero = [
+        y
+        for by_mode in reference_curves(figure).values()
+        for points in by_mode.values()
+        for _x, y in points
+        if y != 0
+    ]
+    score = SECTIONS[figure]["paper_score"]
+    assert (score["points"] if score else 0) == len(nonzero)
+
+
+def test_figure_mre_equals_the_benchmark_paper_mre():
+    # The benchmark scores its runs with its own copy of the metric;
+    # the two copies must agree bit for bit on every committed section.
+    spec = importlib.util.spec_from_file_location(
+        "bench_stats", ROOT / "bench" / "stats.py"
+    )
+    stats = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stats)
+    for figure, section in SECTIONS.items():
+        score = section["paper_score"]
+        mre = stats.paper_mre(
+            section["headers"], section["rows"], reference_curves(figure)
+        )
+        assert mre == (score["mre"] if score else None), figure

@@ -315,7 +315,10 @@ class TestAdoptPhase:
         assert adopted.index == 1
         assert entry["label"] == "cell"
         assert entry["final"] == {"nic.arrived": 7.0}
-        assert entry["kinds"] == {"nic.arrived": "counter"}
+        assert adopted.final == payload["final"]
+        assert set(entry) == {
+            "index", "label", "final", "truncated", "samples",
+        }
         index_free = {k: v for k, v in entry.items() if k != "index"}
         payload_free = {k: v for k, v in payload.items() if k != "index"}
         assert index_free == payload_free

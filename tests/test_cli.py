@@ -62,6 +62,8 @@ def test_jobs_flag_runs_figure(capsys):
         ["chaos", "--seeds", "0"],
         ["reproduce", "--figures", ""],
         ["reproduce", "--figures", ","],
+        # No such command: each former "publish" call is read as an
+        # unknown figure.
         ["publish", "out", "--figures", ""],
         ["publish", "out", "--format", "svg"],
         ["analyze", "--format", "json"],
