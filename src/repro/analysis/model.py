@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..mem.latency import DEFAULT_L0_NS, DEFAULT_LM_NS
+
 __all__ = [
     "throughput_gbps",
     "memory_reads_per_packet",
@@ -36,8 +38,8 @@ class ModelPoint:
 def throughput_gbps(
     packet_bytes: int,
     memory_reads: float,
-    l0_ns: float = 65.0,
-    lm_ns: float = 197.0,
+    l0_ns: float = DEFAULT_L0_NS,
+    lm_ns: float = DEFAULT_LM_NS,
     link_gbps: float = float("inf"),
 ) -> float:
     """Predicted PCIe-limited throughput, optionally capped at the link.

@@ -135,7 +135,6 @@ class RequestResponseApp:
         connections: int = 1,
         cores: Optional[list[int]] = None,
         host_app_cost_ns: Callable[[int], float] = lambda message_bytes: 0.0,
-        think_ns: float = 0.0,
         record_latency: bool = False,
     ) -> None:
         if initiator not in ("remote", "host"):
@@ -147,7 +146,6 @@ class RequestResponseApp:
         self.initiator = initiator
         self.pipeline_depth = pipeline_depth
         self.host_app_cost_ns = host_app_cost_ns
-        self.think_ns = think_ns
         self.stats = AppStats()
         self._window_start = AppStats()
         self.latency = LatencyRecorder() if record_latency else None
@@ -298,7 +296,7 @@ class RequestResponseApp:
             self._complete_request(connection)
             host.cores.run(
                 connection.core,
-                cost + self.think_ns,
+                cost,
                 lambda conn=connection: self._issue_request(conn),
             )
 
@@ -322,13 +320,7 @@ class RequestResponseApp:
         if self.initiator == "remote":
             # The response to one of our requests: transaction done.
             self._complete_request(connection)
-            if self.think_ns > 0:
-                self.testbed.sim.schedule_after(
-                    self.think_ns,
-                    lambda conn=connection: self._issue_request(conn),
-                )
-            else:
-                self._issue_request(connection)
+            self._issue_request(connection)
         else:
             # The host's request arrived: respond with bulk data.
             sender = self.testbed.remote.sender(connection.to_host_flow)

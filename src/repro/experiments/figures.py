@@ -29,6 +29,9 @@ from typing import Any, Callable, Optional, Sequence
 from ..analysis.locality import summarize_locality  # noqa: F401
 from ..analysis.model import ModelPoint, fit_l0_lm, model_error, throughput_gbps
 from ..analysis.report import format_figure
+from ..host.config import DEFAULT_MTU_BYTES
+from ..host.testbed import LINK_GBPS
+from ..mem.latency import DEFAULT_L0_NS, DEFAULT_LM_NS
 from ..parallel import PointSpec, derive_seed, run_points
 from .settings import FULL, RunScale
 
@@ -165,18 +168,28 @@ def _iperf_row(mode: str, x, result) -> list:
 # measured M; (2) re-fitting the constants from the swept points
 # (non-negative least squares) recovers the same magnitudes.
 def _model_point(result) -> ModelPoint:
-    return ModelPoint(4096, result.memory_reads_per_page, result.rx_goodput_gbps)
+    return ModelPoint(
+        DEFAULT_MTU_BYTES, result.memory_reads_per_page, result.rx_goodput_gbps
+    )
 
 
 def _model_row(mode: str, x, result) -> list:
     point = _model_point(result)
-    paper = throughput_gbps(4096, point.memory_reads, 65.0, 197.0, link_gbps=100.0)
+    paper = throughput_gbps(
+        point.packet_bytes,
+        point.memory_reads,
+        DEFAULT_L0_NS,
+        DEFAULT_LM_NS,
+        LINK_GBPS,
+    )
     return [
         x,
         round(point.memory_reads, 2),
         round(point.measured_gbps, 1),
         round(paper, 1),
-        round(model_error(point, 65.0, 197.0, link_gbps=100.0) * 100, 1),
+        round(
+            model_error(point, DEFAULT_L0_NS, DEFAULT_LM_NS, LINK_GBPS) * 100, 1
+        ),
     ]
 
 
@@ -187,10 +200,12 @@ def _model_refit(result: FigureResult) -> None:
     result.raw["lm_ns"] = lm
     result.notes = (
         f"refit l0 = {l0:.0f} ns, lm = {lm:.0f} ns "
-        "(paper: l0 = 65 ns, lm = 197 ns)"
+        f"(paper: l0 = {DEFAULT_L0_NS:.0f} ns, lm = {DEFAULT_LM_NS:.0f} ns)"
     )
     for row, point in zip(result.rows, points):
-        refit = throughput_gbps(4096, point.memory_reads, l0, lm, link_gbps=100.0)
+        refit = throughput_gbps(
+            point.packet_bytes, point.memory_reads, l0, lm, LINK_GBPS
+        )
         row.append(round(refit, 1))
 
 

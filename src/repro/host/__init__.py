@@ -1,6 +1,6 @@
 """Host assembly: configs, CPU model, measured host, peer, testbed."""
 
-from .config import CpuCosts, HostConfig, MODE_NAMES
+from .config import HostConfig, MODE_NAMES
 from .cpu import CoreSet
 from .remote import RemotePeer
 from .server import Host
@@ -8,7 +8,6 @@ from .testbed import Testbed, TestbedResult
 
 __all__ = [
     "HostConfig",
-    "CpuCosts",
     "MODE_NAMES",
     "CoreSet",
     "Host",

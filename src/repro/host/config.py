@@ -21,10 +21,8 @@ from typing import Optional
 
 from ..iommu import IommuConfig
 from ..mem.physmem import PAGE_SIZE
-from ..net.dctcp import DctcpParams
-from ..pcie import PcieConfig
 
-__all__ = ["HostConfig", "CpuCosts", "MODE_NAMES"]
+__all__ = ["HostConfig", "MODE_NAMES", "DEFAULT_MTU_BYTES"]
 
 MODE_NAMES = (
     "off",
@@ -36,66 +34,23 @@ MODE_NAMES = (
     "deferred",
 )
 
-
-@dataclass
-class CpuCosts:
-    """Per-core software costs (ns) for the host CPU model.
-
-    ``stack_per_packet_ns`` covers protocol processing per MTU packet;
-    ``stack_per_poll_ns`` the fixed NAPI poll + IRQ overhead amortized
-    over the batch; ``data_touch_base_ns`` the per-packet data-copy
-    cost, which grows with ring size as the buffer footprint defeats
-    the hardware prefetchers (the paper's explanation for F&S's small
-    CPU-bound gap at 2048-packet rings, §4.4); DDIO reduces the touch
-    cost because payloads land in LLC.
-    """
-
-    stack_per_packet_ns: float = 300.0
-    stack_per_poll_ns: float = 3000.0
-    data_touch_base_ns: float = 260.0
-    data_touch_ring_factor: float = 0.55  # extra fraction per ring doubling
-    ddio_touch_discount: float = 0.45
-
-    def data_touch_ns(
-        self, ring_size_packets: int, enable_ddio: bool
-    ) -> float:
-        doublings = 0
-        size = 256
-        while size < ring_size_packets:
-            size *= 2
-            doublings += 1
-        cost = self.data_touch_base_ns * (
-            1.0 + self.data_touch_ring_factor * doublings
-        )
-        if enable_ddio:
-            cost *= 1.0 - self.ddio_touch_discount
-        return cost
+DEFAULT_MTU_BYTES = 4096
 
 
 @dataclass
 class HostConfig:
-    """Everything that defines one measured-host configuration."""
+    """The measured-host settings that some figure, study, app or fault
+    row varies; every other calibration value is a constant beside the
+    code that reads it."""
 
-    name: str = "cascadelake"
     mode: str = "strict"
     num_cores: int = 5
-    link_gbps: float = 100.0
-    mtu_bytes: int = 4096
+    mtu_bytes: int = DEFAULT_MTU_BYTES
     ring_size_packets: int = 256
     descriptor_pages: int = 64
-    nic_buffer_bytes: int = 384 * 1024  # NIC input buffer
-    pcie: PcieConfig = field(default_factory=PcieConfig)
     iommu: IommuConfig = field(default_factory=IommuConfig)
-    dctcp: DctcpParams = field(default_factory=DctcpParams)
-    cpu: CpuCosts = field(default_factory=CpuCosts)
     memory_bandwidth_gbps: float = 46.9
     enable_ddio: bool = False
-    # NAPI / interrupt coalescing (DIM-flavoured fixed settings).
-    irq_coalesce_ns: float = 6_000.0
-    irq_coalesce_frames: int = 32
-    gro_max_bytes: int = 65536
-    # Deferred-mode flush threshold.
-    deferred_flush_threshold: int = 250
     # Long-uptime allocator state: before the experiment, this many
     # page-sized IOVAs are allocated and freed back in shuffled order,
     # filling the per-CPU magazines and depot with addresses spanning a
@@ -109,19 +64,10 @@ class HostConfig:
     # bigger working set has spread its allocator state over a
     # proportionally wider extent.
     allocator_aging_iovas: Optional[int] = None
-    aging_seed: int = 42
     # Hard-fault recovery (repro.nic.recovery).  Off by default: the
     # recovery manager adds housekeeping events and only matters when
     # hard faults (wedge-invq / device-wedge) are being injected.
     recovery: bool = False
-    # Detector cadence and modeled stage latencies of the reset
-    # protocol (quiesce the DMA engine, function-level reset, re-enable
-    # after rings rebuild).  The documented MTTR bound in DESIGN.md §14
-    # derives from these.
-    recovery_check_interval_ns: float = 500_000.0
-    recovery_quiesce_ns: float = 100_000.0
-    recovery_reset_ns: float = 250_000.0
-    recovery_resume_ns: float = 50_000.0
 
     @property
     def effective_aging_iovas(self) -> int:
@@ -143,7 +89,6 @@ class HostConfig:
                     self.ring_size_packets,
                     -(-512 // self.pages_per_packet),
                 )
-        self.dctcp.mtu_bytes = self.mtu_bytes
 
     # ------------------------------------------------------------------
     # Derived geometry
@@ -179,13 +124,12 @@ class HostConfig:
     @classmethod
     def cascade_lake(cls, **overrides) -> "HostConfig":
         """The §2.2 default testbed."""
-        return cls(name="cascadelake", **overrides)
+        return cls(**overrides)
 
     @classmethod
     def ice_lake(cls, **overrides) -> "HostConfig":
         """The §4.1 Rx/Tx-interference testbed (DDIO cannot be off)."""
         defaults = dict(
-            name="icelake",
             num_cores=8,
             memory_bandwidth_gbps=8 * 25.6,
             enable_ddio=True,

@@ -19,11 +19,17 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional
 
-from ..net.dctcp import DctcpParams, DctcpReceiver, DctcpSender, RtoTimer
+from ..net.dctcp import DctcpReceiver, DctcpSender, RtoTimer
 from ..net.packet import Packet, PacketKind
 from ..sim import Simulator
 
-__all__ = ["RemotePeer"]
+__all__ = ["RemotePeer", "PROCESSING_DELAY_NS"]
+
+# The peer's per-packet processing delay, which the switch port toward
+# the peer adds to each arrival.
+PROCESSING_DELAY_NS = 2_000.0
+# The peer's delayed-ACK factor: one ACK per two in-order segments.
+ACK_EVERY = 2
 
 
 class _RemoteFlow:
@@ -42,17 +48,12 @@ class RemotePeer:
     def __init__(
         self,
         sim: Simulator,
-        params: DctcpParams,
+        mtu_bytes: int,
         wire_out: Callable[[Packet], None],
-        ack_every: int = 2,
-        processing_delay_ns: float = 2_000.0,
     ) -> None:
         self.sim = sim
-        self.params = params
+        self.mtu_bytes = mtu_bytes
         self.wire_out = wire_out
-        self.ack_every = ack_every
-        # Added by the switch port toward the peer to each arrival.
-        self.processing_delay_ns = processing_delay_ns
         self._flows: dict[int, _RemoteFlow] = {}
         # App hook for delivered in-order segments (RPC client etc.).
         self.on_delivery: Optional[Callable[[int, int], None]] = None
@@ -70,7 +71,7 @@ class RemotePeer:
         flow = self._flows.setdefault(flow_id, _RemoteFlow(flow_id))
         flow.sender = DctcpSender(
             flow_id,
-            self.params,
+            self.mtu_bytes,
             unlimited=unlimited,
             segment_bytes=segment_bytes,
         )
@@ -79,7 +80,7 @@ class RemotePeer:
 
     def register_receiver(self, flow_id: int) -> DctcpReceiver:
         flow = self._flows.setdefault(flow_id, _RemoteFlow(flow_id))
-        flow.receiver = DctcpReceiver(flow_id, self.params)
+        flow.receiver = DctcpReceiver(flow_id)
         return flow.receiver
 
     def sender(self, flow_id: int) -> DctcpSender:
@@ -120,7 +121,7 @@ class RemotePeer:
         if flow.receiver is None:
             return
         delivered, maybe_ack = flow.receiver.on_data(
-            packet, now, ack_every=self.ack_every
+            packet, now, ack_every=ACK_EVERY
         )
         if delivered:
             self.delivered_segments_by_flow[packet.flow_id] = (

@@ -29,12 +29,20 @@ from typing import Callable, Optional
 from ..context import current_context
 from ..iommu import Iommu
 from ..iommu.addr import PAGE_SIZE
+from ..iommu.faultq import ABORT_LATENCY_NS
+from ..mem.latency import DEFAULT_L0_NS
 from ..mem.physmem import PhysicalMemory
 from ..net.dctcp import DctcpReceiver, DctcpSender, RtoTimer
 from ..net.packet import Packet, PacketKind
 from ..nic import Nic, RecoveryManager
 from ..nic.descriptor import RxDescriptor
-from ..pcie import DmaPipeline
+from ..pcie import (
+    MAX_PAYLOAD_BYTES,
+    RX_LANES,
+    TX_LANES,
+    DmaPipeline,
+    transactions,
+)
 from ..protection import (
     DeferredDriver,
     PassthroughDriver,
@@ -47,7 +55,43 @@ from ..sim.rng import SeededRng
 from .config import HostConfig
 from .cpu import CoreSet
 
-__all__ = ["Host"]
+__all__ = ["Host", "data_touch_ns"]
+
+# Allocator aging draws its shuffle from this seed (see HostConfig).
+AGING_SEED = 42
+
+# NAPI / interrupt coalescing (DIM-flavoured fixed settings): a poll
+# runs IRQ_COALESCE_NS after the first queued packet, or at once when
+# IRQ_COALESCE_FRAMES are queued; GRO coalesces in-order segments into
+# one delayed ACK per GRO_MAX_BYTES.
+IRQ_COALESCE_NS = 6_000.0
+IRQ_COALESCE_FRAMES = 32
+GRO_MAX_BYTES = 65536
+
+# Per-core software costs (ns): protocol processing per MTU packet and
+# the fixed NAPI poll + IRQ overhead amortized over the batch.
+STACK_PER_PACKET_NS = 300.0
+STACK_PER_POLL_NS = 3000.0
+# Per-page data-copy cost, which grows with ring size as the buffer
+# footprint defeats the hardware prefetchers (the paper's explanation
+# for F&S's small CPU-bound gap at 2048-packet rings, §4.4); DDIO
+# reduces it because payloads land in LLC.
+DATA_TOUCH_BASE_NS = 260.0
+DATA_TOUCH_RING_FACTOR = 0.55  # extra fraction per ring doubling
+DDIO_TOUCH_DISCOUNT = 0.45
+
+
+def data_touch_ns(ring_size_packets: int, enable_ddio: bool) -> float:
+    """The per-page data-copy cost at this ring size and DDIO setting."""
+    doublings = 0
+    size = 256
+    while size < ring_size_packets:
+        size *= 2
+        doublings += 1
+    cost = DATA_TOUCH_BASE_NS * (1.0 + DATA_TOUCH_RING_FACTOR * doublings)
+    if enable_ddio:
+        cost *= 1.0 - DDIO_TOUCH_DISCOUNT
+    return cost
 
 
 class _FlowBinding:
@@ -79,17 +123,13 @@ class Host:
         self.allocation_trace: list[tuple[int, int]] = []
         self.iommu: Optional[Iommu] = None
         self.driver = self._build_driver()
-        self.nic = Nic(config.num_cores, config.nic_buffer_bytes, sim=sim)
+        self.nic = Nic(config.num_cores, sim=sim)
         # A fault-injected NIC stall parks packets in the input buffer;
         # the NIC wakes the DMA pump when the stall window closes.
         self.nic.on_wake = self._pump_rx_dma
         self.cores = CoreSet(sim, config.num_cores)
-        self.rx_pipeline = DmaPipeline(
-            sim, config.pcie, config.pcie.rx_lanes, label="rx"
-        )
-        self.tx_pipeline = DmaPipeline(
-            sim, config.pcie, config.pcie.tx_lanes, label="tx"
-        )
+        self.rx_pipeline = DmaPipeline(sim, RX_LANES, label="rx")
+        self.tx_pipeline = DmaPipeline(sim, TX_LANES, label="tx")
         self._flows: dict[int, _FlowBinding] = {}
         # Per-core NAPI state.
         self._napi_queues: list[deque[Packet]] = [
@@ -164,15 +204,11 @@ class Host:
         if config.mode == "off":
             return PassthroughDriver(self.physmem)
         self.iommu = Iommu(config.iommu)
-        self.iommu.memory.channel_bandwidth_gbps = (
-            config.memory_bandwidth_gbps
-        )
         if config.mode == "deferred":
             return DeferredDriver(
                 self.iommu,
                 self.physmem,
                 config.num_cores,
-                flush_threshold=config.deferred_flush_threshold,
                 allocation_trace=self.allocation_trace,
             )
         factory = {
@@ -206,7 +242,7 @@ class Host:
         allocator = getattr(self.driver, "allocator", None)
         if count <= 0 or allocator is None:
             return
-        rng = SeededRng(self.config.aging_seed, "allocator-aging")
+        rng = SeededRng(AGING_SEED, "allocator-aging")
         allocator.age(count, rng)
 
     def _fill_rings(self) -> None:
@@ -225,7 +261,7 @@ class Host:
         """A flow whose data arrives at this host."""
         binding = self._flows.setdefault(flow_id, _FlowBinding(flow_id, core))
         binding.core = core
-        binding.receiver = DctcpReceiver(flow_id, self.config.dctcp)
+        binding.receiver = DctcpReceiver(flow_id)
         return binding.receiver
 
     def register_tx_flow(
@@ -240,7 +276,7 @@ class Host:
         binding.core = core
         binding.sender = DctcpSender(
             flow_id,
-            self.config.dctcp,
+            self.config.mtu_bytes,
             unlimited=unlimited,
             segment_bytes=segment_bytes,
         )
@@ -292,8 +328,6 @@ class Host:
         the slowest walk (plus the per-DMA base latency l0) are done.
         """
         packet, _core, taken = job
-        pcie = self.config.pcie
-        mps = pcie.max_payload_bytes
         driver = self.driver
         walks_done = start
         remaining = packet.size_bytes
@@ -303,7 +337,7 @@ class Host:
             # All of this page's TLPs translate back to back with no
             # event in between: only the first can walk.
             reads = driver.translate_for_dma(
-                slot.iova, "rx", pcie.transactions(in_page), mps
+                slot.iova, "rx", transactions(in_page), MAX_PAYLOAD_BYTES
             )
             if reads is None:
                 # Hard-fault path: the root complex killed the
@@ -311,7 +345,7 @@ class Host:
                 # and the DMA completes early with abort latency.
                 self._aborted_dmas.add(packet.packet_id)
                 self.rx_dma_aborts += 1
-                return start + self.iommu.fault_queue.abort_latency_ns
+                return start + ABORT_LATENCY_NS
             if reads:
                 finish = self.iommu.reserve_walk(
                     start, reads, self._mem_utilization
@@ -320,7 +354,7 @@ class Host:
                     walks_done = finish
         self._account_dma_bytes(packet.size_bytes)
         wire_done = self.rx_pipeline.reserve_wire(start, packet.size_bytes)
-        return max(wire_done, walks_done + pcie.l0_ns)
+        return max(wire_done, walks_done + DEFAULT_L0_NS)
 
     def _rx_dma_finish(self, job: tuple) -> None:
         packet, core, taken = job
@@ -405,7 +439,7 @@ class Host:
             timer = self._poll_timer[core]
             if (
                 timer is not None
-                and len(queue) >= self.config.irq_coalesce_frames
+                and len(queue) >= IRQ_COALESCE_FRAMES
             ):
                 timer.cancel()
                 self._poll_timer[core] = None
@@ -413,7 +447,7 @@ class Host:
             return
         self._poll_scheduled[core] = True
         self._poll_timer[core] = self.sim.call_after(
-            self.config.irq_coalesce_ns, self._poll_fns[core]
+            IRQ_COALESCE_NS, self._poll_fns[core]
         )
 
     def _poll(self, core: int) -> None:
@@ -426,20 +460,16 @@ class Host:
             self._poll_scheduled[core] = False
             return
         config = self.config
-        touch_ns = config.cpu.data_touch_ns(
-            config.ring_size_packets, config.enable_ddio
-        )
-        cost = config.cpu.stack_per_poll_ns
+        touch_ns = data_touch_ns(config.ring_size_packets, config.enable_ddio)
+        cost = STACK_PER_POLL_NS
         for packet in batch:
-            cost += config.cpu.stack_per_packet_ns
+            cost += STACK_PER_PACKET_NS
             if packet.is_data:
                 cost += touch_ns * (packet.size_bytes / PAGE_SIZE)
         self.cores.run(core, cost, lambda: self._poll_done(core, batch))
 
     def _poll_done(self, core: int, batch: list[Packet]) -> None:
-        gro_segments = max(
-            1, self.config.gro_max_bytes // self.config.mtu_bytes
-        )
+        gro_segments = max(1, GRO_MAX_BYTES // self.config.mtu_bytes)
         touched_receivers: dict[int, DctcpReceiver] = {}
         now = self.sim.now
         for packet in batch:
@@ -478,7 +508,7 @@ class Host:
         if self._napi_queues[core]:
             self._poll_scheduled[core] = True
             self._poll_timer[core] = self.sim.call_after(
-                self.config.irq_coalesce_ns, self._poll_fns[core]
+                IRQ_COALESCE_NS, self._poll_fns[core]
             )
 
     # ------------------------------------------------------------------
@@ -525,8 +555,6 @@ class Host:
 
     def _tx_dma_begin(self, job: tuple, start: float) -> float:
         packet, mappings, _core, source = job
-        pcie = self.config.pcie
-        mps = pcie.max_payload_bytes
         driver = self.driver
         walks_done = start
         remaining = packet.size_bytes
@@ -534,12 +562,12 @@ class Host:
             in_page = min(remaining, PAGE_SIZE)
             remaining -= in_page
             reads = driver.translate_for_dma(
-                mapping.iova, source, pcie.transactions(in_page), mps
+                mapping.iova, source, transactions(in_page), MAX_PAYLOAD_BYTES
             )
             if reads is None:
                 self._aborted_tx.add(packet.packet_id)
                 self.tx_dma_aborts += 1
-                return start + self.iommu.fault_queue.abort_latency_ns
+                return start + ABORT_LATENCY_NS
             if reads:
                 finish = self.iommu.reserve_walk(
                     start, reads, self._mem_utilization
@@ -548,7 +576,7 @@ class Host:
                     walks_done = finish
         self._account_dma_bytes(packet.size_bytes)
         wire_done = self.tx_pipeline.reserve_wire(start, packet.size_bytes)
-        return max(wire_done, walks_done + pcie.l0_ns)
+        return max(wire_done, walks_done + DEFAULT_L0_NS)
 
     def _tx_dma_finish(self, job: tuple) -> None:
         packet, mappings, core, _source = job

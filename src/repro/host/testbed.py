@@ -18,7 +18,7 @@ from ..context import current_context
 from ..net.switch import SwitchPort
 from ..sim import Simulator, Watchdog
 from .config import HostConfig
-from .remote import RemotePeer
+from .remote import PROCESSING_DELAY_NS, RemotePeer
 from .server import Host
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,6 +29,19 @@ __all__ = ["Testbed", "TestbedResult"]
 # Flow-id ranges by role (documentation of convention, not enforcement).
 RX_FLOW_BASE = 0
 TX_FLOW_BASE = 1000
+
+# The switch between the two servers: one 100 Gbps port per direction.
+LINK_GBPS = 100.0
+SWITCH_BUFFER_BYTES = 2 << 20
+PROPAGATION_NS = 2_000.0
+# DCTCP marking thresholds (K).  The two directions see different
+# bottlenecks.  Toward the measured host, the real bottleneck is inside
+# the host (PCIe / NIC buffer, no ECN there), so the switch queue only
+# absorbs sender bursts and gets a high threshold to avoid spurious
+# marks.  Toward the peer, the switch egress itself is the bottleneck
+# for host-Tx traffic and gets a standard DCTCP K.
+ECN_THRESHOLD_TO_HOST_BYTES = 600_000
+ECN_THRESHOLD_TO_PEER_BYTES = 150_000
 
 
 @dataclass
@@ -73,18 +86,8 @@ class Testbed:
     def __init__(
         self,
         config: HostConfig,
-        switch_buffer_bytes: int = 2 << 20,
-        ecn_threshold_bytes: int = 600_000,
-        ecn_threshold_to_remote_bytes: int = 150_000,
-        propagation_ns: float = 2_000.0,
         watchdog_interval_ns: Optional[float] = None,
     ) -> None:
-        # The two directions see different bottlenecks.  Toward the
-        # measured host, the real bottleneck is inside the host (PCIe /
-        # NIC buffer, no ECN there), so the switch queue only absorbs
-        # sender bursts and gets a high threshold to avoid spurious
-        # marks.  Toward the remote, the switch egress itself is the
-        # bottleneck for host-Tx traffic and gets a standard DCTCP K.
         self.sim = Simulator()
         context = current_context()
         # Fault runtime (repro.faults); None in normal runs.  Kept so
@@ -103,30 +106,30 @@ class Testbed:
         self.config = config
         self.port_to_host = SwitchPort(
             self.sim,
-            rate_gbps=config.link_gbps,
-            buffer_bytes=switch_buffer_bytes,
-            ecn_threshold_bytes=ecn_threshold_bytes,
-            propagation_ns=propagation_ns,
+            rate_gbps=LINK_GBPS,
+            buffer_bytes=SWITCH_BUFFER_BYTES,
+            ecn_threshold_bytes=ECN_THRESHOLD_TO_HOST_BYTES,
+            propagation_ns=PROPAGATION_NS,
             label="to_host",
         )
         self.port_to_remote = SwitchPort(
             self.sim,
-            rate_gbps=config.link_gbps,
-            buffer_bytes=switch_buffer_bytes,
-            ecn_threshold_bytes=ecn_threshold_to_remote_bytes,
-            propagation_ns=propagation_ns,
+            rate_gbps=LINK_GBPS,
+            buffer_bytes=SWITCH_BUFFER_BYTES,
+            ecn_threshold_bytes=ECN_THRESHOLD_TO_PEER_BYTES,
+            propagation_ns=PROPAGATION_NS,
+            # The peer's processing delay rides on the arrival event.
+            receiver_delay_ns=PROCESSING_DELAY_NS,
             label="to_peer",
         )
         self.host = Host(
             self.sim, config, wire_out=self.port_to_remote.enqueue
         )
         self.remote = RemotePeer(
-            self.sim, config.dctcp, wire_out=self.port_to_host.enqueue
+            self.sim, config.mtu_bytes, wire_out=self.port_to_host.enqueue
         )
         self.port_to_host.deliver = self.host.packet_from_wire
         self.port_to_remote.deliver = self.remote.packet_from_wire
-        # The peer's processing delay rides on the arrival event.
-        self.port_to_remote.receiver_delay_ns = self.remote.processing_delay_ns
         self.rx_flow_ids: list[int] = []
         self.tx_flow_ids: list[int] = []
         # The request/response app driving this testbed, if any; run()

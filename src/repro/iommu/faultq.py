@@ -30,13 +30,19 @@ from typing import Callable, Optional
 
 from ..context import current_context
 
-__all__ = ["FaultReportingQueue", "IommuFaultRecord"]
+__all__ = [
+    "FaultReportingQueue",
+    "IommuFaultRecord",
+    "ABORT_LATENCY_NS",
+    "CAPACITY",
+]
 
-DEFAULT_FAULT_QUEUE_CAPACITY = 256
+# Records the log holds before it drops new ones.
+CAPACITY = 256
 # Latency charged to the aborted transaction: the root complex detects
 # the missing translation, synthesizes the UR/CA completion, and writes
 # the fault record.  Order of a microsecond on real parts.
-DEFAULT_FAULT_ABORT_LATENCY_NS = 800.0
+ABORT_LATENCY_NS = 800.0
 
 
 @dataclass(frozen=True)
@@ -58,15 +64,7 @@ class IommuFaultRecord:
 class FaultReportingQueue:
     """Bounded host-visible log of aborted DMA translations."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_FAULT_QUEUE_CAPACITY,
-        abort_latency_ns: float = DEFAULT_FAULT_ABORT_LATENCY_NS,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("fault queue needs capacity >= 1")
-        self.capacity = capacity
-        self.abort_latency_ns = abort_latency_ns
+    def __init__(self) -> None:
         self.records: list[IommuFaultRecord] = []
         self.reported = 0
         self.overflowed = 0
@@ -95,7 +93,7 @@ class FaultReportingQueue:
     def report(self, iova: int, source: str, reason: str) -> float:
         """Log one fault; returns the abort latency to charge the DMA."""
         self.reported += 1
-        if len(self.records) < self.capacity:
+        if len(self.records) < CAPACITY:
             self.records.append(
                 IommuFaultRecord(self._now(), iova, source, reason)
             )
@@ -103,7 +101,7 @@ class FaultReportingQueue:
             # Hardware fault logs drop-on-full (with a sticky overflow
             # bit); modeling that keeps a fault storm O(capacity).
             self.overflowed += 1
-        return self.abort_latency_ns
+        return ABORT_LATENCY_NS
 
     # ------------------------------------------------------------------
     # Host side

@@ -42,28 +42,25 @@ from .iotlb import Iotlb
 from .ptcache import PtCacheHierarchy
 from .stats import IommuStats
 
-__all__ = ["InvalidationQueue"]
+__all__ = ["InvalidationQueue", "CPU_COST_NS"]
+
+# Per-descriptor submit-and-wait cost charged to the requesting core.
+CPU_COST_NS = 250.0
 
 
 class InvalidationQueue:
     """Models the VT-d queued-invalidation interface.
 
-    ``cpu_cost_ns`` is the per-descriptor submit-and-wait cost charged
-    to the requesting core; callers accumulate the returned costs into
-    their CPU budget.
+    Each descriptor costs the requesting core :data:`CPU_COST_NS`;
+    callers accumulate the returned costs into their CPU budget.
     """
 
     def __init__(
-        self,
-        iotlb: Iotlb,
-        ptcaches: PtCacheHierarchy,
-        stats: IommuStats,
-        cpu_cost_ns: float = 250.0,
+        self, iotlb: Iotlb, ptcaches: PtCacheHierarchy, stats: IommuStats
     ) -> None:
         self.iotlb = iotlb
         self.ptcaches = ptcaches
         self.stats = stats
-        self.cpu_cost_ns = cpu_cost_ns
         self.total_cpu_ns = 0.0
         # Safety-invariant monitor (repro.verify); None in normal runs.
         self.monitor = current_context().monitor
@@ -114,7 +111,7 @@ class InvalidationQueue:
         completed_length = length
         if self.faults is not None:
             status, extra_ns, completed_length = self.faults.outcome(
-                iova, length, self.cpu_cost_ns
+                iova, length, CPU_COST_NS
             )
             if status == "dropped":
                 self.dropped_completions += 1
@@ -146,7 +143,7 @@ class InvalidationQueue:
                         owner=id(self.iotlb),
                     )
             self.stats.invalidation_requests += 1
-        cost = self.cpu_cost_ns + extra_ns
+        cost = CPU_COST_NS + extra_ns
         self.total_cpu_ns += cost
         if self.obs is not None and self.obs.tracer is not None:
             # The queue has no clock of its own: the span starts "now"
@@ -176,7 +173,7 @@ class InvalidationQueue:
         """
         extra_ns = 0.0
         if self.faults is not None:
-            extra_ns = self.faults.flush_extra(self.cpu_cost_ns)
+            extra_ns = self.faults.flush_extra(CPU_COST_NS)
             if extra_ns > 0.0:
                 self.delayed_completions += 1
         self.iotlb.flush()
@@ -185,7 +182,7 @@ class InvalidationQueue:
         self.stats.ptcache_invalidation_requests += 1
         if self.monitor is not None:
             self.monitor.record(FlushEvent(), owner=id(self.iotlb))
-        cost = self.cpu_cost_ns + extra_ns
+        cost = CPU_COST_NS + extra_ns
         self.total_cpu_ns += cost
         if self.obs is not None and self.obs.tracer is not None:
             self.obs.tracer.complete(
@@ -208,7 +205,7 @@ class InvalidationQueue:
         self.rearms += 1
         if self.faults is not None:
             self.faults.notify_reset()
-        cost = self.cpu_cost_ns
+        cost = CPU_COST_NS
         self.total_cpu_ns += cost
         if self.obs is not None and self.obs.tracer is not None:
             self.obs.tracer.complete(

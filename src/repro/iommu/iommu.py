@@ -29,18 +29,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..context import current_context
-from ..mem.latency import DEFAULT_LM_NS, MemoryLatencyModel
+from ..mem.latency import MemoryLatencyModel
 from ..verify.events import (
     DmaFaultEvent,
     MapEvent,
     TranslateEvent,
     UnmapEvent,
 )
-from .faultq import (
-    DEFAULT_FAULT_ABORT_LATENCY_NS,
-    DEFAULT_FAULT_QUEUE_CAPACITY,
-    FaultReportingQueue,
-)
+from .faultq import FaultReportingQueue
 from .invalidation import InvalidationQueue
 from .iotlb import Iotlb
 from .pagetable import IOPageTable
@@ -48,6 +44,14 @@ from .ptcache import PtCacheHierarchy
 from .stats import IommuStats
 
 __all__ = ["Iommu", "IommuConfig", "TranslationResult", "DmaFault"]
+
+# Cache geometry.  Real IOTLB geometries are not public; 128 entries,
+# 8-way is in the range prior work assumes (see iotlb.py).  PT-L3's
+# size is the one a study sweeps (IommuConfig).
+IOTLB_ENTRIES = 128
+IOTLB_WAYS = 8
+PTCACHE_L1_ENTRIES = 32
+PTCACHE_L2_ENTRIES = 32
 
 
 class DmaFault(Exception):
@@ -93,15 +97,9 @@ class TranslationResult:
 
 @dataclass
 class IommuConfig:
-    """Cache geometry and timing knobs for the IOMMU model."""
+    """The IOMMU settings that a study or the chaos row varies."""
 
-    iotlb_entries: int = 128
-    iotlb_ways: int = 8
-    ptcache_l1_entries: int = 32
-    ptcache_l2_entries: int = 32
     ptcache_l3_entries: int = 64
-    lm_ns: float = DEFAULT_LM_NS
-    invalidation_cpu_ns: float = 250.0
     # Concurrent page-table walkers.  Hardware IOMMUs track several
     # walks in flight; reads *within* one walk are sequential (each
     # level's read depends on the previous), but walks for different
@@ -115,8 +113,6 @@ class IommuConfig:
     # how real hardware behaves.  Off by default: the raise is the
     # safety tests' violation detector and must stay the default.
     fault_queue: bool = False
-    fault_queue_capacity: int = DEFAULT_FAULT_QUEUE_CAPACITY
-    fault_abort_latency_ns: float = DEFAULT_FAULT_ABORT_LATENCY_NS
 
 
 class Iommu:
@@ -128,10 +124,10 @@ class Iommu:
         # Safety-invariant monitor (repro.verify); None in normal runs.
         self.monitor = context.monitor
         self.page_table = IOPageTable()
-        self.iotlb = Iotlb(self.config.iotlb_entries, self.config.iotlb_ways)
+        self.iotlb = Iotlb(IOTLB_ENTRIES, IOTLB_WAYS)
         self.ptcaches = PtCacheHierarchy(
-            self.config.ptcache_l1_entries,
-            self.config.ptcache_l2_entries,
+            PTCACHE_L1_ENTRIES,
+            PTCACHE_L2_ENTRIES,
             self.config.ptcache_l3_entries,
         )
         # The hierarchy's m1/m2/m3 totals are the IOMMU's: every probe
@@ -140,20 +136,14 @@ class Iommu:
             ptcache_counted_misses=self.ptcaches.counted_misses
         )
         self.invalidation_queue = InvalidationQueue(
-            self.iotlb,
-            self.ptcaches,
-            self.stats,
-            cpu_cost_ns=self.config.invalidation_cpu_ns,
+            self.iotlb, self.ptcaches, self.stats
         )
-        self.memory = MemoryLatencyModel(base_read_ns=self.config.lm_ns)
+        self.memory = MemoryLatencyModel()
         # Hard-fault path: PRI-style fault log + spurious-fault injector.
         # With no queue attached (the default) unmapped DMAs raise.
         self.fault_queue: Optional[FaultReportingQueue] = None
         if self.config.fault_queue:
-            self.fault_queue = FaultReportingQueue(
-                capacity=self.config.fault_queue_capacity,
-                abort_latency_ns=self.config.fault_abort_latency_ns,
-            )
+            self.fault_queue = FaultReportingQueue()
         self.faults = context.injector("iommu")
         # Verify on every IOTLB hit that the page table still maps the
         # IOVA (detects stale-entry use).  Strict mode and F&S

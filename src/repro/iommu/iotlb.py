@@ -1,8 +1,8 @@
 """The IOTLB: a set-associative, LRU cache of IOVA → frame translations.
 
-Real IOTLB geometries are not public; the default (128 entries, 8-way)
+Real IOTLB geometries are not public; the IOMMU's (128 entries, 8-way)
 is in the range prior work assumes [Amit et al. 2010; Neugebauer et al.
-2018] and is configurable.  Under the strict protection mode the IOTLB
+2018].  Under the strict protection mode the IOTLB
 miss *count* is dominated by compulsory misses (every page's first
 transaction after its IOVA was invalidated), so the experiments are not
 sensitive to the exact geometry; contention-induced extra misses (the
@@ -23,13 +23,15 @@ from .addr import PAGE_SHIFT
 
 __all__ = ["Iotlb"]
 
+# Dedicated 2 MB-translation array (hardware IOTLBs keep huge entries
+# in a separate, smaller structure).
+HUGE_ENTRIES = 32
+
 
 class Iotlb:
     """Set-associative LRU IOTLB over 4 KB translations."""
 
-    def __init__(
-        self, entries: int = 128, ways: int = 8, huge_entries: int = 32
-    ) -> None:
+    def __init__(self, entries: int, ways: int) -> None:
         if entries <= 0 or ways <= 0:
             raise ValueError("entries and ways must be positive")
         if entries % ways:
@@ -38,11 +40,9 @@ class Iotlb:
         self.ways = ways
         self.num_sets = entries // ways
         self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        # Dedicated 2 MB-translation array (hardware IOTLBs keep huge
-        # entries in a separate, smaller structure).  Fully associative
-        # LRU; key is iova >> 21, value is the base frame of the 512
-        # contiguous backing frames.
-        self.huge_entries = huge_entries
+        # The 2 MB array: fully associative LRU of HUGE_ENTRIES; key is
+        # iova >> 21, value is the base frame of the 512 contiguous
+        # backing frames.
         self._huge: dict[int, int] = {}
         self.hits = 0
         self.misses = 0
@@ -119,7 +119,7 @@ class Iotlb:
         key = iova >> 21
         if key in self._huge:
             del self._huge[key]
-        elif len(self._huge) >= self.huge_entries:
+        elif len(self._huge) >= HUGE_ENTRIES:
             del self._huge[next(iter(self._huge))]
             self.evictions += 1
         self._huge[key] = base_frame

@@ -5,9 +5,9 @@ caches inside the IOMMU that map a truncated IOVA to the *next-level
 page-table page*, letting a walk skip the upper levels.  A PTcache-L3
 hit reduces a walk to a single memory read (the PT-L4 entry).
 
-Geometry defaults follow the paper's estimate (its Fig 2e/3e red lines
-put PTcache-L3 at 64–128 entries; we default to 64, the conservative
-end) and are configurable.  Each cache is fully associative LRU — upper
+The IOMMU's geometry follows the paper's estimate (its Fig 2e/3e red
+lines put PTcache-L3 at 64–128 entries; we default to 64, the
+conservative end, and the ablation-l3 study sweeps it).  Each cache is fully associative LRU — upper
 level caches in CPU MMUs are typically small and fully associative
 [Bhattacharjee 2013], and the paper's reuse-distance methodology
 implicitly assumes LRU.
@@ -177,9 +177,9 @@ class PtCacheHierarchy:
 
     def __init__(
         self,
-        l1_entries: int = 32,
-        l2_entries: int = 32,
-        l3_entries: int = 64,
+        l1_entries: int,
+        l2_entries: int,
+        l3_entries: int,
     ) -> None:
         self.l1 = PtCache(1, l1_entries)
         self.l2 = PtCache(2, l2_entries)

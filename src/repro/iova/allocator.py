@@ -41,6 +41,12 @@ __all__ = [
 # Highest allocatable pfn: the top of the 48-bit IOVA space.
 DEFAULT_LIMIT_PFN = (1 << (IOVA_BITS - PAGE_SHIFT)) - 1
 
+# CPU cost (ns) of one tree operation (insert/delete plus scan), and
+# of each range a gap scan passes — the worst-case linear searches the
+# paper mentions.
+TREE_OP_NS = 300.0
+SCAN_STEP_NS = 15.0
+
 
 class IovaExhaustedError(RuntimeError):
     """No free IOVA gap of the requested size exists below the limit."""
@@ -69,10 +75,6 @@ class RbTreeIovaAllocator:
     ----------
     limit_pfn:
         Allocation proceeds top-down from this pfn.
-    tree_op_cost_ns:
-        CPU cost charged per tree operation (insert/delete plus scan);
-        the gap scan adds ``scan_step_cost_ns`` per range passed,
-        modeling the worst-case linear searches the paper mentions.
     trace:
         When given, successful allocations append ``(iova, pages)``.
     """
@@ -80,14 +82,10 @@ class RbTreeIovaAllocator:
     def __init__(
         self,
         limit_pfn: int = DEFAULT_LIMIT_PFN,
-        tree_op_cost_ns: float = 300.0,
-        scan_step_cost_ns: float = 15.0,
         trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         self.limit_pfn = limit_pfn
         self.tree = IovaRangeIndex()
-        self.tree_op_cost_ns = tree_op_cost_ns
-        self.scan_step_cost_ns = scan_step_cost_ns
         self.trace = trace
         # Safety-invariant monitor (repro.verify); None in normal runs.
         self.monitor = current_context().monitor
@@ -127,18 +125,18 @@ class RbTreeIovaAllocator:
             raise ValueError("pages must be positive")
         if align_pages <= 0 or align_pages & (align_pages - 1):
             raise ValueError("alignment must be a positive power of two")
-        cost = self.tree_op_cost_ns
+        cost = TREE_OP_NS
         found = self._scan_down(self._cached, pages, align_pages)
         if found is None and self._cached is not None:
             found = self._scan_down(None, pages, align_pages)
-            cost += self.scan_step_cost_ns * min(len(self.tree), 64)
+            cost += SCAN_STEP_NS * min(len(self.tree), 64)
         if found is None:
             self._charge(cpu, cost)
             raise IovaExhaustedError(
                 f"no gap of {pages} pages below pfn {self.limit_pfn:#x}"
             )
         pfn_lo, steps = found
-        cost += self.scan_step_cost_ns * steps
+        cost += SCAN_STEP_NS * steps
         self.tree.insert(pfn_lo, pfn_lo + pages - 1)
         self._cached = pfn_lo
         by_core = self.cpu_ns_by_core
@@ -191,7 +189,7 @@ class RbTreeIovaAllocator:
             # sees the hole just opened.
             self._cached = higher
         by_core = self.cpu_ns_by_core
-        by_core[cpu] = by_core.get(cpu, 0.0) + self.tree_op_cost_ns
+        by_core[cpu] = by_core.get(cpu, 0.0) + TREE_OP_NS
         self.free_count += 1
         self.allocated_pages -= pages
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 from ..context import current_context
 from ..iommu.addr import PAGE_SHIFT
 from ..verify.events import IovaAllocEvent, IovaFreeEvent
-from .allocator import DEFAULT_LIMIT_PFN, RbTreeIovaAllocator
+from .allocator import DEFAULT_LIMIT_PFN, TREE_OP_NS, RbTreeIovaAllocator
 from .rangeindex import IovaRangeIndex
 
 if TYPE_CHECKING:
@@ -41,6 +41,10 @@ __all__ = ["Magazine", "CachingIovaAllocator", "MAG_SIZE", "MAX_CACHED_ORDER"]
 MAG_SIZE = 127  # Linux IOVA_MAG_SIZE
 MAX_CACHED_ORDER = 5  # caches sizes 1..32 pages, like Linux
 DEPOT_MAX_MAGS = 32
+# CPU cost (ns) of a per-CPU cache hit, and of a magazine exchange
+# with the depot.
+CACHE_HIT_NS = 25.0
+DEPOT_NS = 120.0
 
 
 class Magazine:
@@ -84,9 +88,6 @@ class CachingIovaAllocator:
         self,
         num_cpus: int,
         limit_pfn: int = DEFAULT_LIMIT_PFN,
-        cache_hit_cost_ns: float = 25.0,
-        depot_cost_ns: float = 120.0,
-        tree_op_cost_ns: float = 300.0,
         trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         if num_cpus <= 0:
@@ -95,11 +96,7 @@ class CachingIovaAllocator:
         self.trace = trace
         # The rbtree keeps its own (inner) trace disabled; the caching
         # allocator records the user-visible allocation order.
-        self.rbtree = RbTreeIovaAllocator(
-            limit_pfn=limit_pfn, tree_op_cost_ns=tree_op_cost_ns
-        )
-        self.cache_hit_cost_ns = cache_hit_cost_ns
-        self.depot_cost_ns = depot_cost_ns
+        self.rbtree = RbTreeIovaAllocator(limit_pfn=limit_pfn)
         # Safety-invariant monitor (repro.verify); None in normal runs.
         self.monitor = current_context().monitor
         self._cpu_rcaches: list[list[_CpuRcache]] = [
@@ -153,13 +150,13 @@ class CachingIovaAllocator:
         if order is not None:
             # ``loaded``, else ``prev`` swapped in, else a depot magazine.
             rcache = self._cpu_rcaches[cpu][order]
-            cost = self.cache_hit_cost_ns
+            cost = CACHE_HIT_NS
             if not rcache.loaded.pfns:
                 if rcache.prev.pfns:
                     rcache.loaded, rcache.prev = rcache.prev, rcache.loaded
                 elif self._depot[order]:
                     rcache.loaded = self._depot[order].pop()
-                    cost = self.depot_cost_ns
+                    cost = DEPOT_NS
             pfns = rcache.loaded.pfns
             if pfns:
                 iova = pfns.pop() << PAGE_SHIFT
@@ -206,11 +203,11 @@ class CachingIovaAllocator:
                     flushed = depot.pop(0)
                     for pfn in flushed.pfns:
                         self.rbtree.free(pfn << PAGE_SHIFT, pages, cpu=cpu)
-                self._charge(cpu, self.depot_cost_ns)
+                self._charge(cpu, DEPOT_NS)
         # ``loaded`` has room now: it was swapped or replaced if full.
         rcache.loaded.pfns.append(iova >> PAGE_SHIFT)
         by_core = self.cpu_ns_by_core
-        by_core[cpu] = by_core.get(cpu, 0.0) + self.cache_hit_cost_ns
+        by_core[cpu] = by_core.get(cpu, 0.0) + CACHE_HIT_NS
 
     # ------------------------------------------------------------------
     # Long-uptime state
@@ -305,15 +302,15 @@ class CachingIovaAllocator:
             tree_ops[cpu] = tree_ops.get(cpu, 0) + MAG_SIZE
         tree_ns = rbtree.cpu_ns_by_core
         for cpu, ops in tree_ops.items():
-            tree_ns[cpu] = _charged(0.0, rbtree.tree_op_cost_ns, ops)
+            tree_ns[cpu] = _charged(0.0, TREE_OP_NS, ops)
         hit_ns = self.cpu_ns_by_core
         for cpu in dict.fromkeys(cpus):
             frees = len(positions[cpu])
-            total = _charged(0.0, self.cache_hit_cost_ns, min(frees, 2 * MAG_SIZE))
+            total = _charged(0.0, CACHE_HIT_NS, min(frees, 2 * MAG_SIZE))
             for start in range(2 * MAG_SIZE, frees, MAG_SIZE):
-                total += self.depot_cost_ns
+                total += DEPOT_NS
                 total = _charged(
-                    total, self.cache_hit_cost_ns, min(MAG_SIZE, frees - start)
+                    total, CACHE_HIT_NS, min(MAG_SIZE, frees - start)
                 )
             hit_ns[cpu] = total
 

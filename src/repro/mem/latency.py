@@ -20,48 +20,27 @@ for the multi-core Fig 10 experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["MemoryLatencyModel", "DEFAULT_L0_NS", "DEFAULT_LM_NS"]
 
 DEFAULT_L0_NS = 65.0
 DEFAULT_LM_NS = 197.0
+# Shape of the contention inflation curve: per-read latency multiplies
+# by ``1 / (1 - u**e)`` at channel utilization ``u`` (M/M/1-flavoured).
+CONTENTION_EXPONENT = 4.0
 
 
-@dataclass
 class MemoryLatencyModel:
-    """Computes per-read latencies with optional bandwidth contention.
-
-    Parameters
-    ----------
-    base_read_ns:
-        Uncontended IOMMU-to-memory read latency (the paper's ``lm``).
-    channel_bandwidth_gbps:
-        Aggregate memory bandwidth in GB/s; reads inflate as utilization
-        approaches it.
-    contention_exponent:
-        Shape of the inflation curve; latency multiplies by
-        ``1 / (1 - u**e)`` for utilization ``u`` (M/M/1-flavoured).
-    """
-
-    base_read_ns: float = DEFAULT_LM_NS
-    channel_bandwidth_gbps: float = 46.9
-    contention_exponent: float = 4.0
-    _window_bytes: float = 0.0
-    _window_start_ns: float = 0.0
+    """Per-read IOMMU-to-memory latency under bandwidth contention."""
 
     def read_latency_ns(self, utilization: float = 0.0) -> float:
         """Latency of one page-table read at the given utilization.
 
         ``utilization`` is the fraction of channel bandwidth in use
         (0 ≤ u < 1); values ≥ 1 are clamped just below saturation.
+        The host estimates it from its DMA byte rate.
         """
         if utilization <= 0.0:
-            return self.base_read_ns
+            return DEFAULT_LM_NS
         u = min(utilization, 0.99)
-        inflation = 1.0 / (1.0 - u ** self.contention_exponent)
-        return self.base_read_ns * inflation
-
-    def utilization(self, bytes_per_ns: float) -> float:
-        """Convert a byte rate (bytes/ns == GB/s) to channel utilization."""
-        return min(1.0, bytes_per_ns / self.channel_bandwidth_gbps)
+        inflation = 1.0 / (1.0 - u ** CONTENTION_EXPONENT)
+        return DEFAULT_LM_NS * inflation

@@ -1,6 +1,6 @@
 """Transport substrate: packets, DCTCP, and the switch."""
 
-from .dctcp import DctcpParams, DctcpReceiver, DctcpSender, RtoTimer
+from .dctcp import DctcpReceiver, DctcpSender, RtoTimer
 from .packet import ACK_SIZE_BYTES, Packet, PacketKind
 from .switch import SwitchPort
 
@@ -10,7 +10,6 @@ __all__ = [
     "ACK_SIZE_BYTES",
     "DctcpSender",
     "DctcpReceiver",
-    "DctcpParams",
     "RtoTimer",
     "SwitchPort",
 ]

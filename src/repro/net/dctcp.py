@@ -34,48 +34,19 @@ from .packet import ACK_SIZE_BYTES, Packet, PacketKind
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Event, Simulator
 
-__all__ = ["DctcpSender", "DctcpReceiver", "DctcpParams", "RtoTimer"]
+__all__ = ["DctcpSender", "DctcpReceiver", "RtoTimer"]
 
-
-class DctcpParams:
-    """Transport constants shared by all flows of an experiment."""
-
-    __slots__ = (
-        "mtu_bytes",
-        "init_cwnd",
-        "min_cwnd",
-        "max_cwnd",
-        "init_ssthresh",
-        "dctcp_g",
-        "rto_ns",
-        "max_rto_ns",
-        "dupack_threshold",
-    )
-
-    def __init__(
-        self,
-        mtu_bytes: int = 4096,
-        init_cwnd: float = 10.0,
-        min_cwnd: float = 1.0,
-        max_cwnd: float = 512.0,
-        init_ssthresh: float = 128.0,
-        dctcp_g: float = 0.0625,
-        rto_ns: float = 4_000_000.0,  # 4 ms, datacenter-tuned minimum
-        max_rto_ns: float = 64_000_000.0,
-        dupack_threshold: int = 3,
-    ) -> None:
-        self.mtu_bytes = mtu_bytes
-        self.init_cwnd = init_cwnd
-        self.min_cwnd = min_cwnd
-        self.max_cwnd = max_cwnd
-        # Cap the slow-start overshoot: real stacks exit slow start
-        # early via HyStart; without it, many flows ramping to max_cwnd
-        # simultaneously dump megabytes into the first RTT.
-        self.init_ssthresh = init_ssthresh
-        self.dctcp_g = dctcp_g
-        self.rto_ns = rto_ns
-        self.max_rto_ns = max_rto_ns
-        self.dupack_threshold = dupack_threshold
+# Transport constants shared by every flow (segment units).
+INIT_CWND = 10.0
+MIN_CWND = 1.0
+MAX_CWND = 512.0
+# Cap the slow-start overshoot: real stacks exit slow start early via
+# HyStart; without it, many flows ramping to MAX_CWND simultaneously
+# dump megabytes into the first RTT.
+INIT_SSTHRESH = 128.0
+DCTCP_G = 0.0625
+RTO_NS = 4_000_000.0  # 4 ms, datacenter-tuned minimum
+DUPACK_THRESHOLD = 3
 
 
 class DctcpSender:
@@ -90,20 +61,19 @@ class DctcpSender:
     def __init__(
         self,
         flow_id: int,
-        params: DctcpParams,
+        mtu_bytes: int,
         unlimited: bool = True,
         segment_bytes: Optional[int] = None,
     ) -> None:
         self.flow_id = flow_id
-        self.params = params
-        self.segment_bytes = segment_bytes or params.mtu_bytes
+        self.segment_bytes = segment_bytes or mtu_bytes
         self.unlimited = unlimited
         self.pending_segments = 0  # app backlog when not unlimited
         # Window state (segment units).
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = params.init_cwnd
-        self.ssthresh = params.init_ssthresh
+        self.cwnd = INIT_CWND
+        self.ssthresh = INIT_SSTHRESH
         self.in_slow_start = True
         # Fast recovery.
         self.dupacks = 0
@@ -221,7 +191,7 @@ class DctcpSender:
         elif ack_seq == self.snd_una and self.inflight > 0:
             self.dupacks += 1
             if (
-                self.dupacks >= self.params.dupack_threshold
+                self.dupacks >= DUPACK_THRESHOLD
                 and self.recovery_until is None
             ):
                 self._enter_fast_recovery()
@@ -239,7 +209,7 @@ class DctcpSender:
                 self.in_slow_start = False
         else:
             self.cwnd += newly_acked / self.cwnd
-        self.cwnd = min(self.cwnd, self.params.max_cwnd)
+        self.cwnd = min(self.cwnd, MAX_CWND)
 
     def _maybe_update_alpha(self) -> None:
         """Once per window of data: fold the marked fraction into alpha
@@ -248,11 +218,11 @@ class DctcpSender:
             return
         if self.acked_in_window > 0:
             fraction = self.marked_in_window / self.acked_in_window
-            g = self.params.dctcp_g
+            g = DCTCP_G
             self.alpha = (1 - g) * self.alpha + g * fraction
             if self.marked_in_window > 0:
                 self.cwnd = max(
-                    self.cwnd * (1 - self.alpha / 2), self.params.min_cwnd
+                    self.cwnd * (1 - self.alpha / 2), MIN_CWND
                 )
                 self.in_slow_start = False
         self.acked_in_window = 0
@@ -261,8 +231,8 @@ class DctcpSender:
 
     def _enter_fast_recovery(self) -> None:
         self.recovery_until = self.snd_nxt
-        self.ssthresh = max(self.cwnd / 2, self.params.min_cwnd)
-        self.cwnd = max(self.ssthresh, self.params.min_cwnd)
+        self.ssthresh = max(self.cwnd / 2, MIN_CWND)
+        self.cwnd = max(self.ssthresh, MIN_CWND)
         self.in_slow_start = False
         self._queue_retransmit(self.snd_una)
         self.fast_retransmits += 1
@@ -277,14 +247,14 @@ class DctcpSender:
     @property
     def rto_deadline_ns(self) -> float:
         """When the owner's RTO timer should fire if no progress."""
-        return self.last_progress_ns + self.params.rto_ns * self.rto_backoff
+        return self.last_progress_ns + RTO_NS * self.rto_backoff
 
     def on_rto(self, now: float) -> None:
         """Retransmission timeout: collapse window, go-back-N."""
         if self.inflight == 0 and not self._retransmit_queue:
             return
-        self.ssthresh = max(self.cwnd / 2, self.params.min_cwnd)
-        self.cwnd = self.params.min_cwnd
+        self.ssthresh = max(self.cwnd / 2, MIN_CWND)
+        self.cwnd = MIN_CWND
         self.in_slow_start = True
         self.recovery_until = None
         self.dupacks = 0
@@ -360,9 +330,8 @@ class RtoTimer:
 class DctcpReceiver:
     """Receiver-side state for one flow: reassembly and ACK policy."""
 
-    def __init__(self, flow_id: int, params: DctcpParams) -> None:
+    def __init__(self, flow_id: int) -> None:
         self.flow_id = flow_id
-        self.params = params
         self.rcv_nxt = 0
         self._out_of_order: set[int] = set()
         self._pending_ack_segments = 0

@@ -21,7 +21,10 @@ from ..context import current_context
 from ..sim import Simulator
 from .ring import RxRing
 
-__all__ = ["Nic", "NicStats"]
+__all__ = ["Nic", "NicStats", "BUFFER_BYTES"]
+
+# The NIC input buffer (bytes of packets awaiting their Rx DMA).
+BUFFER_BYTES = 384 * 1024
 
 
 class NicStats:
@@ -61,7 +64,7 @@ class Nic:
     def __init__(
         self,
         num_cores: int,
-        buffer_bytes: int = 1 << 20,
+        buffer_bytes: int = BUFFER_BYTES,
         sim: Optional[Simulator] = None,
     ) -> None:
         if num_cores <= 0:

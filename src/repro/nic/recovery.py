@@ -33,8 +33,8 @@ a TX-timeout watchdog fires:
   simulated ns) is recorded to the ``recovery`` metrics scope and the
   fault timeline.
 
-Every stage latency is a :class:`~repro.host.config.HostConfig` knob;
-DESIGN.md §14 derives the documented MTTR bound from them.  The whole
+Every stage latency is a module constant; DESIGN.md §14 derives the
+documented MTTR bound from them.  The whole
 machine is driven by the simulated clock and plan-seeded state only,
 so chaos timelines stay byte-identical across worker counts.
 """
@@ -60,6 +60,14 @@ __all__ = ["RecoveryManager"]
 # wedge latched behind another fault's recovery would go undetected.
 DEGRADED_FLUSH_THRESHOLD = 2
 
+# Detector cadence and modeled stage latencies of the reset protocol:
+# quiesce the DMA engine, function-level reset, re-enable after the
+# rings rebuild.
+CHECK_INTERVAL_NS = 500_000.0
+QUIESCE_NS = 100_000.0
+RESET_NS = 250_000.0
+RESUME_NS = 50_000.0
+
 
 class RecoveryManager:
     """Detects wedged hardware and runs the reset protocol."""
@@ -73,11 +81,6 @@ class RecoveryManager:
     def __init__(self, host: "Host") -> None:
         self.host = host
         self.sim = host.sim
-        config = host.config
-        self.check_interval_ns = config.recovery_check_interval_ns
-        self.quiesce_ns = config.recovery_quiesce_ns
-        self.reset_ns = config.recovery_reset_ns
-        self.resume_ns = config.recovery_resume_ns
         self.state = self.HEALTHY
         # MTTR accounting (simulated ns, detect -> resume).
         self.recoveries = 0
@@ -108,7 +111,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def _schedule_tick(self) -> None:
         self.sim.call_at(
-            self.sim.now + self.check_interval_ns,
+            self.sim.now + CHECK_INTERVAL_NS,
             self._tick,
             housekeeping=True,
         )
@@ -158,7 +161,7 @@ class RecoveryManager:
         self._detect_time = self.sim.now
         self._record("detect", f"reason={reason}")
         self.host.quiesce_datapath()
-        self.sim.schedule_after(self.quiesce_ns, self._do_reset)
+        self.sim.schedule_after(QUIESCE_NS, self._do_reset)
 
     def _do_reset(self) -> None:
         self.state = self.RESETTING
@@ -169,12 +172,12 @@ class RecoveryManager:
             "reset",
             f"descriptors={len(descriptors)} cpu={cpu_ns:.0f}",
         )
-        self.sim.schedule_after(self.reset_ns + cpu_ns, self._do_rearm)
+        self.sim.schedule_after(RESET_NS + cpu_ns, self._do_rearm)
 
     def _do_rearm(self) -> None:
         self.state = self.REARMING
         self.host.rebuild_rings()
-        self.sim.schedule_after(self.resume_ns, self._do_resume)
+        self.sim.schedule_after(RESUME_NS, self._do_resume)
 
     def _do_resume(self) -> None:
         self.state = self.RESUMING

@@ -31,36 +31,32 @@ callback.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
 from ..context import current_context
-from ..mem.latency import DEFAULT_L0_NS
 from ..sim import Simulator
 
-__all__ = ["DmaPipeline", "PcieConfig"]
+__all__ = [
+    "DmaPipeline",
+    "MAX_PAYLOAD_BYTES",
+    "PCIE_GBPS",
+    "RX_LANES",
+    "TX_LANES",
+    "transactions",
+]
+
+PCIE_GBPS = 128.0  # PCIe 3.0 x16 effective
+MAX_PAYLOAD_BYTES = 256  # MaxPayloadSize: TLP splitting granule
+RX_LANES = 1
+TX_LANES = 4
 
 
-@dataclass
-class PcieConfig:
-    """Link and DMA-engine parameters."""
-
-    gbps: float = 128.0  # PCIe 3.0 x16 effective
-    max_payload_bytes: int = 256  # MaxPayloadSize: TLP splitting granule
-    l0_ns: float = DEFAULT_L0_NS  # per-DMA base latency (paper's fit)
-    rx_lanes: int = 1
-    tx_lanes: int = 4
-
-    def wire_ns(self, size_bytes: int) -> float:
-        """Serialization time of ``size_bytes`` on the link."""
-        return size_bytes * 8 / self.gbps
-
-    def transactions(self, size_bytes: int) -> int:
-        """PCIe transactions (TLPs) for one DMA of ``size_bytes``."""
-        if size_bytes <= 0:
-            return 0
-        return -(-size_bytes // self.max_payload_bytes)
+def transactions(size_bytes: int) -> int:
+    """PCIe transactions (TLPs) for one DMA of ``size_bytes``."""
+    if size_bytes <= 0:
+        return 0
+    return -(-size_bytes // MAX_PAYLOAD_BYTES)
 
 
 # ``begin`` receives the DMA's job and start time and returns its
@@ -75,14 +71,12 @@ class DmaPipeline:
     def __init__(
         self,
         sim: Simulator,
-        config: PcieConfig,
         lanes: int,
         label: str = "dma",
     ) -> None:
         if lanes <= 0:
             raise ValueError("need at least one lane")
         self.sim = sim
-        self.config = config
         self.lanes = lanes
         self.label = label  # direction tag for metrics/trace ("rx"/"tx")
         self.inflight = 0  # lanes occupied
@@ -134,7 +128,7 @@ class DmaPipeline:
         this so that concurrent lanes cannot exceed the link rate.
         """
         wire_start = max(start, self._wire_busy_until)
-        wire_ns = self.config.wire_ns(size_bytes)
+        wire_ns = size_bytes * 8 / PCIE_GBPS
         if self.faults is not None:
             # Lane loss: the link retrained at reduced width, so every
             # byte serializes slower while the window is open.

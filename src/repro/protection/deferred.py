@@ -20,6 +20,7 @@ from typing import Optional
 
 from ..iommu import Iommu
 from ..iommu.addr import PAGE_SIZE
+from ..iommu.invalidation import CPU_COST_NS
 from ..iova.caching import CachingIovaAllocator
 from ..mem.physmem import PhysicalMemory
 from ..nic.descriptor import PageSlot, RxDescriptor
@@ -27,6 +28,9 @@ from .base import ProtectionDriver, TxMapping
 from .strict import MAP_NS, UNMAP_NS
 
 __all__ = ["DeferredDriver"]
+
+# Pending unmapped ranges that trigger one global flush.
+FLUSH_THRESHOLD = 250
 
 
 class DeferredDriver(ProtectionDriver):
@@ -40,23 +44,20 @@ class DeferredDriver(ProtectionDriver):
         iommu: Iommu,
         physmem: PhysicalMemory,
         num_cpus: int,
-        flush_threshold: int = 250,
         allocation_trace: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         super().__init__()
         self.iommu = iommu
         self.physmem = physmem
-        self.flush_threshold = flush_threshold
+        self.flush_threshold = FLUSH_THRESHOLD
         # Hardening (repro.faults): when a flush wait comes back slower
         # than this budget, the invalidation fabric is degraded and the
         # deferral window is halved — bounding how much stale-entry
         # exposure can pile up behind a slow flush.  Healthy flushes
-        # grow it back toward the configured threshold.
-        self.initial_flush_threshold = flush_threshold
-        self.min_flush_threshold = max(1, flush_threshold // 8)
-        self.flush_cost_budget_ns = (
-            1.5 * iommu.invalidation_queue.cpu_cost_ns
-        )
+        # grow it back toward FLUSH_THRESHOLD.
+        self.initial_flush_threshold = FLUSH_THRESHOLD
+        self.min_flush_threshold = max(1, FLUSH_THRESHOLD // 8)
+        self.flush_cost_budget_ns = 1.5 * CPU_COST_NS
         self.allocator = CachingIovaAllocator(
             num_cpus=num_cpus, trace=allocation_trace
         )

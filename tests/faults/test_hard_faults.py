@@ -36,7 +36,7 @@ def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
 def faulted_iommu(plan):
     with using(faults=FaultRuntime(plan)):
         # The queue captures its injector at construction time.
-        iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
+        iommu = Iommu(IommuConfig())
     return iommu
 
 

@@ -202,7 +202,7 @@ def test_single_page_partial_completes_nothing_and_is_retried():
         specs=(FaultSpec("invalidation", "partial-completion"),),
     )
     with using(faults=FaultRuntime(plan)):
-        iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
+        iommu = Iommu(IommuConfig())
         driver = StrictFamilyDriver.linux_strict(
             iommu, PhysicalMemory(1 << 16), num_cpus=1
         )

@@ -4,6 +4,7 @@ from repro.context import using
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
+from repro.iommu.invalidation import CPU_COST_NS
 
 
 def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
@@ -23,7 +24,7 @@ def plan_for(kind, probability=1.0, magnitude=0.0, seed=1):
 def faulted_iommu(plan):
     with using(faults=FaultRuntime(plan)):
         # The queue captures its injector at construction time.
-        iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
+        iommu = Iommu(IommuConfig())
     return iommu
 
 
@@ -48,7 +49,7 @@ def test_dropped_completion_leaves_caches_untouched():
     assert queue.dropped_completions == 1
     assert queue.partial_completions == 0
     # The wait timed out: strictly more expensive than a clean wait.
-    assert cost > queue.cpu_cost_ns
+    assert cost > CPU_COST_NS
 
 
 def test_partial_completion_invalidates_prefix_only():
@@ -76,7 +77,7 @@ def test_delayed_completion_completes_with_extra_cost():
         0x300000, PAGE_SIZE, preserve_ptcache=True
     )
     assert completed == PAGE_SIZE
-    assert cost == queue.cpu_cost_ns + 3_000.0
+    assert cost == CPU_COST_NS + 3_000.0
     assert not iommu.iotlb.contains(0x300000)
     assert queue.delayed_completions == 1
     assert queue.dropped_completions == queue.partial_completions == 0
@@ -99,7 +100,7 @@ def test_flush_survives_drop_faults():
     iommu = faulted_iommu(plan_for("drop-completion"))
     warm(iommu, 0x500000, 2)
     queue = iommu.invalidation_queue
-    assert queue.flush_all() == queue.cpu_cost_ns
+    assert queue.flush_all() == CPU_COST_NS
     assert queue.dropped_completions == 0
     assert not iommu.iotlb.contains(0x500000)
     assert not iommu.iotlb.contains(0x501000)

@@ -1,16 +1,24 @@
 """Unit tests for host configuration and derived geometry."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from repro.host import HostConfig
-from repro.host.config import CpuCosts
+import repro
+from repro.host import Host, HostConfig
+from repro.host.server import data_touch_ns
+from repro.host.testbed import LINK_GBPS
+from repro.iommu import IommuConfig
+from repro.sim import Simulator
 
 
 class TestGeometry:
     def test_default_matches_paper_setup(self):
         config = HostConfig.cascade_lake()
         assert config.num_cores == 5
-        assert config.link_gbps == 100.0
+        assert LINK_GBPS == 100.0
         assert config.mtu_bytes == 4096
         assert config.ring_size_packets == 256
         assert config.descriptor_pages == 64
@@ -49,19 +57,44 @@ class TestGeometry:
             HostConfig(mtu_bytes=0)
 
     def test_dctcp_mtu_synced(self):
+        # DCTCP takes the host's MTU: a flow's segments are MTU-sized.
         config = HostConfig.cascade_lake(mtu_bytes=9000)
-        assert config.dctcp.mtu_bytes == 9000
+        host = Host(Simulator(), config, lambda packet: None)
+        assert host.register_tx_flow(1000, 0).segment_bytes == 9000
 
 
 class TestCpuCosts:
     def test_data_touch_grows_with_ring_size(self):
-        costs = CpuCosts()
-        base = costs.data_touch_ns(256, enable_ddio=False)
-        large = costs.data_touch_ns(2048, enable_ddio=False)
+        base = data_touch_ns(256, enable_ddio=False)
+        large = data_touch_ns(2048, enable_ddio=False)
         assert large > base * 2
 
     def test_ddio_discount(self):
-        costs = CpuCosts()
-        cold = costs.data_touch_ns(256, enable_ddio=False)
-        warm = costs.data_touch_ns(256, enable_ddio=True)
+        cold = data_touch_ns(256, enable_ddio=False)
+        warm = data_touch_ns(256, enable_ddio=True)
         assert warm < cold
+
+
+def _keywords_passed_in(package: Path) -> set[str]:
+    """Every keyword name passed to any call in the package's source."""
+    names = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                names.update(kw.arg for kw in node.keywords if kw.arg)
+    return names
+
+
+def test_every_field_has_a_caller():
+    # A field that no figure, study, app or fault row sets is a
+    # constant in disguise: it belongs beside the code that reads it.
+    # Field definitions are annotations, not calls, so only a caller
+    # (a preset, a point runner, the app testbed) counts.
+    passed = _keywords_passed_in(Path(repro.__file__).parent)
+    unset = [
+        f"{config.__name__}.{field.name}"
+        for config in (HostConfig, IommuConfig)
+        for field in dataclasses.fields(config)
+        if field.name not in passed
+    ]
+    assert unset == []

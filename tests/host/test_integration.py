@@ -6,6 +6,7 @@ the benchmark suite reproduces the full figures.
 
 import pytest
 
+import repro.protection.deferred as deferred_module
 from repro.host import HostConfig, Testbed
 
 WARMUP = 2_000_000.0
@@ -30,15 +31,12 @@ class TestThroughputOrdering:
         assert strict.rx_goodput_gbps < off.rx_goodput_gbps * 0.92
         assert fns.rx_goodput_gbps > off.rx_goodput_gbps * 0.95
 
-    def test_deferred_trades_safety_for_speed(self):
+    def test_deferred_trades_safety_for_speed(self, monkeypatch):
         """Deferred mode is faster than strict — and leaves a window in
         which a malicious device could still reach unmapped pages (the
         benign workload never exploits it, so we probe adversarially)."""
-        testbed = Testbed(
-            HostConfig.cascade_lake(
-                mode="deferred", deferred_flush_threshold=10**9
-            )
-        )
+        monkeypatch.setattr(deferred_module, "FLUSH_THRESHOLD", 10**9)
+        testbed = Testbed(HostConfig.cascade_lake(mode="deferred"))
         testbed.add_rx_flows(5)
         deferred = testbed.run(warmup_ns=WARMUP, measure_ns=MEASURE)
         strict = run_mode("strict")

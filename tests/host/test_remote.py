@@ -1,16 +1,17 @@
 """Unit tests for the ideal remote peer."""
 
 from repro.host import HostConfig, RemotePeer, Testbed
-from repro.net import DctcpParams, Packet, PacketKind
+from repro.host.remote import PROCESSING_DELAY_NS
+from repro.host.testbed import LINK_GBPS
+from repro.net import Packet, PacketKind
+from repro.net.dctcp import RTO_NS
 from repro.sim import Simulator
 
 
-def make_peer(sim=None, **kwargs):
+def make_peer(sim=None):
     sim = sim or Simulator()
     sent = []
-    peer = RemotePeer(
-        sim, DctcpParams(), wire_out=sent.append, **kwargs
-    )
+    peer = RemotePeer(sim, 4096, wire_out=sent.append)
     return sim, peer, sent
 
 
@@ -65,9 +66,9 @@ def test_processing_delay_applied():
     peer.on_delivery = lambda flow, segs: times.append(testbed.sim.now)
     testbed.port_to_remote.enqueue(Packet(7, 0, 4096, PacketKind.DATA))
     testbed.sim.run(until=100_000.0)
-    wire_ns = 4096 * 8 / testbed.config.link_gbps
+    wire_ns = 4096 * 8 / LINK_GBPS
     propagation_ns = testbed.port_to_remote.propagation_ns
-    assert times == [wire_ns + propagation_ns + peer.processing_delay_ns]
+    assert times == [wire_ns + propagation_ns + PROCESSING_DELAY_NS]
 
 
 def test_rto_recovers_lost_window():
@@ -75,7 +76,7 @@ def test_rto_recovers_lost_window():
     sender = peer.register_sender(1)
     peer.pump(1)  # packets "lost": no acks ever come back
     sent.clear()
-    sim.run(until=sender.params.rto_ns * 3)
+    sim.run(until=RTO_NS * 3)
     assert sender.timeouts >= 1
     retx = [p for p in sent if p.retransmission]
     assert retx and retx[0].seq == 0

@@ -1,8 +1,10 @@
 """Unit tests for testbed wiring and measurement mechanics."""
 
+import repro.host.testbed as testbed_module
 from repro.context import using
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.host import HostConfig, Testbed
+from repro.host.remote import PROCESSING_DELAY_NS
 from repro.obs import MetricsRegistry
 
 
@@ -80,29 +82,27 @@ class TestWireLevel:
         # The host's datapath models its own delays; the peer's
         # processing delay rides on the port's arrival event.
         assert testbed.port_to_host.receiver_delay_ns == 0.0
-        assert (
-            testbed.port_to_remote.receiver_delay_ns
-            == testbed.remote.processing_delay_ns
-        )
+        assert testbed.port_to_remote.receiver_delay_ns == PROCESSING_DELAY_NS
 
-    def test_switch_rate_matches_link(self):
-        testbed = make_testbed(link_gbps=25.0)
+    def test_switch_rate_matches_link(self, monkeypatch):
+        monkeypatch.setattr(testbed_module, "LINK_GBPS", 25.0)
+        testbed = make_testbed()
         assert testbed.port_to_host.rate_bits_per_ns == 25.0
         assert testbed.port_to_remote.rate_bits_per_ns == 25.0
 
 
 class TestEcnMarks:
-    def test_marked_metric_counts_the_marked_packets(self):
+    def test_marked_metric_counts_the_marked_packets(self, monkeypatch):
         # A low DCTCP threshold toward the peer makes the host's Tx
         # flows queue past it; every packet either end hands to the
         # switch is recorded, and each port's metric must equal the
         # packets it admitted with the ECN mark set.
+        monkeypatch.setattr(
+            testbed_module, "ECN_THRESHOLD_TO_PEER_BYTES", 20_000
+        )
         registry = MetricsRegistry()
         with using(registry=registry):
-            testbed = Testbed(
-                HostConfig.cascade_lake(mode="off", num_cores=2),
-                ecn_threshold_to_remote_bytes=20_000,
-            )
+            testbed = Testbed(HostConfig.cascade_lake(mode="off", num_cores=2))
         toward_host, toward_remote = [], []
 
         def recording(wire_out, sent):

@@ -12,15 +12,16 @@ from repro.context import using
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
-from repro.iommu.faultq import FaultReportingQueue
+from repro.iommu.faultq import ABORT_LATENCY_NS, CAPACITY, FaultReportingQueue
+from repro.iommu.invalidation import CPU_COST_NS
 
 
 # ---------------------------------------------------------------------------
 # The queue itself
 # ---------------------------------------------------------------------------
 def test_report_returns_abort_latency_and_logs_record():
-    queue = FaultReportingQueue(capacity=4, abort_latency_ns=800.0)
-    assert queue.report(0x4000, "rx", "unmapped") == 800.0
+    queue = FaultReportingQueue()
+    assert queue.report(0x4000, "rx", "unmapped") == ABORT_LATENCY_NS
     assert queue.reported == 1
     assert queue.depth == 1
     record = queue.records[0]
@@ -30,16 +31,16 @@ def test_report_returns_abort_latency_and_logs_record():
 
 
 def test_overflow_drops_but_counts():
-    queue = FaultReportingQueue(capacity=2)
-    for offset in range(5):
+    queue = FaultReportingQueue()
+    for offset in range(CAPACITY + 3):
         queue.report(0x1000 * offset, "rx", "unmapped")
-    assert queue.reported == 5
-    assert queue.depth == 2  # bounded: a storm cannot grow memory
+    assert queue.reported == CAPACITY + 3
+    assert queue.depth == CAPACITY  # bounded: a storm cannot grow memory
     assert queue.overflowed == 3
 
 
 def test_drain_consumes_oldest_first():
-    queue = FaultReportingQueue(capacity=4)
+    queue = FaultReportingQueue()
     queue.report(0x1000, "rx", "unmapped")
     queue.report(0x2000, "tx", "storm")
     records = queue.drain()
@@ -50,18 +51,13 @@ def test_drain_consumes_oldest_first():
 
 
 def test_clock_binding_stamps_records():
-    queue = FaultReportingQueue(capacity=4)
+    queue = FaultReportingQueue()
     queue.report(0x1000, "rx", "unmapped")  # unbound: stamped 0.0
     queue.bind_clock(lambda: 42_500.0)
     queue.report(0x2000, "rx", "unmapped")
     assert queue.records[0].time_ns == 0.0
     assert queue.records[1].time_ns == 42_500.0
     assert "iova=0x2000" in queue.records[1].format()
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        FaultReportingQueue(capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +126,12 @@ def test_fault_storm_needs_fault_queue_to_fire():
 # Invalidation-queue re-arm (the wedge-clearing operation)
 # ---------------------------------------------------------------------------
 def test_rearm_counts_and_charges_one_quantum():
-    iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
+    iommu = Iommu(IommuConfig())
     queue = iommu.invalidation_queue
     before = queue.total_cpu_ns
-    assert queue.rearm() == 250.0
+    assert queue.rearm() == CPU_COST_NS
     assert queue.rearms == 1
-    assert queue.total_cpu_ns == before + 250.0
+    assert queue.total_cpu_ns == before + CPU_COST_NS
 
 
 def test_rearm_clears_a_latched_wedge():
@@ -145,7 +141,7 @@ def test_rearm_clears_a_latched_wedge():
     )
     runtime = FaultRuntime(plan)
     with using(faults=runtime):
-        iommu = Iommu(IommuConfig(invalidation_cpu_ns=250.0))
+        iommu = Iommu(IommuConfig())
     queue = iommu.invalidation_queue
     iommu.map_page(0x8000, 3)
     iommu.translate(0x8000)

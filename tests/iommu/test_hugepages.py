@@ -4,6 +4,7 @@ import pytest
 
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE, PTL4_PAGE_SIZE
+from repro.iommu.iotlb import HUGE_ENTRIES
 from repro.iommu.pagetable import HugeMapping, IOPageTable, MappingError
 
 BASE = 0x40000000  # 2 MB aligned
@@ -107,7 +108,7 @@ class TestIommuHugeTranslation:
 
     def test_huge_entries_lru_bounded(self):
         iommu = Iommu(IommuConfig())
-        capacity = iommu.iotlb.huge_entries
+        capacity = HUGE_ENTRIES
         for index in range(capacity + 8):
             base = BASE + index * PTL4_PAGE_SIZE
             iommu.page_table.map_huge(base, 10_000 + index * 512)

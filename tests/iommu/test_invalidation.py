@@ -7,6 +7,7 @@ records each descriptor the queue completed.
 from repro.context import using
 from repro.iommu import Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
+from repro.iommu.invalidation import CPU_COST_NS
 from repro.verify import (
     InvalidationEvent,
     InvariantMonitor,
@@ -14,9 +15,9 @@ from repro.verify import (
 )
 
 
-def make_iommu(**kwargs):
+def make_iommu():
     with using(monitor=InvariantMonitor()):
-        return Iommu(IommuConfig(**kwargs))
+        return Iommu(IommuConfig())
 
 
 def descriptors(iommu):
@@ -64,7 +65,7 @@ def test_requests_traced():
 def test_cpu_cost_constant_per_request_not_per_page():
     """The CPU pays per queue entry: a ranged 64-page invalidation
     costs the same as a single-page one — F&S's B2 saving."""
-    iommu = make_iommu(invalidation_cpu_ns=300.0)
+    iommu = make_iommu()
     warm(iommu, 0x200000, 64)
     single = iommu.invalidation_queue.invalidate_range(
         0x200000, PAGE_SIZE, preserve_ptcache=True
@@ -72,8 +73,8 @@ def test_cpu_cost_constant_per_request_not_per_page():
     ranged = iommu.invalidation_queue.invalidate_range(
         0x201000, 63 * PAGE_SIZE, preserve_ptcache=True
     )
-    assert single == (300.0, PAGE_SIZE)
-    assert ranged == (300.0, 63 * PAGE_SIZE)
+    assert single == (CPU_COST_NS, PAGE_SIZE)
+    assert ranged == (CPU_COST_NS, 63 * PAGE_SIZE)
 
 
 def test_ptcache_only_invalidation():
@@ -103,7 +104,7 @@ def test_stats_counters():
 
 
 def test_total_cpu_accumulates():
-    iommu = make_iommu(invalidation_cpu_ns=100.0)
+    iommu = make_iommu()
     warm(iommu, 0x500000, 2)
     queue = iommu.invalidation_queue
     queue.invalidate_range(0x500000, PAGE_SIZE, preserve_ptcache=True)
@@ -111,7 +112,7 @@ def test_total_cpu_accumulates():
         0x500000, PAGE_SIZE, preserve_ptcache=False, ptcache_only=True
     )
     queue.flush_all()
-    assert queue.total_cpu_ns == 300.0
+    assert queue.total_cpu_ns == 3 * CPU_COST_NS
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_preserve_ptcache_on_unmapped_range():
     resident_before = iommu.ptcaches.l3.resident_entries
     assert queue.invalidate_range(
         0xdead000, 2 * PAGE_SIZE, preserve_ptcache=True
-    ) == (queue.cpu_cost_ns, 2 * PAGE_SIZE)
+    ) == (CPU_COST_NS, 2 * PAGE_SIZE)
     assert iommu.iotlb.contains(0x800000)
     assert iommu.ptcaches.l3.resident_entries == resident_before
     assert iommu.stats.invalidation_requests == 1

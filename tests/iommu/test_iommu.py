@@ -5,6 +5,8 @@ import pytest
 from repro.context import using
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.iommu.addr import PAGE_SIZE
+from repro.iommu.invalidation import CPU_COST_NS
+from repro.mem.latency import DEFAULT_LM_NS as LM
 from repro.verify import InvalidationEvent, InvariantMonitor
 from repro.verify.events import TranslateEvent
 
@@ -118,44 +120,44 @@ class TestTranslate:
 class TestWalkerTiming:
     def test_walk_costs_reads_times_lm(self):
         """Reads within one walk are sequential (level-dependent)."""
-        iommu = make_iommu(lm_ns=100.0, walkers=1)
+        iommu = make_iommu(walkers=1)
         finish = iommu.reserve_walk(now=0.0, memory_reads=4)
-        assert finish == 400.0
+        assert finish == 4 * LM
 
     def test_single_walker_serializes_concurrent_walks(self):
-        iommu = make_iommu(lm_ns=100.0, walkers=1)
+        iommu = make_iommu(walkers=1)
         first = iommu.reserve_walk(now=0.0, memory_reads=2)
         second = iommu.reserve_walk(now=50.0, memory_reads=1)
-        assert first == 200.0
-        assert second == 300.0
+        assert first == 2 * LM
+        assert second == 3 * LM
 
     def test_parallel_walkers_overlap_walks(self):
         """Walks for different pages proceed on parallel channels."""
-        iommu = make_iommu(lm_ns=100.0, walkers=2)
+        iommu = make_iommu(walkers=2)
         first = iommu.reserve_walk(now=0.0, memory_reads=2)
         second = iommu.reserve_walk(now=0.0, memory_reads=2)
         third = iommu.reserve_walk(now=0.0, memory_reads=1)
-        assert first == 200.0
-        assert second == 200.0
-        assert third == 300.0  # queues behind the least-loaded channel
-        assert iommu.walker_busy_until == 300.0
+        assert first == 2 * LM
+        assert second == 2 * LM
+        assert third == 3 * LM  # queues behind the least-loaded channel
+        assert iommu.walker_busy_until == 3 * LM
 
     def test_tied_walkers_pick_the_first(self):
         """Among equally loaded channels the lowest-numbered one wins."""
-        iommu = make_iommu(lm_ns=100.0, walkers=3)
+        iommu = make_iommu(walkers=3)
         iommu.reserve_walk(0.0, 3, channel=0)
         iommu.reserve_walk(0.0, 1, channel=1)
         iommu.reserve_walk(0.0, 1, channel=2)
-        # Channels free at 300, 100, 100: the tie goes to channel 1.
-        assert iommu.reserve_walk(0.0, 1) == 200.0
-        assert iommu.reserve_walk(0.0, 1, channel=2) == 200.0
-        assert iommu.reserve_walk(0.0, 1, channel=1) == 300.0
+        # Channels free at 3, 1 and 1 reads: the tie goes to channel 1.
+        assert iommu.reserve_walk(0.0, 1) == 2 * LM
+        assert iommu.reserve_walk(0.0, 1, channel=2) == 2 * LM
+        assert iommu.reserve_walk(0.0, 1, channel=1) == 3 * LM
 
     def test_idle_walker_starts_immediately(self):
-        iommu = make_iommu(lm_ns=100.0, walkers=1)
+        iommu = make_iommu(walkers=1)
         iommu.reserve_walk(now=0.0, memory_reads=1)
         finish = iommu.reserve_walk(now=1000.0, memory_reads=1)
-        assert finish == 1100.0
+        assert finish == 1000.0 + LM
 
     def test_zero_reads_is_free(self):
         iommu = make_iommu()
@@ -166,21 +168,21 @@ class TestWalkerTiming:
             make_iommu(walkers=0)
 
     def test_contention_inflates_read_latency(self):
-        iommu = make_iommu(lm_ns=100.0, walkers=1)
+        iommu = make_iommu(walkers=1)
         relaxed = iommu.reserve_walk(0.0, 1, utilization=0.0)
         inflated = iommu.reserve_walk(relaxed, 1, utilization=0.9)
-        assert inflated - relaxed > 100.0
+        assert inflated - relaxed > LM
 
 
 class TestInvalidationQueue:
     def test_cpu_cost_accumulates(self):
-        iommu = make_iommu(invalidation_cpu_ns=100.0)
+        iommu = make_iommu()
         iommu.map_page(0x1000, 1)
         cost, _ = iommu.invalidation_queue.invalidate_range(
             0x1000, PAGE_SIZE, preserve_ptcache=True
         )
-        assert cost == 100.0
-        assert iommu.invalidation_queue.total_cpu_ns == 100.0
+        assert cost == CPU_COST_NS
+        assert iommu.invalidation_queue.total_cpu_ns == CPU_COST_NS
 
     def test_batched_invalidation_is_single_request(self):
         """F&S idea B2: one queue entry for a whole descriptor."""

@@ -6,6 +6,10 @@ from repro.iommu import PtCache, PtCacheHierarchy
 from repro.iommu.addr import LEVEL_SHIFTS
 
 
+def make_caches(l1_entries=32, l2_entries=32, l3_entries=64):
+    return PtCacheHierarchy(l1_entries, l2_entries, l3_entries)
+
+
 def fake_walk_pages():
     """A stand-in 4-element PT page chain for fills."""
     return ("l1", "l2", "l3", "l4")
@@ -60,7 +64,7 @@ def fill(caches, iova, pages):
 
 class TestHierarchyProbe:
     def test_all_miss_costs_four_reads(self):
-        caches = PtCacheHierarchy()
+        caches = make_caches()
         outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.deepest_hit_level == 0
         assert outcome.memory_reads == 4
@@ -68,14 +72,14 @@ class TestHierarchyProbe:
 
     def test_l3_hit_costs_one_read(self):
         """The paper's best case: PTcache-L3 hit -> a single PT-L4 read."""
-        caches = PtCacheHierarchy()
+        caches = make_caches()
         fill(caches, 0x1000, fake_walk_pages())
         outcome = caches.probe(0x1000, fake_walk_pages())
         assert outcome.deepest_hit_level == 3
         assert outcome.memory_reads == 1
 
     def test_l2_hit_costs_two_reads(self):
-        caches = PtCacheHierarchy(l3_entries=1)
+        caches = make_caches(l3_entries=1)
         fill(caches, 0x1000, fake_walk_pages())
         # Evict only the L3 entry by filling a different 2 MB region.
         caches.l3.insert(5 << 21, "other")
@@ -84,7 +88,7 @@ class TestHierarchyProbe:
         assert outcome.memory_reads == 2
 
     def test_l1_hit_costs_three_reads(self):
-        caches = PtCacheHierarchy(l2_entries=1, l3_entries=1)
+        caches = make_caches(l2_entries=1, l3_entries=1)
         fill(caches, 0x1000, fake_walk_pages())
         caches.l3.insert(5 << 21, "other")
         caches.l2.insert(5 << 30, "other")
@@ -95,7 +99,7 @@ class TestHierarchyProbe:
     def test_counted_misses_follow_paper_accounting(self):
         """m1 <= m2 <= m3: a level-i miss is counted only when every
         deeper level also missed (it then adds a memory read)."""
-        caches = PtCacheHierarchy()
+        caches = make_caches()
         fill(caches, 0x1000, fake_walk_pages())
         caches.l3.flush()
         # L3 miss, L2 hit: only m3 counted.
@@ -104,7 +108,7 @@ class TestHierarchyProbe:
 
     def test_fill_populates_all_levels(self):
         """A probe refills every level from the walk, hit or miss."""
-        caches = PtCacheHierarchy()
+        caches = make_caches()
         caches.probe(0x1000, fake_walk_pages())
         assert caches.l1.contains(0x1000)
         assert caches.l2.contains(0x1000)
@@ -137,7 +141,7 @@ class TestHierarchyProbe:
         """Linux's unmap behaviour: one page's invalidation drops the
         covering entry at every level — the root cause of the paper's
         PTcache-L1/L2 misses."""
-        caches = PtCacheHierarchy()
+        caches = make_caches()
         fill(caches, 0x1000, fake_walk_pages())
         dropped = caches.invalidate_range(0x1000, 4096)
         assert dropped == 3
@@ -147,7 +151,7 @@ class TestHierarchyProbe:
     def test_shared_entries_across_nearby_iovas(self):
         """Two IOVAs in the same 2 MB region share all PTcache entries —
         the locality F&S's contiguous allocation creates."""
-        caches = PtCacheHierarchy()
+        caches = make_caches()
         fill(caches, 0x1000, fake_walk_pages())
         outcome = caches.probe(0x1000 + 64 * 4096, fake_walk_pages())
         assert outcome.deepest_hit_level == 3

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.iommu.addr import PAGE_SIZE
 from repro.iova import IovaExhaustedError, RbTreeIovaAllocator
+from repro.iova.allocator import SCAN_STEP_NS, TREE_OP_NS
 
 
 class TestTopDownAllocation:
@@ -102,19 +103,17 @@ class TestFreeValidation:
 
 class TestAccounting:
     def test_cpu_cost_charged_per_core(self):
-        alloc = RbTreeIovaAllocator(tree_op_cost_ns=100.0)
+        alloc = RbTreeIovaAllocator()
         alloc.alloc(1, cpu=0)
         alloc.alloc(1, cpu=1)
         iova = alloc.alloc(1, cpu=1)
         alloc.free(iova, 1, cpu=1)
-        assert alloc.cpu_ns_by_core[0] == pytest.approx(100.0)
-        assert alloc.cpu_ns_by_core[1] >= 300.0
-        assert alloc.total_cpu_ns >= 400.0
+        assert alloc.cpu_ns_by_core[0] == pytest.approx(TREE_OP_NS)
+        assert alloc.cpu_ns_by_core[1] >= 3 * TREE_OP_NS
+        assert alloc.total_cpu_ns >= 4 * TREE_OP_NS
 
     def test_scan_cost_grows_with_fragmentation(self):
-        alloc = RbTreeIovaAllocator(
-            tree_op_cost_ns=100.0, scan_step_cost_ns=10.0
-        )
+        alloc = RbTreeIovaAllocator()
         blocks = [alloc.alloc(1, cpu=0) for _ in range(50)]
         # Free the topmost block: the cached scan position resets to
         # the top, and a size-2 request (which cannot fit the 1-page
@@ -124,20 +123,18 @@ class TestAccounting:
         before = alloc.cpu_ns_by_core[0]
         alloc.alloc(2, cpu=0)
         scan_cost = alloc.cpu_ns_by_core[0] - before
-        assert scan_cost > 100.0 + 10.0 * 40
+        assert scan_cost > TREE_OP_NS + SCAN_STEP_NS * 40
 
     def test_cached_scan_keeps_common_case_cheap(self):
         """With the cached node, back-to-back allocations do not rescan
         the fragmented space above (the Linux optimization F&S's chunk
         allocations rely on)."""
-        alloc = RbTreeIovaAllocator(
-            tree_op_cost_ns=100.0, scan_step_cost_ns=10.0
-        )
+        alloc = RbTreeIovaAllocator()
         for _ in range(200):
             alloc.alloc(1, cpu=0)
         before = alloc.cpu_ns_by_core[0]
         alloc.alloc(64, cpu=0)
-        assert alloc.cpu_ns_by_core[0] - before <= 100.0 + 10.0
+        assert alloc.cpu_ns_by_core[0] - before <= TREE_OP_NS + SCAN_STEP_NS
 
     def test_trace_records_allocations(self):
         trace = []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.iommu.addr import PAGE_SIZE
 from repro.iova import MAG_SIZE, CachingIovaAllocator
+from repro.iova.caching import CACHE_HIT_NS
 
 
 def make(num_cpus=2, **kwargs):
@@ -50,12 +51,13 @@ class TestFastPath:
         assert fresh != iova
 
     def test_cheap_fast_path_cost(self):
-        alloc = make(cache_hit_cost_ns=10.0, tree_op_cost_ns=1000.0)
+        alloc = make()
         iova = alloc.alloc(1, cpu=0)  # slow path
         slow_cost = alloc.total_cpu_ns
         alloc.free(iova, 1, cpu=0)
+        before = alloc.total_cpu_ns
         alloc.alloc(1, cpu=0)  # fast path
-        fast_cost = alloc.total_cpu_ns - slow_cost
+        fast_cost = alloc.total_cpu_ns - before
         assert fast_cost < slow_cost / 10
 
 
@@ -187,7 +189,5 @@ class TestSlowPathCharging:
         tree_before = alloc.rbtree.total_cpu_ns
         own_before = alloc.cpu_ns_by_core.get(0, 0.0)
         alloc.alloc(1)  # magazine hit
-        assert (
-            alloc.cpu_ns_by_core[0] - own_before == alloc.cache_hit_cost_ns
-        )
+        assert alloc.cpu_ns_by_core[0] - own_before == CACHE_HIT_NS
         assert alloc.rbtree.total_cpu_ns == tree_before

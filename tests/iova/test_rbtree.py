@@ -20,6 +20,7 @@ from repro.iova import (
     IovaRangeIndex,
     RbTreeIovaAllocator,
 )
+from repro.iova.allocator import SCAN_STEP_NS, TREE_OP_NS
 from repro.iova.rangeindex import BLOCK
 
 
@@ -248,9 +249,7 @@ def test_allocator_matches_the_tree_walk(ops, limit_pfn):
     """pfn_lo, steps (as charged scan cost) and the cached node under
     churn: allocations of mixed sizes and alignments, retries from the
     top, exhaustion, and frees above and below the cached node."""
-    allocator = RbTreeIovaAllocator(
-        limit_pfn=limit_pfn, tree_op_cost_ns=0.0, scan_step_cost_ns=1.0
-    )
+    allocator = RbTreeIovaAllocator(limit_pfn=limit_pfn)
     reference = TreeWalk(limit_pfn)
     live = []
     for pages, align, pick in ops:
@@ -269,7 +268,8 @@ def test_allocator_matches_the_tree_walk(ops, limit_pfn):
                 pfn_lo = None
             assert pfn_lo == expected
             charged = allocator.cpu_ns_by_core[0] - before
-            assert charged == steps + (min(ranges, 64) if retried else 0)
+            passed = steps + (min(ranges, 64) if retried else 0)
+            assert charged == TREE_OP_NS + SCAN_STEP_NS * passed
             if pfn_lo is not None:
                 live.append(pfn_lo)
         assert allocator._cached == reference.cached

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.net import DctcpParams, DctcpReceiver, DctcpSender, Packet, PacketKind
+from repro.net import DctcpReceiver, DctcpSender, Packet, PacketKind
+from repro.net.dctcp import MIN_CWND, RTO_NS
 
 
-def make_sender(**kwargs):
-    params = DctcpParams(init_cwnd=kwargs.pop("init_cwnd", 4.0))
-    return DctcpSender(flow_id=1, params=params, **kwargs)
+def make_sender(init_cwnd=4.0, **kwargs):
+    sender = DctcpSender(flow_id=1, mtu_bytes=4096, **kwargs)
+    sender.cwnd = init_cwnd
+    return sender
 
 
 def ack(seq, ecn=False):
@@ -136,7 +138,7 @@ class TestLossRecovery:
         sender = make_sender(init_cwnd=16.0)
         sender.take_packets(0.0)
         sender.on_rto(now=1_000_000.0)
-        assert sender.cwnd == sender.params.min_cwnd
+        assert sender.cwnd == MIN_CWND
         assert sender.timeouts == 1
         retx = sender.take_packets(1_000_000.0)
         assert retx[0].seq == 0
@@ -145,7 +147,7 @@ class TestLossRecovery:
         sender = make_sender()
         sender.take_packets(0.0)
         first_deadline = sender.rto_deadline_ns
-        sender.on_rto(sender.params.rto_ns)
+        sender.on_rto(RTO_NS)
         assert sender.rto_deadline_ns > first_deadline * 1.5
 
     def test_idle_rto_is_noop(self):
@@ -157,16 +159,13 @@ class TestLossRecovery:
 
 
 class TestReceiver:
-    def params(self):
-        return DctcpParams()
-
     def data(self, seq, marked=False):
         packet = Packet(1, seq, 4096, PacketKind.DATA)
         packet.ecn_marked = marked
         return packet
 
     def test_in_order_delivery_with_delayed_ack(self):
-        receiver = DctcpReceiver(1, self.params())
+        receiver = DctcpReceiver(1)
         delivered, ack1 = receiver.on_data(self.data(0), 0.0, ack_every=2)
         assert delivered == 1 and ack1 is None
         delivered, ack2 = receiver.on_data(self.data(1), 0.0, ack_every=2)
@@ -174,7 +173,7 @@ class TestReceiver:
         assert ack2.seq == 2
 
     def test_out_of_order_triggers_immediate_dupack(self):
-        receiver = DctcpReceiver(1, self.params())
+        receiver = DctcpReceiver(1)
         receiver.on_data(self.data(0), 0.0, ack_every=64)
         delivered, dup = receiver.on_data(self.data(2), 0.0, ack_every=64)
         assert delivered == 0
@@ -183,7 +182,7 @@ class TestReceiver:
         assert receiver.out_of_order_segments == 1
 
     def test_gap_fill_delivers_buffered(self):
-        receiver = DctcpReceiver(1, self.params())
+        receiver = DctcpReceiver(1)
         receiver.on_data(self.data(0), 0.0, ack_every=64)
         receiver.on_data(self.data(2), 0.0, ack_every=64)
         receiver.on_data(self.data(3), 0.0, ack_every=64)
@@ -193,7 +192,7 @@ class TestReceiver:
         assert receiver.out_of_order_segments == 0
 
     def test_duplicate_segment_acked_immediately(self):
-        receiver = DctcpReceiver(1, self.params())
+        receiver = DctcpReceiver(1)
         receiver.on_data(self.data(0), 0.0, ack_every=64)
         delivered, dup = receiver.on_data(self.data(0), 0.0, ack_every=64)
         assert delivered == 0
@@ -201,14 +200,14 @@ class TestReceiver:
         assert receiver.duplicates_received == 1
 
     def test_ecn_mark_echoed_once(self):
-        receiver = DctcpReceiver(1, self.params())
+        receiver = DctcpReceiver(1)
         _, ack1 = receiver.on_data(self.data(0, marked=True), 0.0, ack_every=1)
         assert ack1.ecn_echo
         _, ack2 = receiver.on_data(self.data(1), 0.0, ack_every=1)
         assert not ack2.ecn_echo
 
     def test_flush_ack_emits_pending(self):
-        receiver = DctcpReceiver(1, self.params())
+        receiver = DctcpReceiver(1)
         receiver.on_data(self.data(0), 0.0, ack_every=8)
         flushed = receiver.flush_ack(100.0)
         assert flushed is not None and flushed.seq == 1
@@ -219,9 +218,8 @@ class TestClosedLoop:
     def test_lossless_exchange_delivers_everything(self):
         """Sender and receiver glued directly: all segments arrive, all
         are delivered in order, windows grow, no retransmissions."""
-        params = DctcpParams(init_cwnd=4.0)
-        sender = DctcpSender(1, params)
-        receiver = DctcpReceiver(1, params)
+        sender = make_sender(init_cwnd=4.0)
+        receiver = DctcpReceiver(1)
         delivered = 0
         for _ in range(200):
             for packet in sender.take_packets(0.0, max_count=8):
@@ -234,9 +232,8 @@ class TestClosedLoop:
         assert receiver.rcv_nxt == delivered
 
     def test_single_loss_recovers_without_rto(self):
-        params = DctcpParams(init_cwnd=8.0)
-        sender = DctcpSender(1, params)
-        receiver = DctcpReceiver(1, params)
+        sender = make_sender(init_cwnd=8.0)
+        receiver = DctcpReceiver(1)
         lost_once = False
         delivered = 0
         for _ in range(100):

@@ -8,7 +8,8 @@ reordering, ECN marks and timeouts.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import DctcpParams, DctcpReceiver, DctcpSender
+from repro.net import DctcpReceiver, DctcpSender
+from repro.net.dctcp import MAX_CWND, MIN_CWND
 
 # One network "script" step: what happens to the next sent packet.
 DELIVER, DROP, REORDER = "deliver", "drop", "reorder"
@@ -34,9 +35,9 @@ def network_scripts(draw):
 def test_transport_invariants_under_chaos(script):
     """Run a sender/receiver pair through an adversarial network and
     check the invariants after every event."""
-    params = DctcpParams(init_cwnd=6.0)
-    sender = DctcpSender(1, params)
-    receiver = DctcpReceiver(1, params)
+    sender = DctcpSender(1, 4096)
+    sender.cwnd = 6.0
+    receiver = DctcpReceiver(1)
     reorder_buffer = []
     now = 0.0
     for action, mark in script:
@@ -63,8 +64,8 @@ def test_transport_invariants_under_chaos(script):
         # --- Invariants ---
         assert sender.snd_una <= sender.snd_nxt
         assert sender.inflight >= 0
-        assert sender.cwnd >= params.min_cwnd
-        assert sender.cwnd <= params.max_cwnd
+        assert sender.cwnd >= MIN_CWND
+        assert sender.cwnd <= MAX_CWND
         assert 0.0 <= sender.alpha <= 1.0
         assert receiver.rcv_nxt <= sender.snd_nxt
         assert receiver.delivered_segments == receiver.rcv_nxt
@@ -77,9 +78,8 @@ def test_transport_invariants_under_chaos(script):
 def test_lossless_in_order_path_delivers_exactly_once(rounds):
     """With no loss and no reordering, delivery == send order and no
     retransmissions ever happen."""
-    params = DctcpParams()
-    sender = DctcpSender(1, params)
-    receiver = DctcpReceiver(1, params)
+    sender = DctcpSender(1, 4096)
+    receiver = DctcpReceiver(1)
     for _ in range(rounds):
         for packet in sender.take_packets(0.0, max_count=8):
             _, ack = receiver.on_data(packet, 0.0, ack_every=2)
@@ -99,8 +99,7 @@ def test_receiver_reassembly_is_exactly_once(seqs):
     receiver delivers each distinct in-order segment exactly once."""
     from repro.net import Packet, PacketKind
 
-    params = DctcpParams()
-    receiver = DctcpReceiver(1, params)
+    receiver = DctcpReceiver(1)
     delivered = 0
     for seq in seqs:
         got, _ack = receiver.on_data(

@@ -6,14 +6,21 @@ timer keeps a pending event that fires no later than the deadline and
 moves it on wakeup; these tests pin that it lands in the same slot.
 """
 
-from repro.net import DctcpParams, DctcpSender, RtoTimer
+import pytest
+
+from repro.net import DctcpSender, RtoTimer, dctcp
 from repro.sim import Simulator
 
 RTO_NS = 1_000.0
 
 
+@pytest.fixture(autouse=True)
+def short_rto(monkeypatch):
+    monkeypatch.setattr(dctcp, "RTO_NS", RTO_NS)
+
+
 def make_timer(sim, flow_id, fired):
-    sender = DctcpSender(flow_id, DctcpParams(rto_ns=RTO_NS))
+    sender = DctcpSender(flow_id, 4096)
     sender.take_packets(sim.now)  # inflight > 0
 
     def on_timeout():

@@ -154,7 +154,8 @@ class TestNic:
         assert host.nic.stats.buffer_drops == 0
 
     def test_buffer_overflow_drops(self):
-        host = self.make_host(nic_buffer_bytes=8192)
+        host = self.make_host()
+        host.nic.buffer_bytes = 8192  # two 4 KB packets
         lanes = host.rx_pipeline.lanes
         # The first ``lanes`` packets start their DMA at once, the next
         # two fill the buffer, and the last one is dropped.

@@ -148,3 +148,52 @@ def test_recovery_is_deterministic():
     second = run_recovery_point(wedge_plan("invalidation", "wedge-invq"))
     assert first[1].timeline_text() == second[1].timeline_text()
     assert first[0].extras["mttr_max_ns"] == second[0].extras["mttr_max_ns"]
+
+
+def test_pinned_recovery_cell():
+    # One quick chaos row whose invalidation queue wedges under a fault
+    # storm, pinned exactly (values recorded before the recovery stage
+    # latencies and fault-queue geometry became module constants): a
+    # change to the detector cadence, a stage latency or the abort path
+    # moves the MTTR, the goodput or the timeline.
+    import hashlib
+
+    from repro.experiments.points import POINT_RUNNERS
+    from repro.experiments.settings import QUICK
+    from repro.parallel import PointSpec
+
+    plan = FaultPlan(
+        seed=11,
+        name="pinned-recovery",
+        specs=(
+            FaultSpec(
+                "iommu", "fault-storm",
+                start_ns=2_200_000.0, end_ns=2_900_000.0, probability=0.001,
+            ),
+            FaultSpec(
+                "invalidation", "wedge-invq",
+                start_ns=2_500_000.0, end_ns=3_400_000.0,
+            ),
+        ),
+    )
+    spec = PointSpec(
+        figure="Chaos", runner="chaos_row", mode="fns", x="pinned",
+        label="pinned recovery", seed=plan.seed, payload=(plan, 5, True),
+    )
+    row = POINT_RUNNERS["chaos_row"](spec, QUICK)
+    timeline = hashlib.sha256(row["timeline"].encode()).hexdigest()
+    assert (
+        row["outcome"],
+        row["goodput_gbps"],
+        row["recoveries"],
+        row["mttr_max_ns"],
+        row["injected"],
+        timeline,
+    ) == (
+        "ok",
+        12.8188416,
+        1,
+        479_700.0,
+        31,
+        "1974239d05d45dd439ed0151e6239a1004c1c415334e97003f20999da34c1ca2",
+    )

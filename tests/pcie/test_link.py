@@ -2,22 +2,28 @@
 
 import pytest
 
-from repro.pcie import DmaPipeline, PcieConfig
+from repro.pcie import (
+    MAX_PAYLOAD_BYTES,
+    PCIE_GBPS,
+    DmaPipeline,
+    transactions,
+)
 from repro.sim import Simulator
 
 
 def test_wire_time_and_tlp_split():
-    config = PcieConfig(gbps=128.0, max_payload_bytes=256)
-    assert config.wire_ns(4096) == pytest.approx(256.0)
-    assert config.transactions(4096) == 16
-    assert config.transactions(64) == 1
-    assert config.transactions(257) == 2
-    assert config.transactions(0) == 0
+    assert (PCIE_GBPS, MAX_PAYLOAD_BYTES) == (128.0, 256)
+    pipe = DmaPipeline(Simulator(), lanes=1)
+    assert pipe.reserve_wire(0.0, 4096) == pytest.approx(256.0)
+    assert transactions(4096) == 16
+    assert transactions(64) == 1
+    assert transactions(257) == 2
+    assert transactions(0) == 0
 
 
 def test_single_lane_serializes_dmas():
     sim = Simulator()
-    pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
+    pipe = DmaPipeline(sim, lanes=1)
     finished = []
 
     def begin(job, start):
@@ -36,7 +42,7 @@ def test_single_lane_serializes_dmas():
 
 def test_multi_lane_overlaps_latency():
     sim = Simulator()
-    pipe = DmaPipeline(sim, PcieConfig(), lanes=2)
+    pipe = DmaPipeline(sim, lanes=2)
     finished = []
     for index in range(4):
         pipe.submit(
@@ -53,7 +59,7 @@ def test_begin_runs_at_start_time_not_submit_time():
     """Probes must happen when the DMA starts, so that invalidations by
     earlier completions interleave correctly."""
     sim = Simulator()
-    pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
+    pipe = DmaPipeline(sim, lanes=1)
     begin_times = []
 
     def begin(job, start):
@@ -69,8 +75,7 @@ def test_begin_runs_at_start_time_not_submit_time():
 def test_shared_wire_caps_aggregate_rate():
     """Even with 4 lanes, the wire serializer admits at most link rate."""
     sim = Simulator()
-    config = PcieConfig(gbps=128.0)
-    pipe = DmaPipeline(sim, config, lanes=4)
+    pipe = DmaPipeline(sim, lanes=4)
     finished = []
 
     def begin(size, start):
@@ -85,7 +90,7 @@ def test_shared_wire_caps_aggregate_rate():
 
 def test_backwards_completion_rejected():
     sim = Simulator()
-    pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
+    pipe = DmaPipeline(sim, lanes=1)
     with pytest.raises(ValueError):
         # A free lane starts the DMA synchronously; the bogus begin()
         # is caught immediately.
@@ -94,7 +99,7 @@ def test_backwards_completion_rejected():
 
 def test_queue_depth_reporting():
     sim = Simulator()
-    pipe = DmaPipeline(sim, PcieConfig(), lanes=1)
+    pipe = DmaPipeline(sim, lanes=1)
     for index in range(3):
         pipe.submit(64, lambda job, s: s + 10.0, lambda job: None, index)
     assert pipe.inflight == 1
@@ -103,4 +108,4 @@ def test_queue_depth_reporting():
 
 def test_zero_lanes_rejected():
     with pytest.raises(ValueError):
-        DmaPipeline(Simulator(), PcieConfig(), lanes=0)
+        DmaPipeline(Simulator(), lanes=0)

@@ -12,6 +12,7 @@ counters and the stale tally.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -19,7 +20,12 @@ from repro.context import using
 from repro.faults import FaultPlan, FaultRuntime
 from repro.iommu import DmaFault, Iommu, IommuConfig
 from repro.mem import PhysicalMemory
-from repro.protection import DeferredDriver, PassthroughDriver, StrictFamilyDriver
+from repro.protection import (
+    DeferredDriver,
+    PassthroughDriver,
+    StrictFamilyDriver,
+    deferred,
+)
 
 MPS = 256  # max payload: 16 TLPs per 4 KB page
 
@@ -27,9 +33,7 @@ FACTORIES = {
     "linux-strict": StrictFamilyDriver.linux_strict,
     "fns": StrictFamilyDriver.fns,
     "linux+A": StrictFamilyDriver.linux_plus_preserve,
-    "deferred": lambda iommu, physmem, num_cpus: DeferredDriver(
-        iommu, physmem, num_cpus=num_cpus, flush_threshold=10_000
-    ),
+    "deferred": DeferredDriver,
     "passthrough": lambda iommu, physmem, num_cpus: PassthroughDriver(
         physmem
     ),
@@ -41,7 +45,10 @@ def make_twins(mode, check_stale_hits=False, **config):
     stacks = []
     empty = FaultRuntime(FaultPlan(seed=1, name="empty", specs=()))
     for fields in ({}, {"faults": empty}):
-        with using(**fields):
+        # A high flush threshold keeps deferred unmaps pending.
+        with using(**fields), mock.patch.object(
+            deferred, "FLUSH_THRESHOLD", 10_000
+        ):
             iommu = Iommu(IommuConfig(**config))
             iommu.check_stale_hits = check_stale_hits
             driver = FACTORIES[mode](

@@ -1,6 +1,7 @@
 """Unit tests for the deferred (lazy) protection mode."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -8,15 +9,14 @@ from repro.host.config import HostConfig
 from repro.host.testbed import Testbed
 from repro.iommu import Iommu, IommuConfig
 from repro.mem import PhysicalMemory
-from repro.protection import DeferredDriver
+from repro.protection import DeferredDriver, deferred
 
 
 def make_driver(flush_threshold=8):
     iommu = Iommu(IommuConfig())
     physmem = PhysicalMemory(1 << 16)
-    driver = DeferredDriver(
-        iommu, physmem, num_cpus=2, flush_threshold=flush_threshold
-    )
+    with mock.patch.object(deferred, "FLUSH_THRESHOLD", flush_threshold):
+        driver = DeferredDriver(iommu, physmem, num_cpus=2)
     return driver, iommu, physmem
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the protection drivers (all four safety modes)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.context import using
@@ -10,6 +12,7 @@ from repro.protection import (
     DeferredDriver,
     PassthroughDriver,
     StrictFamilyDriver,
+    deferred,
 )
 from repro.verify import InvalidationEvent, InvariantMonitor
 
@@ -101,8 +104,8 @@ class TestStrictSafetyProperty:
         (the weaker safety property F&S refuses)."""
         iommu = Iommu(IommuConfig())
         physmem = PhysicalMemory(1 << 16)
-        driver = DeferredDriver(iommu, physmem, num_cpus=1,
-                                flush_threshold=10_000)
+        with mock.patch.object(deferred, "FLUSH_THRESHOLD", 10_000):
+            driver = DeferredDriver(iommu, physmem, num_cpus=1)
         descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
         for slot in descriptor.slots:
             driver.translate_for_dma(slot.iova, "rx")

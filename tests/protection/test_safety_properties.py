@@ -8,12 +8,14 @@ every strict-family configuration — and that deferred mode genuinely
 violates it (which is why the paper refuses that mode).
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.iommu import Iommu, IommuConfig
 from repro.mem import PhysicalMemory
-from repro.protection import DeferredDriver, StrictFamilyDriver
+from repro.protection import DeferredDriver, StrictFamilyDriver, deferred
 
 FLAG_COMBOS = [
     (False, False),  # linux strict
@@ -84,9 +86,8 @@ def test_deferred_mode_violates_the_property(script):
     """If any page was device-touched, deferred mode leaves a window
     where the device can still reach it after retire."""
     iommu = Iommu(IommuConfig())
-    driver = DeferredDriver(
-        iommu, PhysicalMemory(1 << 18), num_cpus=2, flush_threshold=10**9
-    )
+    with mock.patch.object(deferred, "FLUSH_THRESHOLD", 10**9):
+        driver = DeferredDriver(iommu, PhysicalMemory(1 << 18), num_cpus=2)
     any_touched = False
     violation_seen = False
     for touch_mask, _tx in script:

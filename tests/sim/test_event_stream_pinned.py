@@ -37,7 +37,7 @@ from repro.faults import FaultPlan, FaultRuntime, FaultSpec
 from repro.host.config import HostConfig
 from repro.host.testbed import Testbed
 from repro.iommu import IommuConfig
-from repro.net import DctcpParams, DctcpSender
+from repro.net import DctcpSender, dctcp
 from repro.sim import engine
 
 WARMUP_NS = 800_000.0
@@ -182,8 +182,6 @@ def callback_name(callback):
 
 def build(kind, mode):
     overrides = {}
-    if kind.endswith("-loss"):
-        overrides["dctcp"] = DctcpParams(rto_ns=200_000.0)
     if kind == "rx-faultq":
         overrides["iommu"] = IommuConfig(fault_queue=True)
     if kind.startswith("rx"):
@@ -222,6 +220,7 @@ def event_stream(kind, mode):
         return entry
 
     on_rto = DctcpSender.on_rto
+    rto_ns = dctcp.RTO_NS
 
     def recording_on_rto(sender, now):
         timeouts.append((sender.flow_id, now))
@@ -233,6 +232,8 @@ def event_stream(kind, mode):
     DctcpSender.on_rto = recording_on_rto
     try:
         if kind.endswith("-loss"):
+            # A 200 us RTO lets the loss window's timeouts fire.
+            dctcp.RTO_NS = 200_000.0
             spec = FaultSpec(
                 "net", "loss", start_ns=300_000.0, end_ns=900_000.0,
                 probability=0.05,
@@ -246,6 +247,7 @@ def event_stream(kind, mode):
     finally:
         engine.heapq = heapq
         DctcpSender.on_rto = on_rto
+        dctcp.RTO_NS = rto_ns
     sim = testbed.sim
     return (
         (sim.executed_events, sim._seq, raw.hexdigest()),

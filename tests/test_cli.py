@@ -49,25 +49,28 @@ def test_jobs_flag_runs_figure(capsys):
     assert "Fig 12" in capsys.readouterr().out
 
 
+# Each case carries its id, so adding or removing one renames no other.
+# The ids are the positional names the cases had before they were
+# fixed; a new case takes a descriptive one.
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fig12", "--jobs", "-1"],
-        ["fig12", "--jobs", "2", "--chunk", "0"],
-        ["run", "fig12", "--jobs", "two"],
-        ["reproduce", "--jobs", "-1"],
-        ["reproduce", "--jobs", "2", "--chunk", "0"],
-        ["chaos", "--jobs", "-1"],
-        ["chaos", "--chunk", "0"],
-        ["chaos", "--seeds", "0"],
-        ["reproduce", "--figures", ""],
-        ["reproduce", "--figures", ","],
+        pytest.param(["fig12", "--jobs", "-1"], id="argv0"),
+        pytest.param(["fig12", "--jobs", "2", "--chunk", "0"], id="argv1"),
+        pytest.param(["run", "fig12", "--jobs", "two"], id="argv2"),
+        pytest.param(["reproduce", "--jobs", "-1"], id="argv3"),
+        pytest.param(["reproduce", "--jobs", "2", "--chunk", "0"], id="argv4"),
+        pytest.param(["chaos", "--jobs", "-1"], id="argv5"),
+        pytest.param(["chaos", "--chunk", "0"], id="argv6"),
+        pytest.param(["chaos", "--seeds", "0"], id="argv7"),
+        pytest.param(["reproduce", "--figures", ""], id="argv8"),
+        pytest.param(["reproduce", "--figures", ","], id="argv9"),
         # No such command: each former "publish" call is read as an
         # unknown figure.
-        ["publish", "out", "--figures", ""],
-        ["publish", "out", "--format", "svg"],
-        ["analyze", "--format", "json"],
-        ["publish", "out", "--style", "arxiv"],
+        pytest.param(["publish", "out", "--figures", ""], id="argv10"),
+        pytest.param(["publish", "out", "--format", "svg"], id="argv11"),
+        pytest.param(["analyze", "--format", "json"], id="argv12"),
+        pytest.param(["publish", "out", "--style", "arxiv"], id="argv13"),
     ],
 )
 def test_bad_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):

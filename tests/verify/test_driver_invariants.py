@@ -5,12 +5,15 @@ tripping any invariant; a DMA outside every registered buffer must trip
 invariant (d) even though the translation itself succeeds.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.context import using
 from repro.iommu import Iommu
 from repro.iommu.addr import PAGE_SIZE
 from repro.mem.physmem import PhysicalMemory
+from repro.protection import deferred
 from repro.protection.deferred import DeferredDriver
 from repro.protection.strict import StrictFamilyDriver
 from repro.verify import InvariantMonitor, InvariantViolation
@@ -123,8 +126,8 @@ def test_deferred_mode_stale_window_is_counted_not_fatal():
     with using(monitor=monitor):
         iommu = Iommu()
         physmem = PhysicalMemory()
-        driver = DeferredDriver(iommu, physmem, NUM_CPUS,
-                                flush_threshold=10_000)
+        with mock.patch.object(deferred, "FLUSH_THRESHOLD", 10_000):
+            driver = DeferredDriver(iommu, physmem, NUM_CPUS)
     descriptor, _ = driver.make_rx_descriptor(core=0, pages=4)
     target = descriptor.slots[0].iova
     driver.translate_for_dma(target, "rx")

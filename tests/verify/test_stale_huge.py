@@ -20,7 +20,7 @@ import pytest
 from repro.context import using
 from repro.iommu import Iommu, Iotlb
 from repro.iommu.addr import PAGE_SHIFT, PAGE_SIZE
-from repro.iommu.iommu import DmaFault
+from repro.iommu.iommu import IOTLB_ENTRIES, IOTLB_WAYS, DmaFault
 from repro.verify import InvariantMonitor, InvariantViolation
 
 HUGE = 512 * PAGE_SIZE  # 2 MB
@@ -50,9 +50,7 @@ def _huge_mapped_iommu(monitor, legacy: bool):
     with using(monitor=monitor):
         iommu = Iommu()
         if legacy:
-            iommu.iotlb = LegacyIotlb(
-                iommu.config.iotlb_entries, iommu.config.iotlb_ways
-            )
+            iommu.iotlb = LegacyIotlb(IOTLB_ENTRIES, IOTLB_WAYS)
             iommu.invalidation_queue.iotlb = iommu.iotlb
     iommu.map_huge(0, base_frame=1000)
     assert iommu.translate(0x3000).frame == 1003  # fills the huge entry
